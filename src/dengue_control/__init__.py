@@ -44,7 +44,6 @@ from .threshold import (
     NoControlNeeded,
     ProfilePoint,
     ThresholdResult,
-    Unattainable,
     collapse_control_bound,
     min_control,
     r0_profile,
@@ -74,7 +73,6 @@ __all__ = [
     "StepStats",
     "ThresholdResult",
     "Trajectory",
-    "Unattainable",
     "basic_offspring_number",
     "brdfe",
     "builtin_capeverde2009",

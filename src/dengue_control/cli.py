@@ -22,6 +22,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .equilibria import brdfe
 from .errors import (
     MosquitoCollapseError,
@@ -30,13 +32,12 @@ from .errors import (
     ScenarioError,
 )
 from .integrator import Trajectory, integrate
-from .model import State8, mosquito_viability
+from .model import State8
 from .report import build_report, render_json, render_text
-from .reproduction import r0_closed_form
 from .scenario import Scenario, get_builtin, load_scenario
 from .stability import Classification, classify
 from .svgplot import render_trajectory_svg
-from .threshold import NoControlNeeded, ThresholdResult, min_control
+from .threshold import NoControlNeeded, min_control, r0_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,11 +63,8 @@ def _write_atomic(path: Path, text: str) -> None:
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Full round-trip double formatting: re-parsing and re-rendering the
     text reproduces it byte for byte."""
-    lines = [CSV_HEADER]
-    for t, state in zip(traj.times, traj.states):
-        values = (float(t),) + state.as_tuple()
-        lines.append(",".join(repr(v) for v in values))
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((traj.times, traj.as_array())).tolist()
+    return "\n".join([CSV_HEADER] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
 
 def parse_trajectory_csv(text: str) -> tuple[list[float], list[State8]]:
@@ -110,7 +108,7 @@ def cmd_simulate(args) -> int:
         _write_atomic(svg_path, render_trajectory_svg(traj, title=scenario.name))
         print(f"wrote {svg_path}")
     data = traj.as_array()
-    print(f"rows: {len(traj.states)}  steps: {traj.step_stats.accepted} accepted, "
+    print(f"rows: {len(data)}  steps: {traj.step_stats.accepted} accepted, "
           f"{traj.step_stats.rejected} rejected")
     print(f"peak infected humans: {float(data[:, 2].max())!r} "
           f"at t = {float(traj.times[data[:, 2].argmax()])!r}")
@@ -128,18 +126,16 @@ def cmd_analyze(args) -> int:
 def cmd_threshold(args) -> int:
     scenario = _load(args)
     result = min_control(scenario.params, tol=args.tol)
-    if isinstance(result, ThresholdResult):
+    if isinstance(result, NoControlNeeded):
+        r0 = "undefined (mosquito collapse)" if result.r0_at_zero is None \
+            else repr(result.r0_at_zero)
+        print(f"no control needed: R0 at c=0 = {r0}")
+    else:
         print(f"c* = {result.c_star:.6f}")
         print(f"R0(c*) = {result.r0_at_c_star!r}")
         lo, hi = result.bracket
         print(f"bracket = [{lo!r}, {hi!r}]  (width {hi - lo:.3g} <= tol {args.tol:g})")
         print(f"iterations = {result.iterations}")
-    elif isinstance(result, NoControlNeeded):
-        r0 = "undefined (mosquito collapse)" if result.r0_at_zero is None \
-            else repr(result.r0_at_zero)
-        print(f"no control needed: R0 at c=0 = {r0}")
-    else:
-        print("unattainable: R0 stays above 1 on the whole viable interval")
     print(f"collapse bound c = {result.collapse_bound!r}")
     return EXIT_OK
 
@@ -168,14 +164,13 @@ def cmd_sweep(args) -> int:
         # brdfe at c > 0 is classified at the declared reference state,
         # whose residual warning would fire once per grid point here
         warnings.simplefilter("ignore")
-        for c in _sweep_grid(args.c_min, args.c_max, args.c_step):
-            if mosquito_viability(p, c) <= 0.0:
-                lines.append(f"{c!r},,,true")
+        for pt in r0_profile(p, _sweep_grid(args.c_min, args.c_max, args.c_step)):
+            if pt.collapsed:
+                lines.append(f"{pt.c!r},,,true")
                 continue
-            r0 = r0_closed_form(p, c)
-            rep = classify(p, c, brdfe(p, c))
+            rep = classify(p, pt.c, brdfe(p, pt.c))
             stable = rep.classification is Classification.ASYMPTOTICALLY_STABLE
-            lines.append(f"{c!r},{r0!r},{str(stable).lower()},false")
+            lines.append(f"{pt.c!r},{pt.r0!r},{str(stable).lower()},false")
     text = "\n".join(lines) + "\n"
     out_path = Path(args.out) / "sweep.csv"
     _write_atomic(out_path, text)

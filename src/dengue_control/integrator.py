@@ -31,8 +31,8 @@ from .model import (
     State8,
     as_control,
     component_scales,
-    in_omega,
-    reconstruct_rh,
+    full_states,
+    region_violation,
     _rhs_array,
 )
 
@@ -108,15 +108,21 @@ class StepStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Reported time grid and states (with R_h reconstructed)."""
+    """Reported time grid and the read-only (n, 8) array of states in CSV
+    column order (with R_h reconstructed)."""
 
     times: np.ndarray
-    states: tuple[State8, ...]
+    data: np.ndarray
     step_stats: StepStats
 
     def as_array(self) -> np.ndarray:
         """States as an (n, 8) array in CSV column order."""
-        return np.array([s.as_tuple() for s in self.states], dtype=float)
+        return self.data
+
+    @property
+    def states(self) -> tuple[State8, ...]:
+        """The rows as State8 objects, built on each access."""
+        return tuple(State8(*row) for row in self.data.tolist())
 
 
 def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
@@ -158,18 +164,19 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     """Integrate from x0 over [t0, t_end], reporting on the uniform grid.
 
     Deterministic: identical inputs give bit-identical trajectories.
-    Raises ValueError if x0 is outside the admissible region and
-    NumericalFailure (carrying the failure time) on step-size underflow.
+    Raises ValueError if x0 is outside the admissible region (non-finite
+    states included) and NumericalFailure (carrying the failure time) on
+    step-size underflow.
     """
-    if not x0.is_finite():
-        raise ValueError("initial state contains non-finite components")
-    if not in_omega(p, x0):
-        raise ValueError("initial state lies outside the biologically admissible region")
+    violation = region_violation(p, x0)
+    if violation:
+        raise ValueError(
+            f"initial state lies outside the biologically admissible region: {violation}")
     cc = as_control(c).c
 
     grid = _output_grid(cfg.t0, cfg.t_end, cfg.output_step)
     if grid.size == 1:
-        return Trajectory(times=grid, states=(reconstruct_rh(p, x0),),
+        return Trajectory(times=grid, data=full_states(p, x0.as_array()[None, :]),
                           step_stats=StepStats(accepted=0, rejected=0))
 
     scales = component_scales(p)
@@ -213,8 +220,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
             factor = max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
         h = min(h * factor, cfg.h_max)
 
-    states = tuple(reconstruct_rh(p, State7.from_array(row)) for row in out)
-    return Trajectory(times=grid, states=states,
+    return Trajectory(times=grid, data=full_states(p, np.array(out)),
                       step_stats=StepStats(accepted=accepted, rejected=rejected))
 
 
@@ -248,8 +254,7 @@ def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
             times.append(t)
             out.append(y.copy())
 
-    states = tuple(reconstruct_rh(p, State7.from_array(row)) for row in out)
-    return Trajectory(times=np.array(times, dtype=float), states=states,
+    return Trajectory(times=np.array(times, dtype=float), data=full_states(p, np.array(out)),
                       step_stats=StepStats(accepted=n_steps, rejected=0))
 
 

@@ -221,11 +221,25 @@ def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
     return State7.from_array(_rhs_array(p, as_control(c).c, x.as_array()))
 
 
+def _recovered(p: ModelParams, s_h, e_h, i_h):
+    """R_h = N_h - S_h - E_h - I_h, subtracted in that order, for scalars or
+    arrays alike (so rows and single states agree bit for bit)."""
+    return p.N_h - s_h - e_h - i_h
+
+
 def reconstruct_rh(p: ModelParams, x: State7) -> State8:
     """Recover R_h = N_h - S_h - E_h - I_h.  A negative R_h is reported as
     is; it signals departure from the admissible region, not an error."""
-    r_h = p.N_h - x.S_h - x.E_h - x.I_h
+    r_h = _recovered(p, x.S_h, x.E_h, x.I_h)
     return State8(x.S_h, x.E_h, x.I_h, r_h, x.A_m, x.S_m, x.E_m, x.I_m)
+
+
+def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
+    """Read-only (n, 8) array of full states (R_h inserted as column 3)
+    from an (n, 7) array of reduced states."""
+    full = np.insert(rows, 3, _recovered(p, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
+    full.flags.writeable = False
+    return full
 
 
 def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
@@ -261,9 +275,11 @@ def basic_offspring_number(p: ModelParams, c: ControlLevel | float = 0.0) -> flo
 OMEGA_SLACK = 1e-9
 
 
-def in_omega(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> bool:
-    """Membership in the region of biological interest (closed, so boundary
-    states count):
+def region_violation(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> str | None:
+    """First violated bound of the region of biological interest, named
+    with the initial-condition keys (S_h0, ...), or None inside it.
+
+    The region is closed, so boundary states count:
 
         all components >= 0,
         S_h + E_h + I_h <= N_h,
@@ -273,24 +289,24 @@ def in_omega(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> bool:
     Each inequality gets additive slack ``slack * bound``; the aquatic bound
     is k*N_h (not the carrying capacity K).  Non-finite states are outside.
     """
-    if not x.is_finite():
-        return False
+    for label, value, bound in zip(STATE_LABELS, x.as_tuple(), component_scales(p).tolist()):
+        if not value >= -slack * bound:
+            return f"{label}0 = {value!r} violates {label}0 >= 0"
     n_h, kn, mn = p.N_h, p.k * p.N_h, p.m * p.N_h
-    lo = (
-        x.S_h >= -slack * n_h
-        and x.E_h >= -slack * n_h
-        and x.I_h >= -slack * n_h
-        and x.A_m >= -slack * kn
-        and x.S_m >= -slack * mn
-        and x.E_m >= -slack * mn
-        and x.I_m >= -slack * mn
-    )
-    hi = (
-        x.S_h + x.E_h + x.I_h <= n_h * (1.0 + slack)
-        and x.A_m <= kn * (1.0 + slack)
-        and x.S_m + x.E_m + x.I_m <= mn * (1.0 + slack)
-    )
-    return lo and hi
+    human = x.S_h + x.E_h + x.I_h
+    if human > n_h * (1.0 + slack):
+        return f"S_h0+E_h0+I_h0 = {human!r} exceeds N_h = {n_h!r}"
+    if x.A_m > kn * (1.0 + slack):
+        return f"A_m0 = {x.A_m!r} exceeds the aquatic bound k*N_h = {kn!r}"
+    adults = x.S_m + x.E_m + x.I_m
+    if adults > mn * (1.0 + slack):
+        return f"S_m0+E_m0+I_m0 = {adults!r} exceeds the adult bound m*N_h = {mn!r}"
+    return None
+
+
+def in_omega(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> bool:
+    """Membership in the admissible region (see ``region_violation``)."""
+    return region_violation(p, x, slack) is None
 
 
 def metzler_decomposition(p: ModelParams, c: ControlLevel | float, x: State7) -> MetzlerForm:

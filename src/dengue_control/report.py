@@ -8,17 +8,15 @@ format every number with ``repr``, so the two carry identical digits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .equilibria import Equilibrium, brdfe, refined_endemic, trivial_equilibrium
 from .errors import NoEndemicEquilibrium, NumericalFailure
-from .model import basic_offspring_number, in_omega, mosquito_viability
+from .model import STATE_LABELS, basic_offspring_number, in_omega, mosquito_viability
 from .reproduction import r0_closed_form, r0_factors, r0_spectral
 from .scenario import Scenario
 from .stability import classify
-from .threshold import NoControlNeeded, ThresholdResult, Unattainable, min_control
-
-_STATE_FIELDS = ("S_h", "E_h", "I_h", "A_m", "S_m", "E_m", "I_m")
+from .threshold import NoControlNeeded, min_control
 
 
 @dataclass(frozen=True)
@@ -62,25 +60,18 @@ def _entry(scenario: Scenario, eq: Equilibrium) -> EquilibriumEntry:
 
 
 def _threshold_summary(result) -> dict:
-    if isinstance(result, ThresholdResult):
-        return {
-            "kind": "threshold",
-            "c_star": result.c_star,
-            "r0_at_c_star": result.r0_at_c_star,
-            "bracket": list(result.bracket),
-            "iterations": result.iterations,
-            "collapse_bound": result.collapse_bound,
-        }
     if isinstance(result, NoControlNeeded):
         return {
             "kind": "no_control_needed",
             "r0_at_zero": result.r0_at_zero,
             "collapse_bound": result.collapse_bound,
         }
-    assert isinstance(result, Unattainable)
     return {
-        "kind": "unattainable",
-        "r0_range": list(result.r0_range),
+        "kind": "threshold",
+        "c_star": result.c_star,
+        "r0_at_c_star": result.r0_at_c_star,
+        "bracket": list(result.bracket),
+        "iterations": result.iterations,
         "collapse_bound": result.collapse_bound,
     }
 
@@ -150,7 +141,7 @@ def render_text(report: AnalysisReport) -> str:
                      f"  refined = {str(eq.refined).lower()}"
                      f"  in_region = {str(eq.inside_region).lower()}")
         lines.append("    " + "  ".join(
-            f"{name} = {_num(v)}" for name, v in zip(_STATE_FIELDS, eq.state)))
+            f"{name} = {_num(v)}" for name, v in zip(STATE_LABELS, eq.state)))
         extra = f"    stability: {eq.classification}"
         if eq.r0_at_point is not None:
             extra += f"  (R0 at point = {_num(eq.r0_at_point)})"
@@ -165,40 +156,17 @@ def render_text(report: AnalysisReport) -> str:
                      f"  (R0 at c* = {_num(th['r0_at_c_star'])})")
         lines.append(f"  bracket = [{_num(th['bracket'][0])}, {_num(th['bracket'][1])}]"
                      f"  iterations = {th['iterations']}")
-    elif th["kind"] == "no_control_needed":
-        lines.append(f"no control needed (R0 at c=0 = {_num(th['r0_at_zero'])})")
     else:
-        lines.append("control threshold unattainable on the viable interval")
+        lines.append(f"no control needed (R0 at c=0 = {_num(th['r0_at_zero'])})")
     lines.append(f"  mosquito collapse bound c = {_num(th['collapse_bound'])}")
     return "\n".join(lines) + "\n"
 
 
 def as_json_dict(report: AnalysisReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "control": report.control,
-        "viability": report.viability,
-        "collapsed": report.collapsed,
-        "offspring_ratio": report.offspring_ratio,
-        "r0_spectral": report.r0_spectral,
-        "r0_closed_form": report.r0_closed_form,
-        "r_hm": report.r_hm,
-        "r_mh": report.r_mh,
-        "equilibria": [
-            {
-                "kind": eq.kind,
-                "state": dict(zip(_STATE_FIELDS, eq.state)),
-                "residual": eq.residual,
-                "inside_region": eq.inside_region,
-                "refined": eq.refined,
-                "classification": eq.classification,
-                "r0_at_point": eq.r0_at_point,
-            }
-            for eq in report.equilibria
-        ],
-        "endemic_note": report.endemic_note,
-        "threshold": report.threshold,
-    }
+    doc = asdict(report)
+    for eq in doc["equilibria"]:
+        eq["state"] = dict(zip(STATE_LABELS, eq["state"]))
+    return doc
 
 
 def render_json(report: AnalysisReport) -> str:

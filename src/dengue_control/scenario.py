@@ -20,11 +20,12 @@ female mosquitoes and three larvae per human) with zero control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ScenarioError
 from .integrator import SolverConfig
-from .model import ControlLevel, ModelParams, State7, in_omega
+from .model import ControlLevel, ModelParams, State7, region_violation
 
 _PARAM_KEYS = ("N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m",
                "mu_b", "mu_A", "eta_A", "eta_m", "nu_h", "m", "k")
@@ -100,33 +101,9 @@ def _parse_pairs(text: str) -> dict[str, float]:
         except ValueError:
             raise ScenarioError(
                 f"line {lineno}: value for {key!r} is not a number: {rhs!r}") from None
+        if not math.isfinite(values[key]):
+            raise ScenarioError(f"line {lineno}: value for {key!r} is not finite: {rhs!r}")
     return values
-
-
-def validate_initial(p: ModelParams, x0: State7) -> None:
-    """Reject start states outside the admissible region, naming the
-    violated bound."""
-    for label, value in zip(("S_h0", "E_h0", "I_h0", "A_m0", "S_m0", "E_m0", "I_m0"),
-                            x0.as_tuple()):
-        if not value >= 0.0:
-            raise ScenarioError(f"initial condition outside admissible region: "
-                                f"{label} = {value!r} violates {label} >= 0")
-    human = x0.S_h + x0.E_h + x0.I_h
-    if human > p.N_h * (1.0 + 1e-12):
-        raise ScenarioError(
-            "initial condition outside admissible region: "
-            f"S_h0+E_h0+I_h0 = {human!r} exceeds N_h = {p.N_h!r}")
-    if x0.A_m > p.k * p.N_h * (1.0 + 1e-12):
-        raise ScenarioError(
-            "initial condition outside admissible region: "
-            f"A_m0 = {x0.A_m!r} exceeds the aquatic bound k*N_h = {p.k * p.N_h!r}")
-    adults = x0.S_m + x0.E_m + x0.I_m
-    if adults > p.m * p.N_h * (1.0 + 1e-12):
-        raise ScenarioError(
-            "initial condition outside admissible region: "
-            f"S_m0+E_m0+I_m0 = {adults!r} exceeds the adult bound m*N_h = {p.m * p.N_h!r}")
-    if not in_omega(p, x0):
-        raise ScenarioError("initial condition outside admissible region")
 
 
 def parse_scenario(text: str, name: str = "custom") -> Scenario:
@@ -159,7 +136,10 @@ def parse_scenario(text: str, name: str = "custom") -> Scenario:
         E_m=values.get("E_m0", 0.0),
         I_m=values.get("I_m0", 0.0),
     )
-    validate_initial(params, initial)
+    # the slack absorbs rounding in the human-total rule for S_h0
+    violation = region_violation(params, initial, slack=1e-12)
+    if violation:
+        raise ScenarioError(f"initial condition outside admissible region: {violation}")
 
     try:
         solver = SolverConfig(

@@ -7,24 +7,27 @@ drops to zero at the collapse bound
 
 beyond which the mosquito population itself is not viable and no
 reproduction number is defined.  ``min_control`` therefore bisects
-R0(c) - 1 on [0, c_collapse): bisection is slower than Newton but gives an
-unconditional bracketing certificate that is trivial to verify.  The
-collapse bound is reported alongside the threshold since it caps how much
-control is meaningful at all.
+R0(c) - 1 on the bracket [0, c_collapse], whose upper end is the collapse
+bound itself: R0 = 0 there by the closed form (R0^2 is proportional to the
+viability margin), so that end needs no evaluation.  Bisection is slower
+than Newton but gives an unconditional bracketing certificate that is
+trivial to verify.  The collapse bound is reported alongside the threshold
+since it caps how much control is meaningful at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import MosquitoCollapseError
 from .model import ControlLevel, ModelParams, mosquito_viability
 from .reproduction import r0_closed_form
 
 #: Bisection keeps going until the reproduction number at the midpoint is
-#: within this distance of one (on top of the requested c-tolerance).
+#: within this distance of one (on top of the requested c-tolerance), or
+#: until the bracket is one ulp wide: where R0 is steeper than float
+#: resolution, no representable c meets the gap.
 R0_GAP = 1e-6
-
-_MAX_BISECT_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -48,18 +51,6 @@ class NoControlNeeded:
 
 
 @dataclass(frozen=True)
-class Unattainable:
-    """R0 stays above one on the whole viable control interval.
-
-    Unreachable for this model family (R0 falls to zero at the collapse
-    bound) but kept so callers can handle the full outcome set.
-    """
-
-    r0_range: tuple[float, float]
-    collapse_bound: float
-
-
-@dataclass(frozen=True)
 class ProfilePoint:
     """One sweep entry; ``r0`` is None when the control level collapses
     the mosquito population."""
@@ -74,12 +65,15 @@ def collapse_control_bound(p: ModelParams) -> float:
     return p.eta_A * p.mu_b / (p.eta_A + p.mu_A) - p.mu_m
 
 
-def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoControlNeeded | Unattainable:
+def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoControlNeeded:
     """Minimum constant control with R0 < 1, to within ``tol`` per day.
 
     Returns NoControlNeeded when R0(0) <= 1 and a certified bracket
     otherwise.  The returned bracket endpoints straddle R0 = 1 with
-    opposite signs and the midpoint's R0 sits within R0_GAP of one.
+    opposite signs (the upper end may be the collapse bound, where R0 = 0)
+    and the midpoint ``c_star`` has R0 within R0_GAP of one, unless R0 is
+    steeper than float resolution there: then the bracket is one ulp wide
+    and ``c_star`` is its low end, where R0 > 1.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
@@ -88,36 +82,34 @@ def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoContro
     if mosquito_viability(p, 0.0) <= 0.0:
         return NoControlNeeded(r0_at_zero=None, collapse_bound=c_collapse)
 
-    def g(c: float) -> float:
-        return r0_closed_form(p, c) - 1.0
+    def r0(c: float) -> float:
+        try:
+            return r0_closed_form(p, c)
+        except MosquitoCollapseError:
+            # rounding can leave the margin <= 0 a few ulps below
+            # c_collapse, where the closed form gives R0 = 0
+            return 0.0
 
-    g_lo = g(0.0)
-    if g_lo <= 0.0:
-        return NoControlNeeded(r0_at_zero=g_lo + 1.0, collapse_bound=c_collapse)
+    r0_zero = r0(0.0)
+    if r0_zero <= 1.0:
+        return NoControlNeeded(r0_at_zero=r0_zero, collapse_bound=c_collapse)
 
-    # Just inside the viable interval; R0 there is essentially zero.
-    c_hi = c_collapse * (1.0 - 1e-12)
-    g_hi = g(c_hi)
-    if g_hi >= 0.0:
-        return Unattainable(r0_range=(g_hi + 1.0, g_lo + 1.0),
-                            collapse_bound=c_collapse)
-
-    lo, hi = 0.0, c_hi
+    lo, hi = 0.0, c_collapse
     iterations = 0
-    for _ in range(_MAX_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        iterations += 1
-        if g_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol and abs(g(0.5 * (lo + hi))) < R0_GAP:
+    while lo < (c_star := 0.5 * (lo + hi)) < hi:
+        r0_mid = r0(c_star)
+        if hi - lo <= tol and abs(r0_mid - 1.0) < R0_GAP:
             break
-    c_star = 0.5 * (lo + hi)
+        iterations += 1
+        if r0_mid > 1.0:
+            lo = c_star
+        else:
+            hi = c_star
+    else:
+        c_star = lo  # one ulp wide: report the viable end, below the collapse bound
     return ThresholdResult(
         c_star=c_star,
-        r0_at_c_star=r0_closed_form(p, c_star),
+        r0_at_c_star=r0(c_star),
         bracket=(lo, hi),
         iterations=iterations,
         collapse_bound=c_collapse,

@@ -99,6 +99,12 @@ class TestThreshold:
         lo, hi = bracket_line.split("[")[1].split("]")[0].split(",")
         assert float(hi) - float(lo) <= 1e-2
 
+    def test_steep_reproduction_number_variant(self, tmp_path, capsys):
+        path = write_variant(tmp_path, {"\nB = 1.0\n": "\nB = 10000000.0\n"})
+        code, out, _ = run_cli(capsys, "threshold", "--scenario", str(path))
+        assert code == 0
+        assert out.startswith("c* = ")
+
     def test_no_control_needed_variant(self, tmp_path, capsys):
         path = write_variant(tmp_path, {"beta_mh = 0.375": "beta_mh = 0.0"})
         code, out, _ = run_cli(capsys, "threshold", "--scenario", str(path))

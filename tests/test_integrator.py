@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CAPE_VERDE, CAPE_VERDE_X0
 from dengue_control.equilibria import brdfe, trivial_equilibrium
@@ -202,3 +203,29 @@ class TestEmbeddedPairOrder:
             errs.append(np.max(np.abs(y.as_array() - ref7) / scales))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 4.5
+
+
+class TestTrajectoryArray:
+    @settings(max_examples=20, deadline=None)
+    @given(c=st.floats(0.0, 0.5), output_step=st.floats(0.05, 5.0), rk4=st.booleans())
+    def test_rows_are_one_read_only_array(self, c, output_step, rk4):
+        if rk4:
+            traj = integrate_fixed_rk4(CAPE_VERDE, c, CAPE_VERDE_X0, 0.05, 5.0)
+        else:
+            traj = integrate(CAPE_VERDE, c, CAPE_VERDE_X0,
+                             SolverConfig(t_end=5.0, output_step=output_step))
+        data = traj.as_array()
+        assert data.shape == (len(traj.times), 8)
+        for row in data.tolist():
+            s_h, e_h, i_h, r_h = row[:4]
+            assert r_h == CAPE_VERDE.N_h - s_h - e_h - i_h
+        states = traj.states
+        assert all(states[i].as_tuple() == tuple(data[i]) for i in range(len(data)))
+        assert not data.flags.writeable
+        with pytest.raises(ValueError):
+            data[0, 0] = 0.0
+
+    def test_single_point_window(self):
+        traj = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, SolverConfig(t0=2.0, t_end=2.0))
+        assert traj.as_array().shape == (1, 8)
+        assert not traj.as_array().flags.writeable

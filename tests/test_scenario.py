@@ -1,7 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from conftest import draw_params
 from dengue_control.errors import ScenarioError
+from dengue_control.integrator import SolverConfig
+from dengue_control.model import ControlLevel, State7
 from dengue_control.scenario import (
+    Scenario,
     builtin_capeverde2009,
     get_builtin,
     parse_scenario,
@@ -138,3 +144,74 @@ class TestInitialConditionValidation:
     def test_adult_bound_named(self):
         with pytest.raises(ScenarioError, match="adult bound"):
             parse_scenario(self._with("S_m0", 6.5 * 480000.0))
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("value", ["1e400", "inf"])
+    @pytest.mark.parametrize("keep_s_h0", [True, False])
+    def test_infinite_infected_humans_named(self, value, keep_s_h0):
+        lines = [f"I_h0 = {value}" if ln.startswith("I_h0 =") else ln
+                 for ln in render_scenario(builtin_capeverde2009()).splitlines()
+                 if keep_s_h0 or not ln.startswith("S_h0 =")]
+        lineno = next(n for n, ln in enumerate(lines, start=1) if ln.startswith("I_h0 ="))
+        with pytest.raises(ScenarioError, match=f"line {lineno}: .*'I_h0'.*not finite"):
+            parse_scenario("\n".join(lines))
+
+    def test_nan_adult_mosquitoes_named(self):
+        text = render_scenario(builtin_capeverde2009()).replace("E_m0 = 0.0", "E_m0 = nan")
+        with pytest.raises(ScenarioError, match="line [0-9]+: .*'E_m0'.*not finite"):
+            parse_scenario(text)
+
+
+N_H = 480000.0
+
+
+@st.composite
+def human_splits(draw):
+    """E_h0, I_h0, R_h0 >= 0 with E_h0 + I_h0 + R_h0 <= N_h, boundary included."""
+    e_h = draw(st.floats(0.0, N_H))
+    i_h = draw(st.floats(0.0, N_H - e_h))
+    r_h = draw(st.floats(0.0, N_H - e_h - i_h))
+    return e_h, i_h, r_h
+
+
+@st.composite
+def admissible_scenarios(draw):
+    p = draw_params(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    s_h = draw(st.floats(0.0, p.N_h))
+    e_h = draw(st.floats(0.0, p.N_h - s_h))
+    s_m = draw(st.floats(0.0, p.m * p.N_h))
+    e_m = draw(st.floats(0.0, p.m * p.N_h - s_m))
+    initial = State7(
+        S_h=s_h, E_h=e_h, I_h=draw(st.floats(0.0, p.N_h - s_h - e_h)),
+        A_m=draw(st.floats(0.0, p.k * p.N_h)),
+        S_m=s_m, E_m=e_m, I_m=draw(st.floats(0.0, p.m * p.N_h - s_m - e_m)),
+    )
+    t0 = draw(st.floats(0.0, 10.0))
+    h_max = draw(st.floats(1e-3, 10.0))
+    solver = SolverConfig(
+        t0=t0, t_end=t0 + draw(st.floats(0.0, 1000.0)),
+        rtol=draw(st.floats(1e-12, 1e-2)), atol=draw(st.floats(1e-12, 1e-2)),
+        h_init=h_max * draw(st.floats(1e-3, 1.0)), h_max=h_max,
+        output_step=draw(st.floats(1e-3, 100.0)),
+    )
+    return Scenario(name="custom", params=p, control=ControlLevel(draw(st.floats(0.0, 2.0))),
+                    initial=initial, solver=solver)
+
+
+class TestProperties:
+    @given(human_splits())
+    # E_h0 + I_h0 + R_h0 <= N_h holds exactly, yet the rule rounds S_h0 to -2.9e-11
+    @example((125036.30898814052, 285755.6488437991, 69208.0421680604))
+    def test_human_total_rule_always_admissible(self, split):
+        e_h, i_h, r_h = split
+        lines = [ln for ln in render_scenario(builtin_capeverde2009()).splitlines()
+                 if not ln.startswith(("S_h0 =", "E_h0 =", "I_h0 ="))]
+        lines += [f"E_h0 = {e_h!r}", f"I_h0 = {i_h!r}", f"R_h0 = {r_h!r}"]
+        s = parse_scenario("\n".join(lines))
+        assert (s.initial.E_h, s.initial.I_h) == (e_h, i_h)
+        assert s.initial.S_h == N_H - e_h - i_h - r_h
+
+    @given(admissible_scenarios())
+    def test_render_parse_round_trip(self, scenario):
+        assert parse_scenario(render_scenario(scenario)) == scenario

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import CAPE_VERDE
+from conftest import CAPE_VERDE, draw_params
 from dengue_control.model import ModelParams
 from dengue_control.reproduction import r0_closed_form, r0_spectral
 from dengue_control.threshold import (
@@ -114,3 +117,30 @@ class TestR0Profile:
     def test_rejects_negative_levels(self):
         with pytest.raises(ValueError):
             r0_profile(CAPE_VERDE, [-0.1])
+
+
+class TestSteepReproductionNumber:
+    """Large bite rates push the threshold to within a few ulps of the
+    collapse bound, where R0 is steeper than float resolution."""
+
+    @pytest.mark.parametrize("bites", [1e7, 1e12])
+    def test_threshold_below_collapse_bound(self, bites):
+        p = params_with(B=bites)
+        result = min_control(p)
+        assert isinstance(result, ThresholdResult)
+        lo, hi = result.bracket
+        assert lo <= result.c_star < collapse_control_bound(p)
+        assert hi <= collapse_control_bound(p)
+        assert r0_closed_form(p, lo) > 1.0
+
+    @given(seed=st.integers(0, 2**32 - 1), log_bites=st.floats(0.0, 14.0))
+    def test_always_a_certified_outcome(self, seed, log_bites):
+        p = dataclasses.replace(draw_params(np.random.default_rng(seed)), B=10.0 ** log_bites)
+        result = min_control(p)
+        if isinstance(result, NoControlNeeded):
+            assert result.r0_at_zero <= 1.0
+            return
+        lo, hi = result.bracket
+        assert lo <= result.c_star < hi <= collapse_control_bound(p)
+        assert hi - lo <= 1e-6
+        assert r0_closed_form(p, lo) > 1.0
