@@ -9,13 +9,16 @@ Three equilibria matter:
 * an endemic interior equilibrium, which exists when additionally the
   basic reproduction number exceeds one.
 
-Both nontrivial equilibria have closed forms, written out in their
-constructors.  The disease-free form uses the zero-control adult balance
-(eta_A*A*/mu_m), so for c > 0 it is not an exact fixed point of the
-controlled flow; it is nevertheless the declared evaluation point of the
-reproduction-number machinery.  Nothing is silently "fixed": every
-constructed equilibrium records its honest relative residual and the
-Newton-refined root is the authoritative endemic value.
+Both nontrivial equilibria have closed forms.  The disease-free point has
+one home, ``model._paper_dfe``, which ``brdfe`` here and the
+next-generation matrix in ``reproduction`` both read.  It uses the
+zero-control adult balance (eta_A*A*/mu_m), so for c > 0 it is not an
+exact fixed point of the controlled flow; it is nevertheless the declared
+evaluation point of the reproduction-number machinery.  The endemic closed
+form, written out in its constructor, is exact for every control level.
+Nothing is silently "fixed": every constructed equilibrium records its
+honest relative residual, and Newton refinement of the endemic closed form
+cross-checks it.
 
 A practical consequence of the zero-control balance: the existence window
 "R0 > 1" for the endemic equilibrium is wider than the window where the
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
+from .errors import NoEndemicEquilibrium, NumericalFailure
 from .model import (
     ControlLevel,
     ModelParams,
@@ -43,6 +46,7 @@ from .model import (
     component_scales,
     mosquito_viability,
     _jacobian_array,
+    _paper_dfe,
     _rhs_array,
 )
 
@@ -70,10 +74,15 @@ class Equilibrium:
     refined: bool = False
 
 
+def _scaled_rhs(p: ModelParams, c: float, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """rhs(y) and its max-norm scaled by the integrator's component scales."""
+    r = _rhs_array(p, c, y)
+    return r, float(np.max(np.abs(r) / component_scales(p)))
+
+
 def residual(p: ModelParams, c: ControlLevel | float, x: State7) -> float:
     """max_i |rhs_i(x)| / scale_i with the integrator's component scales."""
-    r = _rhs_array(p, as_control(c).c, x.as_array())
-    return float(np.max(np.abs(r) / component_scales(p)))
+    return _scaled_rhs(p, as_control(c).c, x.as_array())[1]
 
 
 def trivial_equilibrium(p: ModelParams) -> Equilibrium:
@@ -94,7 +103,8 @@ def brdfe(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
         (N_h, 0, 0, k*N_h*M/(eta_A*mu_b), k*N_h*M/(mu_b*mu_m), 0, 0)
 
     where M is the viability margin.  Requires M > 0; otherwise the vector
-    population collapses and only the trivial equilibrium exists.
+    population collapses (MosquitoCollapseError) and only the trivial
+    equilibrium exists.
 
     The adult component uses the zero-control balance (denominator
     mu_b*mu_m), so for c > 0 the state is not an exact fixed point of the
@@ -103,18 +113,7 @@ def brdfe(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
     control-threshold computations.
     """
     ctrl = as_control(c)
-    viability = mosquito_viability(p, ctrl)
-    if viability <= 0.0:
-        raise MosquitoCollapseError(
-            "mosquito population collapses; only trivial equilibrium exists "
-            f"(viability margin = {viability:.6g})")
-    kn = p.k * p.N_h
-    state = State7(
-        p.N_h, 0.0, 0.0,
-        kn * viability / (p.eta_A * p.mu_b),
-        kn * viability / (p.mu_b * p.mu_m),
-        0.0, 0.0,
-    )
+    state = _paper_dfe(p, ctrl)
     return Equilibrium(kind=EquilibriumKind.BRDFE, state=state,
                        residual_norm=residual(p, ctrl, state))
 
@@ -125,9 +124,10 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     Requires a positive viability margin and basic reproduction number
     above one.  The infected-human level is xi/chi with the polynomial
     coefficients written out below; the remaining components follow from
-    it.  Exact at c = 0; for c > 0 trust the recorded residual_norm and
-    prefer ``refine`` on this output.  See the module docstring for the
-    positivity window of the result under control.
+    it.  Exact for every control level; ``refine`` on this output is the
+    cross-check.  Raises NumericalFailure when the formula overflows to a
+    non-finite state (bite rates near the float range).  See the module
+    docstring for the positivity window of the result under control.
     """
     from .reproduction import r0_closed_form
 
@@ -154,7 +154,7 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
         + mu_b * mu_m ** 2 * (eta_m + mu_m) * (mu_h + nu_h) * (mu_h + eta_h)
         + cc ** 2 * mu_b * (eta_h + mu_h) * (mu_h + nu_h) * (cc + eta_m + 3.0 * mu_m)
         + cc * mu_b * mu_m * (mu_h + nu_h)
-        * (mu_h * (3.0 * mu_m + 2.0) + eta_h * (2.0 * eta_m + 3.0 * mu_m))
+        * (mu_h * (3.0 * mu_m + 2.0 * eta_m) + eta_h * (2.0 * eta_m + 3.0 * mu_m))
     )
     chi = (
         B * bhm * (eta_h + mu_h)
@@ -174,6 +174,8 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     e_m = (mu_m + cc) / eta_m * i_m
 
     state = State7(s_h, e_h, i_h, a_m, s_m, e_m, i_m)
+    if not state.is_finite():
+        raise NumericalFailure("endemic closed form is not finite at these parameters")
     return Equilibrium(kind=EquilibriumKind.ENDEMIC, state=state,
                        residual_norm=residual(p, ctrl, state), refined=False)
 
@@ -200,14 +202,8 @@ def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibriu
     if not guess.is_finite():
         raise ValueError("refinement guess contains non-finite components")
     cc = as_control(c).c
-    scales = component_scales(p)
-
-    def scaled_residual(y: np.ndarray) -> tuple[np.ndarray, float]:
-        r = _rhs_array(p, cc, y)
-        return r, float(np.max(np.abs(r) / scales))
-
     x = guess.as_array()
-    r, res = scaled_residual(x)
+    r, res = _scaled_rhs(p, cc, x)
     for _ in range(_MAX_NEWTON_ITERATIONS):
         if res < REFINE_TOL:
             return Equilibrium(kind=_classify_root(p, x), state=State7.from_array(x),
@@ -222,7 +218,7 @@ def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibriu
         lam = 1.0
         for _ in range(_MAX_DAMPING_HALVINGS):
             x_new = x + lam * step
-            r_new, res_new = scaled_residual(x_new)
+            r_new, res_new = _scaled_rhs(p, cc, x_new)
             if np.all(np.isfinite(r_new)) and res_new < res:
                 break
             lam *= 0.5

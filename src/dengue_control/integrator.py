@@ -19,7 +19,7 @@ conservation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,11 +85,11 @@ class SolverConfig:
     output_step: float = 0.5
 
     def __post_init__(self):
-        for name in ("t0", "t_end", "rtol", "atol", "h_init", "h_max", "output_step"):
-            v = float(getattr(self, name))
+        for f in fields(self):
+            v = float(getattr(self, f.name))
             if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+                raise ValueError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name, v)
         if self.t_end < self.t0:
             raise ValueError(f"t_end ({self.t_end}) must be >= t0 ({self.t0})")
         if self.rtol <= 0.0 or self.atol <= 0.0:
@@ -175,10 +175,6 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     cc = as_control(c).c
 
     grid = _output_grid(cfg.t0, cfg.t_end, cfg.output_step)
-    if grid.size == 1:
-        return Trajectory(times=grid, data=full_states(p, x0.as_array()[None, :]),
-                          step_stats=StepStats(accepted=0, rejected=0))
-
     scales = component_scales(p)
     y = x0.as_array()
     t = cfg.t0

@@ -32,6 +32,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import MosquitoCollapseError
+
 #: Component order used by every array-facing routine in the package.
 STATE_LABELS = ("S_h", "E_h", "I_h", "A_m", "S_m", "E_m", "I_m")
 
@@ -253,6 +255,25 @@ def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     """
     cc = as_control(c).c
     return p.eta_A * p.mu_b - cc * (p.eta_A + p.mu_A) - p.mu_m * (p.mu_A + p.eta_A)
+
+
+def _paper_dfe(p: ModelParams, c: ControlLevel) -> State7:
+    """The paper's mosquito-bearing disease-free point, where R0 and the
+    control threshold are evaluated (formula and caveats at
+    ``equilibria.brdfe``).  Raises MosquitoCollapseError when the viability
+    margin is <= 0."""
+    viability = mosquito_viability(p, c)
+    if viability <= 0.0:
+        raise MosquitoCollapseError(
+            "mosquito population collapses; only trivial equilibrium exists "
+            f"(viability margin = {viability:.6g})")
+    kn = p.k * p.N_h
+    return State7(
+        p.N_h, 0.0, 0.0,
+        kn * viability / (p.eta_A * p.mu_b),
+        kn * viability / (p.mu_b * p.mu_m),
+        0.0, 0.0,
+    )
 
 
 def basic_offspring_number(p: ModelParams, c: ControlLevel | float = 0.0) -> float:

@@ -60,20 +60,8 @@ def _entry(scenario: Scenario, eq: Equilibrium) -> EquilibriumEntry:
 
 
 def _threshold_summary(result) -> dict:
-    if isinstance(result, NoControlNeeded):
-        return {
-            "kind": "no_control_needed",
-            "r0_at_zero": result.r0_at_zero,
-            "collapse_bound": result.collapse_bound,
-        }
-    return {
-        "kind": "threshold",
-        "c_star": result.c_star,
-        "r0_at_c_star": result.r0_at_c_star,
-        "bracket": list(result.bracket),
-        "iterations": result.iterations,
-        "collapse_bound": result.collapse_bound,
-    }
+    kind = "no_control_needed" if isinstance(result, NoControlNeeded) else "threshold"
+    return {"kind": kind, **asdict(result)}
 
 
 def build_report(scenario: Scenario) -> AnalysisReport:

@@ -2,9 +2,11 @@
 
 Two independent routes are provided and tested against each other:
 
-* ``r0_spectral`` builds the next-generation matrix from the linearized
-  new-infection and transition operators of the infected subsystem
-  (E_h, I_h, E_m, I_m) and takes its spectral radius numerically;
+* ``r0_spectral`` builds the next-generation matrix F*V^-1 from the
+  linearized new-infection (F) and transition (V) operators of the
+  infected subsystem (E_h, I_h, E_m, I_m), as in van den Driessche and
+  Watmough (Math. Biosci. 180, 2002), and takes its spectral radius
+  numerically;
 * ``r0_closed_form`` evaluates the closed-form expression
 
       R0^2 = B^2 k beta_hm beta_mh eta_m nu_h M
@@ -13,7 +15,8 @@ Two independent routes are provided and tested against each other:
   with M the mosquito viability margin.
 
 Both are evaluated at the disease-free point S_h = N_h,
-S_m = k*N_h*M/(mu_b*mu_m); the closed form above is exactly the spectral
+S_m = k*N_h*M/(mu_b*mu_m), read from ``model._paper_dfe``, the same point
+``equilibria.brdfe`` returns; the closed form above is exactly the spectral
 radius at that point.  R0 itself (not its square) is the canonical return
 value; a free-state reproduction number is deliberately not exposed.
 """
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MosquitoCollapseError
-from .model import ControlLevel, ModelParams, as_control, mosquito_viability
+from .model import ControlLevel, ModelParams, as_control, mosquito_viability, _paper_dfe
 from .stability import eigenvalues
 
 
@@ -35,9 +38,9 @@ class NgmDecomposition:
     """New-infection Jacobian, transition Jacobian, and their NGM product,
     all in the infected-subsystem order (E_h, I_h, E_m, I_m).
 
-    ``j_v`` is lower triangular with positive diagonal (hence invertible by
-    forward substitution); ``j_f`` has exactly two nonzero entries (the two
-    cross-species infection terms); every entry of ``ngm`` is nonnegative.
+    ``j_v`` is lower triangular with positive diagonal (hence invertible);
+    ``j_f`` has exactly two nonzero entries (the two cross-species infection
+    terms); ``ngm`` is j_f @ inv(j_v) and every entry of it is nonnegative.
     """
 
     j_f: np.ndarray
@@ -45,27 +48,16 @@ class NgmDecomposition:
     ngm: np.ndarray
 
 
-def _dfe_point(p: ModelParams, ctrl: ControlLevel) -> tuple[float, float]:
-    """(S_h, S_m) at the mosquito-bearing disease-free equilibrium; raises
-    if the vector population is not viable."""
-    viability = mosquito_viability(p, ctrl)
-    if viability <= 0.0:
-        raise MosquitoCollapseError(
-            "no mosquito-bearing disease-free equilibrium to linearize at "
-            f"(viability margin = {viability:.6g})")
-    return p.N_h, p.k * p.N_h * viability / (p.mu_b * p.mu_m)
-
-
 def build_ngm(p: ModelParams, c: ControlLevel | float = 0.0) -> NgmDecomposition:
     """Next-generation decomposition of the infected subsystem at the
     disease-free equilibrium."""
     ctrl = as_control(c)
-    s_h, s_m = _dfe_point(p, ctrl)
+    dfe = _paper_dfe(p, ctrl)
     cc = ctrl.c
 
     j_f = np.zeros((4, 4), dtype=float)
-    j_f[0, 3] = p.B * p.beta_mh * s_h / p.N_h
-    j_f[2, 1] = p.B * p.beta_hm * s_m / p.N_h
+    j_f[0, 3] = p.B * p.beta_mh * dfe.S_h / p.N_h
+    j_f[2, 1] = p.B * p.beta_hm * dfe.S_m / p.N_h
 
     a = p.nu_h + p.mu_h
     b = p.eta_h + p.mu_h
@@ -80,17 +72,7 @@ def build_ngm(p: ModelParams, c: ControlLevel | float = 0.0) -> NgmDecomposition
         ),
         dtype=float,
     )
-    # Analytic inverse of the lower-triangular transition Jacobian.
-    j_v_inv = np.array(
-        (
-            (1.0 / a, 0.0, 0.0, 0.0),
-            (p.nu_h / (a * b), 1.0 / b, 0.0, 0.0),
-            (0.0, 0.0, 1.0 / d, 0.0),
-            (0.0, 0.0, p.eta_m / (d * e), 1.0 / e),
-        ),
-        dtype=float,
-    )
-    return NgmDecomposition(j_f=j_f, j_v=j_v, ngm=j_f @ j_v_inv)
+    return NgmDecomposition(j_f=j_f, j_v=j_v, ngm=j_f @ np.linalg.inv(j_v))
 
 
 def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
@@ -114,12 +96,13 @@ def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
             "basic reproduction number undefined: mosquito population "
             f"collapses (viability margin = {viability:.6g})")
     cc = ctrl.c
-    r0_sq = (
-        p.B ** 2 * p.k * p.beta_hm * p.beta_mh * p.eta_m * p.nu_h * viability
+    # B stays outside the root: B**2 overflows for B above about 1e154
+    r0_sq_per_b_sq = (
+        p.k * p.beta_hm * p.beta_mh * p.eta_m * p.nu_h * viability
         / (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (cc + p.mu_m)
            * (cc + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))
     )
-    return math.sqrt(r0_sq)
+    return p.B * math.sqrt(r0_sq_per_b_sq)
 
 
 def r0_factors(p: ModelParams, c: ControlLevel | float = 0.0) -> tuple[float, float]:
@@ -133,10 +116,10 @@ def r0_factors(p: ModelParams, c: ControlLevel | float = 0.0) -> tuple[float, fl
     mosquitoes surviving incubation eta_m/(c+eta_m+mu_m).
     """
     ctrl = as_control(c)
-    s_h, s_m = _dfe_point(p, ctrl)
+    dfe = _paper_dfe(p, ctrl)
     cc = ctrl.c
-    r_hm = (p.B * s_m * p.beta_hm * p.nu_h
+    r_hm = (p.B * dfe.S_m * p.beta_hm * p.nu_h
             / (p.N_h * (p.eta_h + p.mu_h) * (p.mu_h + p.nu_h)))
-    r_mh = (p.B * s_h * p.beta_mh * p.eta_m
+    r_mh = (p.B * dfe.S_h * p.beta_mh * p.eta_m
             / (p.N_h * (cc + p.mu_m) * (cc + p.eta_m + p.mu_m)))
     return r_hm, r_mh

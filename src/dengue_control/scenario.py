@@ -21,17 +21,16 @@ female mosquitoes and three larvae per human) with zero control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ScenarioError
 from .integrator import SolverConfig
-from .model import ControlLevel, ModelParams, State7, region_violation
+from .model import STATE_LABELS, ControlLevel, ModelParams, State7, region_violation
 
-_PARAM_KEYS = ("N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m",
-               "mu_b", "mu_A", "eta_A", "eta_m", "nu_h", "m", "k")
-_INITIAL_KEYS = ("S_h0", "E_h0", "I_h0", "R_h0", "A_m0", "S_m0", "E_m0", "I_m0")
-_SOLVER_KEYS = ("t0", "t_end", "rtol", "atol", "h_init", "h_max", "output_step")
-KNOWN_KEYS = frozenset(_PARAM_KEYS + ("K", "c") + _INITIAL_KEYS + _SOLVER_KEYS)
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))   # K optional, defaults to k*N_h
+_STATE_KEYS = tuple(f"{label}0" for label in STATE_LABELS)
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+KNOWN_KEYS = frozenset(_PARAM_KEYS + ("c",) + _STATE_KEYS + ("R_h0",) + _SOLVER_KEYS)
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,12 @@ def _parse_pairs(text: str) -> dict[str, float]:
 def parse_scenario(text: str, name: str = "custom") -> Scenario:
     values = _parse_pairs(text)
 
-    missing = [key for key in _PARAM_KEYS if key not in values]
+    missing = [key for key in _PARAM_KEYS if key not in values and key != "K"]
     if missing:
         raise ScenarioError("missing required parameter keys: " + ", ".join(missing))
 
-    kwargs = {key: values[key] for key in _PARAM_KEYS}
-    kwargs["K"] = values.get("K", values["k"] * values["N_h"])
+    kwargs = {key: values[key] for key in _PARAM_KEYS if key in values}
+    kwargs.setdefault("K", values["k"] * values["N_h"])
     try:
         params = ModelParams(**kwargs)
     except ValueError as exc:
@@ -142,15 +141,7 @@ def parse_scenario(text: str, name: str = "custom") -> Scenario:
         raise ScenarioError(f"initial condition outside admissible region: {violation}")
 
     try:
-        solver = SolverConfig(
-            t0=values.get("t0", 0.0),
-            t_end=values.get("t_end", 100.0),
-            rtol=values.get("rtol", 1e-8),
-            atol=values.get("atol", 1e-8),
-            h_init=values.get("h_init", 1e-3),
-            h_max=values.get("h_max", 1.0),
-            output_step=values.get("output_step", 0.5),
-        )
+        solver = SolverConfig(**{key: values[key] for key in _SOLVER_KEYS if key in values})
     except ValueError as exc:
         raise ScenarioError(f"invalid solver setting: {exc}") from exc
 
@@ -174,11 +165,8 @@ def render_scenario(s: Scenario) -> str:
     lines = [f"# scenario: {s.name}"]
     for key in _PARAM_KEYS:
         lines.append(f"{key} = {getattr(p, key)!r}")
-    lines.append(f"K = {p.K!r}")
     lines.append(f"c = {s.control.c!r}")
-    for key, value in (("S_h0", x0.S_h), ("E_h0", x0.E_h), ("I_h0", x0.I_h),
-                       ("A_m0", x0.A_m), ("S_m0", x0.S_m), ("E_m0", x0.E_m),
-                       ("I_m0", x0.I_m)):
+    for key, value in zip(_STATE_KEYS, x0.as_tuple()):
         lines.append(f"{key} = {value!r}")
     for key in _SOLVER_KEYS:
         lines.append(f"{key} = {getattr(cfg, key)!r}")

@@ -3,6 +3,7 @@ and a session-wide fixed-step RK4 reference run."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,11 @@ CAPE_VERDE = ModelParams(
 
 CAPE_VERDE_X0 = State7(S_h=N_H - 216.0 - 434.0, E_h=216.0, I_h=434.0,
                        A_m=3.0 * N_H, S_m=6.0 * N_H, E_m=0.0, I_m=0.0)
+
+
+def params_with(**overrides) -> ModelParams:
+    """The Cape Verde baseline with some fields replaced (validated again)."""
+    return dataclasses.replace(CAPE_VERDE, **overrides)
 
 
 def _scaled(rng: np.random.Generator, value: float, lo=0.8, hi=1.25) -> float:

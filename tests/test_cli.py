@@ -207,6 +207,28 @@ class TestAnalyze:
         assert strip(out_file) == strip(out_builtin)
 
 
+class TestHugeBiteRate:
+    """B = 1e160: B**2 overflows a double, R0 itself does not."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return write_variant(tmp_path, {"\nB = 1.0\n": "\nB = 1e160\n"})
+
+    def test_analyze_reports_both_routes(self, path, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["r0_closed_form"] == pytest.approx(doc["r0_spectral"], rel=1e-10)
+        code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path))
+        assert code == 0
+        assert "endemic: endemic closed form is not finite" in out
+
+    def test_threshold_and_sweep(self, path, tmp_path, capsys):
+        assert run_cli(capsys, "threshold", "--scenario", str(path))[0] == 0
+        assert run_cli(capsys, "sweep", "--scenario", str(path),
+                       "--out", str(tmp_path))[0] == 0
+
+
 class TestExitCodes:
     def test_missing_file_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--scenario", "/no/such/file")

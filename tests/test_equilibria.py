@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dengue_control.equilibria as eq_mod
-from conftest import CAPE_VERDE, draw_params
+from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.equilibria import (
     EquilibriumKind,
     brdfe,
@@ -13,17 +13,9 @@ from dengue_control.equilibria import (
     trivial_equilibrium,
 )
 from dengue_control.errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
-from dengue_control.model import ModelParams, State7, in_omega, mosquito_viability
+from dengue_control.model import State7, in_omega, mosquito_viability
 from dengue_control.reproduction import r0_closed_form
 from dengue_control.threshold import min_control
-
-
-def params_with(**overrides) -> ModelParams:
-    fields = {f: getattr(CAPE_VERDE, f) for f in (
-        "N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m", "mu_b",
-        "mu_A", "eta_A", "eta_m", "nu_h", "m", "k", "K")}
-    fields.update(overrides)
-    return ModelParams(**fields)
 
 
 class TestTrivialEquilibrium:
@@ -93,6 +85,15 @@ class TestEndemicClosedForm:
 
     def test_exact_fixed_point_without_control(self):
         assert endemic_closed_form(CAPE_VERDE, 0.0).residual_norm < 1e-12
+
+    @pytest.mark.parametrize("c", (0.02, 0.05, 0.08, 0.12))
+    def test_exact_fixed_point_under_control(self, c):
+        assert endemic_closed_form(CAPE_VERDE, c).residual_norm < 1e-12
+
+    def test_overflow_is_numerical_failure(self):
+        # B*B overflows in the polynomial coefficients, R0 does not
+        with pytest.raises(NumericalFailure, match="not finite"):
+            endemic_closed_form(params_with(B=1e160), 0.0)
 
     def test_error_when_r0_below_one(self):
         with pytest.raises(NoEndemicEquilibrium, match="reproduction"):

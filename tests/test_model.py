@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CAPE_VERDE, CAPE_VERDE_X0, draw_omega_state, draw_params, draw_params_wide
+from conftest import (
+    CAPE_VERDE,
+    CAPE_VERDE_X0,
+    draw_omega_state,
+    draw_params,
+    draw_params_wide,
+    params_with,
+)
 from dengue_control.model import (
     ControlLevel,
-    ModelParams,
     State7,
     basic_offspring_number,
     component_scales,
@@ -16,14 +22,6 @@ from dengue_control.model import (
     reconstruct_rh,
     rhs,
 )
-
-
-def params_with(**overrides) -> ModelParams:
-    fields = {f: getattr(CAPE_VERDE, f) for f in (
-        "N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m", "mu_b",
-        "mu_A", "eta_A", "eta_m", "nu_h", "m", "k", "K")}
-    fields.update(overrides)
-    return ModelParams(**fields)
 
 
 class TestValidation:

@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import CAPE_VERDE, draw_params
+from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.errors import MosquitoCollapseError
-from dengue_control.model import ModelParams
 from dengue_control.reproduction import build_ngm, r0_closed_form, r0_factors, r0_spectral
-
-
-def params_with(**overrides) -> ModelParams:
-    fields = {f: getattr(CAPE_VERDE, f) for f in (
-        "N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m", "mu_b",
-        "mu_A", "eta_A", "eta_m", "nu_h", "m", "k", "K")}
-    fields.update(overrides)
-    return ModelParams(**fields)
 
 
 class TestBuildNgm:

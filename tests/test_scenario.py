@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -5,8 +7,9 @@ from hypothesis import example, given, strategies as st
 from conftest import draw_params
 from dengue_control.errors import ScenarioError
 from dengue_control.integrator import SolverConfig
-from dengue_control.model import ControlLevel, State7
+from dengue_control.model import ControlLevel, ModelParams, State7
 from dengue_control.scenario import (
+    KNOWN_KEYS,
     Scenario,
     builtin_capeverde2009,
     get_builtin,
@@ -82,6 +85,20 @@ class TestParsing:
         assert s.initial.A_m == s.params.k * s.params.N_h
         assert s.initial.S_m == s.params.m * s.params.N_h
         assert s.solver.t_end == 100.0
+
+    def test_omitted_solver_keys_give_the_solver_defaults(self):
+        solver_keys = {f.name for f in dataclasses.fields(SolverConfig)}
+        text = "\n".join(
+            ln for ln in render_scenario(builtin_capeverde2009()).splitlines()
+            if ln.split(" = ")[0] not in solver_keys)
+        assert parse_scenario(text).solver == SolverConfig()
+
+    def test_known_keys_are_the_dataclass_fields(self):
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+        initial = {f"{name}0" for name in names(State7)}
+        assert KNOWN_KEYS == (names(ModelParams) | names(SolverConfig) | initial
+                              | {"c", "R_h0"})
 
 
 class TestParseErrors:

@@ -3,20 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CAPE_VERDE, draw_omega_state, draw_params
+from conftest import CAPE_VERDE, draw_omega_state, draw_params, params_with
 from dengue_control.equilibria import brdfe, refined_endemic, trivial_equilibrium
 from dengue_control.integrator import SolverConfig, integrate
-from dengue_control.model import ModelParams, State7, component_scales, in_omega
+from dengue_control.model import State7, component_scales, in_omega
 from dengue_control.reproduction import r0_closed_form
 from dengue_control.stability import Classification, classify, eigenvalues, jacobian
-
-
-def params_with(**overrides) -> ModelParams:
-    fields = {f: getattr(CAPE_VERDE, f) for f in (
-        "N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m", "mu_b",
-        "mu_A", "eta_A", "eta_m", "nu_h", "m", "k", "K")}
-    fields.update(overrides)
-    return ModelParams(**fields)
 
 
 def _fd_jacobian(p, c, x):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CAPE_VERDE, draw_params
-from dengue_control.model import ModelParams
+from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.reproduction import r0_closed_form, r0_spectral
 from dengue_control.threshold import (
     NoControlNeeded,
@@ -14,14 +13,6 @@ from dengue_control.threshold import (
     min_control,
     r0_profile,
 )
-
-
-def params_with(**overrides) -> ModelParams:
-    fields = {f: getattr(CAPE_VERDE, f) for f in (
-        "N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m", "mu_b",
-        "mu_A", "eta_A", "eta_m", "nu_h", "m", "k", "K")}
-    fields.update(overrides)
-    return ModelParams(**fields)
 
 
 class TestMinControl:
