@@ -16,6 +16,7 @@ All file writes are whole-file atomic (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -31,7 +32,7 @@ from .errors import (
     NumericalFailure,
     ScenarioError,
 )
-from .integrator import Trajectory, integrate
+from .integrator import MAX_GRID_POINTS, Trajectory, integrate
 from .model import State8
 from .report import build_report, render_json, render_text
 from .scenario import Scenario, get_builtin, load_scenario
@@ -141,15 +142,18 @@ def cmd_threshold(args) -> int:
 
 
 def _sweep_grid(c_min: float, c_max: float, c_step: float) -> list[float]:
-    if c_min < 0.0 or c_max < c_min or c_step <= 0.0:
+    stop = c_max + 1e-12 * max(1.0, abs(c_max))
+    if not (all(math.isfinite(v) for v in (c_min, c_max, c_step))
+            and 0.0 <= c_min <= c_max and c_step > 0.0
+            and (stop - c_min) / c_step < MAX_GRID_POINTS):
         raise ScenarioError(
-            f"invalid sweep grid: need 0 <= c-min <= c-max and c-step > 0 "
-            f"(got {c_min}, {c_max}, {c_step})")
+            f"invalid sweep grid: need finite 0 <= c-min <= c-max, c-step > 0 "
+            f"and at most {MAX_GRID_POINTS} points (got {c_min}, {c_max}, {c_step})")
     grid = []
     i = 0
     while True:
         c = c_min + i * c_step
-        if c > c_max + 1e-12 * max(1.0, abs(c_max)):
+        if c > stop:
             break
         grid.append(min(c, c_max))
         i += 1

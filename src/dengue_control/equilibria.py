@@ -100,11 +100,11 @@ def trivial_equilibrium(p: ModelParams) -> Equilibrium:
 def brdfe(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
     """Disease-free state with a sustained mosquito population:
 
-        (N_h, 0, 0, k*N_h*M/(eta_A*mu_b), k*N_h*M/(mu_b*mu_m), 0, 0)
+        (N_h, 0, 0, K*M/(eta_A*mu_b), K*M/(mu_b*mu_m), 0, 0)
 
-    where M is the viability margin.  Requires M > 0; otherwise the vector
-    population collapses (MosquitoCollapseError) and only the trivial
-    equilibrium exists.
+    where M is the viability margin and K the aquatic carrying capacity.
+    Requires M > 0; otherwise the vector population collapses
+    (MosquitoCollapseError) and only the trivial equilibrium exists.
 
     The adult component uses the zero-control balance (denominator
     mu_b*mu_m), so for c > 0 the state is not an exact fixed point of the
@@ -144,7 +144,7 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
             "no endemic equilibrium in the admissible region: basic "
             f"reproduction number {r0:.6g} <= 1")
 
-    B, k, N_h = p.B, p.k, p.N_h
+    B, k, N_h = p.B, p.K / p.N_h, p.N_h   # k: carrying capacity per human
     mu_h, nu_h, eta_h = p.mu_h, p.nu_h, p.eta_h
     mu_m, eta_m, mu_b = p.mu_m, p.eta_m, p.mu_b
     bhm, bmh = p.beta_hm, p.beta_mh

@@ -36,8 +36,8 @@ from .model import (
     _rhs_array,
 )
 
-# Dormand-Prince 5(4): stage coefficients, 5th-order propagating weights b,
-# and the (b5 - b4) error weights e.
+# Dormand-Prince 5(4): stage coefficients, whose last row is the 5th-order
+# weights b (first-same-as-last), and the (b5 - b4) error weights e.
 _A = tuple(
     np.array(row, dtype=float)
     for row in (
@@ -49,7 +49,6 @@ _A = tuple(
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     )
 )
-_B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
 _E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 # Continuous-extension weights (quartic in theta built from the seven
@@ -70,6 +69,9 @@ _MIN_STEP = 1e-12  # days; below this the problem is declared stiff/broken
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+
+#: Most points a reported grid (output times, sweep controls) may hold.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,12 @@ class Trajectory:
 
 
 def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
-    if t_end == t0:
-        return np.array([t0], dtype=float)
-    n = int(math.floor((t_end - t0) / step + 1e-9))
+    span = (t_end - t0) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise ValueError(
+            f"output grid needs {span + 1:.4g} points, more than the cap of "
+            f"{MAX_GRID_POINTS}; raise output_step or shorten the window")
+    n = int(math.floor(span))
     grid = t0 + step * np.arange(n + 1, dtype=float)
     if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
         grid = np.append(grid, t_end)
@@ -143,11 +148,9 @@ def _stages(p: ModelParams, c: float, y: np.ndarray, h: float,
     k = np.empty((7, y.size), dtype=float)
     k[0] = k1
     for i in range(1, 7):
-        yi = y + h * (_A[i - 1] @ k[:i])
-        k[i] = _rhs_array(p, c, yi)
-    y1 = y + h * (_B @ k)
-    err = h * (_E @ k)
-    return k, y1, err
+        y1 = y + h * (_A[i - 1] @ k[:i])
+        k[i] = _rhs_array(p, c, y1)
+    return k, y1, h * (_E @ k)
 
 
 def _dense_eval(y0: np.ndarray, y1: np.ndarray, k: np.ndarray, h: float,

@@ -130,10 +130,7 @@ class State7:
     I_m: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            (self.S_h, self.E_h, self.I_h, self.A_m, self.S_m, self.E_m, self.I_m),
-            dtype=float,
-        )
+        return np.array(self.as_tuple(), dtype=float)
 
     @classmethod
     def from_array(cls, x) -> "State7":
@@ -267,11 +264,10 @@ def _paper_dfe(p: ModelParams, c: ControlLevel) -> State7:
         raise MosquitoCollapseError(
             "mosquito population collapses; only trivial equilibrium exists "
             f"(viability margin = {viability:.6g})")
-    kn = p.k * p.N_h
     return State7(
         p.N_h, 0.0, 0.0,
-        kn * viability / (p.eta_A * p.mu_b),
-        kn * viability / (p.mu_b * p.mu_m),
+        p.K * viability / (p.eta_A * p.mu_b),
+        p.K * viability / (p.mu_b * p.mu_m),
         0.0, 0.0,
     )
 

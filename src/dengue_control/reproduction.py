@@ -9,13 +9,13 @@ Two independent routes are provided and tested against each other:
   numerically;
 * ``r0_closed_form`` evaluates the closed-form expression
 
-      R0^2 = B^2 k beta_hm beta_mh eta_m nu_h M
+      R0^2 = B^2 (K/N_h) beta_hm beta_mh eta_m nu_h M
              / (mu_b (eta_h+mu_h) mu_m (c+mu_m) (c+eta_m+mu_m) (mu_h+nu_h))
 
-  with M the mosquito viability margin.
+  with M the mosquito viability margin and K the carrying capacity.
 
 Both are evaluated at the disease-free point S_h = N_h,
-S_m = k*N_h*M/(mu_b*mu_m), read from ``model._paper_dfe``, the same point
+S_m = K*M/(mu_b*mu_m), read from ``model._paper_dfe``, the same point
 ``equilibria.brdfe`` returns; the closed form above is exactly the spectral
 radius at that point.  R0 itself (not its square) is the canonical return
 value; a free-state reproduction number is deliberately not exposed.
@@ -98,7 +98,7 @@ def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     cc = ctrl.c
     # B stays outside the root: B**2 overflows for B above about 1e154
     r0_sq_per_b_sq = (
-        p.k * p.beta_hm * p.beta_mh * p.eta_m * p.nu_h * viability
+        p.K / p.N_h * p.beta_hm * p.beta_mh * p.eta_m * p.nu_h * viability
         / (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (cc + p.mu_m)
            * (cc + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))
     )

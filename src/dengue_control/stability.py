@@ -4,9 +4,10 @@ The linearization target is the reduced 7-dimensional system (recovered
 humans eliminated); the eliminated direction contributes a known -mu_h
 eigenvalue that is documented here rather than computed.  Classification
 is by the spectral abscissa of the analytic Jacobian with a small margin
-band: eigenvalue crossings cannot be resolved below numerical tolerance,
-so near-zero abscissas are reported as marginal instead of being forced to
-a side.
+band, a fixed fraction of the Jacobian's spectral radius: eigenvalue
+crossings cannot be resolved below the eigensolver's rounding, which
+scales with the largest eigenvalue modulus, so abscissas inside the band
+are reported as marginal instead of being forced to a side.
 
 For the disease-free equilibrium the classification is verified
 numerically from the eigenvalues themselves rather than inferred from the
@@ -28,7 +29,7 @@ from .equilibria import Equilibrium, EquilibriumKind
 from .errors import NumericalFailure
 from .model import ControlLevel, ModelParams, State7, as_control, _jacobian_array
 
-#: Classification margin as a fraction of the largest rate in the model.
+#: Classification margin as a fraction of the Jacobian's spectral radius.
 MARGIN_FACTOR = 1e-9
 
 #: Residual above which classify() warns that the input is not close
@@ -86,11 +87,6 @@ def eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
     return tuple(ordered)
 
 
-def _rate_scale(p: ModelParams, c: float) -> float:
-    return max(p.B, p.mu_h, p.eta_h, p.mu_m, p.mu_b, p.mu_A, p.eta_A,
-               p.eta_m, p.nu_h, c)
-
-
 def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> StabilityReport:
     """Local stability of an equilibrium from the Jacobian spectrum.
 
@@ -105,8 +101,8 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
             stacklevel=2)
 
     vals = eigenvalues(jacobian(p, ctrl, eq.state))
-    abscissa = max(v.real for v in vals)
-    margin = MARGIN_FACTOR * _rate_scale(p, ctrl.c)
+    abscissa = vals[0].real
+    margin = MARGIN_FACTOR * max(abs(v) for v in vals)
     if abscissa < -margin:
         label = Classification.ASYMPTOTICALLY_STABLE
     elif abscissa > margin:

@@ -70,12 +70,8 @@ def draw_params_wide(rng: np.random.Generator) -> tuple[ModelParams, ControlLeve
     control can exceed the collapse bound, so the viability margin takes
     both signs."""
     p = draw_params(rng)
-    p = ModelParams(**{
-        **{f: getattr(p, f) for f in (
-            "N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m",
-            "mu_A", "eta_A", "eta_m", "nu_h", "m", "k", "K")},
-        "mu_b": p.mu_b * math.exp(rng.uniform(math.log(0.02), math.log(1.0))),
-    })
+    p = dataclasses.replace(
+        p, mu_b=p.mu_b * math.exp(rng.uniform(math.log(0.02), math.log(1.0))))
     return p, ControlLevel(rng.uniform(0.0, 2.0))
 
 

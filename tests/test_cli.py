@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -154,6 +155,17 @@ class TestSweep:
         assert code == 2
         assert "sweep grid" in err
 
+    @pytest.mark.parametrize("grid", (
+        ("--c-max", "inf"), ("--c-min", "nan"), ("--c-step", "nan"), ("--c-step", "1e-300"),
+        ("--c-step", "inf"), ("--c-min", "0", "--c-max", "0", "--c-step", "1e-300"),
+    ))
+    def test_unbounded_grid_rejected(self, grid, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--builtin", "capeverde2009", *grid,
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: invalid sweep grid")
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestAnalyze:
     def test_uncontrolled_report(self, capsys):
@@ -228,6 +240,36 @@ class TestHugeBiteRate:
         assert run_cli(capsys, "sweep", "--scenario", str(path),
                        "--out", str(tmp_path))[0] == 0
 
+    def test_analyze_labels_unstable_states(self, path, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path))
+        assert code == 0
+        assert out.count("stability: unstable") == 2
+        assert "marginal" not in out
+
+
+class TestHalfCarryingCapacity:
+    """K = 720000, half of k*N_h: R0 and c* move with K."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return write_variant(tmp_path, {"K = 1440000.0": "K = 720000.0"})
+
+    def test_analyze(self, path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path))
+        assert code == 0
+        assert "R0 (spectral)    = 1.6942878373053643\n" in out
+        assert "R0 (closed form) = 1.6942878373053643\n" in out
+        code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path), "--json")
+        brdfe_doc = next(e for e in json.loads(out)["equilibria"] if e["kind"] == "brdfe")
+        assert brdfe_doc["residual"] < 1e-12
+
+    def test_threshold(self, path, capsys):
+        code, out, _ = run_cli(capsys, "threshold", "--scenario", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "c* = 0.079823"
+
 
 class TestExitCodes:
     def test_missing_file_is_config_error(self, capsys):
@@ -260,6 +302,15 @@ class TestExitCodes:
                                "--out", str(tmp_path))
         assert code == 3
         assert "underflow" in err and "at t =" in err
+
+    def test_unbounded_output_grid_is_config_error(self, tmp_path, capsys):
+        path = write_variant(tmp_path, {"t_end = 100.0": "t_end = 1e12",
+                                        "output_step = 0.5": "output_step = 1e-3"})
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: output grid needs")
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_regime_error_mapping(self, capsys, monkeypatch):
         def boom(args):

@@ -14,7 +14,7 @@ from dengue_control.equilibria import (
 )
 from dengue_control.errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
 from dengue_control.model import State7, in_omega, mosquito_viability
-from dengue_control.reproduction import r0_closed_form
+from dengue_control.reproduction import r0_closed_form, r0_spectral
 from dengue_control.threshold import min_control
 
 
@@ -202,3 +202,23 @@ class TestResidual:
     def test_initial_condition_not_a_fixed_point(self):
         x0 = State7(479350.0, 216.0, 434.0, 3.0 * 480000.0, 6.0 * 480000.0, 0.0, 0.0)
         assert residual(CAPE_VERDE, 0.0, x0) > 0.0
+
+
+class TestCarryingCapacity:
+    """K set to half of k*N_h: the analysis reads K, as the flow does."""
+
+    HALF_K = params_with(K=0.5 * CAPE_VERDE.k * CAPE_VERDE.N_h)
+
+    def test_disease_free_point_is_a_fixed_point(self):
+        assert brdfe(self.HALF_K, 0.0).residual_norm < 1e-12
+
+    def test_endemic_closed_form_is_a_fixed_point(self):
+        assert endemic_closed_form(self.HALF_K, 0.0).residual_norm < 1e-12
+
+    def test_r0_scales_with_root_of_capacity(self):
+        expected = r0_closed_form(CAPE_VERDE, 0.0) * np.sqrt(0.5)
+        assert r0_closed_form(self.HALF_K, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert r0_spectral(self.HALF_K, 0.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_threshold(self):
+        assert min_control(self.HALF_K, tol=1e-6).c_star == pytest.approx(0.0798233, abs=1e-6)

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CAPE_VERDE, CAPE_VERDE_X0
+from conftest import CAPE_VERDE, CAPE_VERDE_X0, params_with
 from dengue_control.equilibria import brdfe, trivial_equilibrium
 from dengue_control.errors import NumericalFailure
 from dengue_control.integrator import (
+    MAX_GRID_POINTS,
     SolverConfig,
     integrate,
     integrate_fixed_rk4,
     _integrate_fixed_dp54,
+    _output_grid,
 )
-from dengue_control.model import ModelParams, State7, component_scales, in_omega
+from dengue_control.model import State7, component_scales, in_omega
 
 
 def _scales8(p):
@@ -124,9 +126,7 @@ class TestIntegrate:
     def test_step_underflow_reports_failure_time(self):
         # a microscopic carrying capacity makes the aquatic equation so
         # stiff that no explicit step can satisfy the error test
-        p = ModelParams(**{**{f: getattr(CAPE_VERDE, f) for f in (
-            "N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m", "mu_b",
-            "mu_A", "eta_A", "eta_m", "nu_h", "m", "k")}, "K": 1e-6})
+        p = params_with(K=1e-6)
         with pytest.raises(NumericalFailure, match="underflow") as exc_info:
             integrate(p, 0.0, CAPE_VERDE_X0, SolverConfig(t_end=1.0))
         assert exc_info.value.time is not None
@@ -229,3 +229,17 @@ class TestTrajectoryArray:
         traj = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, SolverConfig(t0=2.0, t_end=2.0))
         assert traj.as_array().shape == (1, 8)
         assert not traj.as_array().flags.writeable
+
+
+class TestOutputGrid:
+    @pytest.mark.parametrize("t", (0.0, 2.0, 1e9, -3.0))
+    def test_zero_length_window_is_one_point(self, t):
+        assert _output_grid(t, t, 0.5).tolist() == [t]
+
+    def test_cap_refuses_before_allocating(self):
+        with pytest.raises(ValueError, match="output grid needs 1e\\+15 points"):
+            integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0,
+                      SolverConfig(t_end=1e12, output_step=1e-3))
+
+    def test_cap_allows_its_own_size(self):
+        assert _output_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0).size == MAX_GRID_POINTS

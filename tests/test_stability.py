@@ -120,6 +120,14 @@ class TestClassify:
             report = classify(CAPE_VERDE, lo, brdfe(CAPE_VERDE, lo))
         assert report.classification is Classification.MARGINAL
 
+    @pytest.mark.parametrize("bites", (1e9, 1e17, 1e100))
+    def test_unstable_states_stay_unstable_at_large_bite_rates(self, bites):
+        # the disease-free abscissa grows like sqrt(B); the margin must not
+        # outgrow it
+        p = params_with(B=bites)
+        for eq in (trivial_equilibrium(p), brdfe(p, 0.0)):
+            assert classify(p, 0.0, eq).classification is Classification.UNSTABLE
+
     def test_report_fields_consistent(self):
         report = classify(CAPE_VERDE, 0.0, brdfe(CAPE_VERDE, 0.0))
         assert report.spectral_abscissa == max(v.real for v in report.eigenvalues)
