@@ -227,23 +227,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MosquitoCollapseError, NoEndemicEquilibrium) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        # each warning becomes one "warning: ..." line, without the path
+        # and source line of the default format
+        warnings.simplefilter("default")
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (MosquitoCollapseError, NoEndemicEquilibrium) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_REGIME
+        except NumericalFailure as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -186,27 +186,29 @@ def component_scales(p: ModelParams) -> np.ndarray:
     return np.array((n, n, n, kn, mn, mn, mn), dtype=float)
 
 
-def _rhs_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
-    """Derivative of the 7-dim state; hot path, no validation."""
-    s_h = float(x[0]); e_h = float(x[1]); i_h = float(x[2])
-    a_m = float(x[3]); s_m = float(x[4]); e_m = float(x[5]); i_m = float(x[6])
+def _rhs_floats(p: ModelParams, c: float, x) -> tuple[float, ...]:
+    """Derivative of the 7-dim state given as any sequence of floats; the
+    one copy of the model formula (hot path, no validation)."""
+    s_h, e_h, i_h, a_m, s_m, e_m, i_m = x
 
     foi_h = p.B * p.beta_mh * i_m / p.N_h      # mosquito -> human force of infection
     foi_m = p.B * p.beta_hm * i_h / p.N_h      # human -> mosquito force of infection
     adults = s_m + e_m + i_m
 
-    return np.array(
-        (
-            p.mu_h * p.N_h - (foi_h + p.mu_h) * s_h,
-            foi_h * s_h - (p.nu_h + p.mu_h) * e_h,
-            p.nu_h * e_h - (p.eta_h + p.mu_h) * i_h,
-            p.mu_b * (1.0 - a_m / p.K) * adults - (p.eta_A + p.mu_A) * a_m,
-            -(foi_m + p.mu_m + c) * s_m + p.eta_A * a_m,
-            foi_m * s_m - (p.mu_m + p.eta_m + c) * e_m,
-            p.eta_m * e_m - (p.mu_m + c) * i_m,
-        ),
-        dtype=float,
+    return (
+        p.mu_h * p.N_h - (foi_h + p.mu_h) * s_h,
+        foi_h * s_h - (p.nu_h + p.mu_h) * e_h,
+        p.nu_h * e_h - (p.eta_h + p.mu_h) * i_h,
+        p.mu_b * (1.0 - a_m / p.K) * adults - (p.eta_A + p.mu_A) * a_m,
+        -(foi_m + p.mu_m + c) * s_m + p.eta_A * a_m,
+        foi_m * s_m - (p.mu_m + p.eta_m + c) * e_m,
+        p.eta_m * e_m - (p.mu_m + c) * i_m,
     )
+
+
+def _rhs_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
+    """Derivative of the 7-dim state as an array."""
+    return np.array(_rhs_floats(p, c, x.tolist()))
 
 
 def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
@@ -217,7 +219,7 @@ def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
     """
     if not x.is_finite():
         raise ValueError("state contains non-finite components")
-    return State7.from_array(_rhs_array(p, as_control(c).c, x.as_array()))
+    return State7.from_array(_rhs_floats(p, as_control(c).c, x.as_tuple()))
 
 
 def _recovered(p: ModelParams, s_h, e_h, i_h):

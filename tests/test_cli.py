@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from dengue_control import cli
+from dengue_control import cli, integrator
 from dengue_control.errors import MosquitoCollapseError
 from dengue_control.scenario import builtin_capeverde2009, render_scenario
 
@@ -191,6 +191,15 @@ class TestAnalyze:
         assert "[endemic]" not in out
         assert "endemic: no endemic equilibrium" in out
 
+    def test_warning_is_one_line(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--builtin", "capeverde2009",
+                               "--control", "0.05")
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
+        assert "not an exact fixed point" in err
+        assert ".py" not in err
+
     def test_collapse_variant(self, tmp_path, capsys):
         path = write_variant(tmp_path, {"mu_b = 6.0": "mu_b = 0.0"})
         code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path))
@@ -257,8 +266,9 @@ class TestHalfCarryingCapacity:
     def test_analyze(self, path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path))
+            code, out, err = run_cli(capsys, "analyze", "--scenario", str(path))
         assert code == 0
+        assert err == ""   # the CLI reports warnings on stderr
         assert "R0 (spectral)    = 1.6942878373053643\n" in out
         assert "R0 (closed form) = 1.6942878373053643\n" in out
         code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path), "--json")
@@ -311,6 +321,22 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: output grid needs")
         assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_window_beyond_step_cap_is_config_error(self, tmp_path, capsys):
+        path = write_variant(tmp_path, {"t_end = 100.0": "t_end = 1e9",
+                                        "output_step = 0.5": "output_step = 1e4"})
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: the window needs at least 1e+09 steps")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_step_limit_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(integrator, "MAX_STEPS", 50)
+        code, _, err = run_cli(capsys, "simulate", "--builtin", "capeverde2009",
+                               "--t-end", "40", "--out", str(tmp_path))
+        assert code == 3
+        assert "step limit" in err and "at t =" in err
 
     def test_regime_error_mapping(self, capsys, monkeypatch):
         def boom(args):

@@ -5,15 +5,59 @@ from hypothesis import given, settings, strategies as st
 from conftest import CAPE_VERDE, CAPE_VERDE_X0, params_with
 from dengue_control.equilibria import brdfe, trivial_equilibrium
 from dengue_control.errors import NumericalFailure
+from dengue_control import integrator
 from dengue_control.integrator import (
     MAX_GRID_POINTS,
+    MAX_STEPS,
     SolverConfig,
     integrate,
     integrate_fixed_rk4,
     _integrate_fixed_dp54,
     _output_grid,
+    _stages,
 )
-from dengue_control.model import State7, component_scales, in_omega
+from dengue_control.model import State7, component_scales, in_omega, _rhs_array, rhs
+
+# The Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2): stage matrix, 5th-order weights b, 4th-order weights b-hat,
+# and the weights of the quartic continuous extension.
+DP54_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+DP54_B = DP54_A[6]
+DP54_BHAT = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                      187 / 2100, 1 / 40])
+DP54_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                   -10690763975 / 1880347072, 701980252875 / 199316789632,
+                   -1453857185 / 822651844, 69997945 / 29380423])
+
+
+def _hand_rhs(x):
+    """The model's right-hand side written out with the outbreak numbers
+    at c = 0, no package code involved."""
+    n_h, b, bmh, bhm = 480000.0, 1.0, 0.375, 0.375
+    mu_h, eta_h, mu_m, mu_b = 1.0 / (71.0 * 365.0), 1.0 / 3.0, 1.0 / 11.0, 6.0
+    mu_a, eta_a, eta_m, nu_h = 0.25, 0.08, 1.0 / 11.0, 0.25
+    cap = 3.0 * n_h
+
+    s_h, e_h, i_h, a_m, s_m, e_m, i_m = x
+    foi_h = b * bmh * i_m / n_h
+    foi_m = b * bhm * i_h / n_h
+    return np.array([
+        mu_h * n_h - (foi_h + mu_h) * s_h,
+        foi_h * s_h - (nu_h + mu_h) * e_h,
+        nu_h * e_h - (eta_h + mu_h) * i_h,
+        mu_b * (1.0 - a_m / cap) * (s_m + e_m + i_m) - (eta_a + mu_a) * a_m,
+        -(foi_m + mu_m) * s_m + eta_a * a_m,
+        foi_m * s_m - (mu_m + eta_m) * e_m,
+        eta_m * e_m - mu_m * i_m,
+    ])
 
 
 def _scales8(p):
@@ -158,27 +202,8 @@ class TestFixedRk4:
         assert 12.0 < ratio < 21.0
 
     def test_single_step_matches_hand_stage_computation(self):
-        # independent four-stage oracle written out with the outbreak
-        # numbers, no package code involved
-        n_h, b, bmh, bhm = 480000.0, 1.0, 0.375, 0.375
-        mu_h, eta_h, mu_m, mu_b = 1.0 / (71.0 * 365.0), 1.0 / 3.0, 1.0 / 11.0, 6.0
-        mu_a, eta_a, eta_m, nu_h = 0.25, 0.08, 1.0 / 11.0, 0.25
-        cap = 3.0 * n_h
-
-        def f(x):
-            s_h, e_h, i_h, a_m, s_m, e_m, i_m = x
-            foi_h = b * bmh * i_m / n_h
-            foi_m = b * bhm * i_h / n_h
-            return np.array([
-                mu_h * n_h - (foi_h + mu_h) * s_h,
-                foi_h * s_h - (nu_h + mu_h) * e_h,
-                nu_h * e_h - (eta_h + mu_h) * i_h,
-                mu_b * (1.0 - a_m / cap) * (s_m + e_m + i_m) - (eta_a + mu_a) * a_m,
-                -(foi_m + mu_m) * s_m + eta_a * a_m,
-                foi_m * s_m - (mu_m + eta_m) * e_m,
-                eta_m * e_m - mu_m * i_m,
-            ])
-
+        # independent four-stage oracle on the hand-written model
+        f = _hand_rhs
         h = 0.01
         y0 = np.array(CAPE_VERDE_X0.as_tuple())
         k1 = f(y0)
@@ -190,6 +215,105 @@ class TestFixedRk4:
         traj = integrate_fixed_rk4(CAPE_VERDE, 0.0, CAPE_VERDE_X0, h, h)
         assert len(traj.states) == 2
         assert traj.states[1].E_h == pytest.approx(expected_e_h, rel=1e-12)
+
+
+class TestDp54Step:
+    # mid-outbreak state of the built-in run (day 30)
+    MID = State7(448625.545066948, 9747.475797640212, 5605.1559937515885,
+                 1358195.7592404073, 1283098.2120261076, 20322.901383550772,
+                 9667.149914469523)
+
+    @pytest.mark.parametrize("c, h", ((0.0, 0.01), (0.1, 0.5), (0.3, 1.0)))
+    def test_stages_match_matrix_form(self, c, h):
+        for x in (CAPE_VERDE_X0, self.MID):
+            y = np.array(x.as_tuple())
+            k = np.zeros((7, 7))
+            k[0] = _rhs_array(CAPE_VERDE, c, y)
+            for i in range(1, 7):
+                k[i] = _rhs_array(CAPE_VERDE, c, y + h * (DP54_A[i] @ k))
+            y1 = y + h * (DP54_B @ k)
+            err = h * ((DP54_B - DP54_BHAT) @ k)
+
+            got_k, got_y1, got_err = _stages(CAPE_VERDE, c, y.tolist(), h, k[0].tolist())
+            # norm-wise relative gaps; the error vector is a small difference
+            # of stage terms of size h*|k|, so it is measured against those
+            assert np.max(np.abs(np.array(got_k) - k)) <= 1e-14 * np.max(np.abs(k))
+            assert np.max(np.abs(np.array(got_y1) - y1)) <= 1e-14 * np.max(np.abs(y1))
+            assert np.max(np.abs(np.array(got_err) - err)) <= 1e-14 * h * np.max(np.abs(k))
+
+    def test_rhs_matches_hand_formula_bit_for_bit(self):
+        eq = brdfe(CAPE_VERDE, 0.0).state
+        for x in (CAPE_VERDE_X0, self.MID, eq, State7(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)):
+            y = np.array(x.as_tuple())
+            expected = _hand_rhs(y)
+            assert np.array_equal(_rhs_array(CAPE_VERDE, 0.0, y), expected)
+            assert rhs(CAPE_VERDE, 0.0, x).as_tuple() == tuple(expected.tolist())
+
+    def test_one_step_over_many_grid_points(self):
+        h = 0.5
+        cfg = SolverConfig(t_end=h, h_init=h, h_max=h, output_step=0.01, rtol=1e-4, atol=1e-4)
+        traj = integrate(CAPE_VERDE, 0.0, self.MID, cfg)
+        assert (traj.step_stats.accepted, traj.step_stats.rejected) == (1, 0)
+        assert len(traj.times) == 51
+
+        y0 = np.array(self.MID.as_tuple())
+        k, y1, _ = _stages(CAPE_VERDE, 0.0, y0.tolist(), h,
+                           _rhs_array(CAPE_VERDE, 0.0, y0).tolist())
+        k, y1 = np.array(k), np.array(y1)
+        ydiff = y1 - y0
+        bspl = h * k[0] - ydiff
+        r4 = ydiff - h * k[6] - bspl
+        r5 = h * (DP54_D @ k)
+        expected = []
+        for t in traj.times:
+            theta = min(1.0, t / h)
+            expected.append(
+                y0 + theta * (ydiff + (1.0 - theta) * (bspl + theta * (r4 + (1.0 - theta) * r5))))
+        rows = np.delete(traj.as_array(), 3, axis=1)
+        gap = np.abs(rows - np.array(expected)) / component_scales(CAPE_VERDE)
+        assert np.max(gap) < 1e-14
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("c, cfg", (
+        (0.0, SolverConfig()),
+        (0.2, SolverConfig(t_end=30.0, output_step=7.0)),
+        (0.05, SolverConfig(rtol=1e-4, atol=1e-4, h_max=0.3)),
+    ))
+    def test_step_stats(self, c, cfg):
+        stats = integrate(CAPE_VERDE, c, CAPE_VERDE_X0, cfg).step_stats
+        assert stats.rhs_evals == 6 * (stats.accepted + stats.rejected) + 1
+        assert 0.0 < stats.smallest_step <= stats.largest_step <= cfg.h_max
+        assert stats.accepted * stats.smallest_step <= cfg.t_end - cfg.t0
+        assert stats.accepted * stats.largest_step >= cfg.t_end - cfg.t0
+
+    def test_step_stats_without_steps(self):
+        stats = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, SolverConfig(t_end=0.0)).step_stats
+        assert (stats.accepted, stats.rejected, stats.rhs_evals) == (0, 0, 1)
+        assert stats.smallest_step == stats.largest_step == 0.0
+        rk4 = integrate_fixed_rk4(CAPE_VERDE, 0.0, CAPE_VERDE_X0, 0.25, 10.0).step_stats
+        assert (rk4.accepted, rk4.rhs_evals, rk4.smallest_step, rk4.largest_step) == \
+            (40, 160, 0.25, 0.25)
+
+    def test_window_beyond_cap_refused_before_stepping(self):
+        cfg = SolverConfig(t_end=1e9, output_step=1e4)
+        with pytest.raises(ValueError, match=f"more than the cap of {MAX_STEPS}"):
+            integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, cfg)
+
+    def test_step_limit_reports_time_reached(self, monkeypatch):
+        monkeypatch.setattr(integrator, "MAX_STEPS", 50)
+        with pytest.raises(NumericalFailure, match="step limit") as exc_info:
+            integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, SolverConfig(t_end=40.0))
+        assert 0.0 < exc_info.value.time < 40.0
+        assert "at t =" in str(exc_info.value)
+
+    def test_rejected_attempts_count_toward_the_limit(self, monkeypatch):
+        # every attempt on this stiff variant is rejected (see the
+        # underflow test), so only rejections can reach the limit
+        monkeypatch.setattr(integrator, "MAX_STEPS", 5)
+        with pytest.raises(NumericalFailure, match="step limit") as exc_info:
+            integrate(params_with(K=1e-6), 0.0, CAPE_VERDE_X0, SolverConfig(t_end=1.0))
+        assert exc_info.value.time == 0.0
 
 
 class TestEmbeddedPairOrder:
