@@ -4,101 +4,49 @@ Library surface: model right-hand side and domain types, adaptive
 integration, equilibria with Newton refinement, next-generation-matrix
 reproduction number, stability classification, and the minimum-control
 threshold.  The ``dengue-control`` command wraps it all for scenario files.
+
+Every public name is listed once, under its module, in the table below and
+imported on first use (PEP 562), so ``import dengue_control`` loads no
+submodule.  numpy is needed only by the array modules (``equilibria``,
+``integrator``, ``reproduction``, ``stability``, ``svgplot``); ``model``,
+``scenario`` and ``threshold`` run on Python floats, so the minimum control
+level and scenario parsing start without it.
 """
 
-from .equilibria import (
-    Equilibrium,
-    EquilibriumKind,
-    brdfe,
-    endemic_closed_form,
-    refine,
-    refined_endemic,
-    residual,
-    trivial_equilibrium,
-)
-from .errors import (
-    MosquitoCollapseError,
-    NoEndemicEquilibrium,
-    NumericalFailure,
-    ScenarioError,
-)
-from .integrator import SolverConfig, StepStats, Trajectory, integrate, integrate_fixed_rk4
-from .model import (
-    ControlLevel,
-    MetzlerForm,
-    ModelParams,
-    State7,
-    State8,
-    basic_offspring_number,
-    component_scales,
-    in_omega,
-    metzler_decomposition,
-    mosquito_viability,
-    reconstruct_rh,
-    rhs,
-)
-from .reproduction import NgmDecomposition, build_ngm, r0_closed_form, r0_factors, r0_spectral
-from .scenario import Scenario, builtin_capeverde2009, load_scenario, parse_scenario
-from .stability import Classification, StabilityReport, classify, eigenvalues, jacobian
-from .threshold import (
-    NoControlNeeded,
-    ProfilePoint,
-    ThresholdResult,
-    collapse_control_bound,
-    min_control,
-    r0_profile,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "ControlLevel",
-    "Equilibrium",
-    "EquilibriumKind",
-    "MetzlerForm",
-    "ModelParams",
-    "MosquitoCollapseError",
-    "NgmDecomposition",
-    "NoControlNeeded",
-    "NoEndemicEquilibrium",
-    "NumericalFailure",
-    "ProfilePoint",
-    "Scenario",
-    "ScenarioError",
-    "SolverConfig",
-    "StabilityReport",
-    "State7",
-    "State8",
-    "StepStats",
-    "ThresholdResult",
-    "Trajectory",
-    "basic_offspring_number",
-    "brdfe",
-    "builtin_capeverde2009",
-    "build_ngm",
-    "classify",
-    "collapse_control_bound",
-    "component_scales",
-    "eigenvalues",
-    "endemic_closed_form",
-    "in_omega",
-    "integrate",
-    "integrate_fixed_rk4",
-    "jacobian",
-    "load_scenario",
-    "metzler_decomposition",
-    "min_control",
-    "mosquito_viability",
-    "parse_scenario",
-    "r0_closed_form",
-    "r0_factors",
-    "r0_profile",
-    "r0_spectral",
-    "reconstruct_rh",
-    "refine",
-    "refined_endemic",
-    "residual",
-    "rhs",
-    "trivial_equilibrium",
-]
+_PUBLIC = {
+    "equilibria": ("Equilibrium", "EquilibriumKind", "MetzlerForm", "brdfe",
+                   "component_scales", "endemic_closed_form", "metzler_decomposition",
+                   "refine", "refined_endemic", "residual", "trivial_equilibrium"),
+    "errors": ("MosquitoCollapseError", "NoEndemicEquilibrium", "NumericalFailure",
+               "ScenarioError"),
+    "integrator": ("StepStats", "Trajectory", "integrate", "integrate_fixed_rk4"),
+    "model": ("ControlLevel", "ModelParams", "State7", "State8", "basic_offspring_number",
+              "in_omega", "mosquito_viability", "r0_closed_form", "reconstruct_rh", "rhs"),
+    "reproduction": ("NgmDecomposition", "build_ngm", "r0_factors", "r0_spectral"),
+    "scenario": ("Scenario", "SolverConfig", "builtin_capeverde2009", "load_scenario",
+                 "parse_scenario"),
+    "stability": ("Classification", "StabilityReport", "classify", "eigenvalues", "jacobian"),
+    "threshold": ("NoControlNeeded", "ProfilePoint", "ThresholdResult",
+                  "collapse_control_bound", "min_control", "r0_profile"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -11,6 +11,9 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 model-regime error (mosquito collapse / missing equilibrium).
 All file writes are whole-file atomic (temp file + rename).
+
+Each subcommand loads its scenario before importing the modules it needs,
+so configuration errors and ``threshold`` finish without loading numpy.
 """
 
 from __future__ import annotations
@@ -22,23 +25,19 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .equilibria import brdfe
 from .errors import (
     MosquitoCollapseError,
     NoEndemicEquilibrium,
     NumericalFailure,
     ScenarioError,
 )
-from .integrator import MAX_GRID_POINTS, Trajectory, integrate
 from .model import State8
-from .report import build_report, render_json, render_text
 from .scenario import Scenario, get_builtin, load_scenario
-from .stability import Classification, classify
-from .svgplot import render_trajectory_svg
-from .threshold import NoControlNeeded, min_control, r0_profile
+
+if TYPE_CHECKING:
+    from .integrator import Trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,8 +63,8 @@ def _write_atomic(path: Path, text: str) -> None:
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Full round-trip double formatting: re-parsing and re-rendering the
     text reproduces it byte for byte."""
-    rows = np.column_stack((traj.times, traj.as_array())).tolist()
-    return "\n".join([CSV_HEADER] + [",".join(map(repr, row)) for row in rows]) + "\n"
+    rows = zip(traj.times.tolist(), traj.as_array().tolist())
+    return "\n".join([CSV_HEADER] + [",".join(map(repr, (t, *row))) for t, row in rows]) + "\n"
 
 
 def parse_trajectory_csv(text: str) -> tuple[list[float], list[State8]]:
@@ -98,6 +97,9 @@ def _load(args) -> Scenario:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
+    from .integrator import integrate
+    from .svgplot import render_trajectory_svg
+
     traj = integrate(scenario.params, scenario.control, scenario.initial,
                      scenario.solver)
     out_dir = Path(args.out)
@@ -119,6 +121,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     scenario = _load(args)
+    from .report import build_report, render_json, render_text
+
     report = build_report(scenario)
     sys.stdout.write(render_json(report) if args.json else render_text(report))
     return EXIT_OK
@@ -126,6 +130,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_threshold(args) -> int:
     scenario = _load(args)
+    from .threshold import NoControlNeeded, min_control
+
     result = min_control(scenario.params, tol=args.tol)
     if isinstance(result, NoControlNeeded):
         r0 = "undefined (mosquito collapse)" if result.r0_at_zero is None \
@@ -142,6 +148,8 @@ def cmd_threshold(args) -> int:
 
 
 def _sweep_grid(c_min: float, c_max: float, c_step: float) -> list[float]:
+    from .integrator import MAX_GRID_POINTS
+
     stop = c_max + 1e-12 * max(1.0, abs(c_max))
     if not (all(math.isfinite(v) for v in (c_min, c_max, c_step))
             and 0.0 <= c_min <= c_max and c_step > 0.0
@@ -162,6 +170,10 @@ def _sweep_grid(c_min: float, c_max: float, c_step: float) -> list[float]:
 
 def cmd_sweep(args) -> int:
     scenario = _load(args)
+    from .equilibria import brdfe
+    from .stability import Classification, classify
+    from .threshold import r0_profile
+
     p = scenario.params
     lines = ["c,R0,brdfe_stable,collapsed"]
     with warnings.catch_warnings():

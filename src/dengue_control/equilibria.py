@@ -28,6 +28,13 @@ per day, while R0 crosses one near 0.157; between the two the interior
 root carries a negative infected-human component and sits outside the
 admissible region.  Callers that need a biologically meaningful endemic
 state should check region membership on the result.
+
+This module also holds the model's array forms, used by Newton refinement,
+the stability analysis and the integrator's RK4 oracle: the right-hand
+side and its analytic Jacobian on ndarrays, the component scales, and the
+Metzler form dX/dt = M(X)X + F with F = (mu_h*N_h, 0, ..., 0) and M(X)
+having nonnegative off-diagonal entries on the biologically admissible
+region, which is what keeps trajectories in the nonnegative orthant.
 """
 
 from __future__ import annotations
@@ -43,11 +50,11 @@ from .model import (
     ModelParams,
     State7,
     as_control,
-    component_scales,
     mosquito_viability,
-    _jacobian_array,
+    r0_closed_form,
+    _component_scales,
     _paper_dfe,
-    _rhs_array,
+    _rhs_floats,
 )
 
 #: Relative residual (max over components, scaled by the natural
@@ -56,6 +63,98 @@ REFINE_TOL = 1e-10
 
 _MAX_NEWTON_ITERATIONS = 100
 _MAX_DAMPING_HALVINGS = 30
+
+
+@dataclass(frozen=True)
+class MetzlerForm:
+    """Decomposition dX/dt = m_of_x @ X + inflow.
+
+    Off-diagonal entries of ``m_of_x`` are nonnegative for states in the
+    admissible region; ``inflow`` is the constant recruitment vector
+    (mu_h*N_h, 0, ..., 0).
+    """
+
+    m_of_x: np.ndarray
+    inflow: np.ndarray
+
+
+def component_scales(p: ModelParams) -> np.ndarray:
+    """Natural magnitude of each compartment as an array: N_h for humans,
+    k*N_h for the aquatic stage, m*N_h for adult mosquitoes.  Used for
+    relative residuals and integrator error weights."""
+    return np.array(_component_scales(p), dtype=float)
+
+
+def _rhs_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
+    """Derivative of the 7-dim state as an array."""
+    return np.array(_rhs_floats(p, c, x.tolist()))
+
+
+def _jacobian_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of ``_rhs_array`` at x (7x7)."""
+    s_h = float(x[0]); i_h = float(x[2])
+    a_m = float(x[3]); s_m = float(x[4]); e_m = float(x[5]); i_m = float(x[6])
+
+    foi_h = p.B * p.beta_mh * i_m / p.N_h
+    foi_m = p.B * p.beta_hm * i_h / p.N_h
+    adults = s_m + e_m + i_m
+    crowding = p.mu_b * (1.0 - a_m / p.K)
+
+    jac = np.zeros((7, 7), dtype=float)
+    jac[0, 0] = -(foi_h + p.mu_h)
+    jac[0, 6] = -p.B * p.beta_mh * s_h / p.N_h
+    jac[1, 0] = foi_h
+    jac[1, 1] = -(p.nu_h + p.mu_h)
+    jac[1, 6] = p.B * p.beta_mh * s_h / p.N_h
+    jac[2, 1] = p.nu_h
+    jac[2, 2] = -(p.eta_h + p.mu_h)
+    jac[3, 3] = -p.mu_b * adults / p.K - (p.eta_A + p.mu_A)
+    jac[3, 4] = crowding
+    jac[3, 5] = crowding
+    jac[3, 6] = crowding
+    jac[4, 2] = -p.B * p.beta_hm * s_m / p.N_h
+    jac[4, 3] = p.eta_A
+    jac[4, 4] = -(foi_m + p.mu_m + c)
+    jac[5, 2] = p.B * p.beta_hm * s_m / p.N_h
+    jac[5, 4] = foi_m
+    jac[5, 5] = -(p.mu_m + p.eta_m + c)
+    jac[6, 5] = p.eta_m
+    jac[6, 6] = -(p.mu_m + c)
+    return jac
+
+
+def metzler_decomposition(p: ModelParams, c: ControlLevel | float, x: State7) -> MetzlerForm:
+    """State-dependent matrix form dX/dt = M(X)X + F.
+
+    The state-dependence sits on the diagonal (force-of-infection and
+    logistic-crowding terms), so every off-diagonal entry is nonnegative
+    whenever the state is admissible.
+    """
+    cc = as_control(c).c
+    foi_h = p.B * p.beta_mh * x.I_m / p.N_h
+    foi_m = p.B * p.beta_hm * x.I_h / p.N_h
+    adults = x.S_m + x.E_m + x.I_m
+
+    mat = np.zeros((7, 7), dtype=float)
+    mat[0, 0] = -foi_h - p.mu_h
+    mat[1, 0] = foi_h
+    mat[1, 1] = -(p.nu_h + p.mu_h)
+    mat[2, 1] = p.nu_h
+    mat[2, 2] = -(p.eta_h + p.mu_h)
+    mat[3, 3] = -p.mu_b * adults / p.K - (p.eta_A + p.mu_A)
+    mat[3, 4] = p.mu_b
+    mat[3, 5] = p.mu_b
+    mat[3, 6] = p.mu_b
+    mat[4, 3] = p.eta_A
+    mat[4, 4] = -foi_m - p.mu_m - cc
+    mat[5, 4] = foi_m
+    mat[5, 5] = -(p.mu_m + p.eta_m + cc)
+    mat[6, 5] = p.eta_m
+    mat[6, 6] = -(p.mu_m + cc)
+
+    inflow = np.zeros(7, dtype=float)
+    inflow[0] = p.mu_h * p.N_h
+    return MetzlerForm(m_of_x=mat, inflow=inflow)
 
 
 class EquilibriumKind(enum.Enum):
@@ -129,8 +228,6 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     non-finite state (bite rates near the float range).  See the module
     docstring for the positivity window of the result under control.
     """
-    from .reproduction import r0_closed_form
-
     ctrl = as_control(c)
     cc = ctrl.c
     viability = mosquito_viability(p, ctrl)

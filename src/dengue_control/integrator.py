@@ -24,10 +24,11 @@ and silently violate conservation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibria import _rhs_array
 from .errors import NumericalFailure
 from .model import (
     ControlLevel,
@@ -35,12 +36,12 @@ from .model import (
     State7,
     State8,
     as_control,
-    component_scales,
-    full_states,
     region_violation,
-    _rhs_array,
+    _component_scales,
+    _recovered,
     _rhs_floats,
 )
+from .scenario import SolverConfig
 
 # Dormand-Prince 5(4): stage coefficients, whose last row is the 5th-order
 # weights b (first-same-as-last), and the (b5 - b4) error weights e.
@@ -78,34 +79,6 @@ MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Integration window, tolerances and reporting grid (all in days)."""
-
-    t0: float = 0.0
-    t_end: float = 100.0
-    rtol: float = 1e-8
-    atol: float = 1e-8          # multiplies the per-component scales
-    h_init: float = 1e-3
-    h_max: float = 1.0
-    output_step: float = 0.5
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = float(getattr(self, f.name))
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite")
-            object.__setattr__(self, f.name, v)
-        if self.t_end < self.t0:
-            raise ValueError(f"t_end ({self.t_end}) must be >= t0 ({self.t0})")
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("rtol and atol must be > 0")
-        if not 0.0 < self.h_init <= self.h_max:
-            raise ValueError("need 0 < h_init <= h_max")
-        if self.output_step <= 0.0:
-            raise ValueError("output_step must be > 0")
-
-
-@dataclass(frozen=True)
 class StepStats:
     """Step counts and sizes of one run; the step sizes are those of
     accepted steps (days), both 0.0 when no step was taken."""
@@ -134,6 +107,14 @@ class Trajectory:
     def states(self) -> tuple[State8, ...]:
         """The rows as State8 objects, built on each access."""
         return tuple(State8(*row) for row in self.data.tolist())
+
+
+def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
+    """Read-only (n, 8) array of full states (R_h inserted as column 3)
+    from an (n, 7) array of reduced states."""
+    full = np.insert(rows, 3, _recovered(p, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
+    full.flags.writeable = False
+    return full
 
 
 def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
@@ -215,9 +196,9 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
         raise ValueError(
             f"the window needs at least {steps_needed:.4g} steps at h_max = {cfg.h_max:g} day, "
             f"more than the cap of {MAX_STEPS}; raise h_max or shorten the window")
-    scales = component_scales(p).tolist()
+    scales = _component_scales(p)
     atol, rtol = cfg.atol, cfg.rtol
-    y = x0.as_array().tolist()
+    y = x0.as_tuple()
     t = cfg.t0
     k1 = _rhs_floats(p, cc, y)
     h = min(cfg.h_init, cfg.h_max, cfg.t_end - cfg.t0)
@@ -323,7 +304,7 @@ def _integrate_fixed_dp54(p: ModelParams, c: ControlLevel | float, x0: State7,
     """
     cc = as_control(c).c
     n_steps = max(0, int(round(t_end / h)))
-    y = x0.as_array().tolist()
+    y = x0.as_tuple()
     k1 = _rhs_floats(p, cc, y)
     for _ in range(n_steps):
         k, y, _err = _stages(p, cc, y, h, k1)

@@ -19,18 +19,14 @@ The reduced system, in the fixed component order
     dE_m/dt = B*beta_hm*(I_h/N_h)*S_m - (mu_m + eta_m + c)*E_m
     dI_m/dt = eta_m*E_m - (mu_m + c)*I_m
 
-The system also admits the Metzler form dX/dt = M(X)X + F with F =
-(mu_h*N_h, 0, ..., 0) and M(X) having nonnegative off-diagonal entries on
-the biologically admissible region, which is what keeps trajectories in
-the nonnegative orthant.
+Everything here works on Python floats; the array forms of the model live
+in ``equilibria``, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .errors import MosquitoCollapseError
 
@@ -129,7 +125,9 @@ class State7:
     E_m: float
     I_m: float
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        """The components as a float ndarray (the one method needing numpy)."""
+        import numpy as np
         return np.array(self.as_tuple(), dtype=float)
 
     @classmethod
@@ -165,25 +163,12 @@ class State8:
         return State7(self.S_h, self.E_h, self.I_h, self.A_m, self.S_m, self.E_m, self.I_m)
 
 
-@dataclass(frozen=True)
-class MetzlerForm:
-    """Decomposition dX/dt = m_of_x @ X + inflow.
-
-    Off-diagonal entries of ``m_of_x`` are nonnegative for states in the
-    admissible region; ``inflow`` is the constant recruitment vector
-    (mu_h*N_h, 0, ..., 0).
-    """
-
-    m_of_x: np.ndarray
-    inflow: np.ndarray
-
-
-def component_scales(p: ModelParams) -> np.ndarray:
+def _component_scales(p: ModelParams) -> tuple[float, ...]:
     """Natural magnitude of each compartment: N_h for humans, k*N_h for the
-    aquatic stage, m*N_h for adult mosquitoes.  Used for relative residuals
-    and integrator error weights."""
+    aquatic stage, m*N_h for adult mosquitoes.  Used for relative residuals,
+    region bounds and integrator error weights."""
     n, kn, mn = p.N_h, p.k * p.N_h, p.m * p.N_h
-    return np.array((n, n, n, kn, mn, mn, mn), dtype=float)
+    return (n, n, n, kn, mn, mn, mn)
 
 
 def _rhs_floats(p: ModelParams, c: float, x) -> tuple[float, ...]:
@@ -204,11 +189,6 @@ def _rhs_floats(p: ModelParams, c: float, x) -> tuple[float, ...]:
         foi_m * s_m - (p.mu_m + p.eta_m + c) * e_m,
         p.eta_m * e_m - (p.mu_m + c) * i_m,
     )
-
-
-def _rhs_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
-    """Derivative of the 7-dim state as an array."""
-    return np.array(_rhs_floats(p, c, x.tolist()))
 
 
 def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
@@ -233,14 +213,6 @@ def reconstruct_rh(p: ModelParams, x: State7) -> State8:
     is; it signals departure from the admissible region, not an error."""
     r_h = _recovered(p, x.S_h, x.E_h, x.I_h)
     return State8(x.S_h, x.E_h, x.I_h, r_h, x.A_m, x.S_m, x.E_m, x.I_m)
-
-
-def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """Read-only (n, 8) array of full states (R_h inserted as column 3)
-    from an (n, 7) array of reduced states."""
-    full = np.insert(rows, 3, _recovered(p, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
-    full.flags.writeable = False
-    return full
 
 
 def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
@@ -283,10 +255,30 @@ def basic_offspring_number(p: ModelParams, c: ControlLevel | float = 0.0) -> flo
     The ratio is returned as written here; the naming mismatch is
     documented rather than resolved.
     """
-    if p.mu_b == 0.0 or p.eta_A == 0.0:
-        raise ValueError("basic offspring ratio undefined: mu_b and eta_A must be nonzero")
+    if p.mu_b == 0.0:
+        raise ValueError("basic offspring ratio undefined: mu_b must be nonzero")
     cc = as_control(c).c
     return (p.eta_A + p.mu_A) * (p.mu_m + cc) / (p.mu_b * p.eta_A)
+
+
+def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
+    """Closed-form basic reproduction number at the paper's disease-free
+    point (the formula and its spectral cross-check are in ``reproduction``);
+    raises MosquitoCollapseError when the viability margin is <= 0."""
+    ctrl = as_control(c)
+    viability = mosquito_viability(p, ctrl)
+    if viability <= 0.0:
+        raise MosquitoCollapseError(
+            "basic reproduction number undefined: mosquito population "
+            f"collapses (viability margin = {viability:.6g})")
+    cc = ctrl.c
+    # B stays outside the root: B**2 overflows for B above about 1e154
+    r0_sq_per_b_sq = (
+        p.K / p.N_h * p.beta_hm * p.beta_mh * p.eta_m * p.nu_h * viability
+        / (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (cc + p.mu_m)
+           * (cc + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))
+    )
+    return p.B * math.sqrt(r0_sq_per_b_sq)
 
 
 #: Additive slack, as a fraction of each bound, used by the region test to
@@ -308,7 +300,7 @@ def region_violation(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> s
     Each inequality gets additive slack ``slack * bound``; the aquatic bound
     is k*N_h (not the carrying capacity K).  Non-finite states are outside.
     """
-    for label, value, bound in zip(STATE_LABELS, x.as_tuple(), component_scales(p).tolist()):
+    for label, value, bound in zip(STATE_LABELS, x.as_tuple(), _component_scales(p)):
         if not value >= -slack * bound:
             return f"{label}0 = {value!r} violates {label}0 >= 0"
     n_h, kn, mn = p.N_h, p.k * p.N_h, p.m * p.N_h
@@ -326,70 +318,3 @@ def region_violation(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> s
 def in_omega(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> bool:
     """Membership in the admissible region (see ``region_violation``)."""
     return region_violation(p, x, slack) is None
-
-
-def metzler_decomposition(p: ModelParams, c: ControlLevel | float, x: State7) -> MetzlerForm:
-    """State-dependent matrix form dX/dt = M(X)X + F.
-
-    The state-dependence sits on the diagonal (force-of-infection and
-    logistic-crowding terms), so every off-diagonal entry is nonnegative
-    whenever the state is admissible.
-    """
-    cc = as_control(c).c
-    foi_h = p.B * p.beta_mh * x.I_m / p.N_h
-    foi_m = p.B * p.beta_hm * x.I_h / p.N_h
-    adults = x.S_m + x.E_m + x.I_m
-
-    mat = np.zeros((7, 7), dtype=float)
-    mat[0, 0] = -foi_h - p.mu_h
-    mat[1, 0] = foi_h
-    mat[1, 1] = -(p.nu_h + p.mu_h)
-    mat[2, 1] = p.nu_h
-    mat[2, 2] = -(p.eta_h + p.mu_h)
-    mat[3, 3] = -p.mu_b * adults / p.K - (p.eta_A + p.mu_A)
-    mat[3, 4] = p.mu_b
-    mat[3, 5] = p.mu_b
-    mat[3, 6] = p.mu_b
-    mat[4, 3] = p.eta_A
-    mat[4, 4] = -foi_m - p.mu_m - cc
-    mat[5, 4] = foi_m
-    mat[5, 5] = -(p.mu_m + p.eta_m + cc)
-    mat[6, 5] = p.eta_m
-    mat[6, 6] = -(p.mu_m + cc)
-
-    inflow = np.zeros(7, dtype=float)
-    inflow[0] = p.mu_h * p.N_h
-    return MetzlerForm(m_of_x=mat, inflow=inflow)
-
-
-def _jacobian_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of ``_rhs_array`` at x (7x7)."""
-    s_h = float(x[0]); i_h = float(x[2])
-    a_m = float(x[3]); s_m = float(x[4]); e_m = float(x[5]); i_m = float(x[6])
-
-    foi_h = p.B * p.beta_mh * i_m / p.N_h
-    foi_m = p.B * p.beta_hm * i_h / p.N_h
-    adults = s_m + e_m + i_m
-    crowding = p.mu_b * (1.0 - a_m / p.K)
-
-    jac = np.zeros((7, 7), dtype=float)
-    jac[0, 0] = -(foi_h + p.mu_h)
-    jac[0, 6] = -p.B * p.beta_mh * s_h / p.N_h
-    jac[1, 0] = foi_h
-    jac[1, 1] = -(p.nu_h + p.mu_h)
-    jac[1, 6] = p.B * p.beta_mh * s_h / p.N_h
-    jac[2, 1] = p.nu_h
-    jac[2, 2] = -(p.eta_h + p.mu_h)
-    jac[3, 3] = -p.mu_b * adults / p.K - (p.eta_A + p.mu_A)
-    jac[3, 4] = crowding
-    jac[3, 5] = crowding
-    jac[3, 6] = crowding
-    jac[4, 2] = -p.B * p.beta_hm * s_m / p.N_h
-    jac[4, 3] = p.eta_A
-    jac[4, 4] = -(foi_m + p.mu_m + c)
-    jac[5, 2] = p.B * p.beta_hm * s_m / p.N_h
-    jac[5, 4] = foi_m
-    jac[5, 5] = -(p.mu_m + p.eta_m + c)
-    jac[6, 5] = p.eta_m
-    jac[6, 6] = -(p.mu_m + c)
-    return jac

@@ -12,8 +12,8 @@ from dataclasses import asdict, dataclass
 
 from .equilibria import Equilibrium, brdfe, refined_endemic, trivial_equilibrium
 from .errors import NoEndemicEquilibrium, NumericalFailure
-from .model import STATE_LABELS, basic_offspring_number, in_omega, mosquito_viability
-from .reproduction import r0_closed_form, r0_factors, r0_spectral
+from .model import STATE_LABELS, basic_offspring_number, in_omega, mosquito_viability, r0_closed_form
+from .reproduction import r0_factors, r0_spectral
 from .scenario import Scenario
 from .stability import classify
 from .threshold import NoControlNeeded, min_control

@@ -7,7 +7,8 @@ Two independent routes are provided and tested against each other:
   infected subsystem (E_h, I_h, E_m, I_m), as in van den Driessche and
   Watmough (Math. Biosci. 180, 2002), and takes its spectral radius
   numerically;
-* ``r0_closed_form`` evaluates the closed-form expression
+* ``r0_closed_form`` (defined in ``model``, which needs no numpy)
+  evaluates the closed-form expression
 
       R0^2 = B^2 (K/N_h) beta_hm beta_mh eta_m nu_h M
              / (mu_b (eta_h+mu_h) mu_m (c+mu_m) (c+eta_m+mu_m) (mu_h+nu_h))
@@ -23,13 +24,12 @@ value; a free-state reproduction number is deliberately not exposed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MosquitoCollapseError
-from .model import ControlLevel, ModelParams, as_control, mosquito_viability, _paper_dfe
+from .model import ControlLevel, ModelParams, as_control, _paper_dfe
+from .model import r0_closed_form  # noqa: F401  (the second route, re-exported here)
 from .stability import eigenvalues
 
 
@@ -85,24 +85,6 @@ def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     """
     ngm = build_ngm(p, c).ngm
     return max(abs(v) for v in eigenvalues(ngm))
-
-
-def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
-    """Closed-form basic reproduction number (see module docstring)."""
-    ctrl = as_control(c)
-    viability = mosquito_viability(p, ctrl)
-    if viability <= 0.0:
-        raise MosquitoCollapseError(
-            "basic reproduction number undefined: mosquito population "
-            f"collapses (viability margin = {viability:.6g})")
-    cc = ctrl.c
-    # B stays outside the root: B**2 overflows for B above about 1e154
-    r0_sq_per_b_sq = (
-        p.K / p.N_h * p.beta_hm * p.beta_mh * p.eta_m * p.nu_h * viability
-        / (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (cc + p.mu_m)
-           * (cc + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))
-    )
-    return p.B * math.sqrt(r0_sq_per_b_sq)
 
 
 def r0_factors(p: ModelParams, c: ControlLevel | float = 0.0) -> tuple[float, float]:

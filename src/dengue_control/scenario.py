@@ -24,8 +24,36 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ScenarioError
-from .integrator import SolverConfig
 from .model import STATE_LABELS, ControlLevel, ModelParams, State7, region_violation
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Integration window, tolerances and reporting grid (all in days)."""
+
+    t0: float = 0.0
+    t_end: float = 100.0
+    rtol: float = 1e-8
+    atol: float = 1e-8          # multiplies the per-component scales
+    h_init: float = 1e-3
+    h_max: float = 1.0
+    output_step: float = 0.5
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = float(getattr(self, f.name))
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name, v)
+        if self.t_end < self.t0:
+            raise ValueError(f"t_end ({self.t_end}) must be >= t0 ({self.t0})")
+        if self.rtol <= 0.0 or self.atol <= 0.0:
+            raise ValueError("rtol and atol must be > 0")
+        if not 0.0 < self.h_init <= self.h_max:
+            raise ValueError("need 0 < h_init <= h_max")
+        if self.output_step <= 0.0:
+            raise ValueError("output_step must be > 0")
+
 
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))   # K optional, defaults to k*N_h
 _STATE_KEYS = tuple(f"{label}0" for label in STATE_LABELS)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind
+from .equilibria import Equilibrium, EquilibriumKind, _jacobian_array
 from .errors import NumericalFailure
-from .model import ControlLevel, ModelParams, State7, as_control, _jacobian_array
+from .model import ControlLevel, ModelParams, State7, as_control, r0_closed_form
 
 #: Classification margin as a fraction of the Jacobian's spectral radius.
 MARGIN_FACTOR = 1e-9
@@ -112,7 +112,6 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
 
     r0 = None
     if eq.kind is EquilibriumKind.BRDFE:
-        from .reproduction import r0_closed_form
         r0 = r0_closed_form(p, ctrl)
     return StabilityReport(eigenvalues=vals, spectral_abscissa=float(abscissa),
                            classification=label, r0_at_point=r0)

@@ -35,6 +35,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:
+            break  # step below half an ulp of t: no further tick is representable
         t += step
     return ticks
 

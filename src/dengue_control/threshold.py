@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MosquitoCollapseError
-from .model import ControlLevel, ModelParams, mosquito_viability
-from .reproduction import r0_closed_form
+from .model import ControlLevel, ModelParams, mosquito_viability, r0_closed_form
 
 #: Bisection keeps going until the reproduction number at the midpoint is
 #: within this distance of one (on top of the requested c-tolerance), or

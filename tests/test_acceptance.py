@@ -13,9 +13,9 @@ from conftest import (
     draw_params,
     draw_params_wide,
 )
-from dengue_control.equilibria import brdfe, refined_endemic, trivial_equilibrium
+from dengue_control.equilibria import brdfe, component_scales, refined_endemic, trivial_equilibrium
 from dengue_control.integrator import SolverConfig, integrate, _integrate_fixed_dp54
-from dengue_control.model import basic_offspring_number, component_scales, mosquito_viability
+from dengue_control.model import basic_offspring_number, mosquito_viability
 from dengue_control.reproduction import r0_closed_form, r0_factors, r0_spectral
 from dengue_control.stability import Classification, classify
 from dengue_control.threshold import min_control

@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import dengue_control
 from dengue_control import cli, integrator
 from dengue_control.errors import MosquitoCollapseError
 from dengue_control.scenario import builtin_capeverde2009, render_scenario
@@ -73,6 +76,16 @@ class TestSimulate:
         assert "Human compartments" in svg and "Mosquito compartments" in svg
         for label in ("S_h", "E_h", "I_h", "R_h", "A_m", "S_m", "E_m", "I_m"):
             assert f">{label}</text>" in svg
+
+    def test_svg_of_a_window_a_few_ulps_wide(self, tmp_path, capsys):
+        path = write_variant(tmp_path, {"t0 = 0.0": "t0 = 1000000000.0",
+                                        "t_end = 100.0": "t_end = 1000000000.0000002",
+                                        "output_step = 0.5": "output_step = 1e-07"})
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--svg", "--out", str(tmp_path))
+        assert code == 0
+        assert "rows: 3 " in out
+        assert (tmp_path / "compartments.svg").read_text().count("<polyline") == 8
 
     def test_csv_round_trip_byte_identical(self, tmp_path, capsys):
         run_cli(capsys, "simulate", "--builtin", "capeverde2009", "--out", str(tmp_path))
@@ -359,14 +372,58 @@ class TestExitCodes:
             cli.main(["analyze"])
 
 
+def run_without_numpy(*args):
+    """Run ``python -X importtime *args`` and assert that it imported the
+    package but no numpy module."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=60)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "dengue_control" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+    return proc
+
+
 class TestProcessInvocation:
     def test_module_runner_end_to_end(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "dengue_control.cli", "threshold",
              "--builtin", "capeverde2009"],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "c* = 0.156961"
+
+    def test_threshold_without_numpy(self):
+        proc = run_without_numpy("-m", "dengue_control.cli", "threshold",
+                                 "--builtin", "capeverde2009")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "c* = 0.156961"
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "threshold", "sweep"])
+    def test_configuration_error_without_numpy(self, command, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("N_h = 10\nB = x\n")
+        proc = run_without_numpy("-m", "dengue_control.cli", command, "--scenario", str(path))
+        assert proc.returncode == 2
+        assert "error: line 2: value for 'B' is not a number" in proc.stderr
+
+    def test_package_import_without_numpy(self):
+        assert run_without_numpy("-c", "import dengue_control").returncode == 0
+
+
+class TestPublicNames:
+    def test_each_name_resolves_to_its_defining_module(self):
+        assert len(dengue_control.__all__) == len(set(dengue_control.__all__)) == 49
+        for name in dengue_control.__all__:
+            obj = getattr(dengue_control, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj
+            assert name in dir(dengue_control)
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from dengue_control import *", namespace)
+        assert set(dengue_control.__all__) <= set(namespace)
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            dengue_control.no_such_name

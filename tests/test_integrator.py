@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CAPE_VERDE, CAPE_VERDE_X0, params_with
-from dengue_control.equilibria import brdfe, trivial_equilibrium
+from dengue_control.equilibria import brdfe, component_scales, trivial_equilibrium, _rhs_array
 from dengue_control.errors import NumericalFailure
 from dengue_control import integrator
 from dengue_control.integrator import (
@@ -16,7 +16,7 @@ from dengue_control.integrator import (
     _output_grid,
     _stages,
 )
-from dengue_control.model import State7, component_scales, in_omega, _rhs_array, rhs
+from dengue_control.model import State7, in_omega, rhs
 
 # The Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2): stage matrix, 5th-order weights b, 4th-order weights b-hat,

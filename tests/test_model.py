@@ -11,13 +11,12 @@ from conftest import (
     draw_params_wide,
     params_with,
 )
+from dengue_control.equilibria import component_scales, metzler_decomposition
 from dengue_control.model import (
     ControlLevel,
     State7,
     basic_offspring_number,
-    component_scales,
     in_omega,
-    metzler_decomposition,
     mosquito_viability,
     reconstruct_rh,
     rhs,

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import CAPE_VERDE, draw_omega_state, draw_params, params_with
-from dengue_control.equilibria import brdfe, refined_endemic, trivial_equilibrium
+from dengue_control.equilibria import brdfe, component_scales, refined_endemic, trivial_equilibrium
 from dengue_control.integrator import SolverConfig, integrate
-from dengue_control.model import State7, component_scales, in_omega
+from dengue_control.model import State7, in_omega
 from dengue_control.reproduction import r0_closed_form
 from dengue_control.stability import Classification, classify, eigenvalues, jacobian
 
 
 def _fd_jacobian(p, c, x):
-    from dengue_control.model import _rhs_array
+    from dengue_control.equilibria import _rhs_array
 
     base = x.as_array()
     steps = 1e-6 * component_scales(p)

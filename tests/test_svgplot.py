@@ -20,6 +20,11 @@ class TestNiceTicks:
         ticks = _nice_ticks(0.0, 0.003)
         assert all(0.0 <= t <= 0.003 + 1e-12 for t in ticks)
 
+    def test_step_below_half_an_ulp_of_the_start(self):
+        # the tick step 5e-8 is below half an ulp of 1e9, so t += step
+        # cannot move past the first tick
+        assert _nice_ticks(1e9, 1e9 + 2.384185791015625e-07) == [1e9]
+
 
 class TestRenderTrajectorySvg:
     def test_full_chart_structure(self):
