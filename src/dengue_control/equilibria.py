@@ -15,19 +15,21 @@ next-generation matrix in ``reproduction`` both read.  It uses the
 zero-control adult balance (eta_A*A*/mu_m), so for c > 0 it is not an
 exact fixed point of the controlled flow; it is nevertheless the declared
 evaluation point of the reproduction-number machinery.  The endemic closed
-form, written out in its constructor, is exact for every control level.
-Nothing is silently "fixed": every constructed equilibrium records its
-honest relative residual, and Newton refinement of the endemic closed form
-cross-checks it.
+form is built from R0 and the right-hand side's own steady-state balances
+and is exact for every control level.  Nothing is silently "fixed": every
+constructed equilibrium records its honest relative residual, and Newton
+refinement of the endemic closed form cross-checks it.
 
 A practical consequence of the zero-control balance: the existence window
 "R0 > 1" for the endemic equilibrium is wider than the window where the
-interior root actually has positive components.  On the built-in case
-study the refined root stays positive only for controls below about 0.08
-per day, while R0 crosses one near 0.157; between the two the interior
-root carries a negative infected-human component and sits outside the
-admissible region.  Callers that need a biologically meaningful endemic
-state should check region membership on the result.
+interior root actually has positive components.  The infected-human level
+is positive exactly when rho = R0^2*mu_m/(mu_m + c) > 1; rho is R0 squared
+at the controlled flow's disease-free state.  On the built-in case study
+that holds for c < 0.0837 per day, while R0 crosses one near 0.157;
+between the two the interior root carries a negative infected-human
+component and sits outside the admissible region.  Callers that need a
+biologically meaningful endemic state should check region membership on
+the result.
 
 This module also holds the model's array forms, used by Newton refinement,
 the stability analysis and the integrator's RK4 oracle: the right-hand
@@ -221,9 +223,14 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     """Closed-form endemic equilibrium, flagged unrefined.
 
     Requires a positive viability margin and basic reproduction number
-    above one.  The infected-human level is xi/chi with the polynomial
-    coefficients written out below; the remaining components follow from
-    it.  Exact for every control level; ``refine`` on this output is the
+    above one.  The infected-human level solves an equation linear in
+    rho = R0^2*mu_m/(mu_m + c):
+
+        I_h = N_h*(rho - 1) / (rho*L + B*beta_hm/(mu_m + c)),
+        L = (mu_h + nu_h)*(mu_h + eta_h)/(mu_h*nu_h);
+
+    each other component follows from one balance of the right-hand side.
+    Exact for every control level; ``refine`` on this output is the
     cross-check.  Raises NumericalFailure when the formula overflows to a
     non-finite state (bite rates near the float range).  See the module
     docstring for the positivity window of the result under control.
@@ -241,36 +248,17 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
             "no endemic equilibrium in the admissible region: basic "
             f"reproduction number {r0:.6g} <= 1")
 
-    B, k, N_h = p.B, p.K / p.N_h, p.N_h   # k: carrying capacity per human
-    mu_h, nu_h, eta_h = p.mu_h, p.nu_h, p.eta_h
-    mu_m, eta_m, mu_b = p.mu_m, p.eta_m, p.mu_b
-    bhm, bmh = p.beta_hm, p.beta_mh
-
-    xi = N_h * mu_h * (
-        -B * B * k * bhm * bmh * nu_h * eta_m * viability
-        + mu_b * mu_m ** 2 * (eta_m + mu_m) * (mu_h + nu_h) * (mu_h + eta_h)
-        + cc ** 2 * mu_b * (eta_h + mu_h) * (mu_h + nu_h) * (cc + eta_m + 3.0 * mu_m)
-        + cc * mu_b * mu_m * (mu_h + nu_h)
-        * (mu_h * (3.0 * mu_m + 2.0 * eta_m) + eta_h * (2.0 * eta_m + 3.0 * mu_m))
-    )
-    chi = (
-        B * bhm * (eta_h + mu_h)
-        * (-mu_b * mu_h * (cc + mu_m) * (cc + eta_m + mu_m)
-           - B * k * bmh * eta_m * viability)
-        * (mu_h + nu_h)
-    )
-    i_h = xi / chi
-
-    s_h = N_h - (mu_h + nu_h) * (mu_h + eta_h) / (mu_h * nu_h) * i_h
-    e_h = (mu_h + eta_h) / nu_h * i_h
-    a_m = viability / (p.eta_A * mu_b) * k * N_h
-    denom = cc * N_h + B * i_h * bhm + N_h * mu_m
-    s_m = k * N_h ** 2 * viability / (mu_b * denom)
-    i_m = (B * i_h * k * N_h * bhm * eta_m * viability
-           / (mu_b * (cc + mu_m) * (cc + eta_m + mu_m) * denom))
-    e_m = (mu_m + cc) / eta_m * i_m
-
-    state = State7(s_h, e_h, i_h, a_m, s_m, e_m, i_m)
+    removal = p.mu_m + cc                  # adult death plus adulticide
+    rho = r0 * r0 * p.mu_m / removal       # R0^2 at the flow's disease-free state
+    # the S_h, E_h and I_h balances give N_h - S_h = L*I_h
+    L = (p.mu_h + p.nu_h) * (p.mu_h + p.eta_h) / (p.mu_h * p.nu_h)
+    i_h = p.N_h * (rho - 1.0) / (rho * L + p.B * p.beta_hm / removal)
+    a_m = _paper_dfe(p, ctrl).A_m
+    foi_m = p.B * p.beta_hm * i_h / p.N_h
+    s_m = p.eta_A * a_m / (foi_m + removal)
+    e_m = foi_m * s_m / (p.mu_m + p.eta_m + cc)
+    state = State7(p.N_h - L * i_h, (p.mu_h + p.eta_h) / p.nu_h * i_h, i_h,
+                   a_m, s_m, e_m, p.eta_m * e_m / removal)
     if not state.is_finite():
         raise NumericalFailure("endemic closed form is not finite at these parameters")
     return Equilibrium(kind=EquilibriumKind.ENDEMIC, state=state,

@@ -2,11 +2,12 @@
 
 Two independent routes are provided and tested against each other:
 
-* ``r0_spectral`` builds the next-generation matrix F*V^-1 from the
-  linearized new-infection (F) and transition (V) operators of the
+* ``r0_spectral`` builds the next-generation matrix F*V^-1 of the
   infected subsystem (E_h, I_h, E_m, I_m), as in van den Driessche and
   Watmough (Math. Biosci. 180, 2002), and takes its spectral radius
-  numerically;
+  numerically.  F - V is the infected block of the model's analytic
+  Jacobian (the one ``stability.classify`` uses), so the new-infection (F)
+  and transition (V) operators are read from it, not typed a second time;
 * ``r0_closed_form`` (defined in ``model``, which needs no numpy)
   evaluates the closed-form expression
 
@@ -28,9 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibria import _jacobian_array
 from .model import ControlLevel, ModelParams, as_control, _paper_dfe
 from .model import r0_closed_form  # noqa: F401  (the second route, re-exported here)
 from .stability import eigenvalues
+
+#: Rows and columns of the infected subsystem (E_h, I_h, E_m, I_m) in the state.
+_INFECTED = np.ix_((1, 2, 5, 6), (1, 2, 5, 6))
 
 
 @dataclass(frozen=True)
@@ -50,28 +55,14 @@ class NgmDecomposition:
 
 def build_ngm(p: ModelParams, c: ControlLevel | float = 0.0) -> NgmDecomposition:
     """Next-generation decomposition of the infected subsystem at the
-    disease-free equilibrium."""
+    disease-free equilibrium: F - V is the infected block of the model's
+    Jacobian there, and F keeps the block's two new-infection entries."""
     ctrl = as_control(c)
-    dfe = _paper_dfe(p, ctrl)
-    cc = ctrl.c
-
+    block = _jacobian_array(p, ctrl.c, _paper_dfe(p, ctrl).as_array())[_INFECTED]
     j_f = np.zeros((4, 4), dtype=float)
-    j_f[0, 3] = p.B * p.beta_mh * dfe.S_h / p.N_h
-    j_f[2, 1] = p.B * p.beta_hm * dfe.S_m / p.N_h
-
-    a = p.nu_h + p.mu_h
-    b = p.eta_h + p.mu_h
-    d = p.mu_m + p.eta_m + cc
-    e = p.mu_m + cc
-    j_v = np.array(
-        (
-            (a, 0.0, 0.0, 0.0),
-            (-p.nu_h, b, 0.0, 0.0),
-            (0.0, 0.0, d, 0.0),
-            (0.0, 0.0, -p.eta_m, e),
-        ),
-        dtype=float,
-    )
+    j_f[0, 3] = block[0, 3]   # mosquito -> human: E_h gains from I_m
+    j_f[2, 1] = block[2, 1]   # human -> mosquito: E_m gains from I_h
+    j_v = j_f - block
     return NgmDecomposition(j_f=j_f, j_v=j_v, ngm=j_f @ np.linalg.inv(j_v))
 
 

@@ -367,6 +367,19 @@ class TestExitCodes:
         assert code == 2
         assert ">= 0" in err
 
+    @pytest.mark.parametrize("command, out", [("simulate", "file"), ("sweep", "file/sub")])
+    def test_out_path_through_a_file_is_config_error(self, command, out, tmp_path):
+        (tmp_path / "file").write_text("kept\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dengue_control.cli", command,
+             "--builtin", "capeverde2009", "--out", str(tmp_path / out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert [f.name for f in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
     def test_source_required(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["analyze"])

@@ -90,8 +90,21 @@ class TestEndemicClosedForm:
     def test_exact_fixed_point_under_control(self, c):
         assert endemic_closed_form(CAPE_VERDE, c).residual_norm < 1e-12
 
+    def test_exact_fixed_point_over_draws(self):
+        rng = np.random.default_rng(71)
+        returned = 0
+        for _ in range(200):
+            p = draw_params(rng)
+            try:
+                eq = endemic_closed_form(p, rng.uniform(0.0, 0.3))
+            except NoEndemicEquilibrium:
+                continue
+            returned += 1
+            assert eq.residual_norm < 1e-12
+        assert returned > 50
+
     def test_overflow_is_numerical_failure(self):
-        # B*B overflows in the polynomial coefficients, R0 does not
+        # R0**2 overflows, R0 does not
         with pytest.raises(NumericalFailure, match="not finite"):
             endemic_closed_form(params_with(B=1e160), 0.0)
 
@@ -186,6 +199,21 @@ class TestEndemicExistenceWindow:
                 positive_interior = (eq.kind is EquilibriumKind.ENDEMIC
                                      and all(v > 0.0 for v in eq.state.as_tuple()))
                 assert not positive_interior
+
+    def test_infected_humans_change_sign_below_paper_threshold(self):
+        # I_h of the closed form turns negative where R0 at the controlled
+        # flow's disease-free state crosses one, while the paper's R0 > 1
+        lo, hi = 0.08, 0.09
+        assert endemic_closed_form(CAPE_VERDE, lo).state.I_h > 0.0
+        assert endemic_closed_form(CAPE_VERDE, hi).state.I_h < 0.0
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            if endemic_closed_form(CAPE_VERDE, mid).state.I_h > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert lo == pytest.approx(0.0837170033, abs=1e-9)
+        assert r0_closed_form(CAPE_VERDE, hi) > 1.0
 
     def test_refined_endemic_guard(self):
         with pytest.raises(NoEndemicEquilibrium):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.errors import MosquitoCollapseError
+from dengue_control.model import mosquito_viability
 from dengue_control.reproduction import build_ngm, r0_closed_form, r0_factors, r0_spectral
 
 
@@ -18,12 +19,20 @@ class TestBuildNgm:
         assert {tuple(ij) for ij in nz} == {(0, 3), (2, 1)}
 
     def test_transition_diagonal(self):
-        c = 0.07
+        # F and V typed out here, independently of the model's Jacobian
         p = CAPE_VERDE
-        ngm = build_ngm(p, c)
-        expected = (p.nu_h + p.mu_h, p.eta_h + p.mu_h,
-                    p.mu_m + p.eta_m + c, p.mu_m + c)
-        assert np.allclose(np.diag(ngm.j_v), expected, rtol=1e-14)
+        for c in (0.0, 0.07, 0.2):
+            ngm = build_ngm(p, c)
+            s_m = p.K * mosquito_viability(p, c) / (p.mu_b * p.mu_m)
+            j_f = np.zeros((4, 4))
+            j_f[0, 3] = p.B * p.beta_mh * p.N_h / p.N_h
+            j_f[2, 1] = p.B * p.beta_hm * s_m / p.N_h
+            j_v = np.array(((p.nu_h + p.mu_h, 0.0, 0.0, 0.0),
+                            (-p.nu_h, p.eta_h + p.mu_h, 0.0, 0.0),
+                            (0.0, 0.0, p.mu_m + p.eta_m + c, 0.0),
+                            (0.0, 0.0, -p.eta_m, p.mu_m + c)))
+            assert np.array_equal(ngm.j_f, j_f)
+            assert np.array_equal(ngm.j_v, j_v)
 
     def test_transition_lower_triangular_positive_diagonal(self):
         ngm = build_ngm(CAPE_VERDE, 0.1)
