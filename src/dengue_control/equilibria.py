@@ -33,10 +33,12 @@ the result.
 
 This module also holds the model's array forms, used by Newton refinement,
 the stability analysis and the integrator's RK4 oracle: the right-hand
-side and its analytic Jacobian on ndarrays, the component scales, and the
-Metzler form dX/dt = M(X)X + F with F = (mu_h*N_h, 0, ..., 0) and M(X)
-having nonnegative off-diagonal entries on the biologically admissible
-region, which is what keeps trajectories in the nonnegative orthant.
+side, the component scales, and the Metzler form dX/dt = M(X)X + F with
+F = (mu_h*N_h, 0, ..., 0) and M(X) having nonnegative off-diagonal entries
+on the admissible region, which keeps trajectories in the nonnegative
+orthant.  The analytic Jacobian is derived from M by the product rule,
+J(X) = M(X) + (dM/dX)X; at the disease-free point the infected blocks of
+the two parts are -V and F of the next-generation split.
 """
 
 from __future__ import annotations
@@ -92,36 +94,38 @@ def _rhs_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
     return np.array(_rhs_floats(p, c, x.tolist()))
 
 
+def _metzler_matrix(p: ModelParams, c: float, x) -> np.ndarray:
+    """M(X) of the Metzler form for x given as any sequence of 7 floats."""
+    foi_h = p.B * p.beta_mh * x[6] / p.N_h
+    foi_m = p.B * p.beta_hm * x[2] / p.N_h
+    adults = x[4] + x[5] + x[6]
+    mat = np.zeros((7, 7), dtype=float)
+    mat[0, 0] = -foi_h - p.mu_h
+    mat[1, 0] = foi_h
+    mat[1, 1] = -(p.nu_h + p.mu_h)
+    mat[2, 1] = p.nu_h
+    mat[2, 2] = -(p.eta_h + p.mu_h)
+    mat[3, 3] = -p.mu_b * adults / p.K - (p.eta_A + p.mu_A)
+    mat[3, 4] = mat[3, 5] = mat[3, 6] = p.mu_b
+    mat[4, 3] = p.eta_A
+    mat[4, 4] = -foi_m - p.mu_m - c
+    mat[5, 4] = foi_m
+    mat[5, 5] = -(p.mu_m + p.eta_m + c)
+    mat[6, 5] = p.eta_m
+    mat[6, 6] = -(p.mu_m + c)
+    return mat
+
+
 def _jacobian_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of ``_rhs_array`` at x (7x7)."""
-    s_h = float(x[0]); i_h = float(x[2])
-    a_m = float(x[3]); s_m = float(x[4]); e_m = float(x[5]); i_m = float(x[6])
-
-    foi_h = p.B * p.beta_mh * i_m / p.N_h
-    foi_m = p.B * p.beta_hm * i_h / p.N_h
-    adults = s_m + e_m + i_m
-    crowding = p.mu_b * (1.0 - a_m / p.K)
-
-    jac = np.zeros((7, 7), dtype=float)
-    jac[0, 0] = -(foi_h + p.mu_h)
-    jac[0, 6] = -p.B * p.beta_mh * s_h / p.N_h
-    jac[1, 0] = foi_h
-    jac[1, 1] = -(p.nu_h + p.mu_h)
-    jac[1, 6] = p.B * p.beta_mh * s_h / p.N_h
-    jac[2, 1] = p.nu_h
-    jac[2, 2] = -(p.eta_h + p.mu_h)
-    jac[3, 3] = -p.mu_b * adults / p.K - (p.eta_A + p.mu_A)
-    jac[3, 4] = crowding
-    jac[3, 5] = crowding
-    jac[3, 6] = crowding
-    jac[4, 2] = -p.B * p.beta_hm * s_m / p.N_h
-    jac[4, 3] = p.eta_A
-    jac[4, 4] = -(foi_m + p.mu_m + c)
-    jac[5, 2] = p.B * p.beta_hm * s_m / p.N_h
-    jac[5, 4] = foi_m
-    jac[5, 5] = -(p.mu_m + p.eta_m + c)
-    jac[6, 5] = p.eta_m
-    jac[6, 6] = -(p.mu_m + c)
+    """Analytic 7x7 Jacobian of ``_rhs_array`` at x: J(X) = M(X) + (dM/dX)X."""
+    x = x.tolist()
+    jac = _metzler_matrix(p, c, x)
+    # (dM/dX)X: crowded recruitment and the cross-infection derivatives
+    jac[3, 4] = jac[3, 5] = jac[3, 6] = p.mu_b * (1.0 - x[3] / p.K)
+    jac[1, 6] = p.B * p.beta_mh * x[0] / p.N_h
+    jac[0, 6] = -jac[1, 6]
+    jac[5, 2] = p.B * p.beta_hm * x[4] / p.N_h
+    jac[4, 2] = -jac[5, 2]
     return jac
 
 
@@ -132,31 +136,10 @@ def metzler_decomposition(p: ModelParams, c: ControlLevel | float, x: State7) ->
     logistic-crowding terms), so every off-diagonal entry is nonnegative
     whenever the state is admissible.
     """
-    cc = as_control(c).c
-    foi_h = p.B * p.beta_mh * x.I_m / p.N_h
-    foi_m = p.B * p.beta_hm * x.I_h / p.N_h
-    adults = x.S_m + x.E_m + x.I_m
-
-    mat = np.zeros((7, 7), dtype=float)
-    mat[0, 0] = -foi_h - p.mu_h
-    mat[1, 0] = foi_h
-    mat[1, 1] = -(p.nu_h + p.mu_h)
-    mat[2, 1] = p.nu_h
-    mat[2, 2] = -(p.eta_h + p.mu_h)
-    mat[3, 3] = -p.mu_b * adults / p.K - (p.eta_A + p.mu_A)
-    mat[3, 4] = p.mu_b
-    mat[3, 5] = p.mu_b
-    mat[3, 6] = p.mu_b
-    mat[4, 3] = p.eta_A
-    mat[4, 4] = -foi_m - p.mu_m - cc
-    mat[5, 4] = foi_m
-    mat[5, 5] = -(p.mu_m + p.eta_m + cc)
-    mat[6, 5] = p.eta_m
-    mat[6, 6] = -(p.mu_m + cc)
-
     inflow = np.zeros(7, dtype=float)
     inflow[0] = p.mu_h * p.N_h
-    return MetzlerForm(m_of_x=mat, inflow=inflow)
+    return MetzlerForm(m_of_x=_metzler_matrix(p, as_control(c).c, x.as_tuple()),
+                       inflow=inflow)
 
 
 class EquilibriumKind(enum.Enum):

@@ -6,8 +6,9 @@ Two independent routes are provided and tested against each other:
   infected subsystem (E_h, I_h, E_m, I_m), as in van den Driessche and
   Watmough (Math. Biosci. 180, 2002), and takes its spectral radius
   numerically.  F - V is the infected block of the model's analytic
-  Jacobian (the one ``stability.classify`` uses), so the new-infection (F)
-  and transition (V) operators are read from it, not typed a second time;
+  Jacobian (the one ``stability.classify`` uses), J = M(X) + (dM/dX)X on
+  the Metzler form: there the new-infection operator F is (dM/dX)X and the
+  transition operator V is -M(X), so neither is typed a second time;
 * ``r0_closed_form`` (defined in ``model``, which needs no numpy)
   evaluates the closed-form expression
 
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import _jacobian_array
+from .errors import NumericalFailure
 from .model import ControlLevel, ModelParams, as_control, _paper_dfe
 from .model import r0_closed_form  # noqa: F401  (the second route, re-exported here)
 from .stability import eigenvalues
@@ -73,9 +75,16 @@ def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     humans), so its spectral radius is the square root of the product of
     the two transmission chains; it is computed here from the full 4x4
     matrix, not from that shortcut, so it can cross-check the closed form.
+    Raises NumericalFailure when the matrix is not finite.
     """
-    ngm = build_ngm(p, c).ngm
-    return max(abs(v) for v in eigenvalues(ngm))
+    try:
+        vals = eigenvalues(build_ngm(p, c).ngm)
+    except ValueError as exc:
+        # the matrix is always 4x4, so only a non-finite value gets here
+        raise NumericalFailure(
+            "cannot compute the spectral R0 at the brdfe state: "
+            f"next-generation {exc} (overflow at these parameters)") from exc
+    return max(abs(v) for v in vals)
 
 
 def r0_factors(p: ModelParams, c: ControlLevel | float = 0.0) -> tuple[float, float]:

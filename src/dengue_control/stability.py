@@ -91,7 +91,8 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
     """Local stability of an equilibrium from the Jacobian spectrum.
 
     For the mosquito-bearing disease-free equilibrium the report also
-    carries the basic reproduction number at that point.
+    carries the basic reproduction number at that point.  Raises
+    NumericalFailure when the state or its Jacobian is not finite.
     """
     ctrl = as_control(c)
     if eq.residual_norm > RESIDUAL_WARN:
@@ -100,7 +101,13 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
             "it is not an exact fixed point of this flow",
             stacklevel=2)
 
-    vals = eigenvalues(jacobian(p, ctrl, eq.state))
+    try:
+        vals = eigenvalues(jacobian(p, ctrl, eq.state))
+    except ValueError as exc:
+        # the matrix is always 7x7, so only a non-finite state or entry gets here
+        raise NumericalFailure(
+            f"cannot classify the {eq.kind.value} state: {exc} "
+            "(overflow at these parameters)") from exc
     abscissa = vals[0].real
     margin = MARGIN_FACTOR * max(abs(v) for v in vals)
     if abscissa < -margin:

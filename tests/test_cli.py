@@ -380,6 +380,25 @@ class TestExitCodes:
         assert [f.name for f in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command, replacement, state", [
+        ("analyze", {"\nB = 1.0\n": "\nB = 1e303\n"}, "trivial"),
+        ("sweep", {"\nB = 1.0\n": "\nB = 1e303\n"}, "brdfe"),
+        ("analyze", {"mu_b = 6.0": "mu_b = 1e308"}, "brdfe"),
+        ("sweep", {"mu_b = 6.0": "mu_b = 1e308"}, "brdfe"),
+    ])
+    def test_overflow_is_numerical_failure(self, command, replacement, state, tmp_path):
+        path = write_variant(tmp_path, replacement)
+        args = ["--out", str(tmp_path / "out")] if command == "sweep" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "dengue_control.cli", command, "--scenario", str(path),
+             *args], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and f"the {state} state" in errors[0]
+        assert all(line.startswith(("error: ", "warning: "))
+                   for line in proc.stderr.splitlines())
+        assert not (tmp_path / "out").exists()
+
     def test_source_required(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["analyze"])

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import CAPE_VERDE, draw_params, params_with
+from dengue_control.equilibria import brdfe, metzler_decomposition
 from dengue_control.errors import MosquitoCollapseError
 from dengue_control.model import mosquito_viability
 from dengue_control.reproduction import build_ngm, r0_closed_form, r0_factors, r0_spectral
+from dengue_control.stability import jacobian
 
 
 class TestBuildNgm:
@@ -33,6 +35,17 @@ class TestBuildNgm:
                             (0.0, 0.0, -p.eta_m, p.mu_m + c)))
             assert np.array_equal(ngm.j_f, j_f)
             assert np.array_equal(ngm.j_v, j_v)
+
+    def test_f_and_v_are_the_product_rule_parts(self):
+        # J = M + (dM/dX)X: on the infected block at the disease-free point
+        # V is -M and F is the added term J - M
+        infected = np.ix_((1, 2, 5, 6), (1, 2, 5, 6))
+        for c in (0.0, 0.07, 0.2):
+            dfe = brdfe(CAPE_VERDE, c).state
+            m_of_x = metzler_decomposition(CAPE_VERDE, c, dfe).m_of_x
+            ngm = build_ngm(CAPE_VERDE, c)
+            assert np.array_equal(ngm.j_v, -m_of_x[infected])
+            assert np.array_equal(ngm.j_f, (jacobian(CAPE_VERDE, c, dfe) - m_of_x)[infected])
 
     def test_transition_lower_triangular_positive_diagonal(self):
         ngm = build_ngm(CAPE_VERDE, 0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -25,7 +26,61 @@ def _fd_jacobian(p, c, x):
     return jac
 
 
+def _typed_jacobian(p, c, x):
+    """The model's Jacobian typed entry by entry (19 entries), independently
+    of the Metzler form the package derives it from."""
+    s_h, _, i_h, a_m, s_m, e_m, i_m = x.as_tuple()
+    foi_h = p.B * p.beta_mh * i_m / p.N_h
+    foi_m = p.B * p.beta_hm * i_h / p.N_h
+    adults = s_m + e_m + i_m
+    crowding = p.mu_b * (1.0 - a_m / p.K)
+
+    jac = np.zeros((7, 7))
+    jac[0, 0] = -(foi_h + p.mu_h)
+    jac[0, 6] = -p.B * p.beta_mh * s_h / p.N_h
+    jac[1, 0] = foi_h
+    jac[1, 1] = -(p.nu_h + p.mu_h)
+    jac[1, 6] = p.B * p.beta_mh * s_h / p.N_h
+    jac[2, 1] = p.nu_h
+    jac[2, 2] = -(p.eta_h + p.mu_h)
+    jac[3, 3] = -p.mu_b * adults / p.K - (p.eta_A + p.mu_A)
+    jac[3, 4] = crowding
+    jac[3, 5] = crowding
+    jac[3, 6] = crowding
+    jac[4, 2] = -p.B * p.beta_hm * s_m / p.N_h
+    jac[4, 3] = p.eta_A
+    jac[4, 4] = -(foi_m + p.mu_m + c)
+    jac[5, 2] = p.B * p.beta_hm * s_m / p.N_h
+    jac[5, 4] = foi_m
+    jac[5, 5] = -(p.mu_m + p.eta_m + c)
+    jac[6, 5] = p.eta_m
+    jac[6, 6] = -(p.mu_m + c)
+    return jac
+
+
+_SCALED_FIELDS = ("N_h", "B", "mu_h", "eta_h", "mu_m", "mu_b", "mu_A", "eta_A",
+          "eta_m", "nu_h", "m", "k", "K")
+
+
 class TestJacobian:
+    def test_product_rule_matches_typed_jacobian(self):
+        # rates over x10^(+-3), c up to 100, states partly outside the
+        # admissible region, and exact zeros of both signs
+        rng = np.random.default_rng(89)
+        for i in range(1000):
+            p = dataclasses.replace(
+                CAPE_VERDE, beta_mh=rng.uniform(0.0, 1.0), beta_hm=rng.uniform(0.0, 1.0),
+                **{name: getattr(CAPE_VERDE, name) * 10.0 ** rng.uniform(-3.0, 3.0)
+                   for name in _SCALED_FIELDS})
+            c = rng.uniform(0.0, 100.0)
+            y = rng.uniform(-0.5, 1.5, size=7) * component_scales(p)
+            y[rng.integers(7)] = (0.0, -0.0)[i % 2]
+            x = State7.from_array(y)
+            derived = jacobian(p, c, x)
+            typed = _typed_jacobian(p, c, x)
+            assert np.array_equal(derived, typed)
+            assert np.array_equal(np.signbit(derived), np.signbit(typed))
+
     def test_matches_central_differences(self):
         rng = np.random.default_rng(67)
         for _ in range(100):
