@@ -33,8 +33,7 @@ from .errors import (
     NumericalFailure,
     ScenarioError,
 )
-from .model import State8
-from .scenario import Scenario, get_builtin, load_scenario
+from .scenario import Scenario, _build_scenario, _values, get_builtin, load_scenario
 
 if TYPE_CHECKING:
     from .integrator import Trajectory
@@ -70,32 +69,13 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join([CSV_HEADER] + [",".join(map(repr, (t, *row))) for t, row in rows]) + "\n"
 
 
-def parse_trajectory_csv(text: str) -> tuple[list[float], list[State8]]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ScenarioError("trajectory CSV: missing or unexpected header")
-    times: list[float] = []
-    states: list[State8] = []
-    for line in lines[1:]:
-        fields = [float(v) for v in line.split(",")]
-        if len(fields) != 9:
-            raise ScenarioError("trajectory CSV: expected 9 columns")
-        times.append(fields[0])
-        states.append(State8(*fields[1:]))
-    return times, states
-
-
 def _load(args) -> Scenario:
+    # rebuilt, so the overrides meet the same checks as scenario keys
     scenario = get_builtin(args.builtin) if args.builtin else load_scenario(args.scenario)
-    if args.control is not None:
-        if args.control < 0.0:
-            raise ScenarioError(f"control level must be >= 0, got {args.control}")
-        scenario = scenario.with_control(args.control)
-    if getattr(args, "t_end", None) is not None:
-        if args.t_end < scenario.solver.t0:
-            raise ScenarioError(f"t_end must be >= t0, got {args.t_end}")
-        scenario = scenario.with_t_end(args.t_end)
-    return scenario
+    overrides = {key: value for key, value in
+                 (("c", args.control), ("t_end", getattr(args, "t_end", None)))
+                 if value is not None}
+    return _build_scenario({**_values(scenario), **overrides}, scenario.name)
 
 
 def cmd_simulate(args) -> int:
@@ -265,9 +245,6 @@ def main(argv=None) -> int:
         except NumericalFailure as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

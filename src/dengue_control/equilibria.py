@@ -214,9 +214,10 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
 
     each other component follows from one balance of the right-hand side.
     Exact for every control level; ``refine`` on this output is the
-    cross-check.  Raises NumericalFailure when the formula overflows to a
-    non-finite state (bite rates near the float range).  See the module
-    docstring for the positivity window of the result under control.
+    cross-check.  Raises NumericalFailure when mu_h*nu_h underflows or the
+    formula overflows to a non-finite state (bite rates near the float
+    range).  See the module docstring for the positivity window of the
+    result under control.
     """
     ctrl = as_control(c)
     cc = ctrl.c
@@ -233,6 +234,8 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
 
     removal = p.mu_m + cc                  # adult death plus adulticide
     rho = r0 * r0 * p.mu_m / removal       # R0^2 at the flow's disease-free state
+    if p.mu_h * p.nu_h == 0.0:
+        raise NumericalFailure("endemic closed form undefined: mu_h*nu_h underflows to 0")
     # the S_h, E_h and I_h balances give N_h - S_h = L*I_h
     L = (p.mu_h + p.nu_h) * (p.mu_h + p.eta_h) / (p.mu_h * p.nu_h)
     i_h = p.N_h * (rho - 1.0) / (rho * L + p.B * p.beta_hm / removal)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 
 class ScenarioError(ValueError):
-    """Malformed or inadmissible scenario input (carries line context)."""
+    """Malformed or inadmissible input from a scenario file, the built-in
+    scenario, a CLI flag or the solver window; the CLI exits 2 on it."""
 
 
 class NumericalFailure(RuntimeError):

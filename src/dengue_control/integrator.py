@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import _rhs_array
-from .errors import NumericalFailure
+from .errors import NumericalFailure, ScenarioError
 from .model import (
     ControlLevel,
     ModelParams,
@@ -120,7 +120,7 @@ def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
 def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
     span = (t_end - t0) / step + 1e-9
     if not span < MAX_GRID_POINTS:
-        raise ValueError(
+        raise ScenarioError(
             f"output grid needs {span + 1:.4g} points, more than the cap of "
             f"{MAX_GRID_POINTS}; raise output_step or shorten the window")
     n = int(math.floor(span))
@@ -179,21 +179,21 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     """Integrate from x0 over [t0, t_end], reporting on the uniform grid.
 
     Deterministic: identical inputs give bit-identical trajectories.
-    Raises ValueError if x0 is outside the admissible region (non-finite
+    Raises ScenarioError if x0 is outside the admissible region (non-finite
     states included) or the window needs more than MAX_STEPS steps at
     h_max, and NumericalFailure (carrying the failure time) on step-size
     underflow or after MAX_STEPS step attempts.
     """
     violation = region_violation(p, x0)
     if violation:
-        raise ValueError(
+        raise ScenarioError(
             f"initial state lies outside the biologically admissible region: {violation}")
     cc = as_control(c).c
 
     grid = _output_grid(cfg.t0, cfg.t_end, cfg.output_step)
     steps_needed = (cfg.t_end - cfg.t0) / cfg.h_max
     if steps_needed > MAX_STEPS:
-        raise ValueError(
+        raise ScenarioError(
             f"the window needs at least {steps_needed:.4g} steps at h_max = {cfg.h_max:g} day, "
             f"more than the cap of {MAX_STEPS}; raise h_max or shorten the window")
     scales = _component_scales(p)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import MosquitoCollapseError
+from .errors import MosquitoCollapseError, NumericalFailure
 
 #: Component order used by every array-facing routine in the package.
 STATE_LABELS = ("S_h", "E_h", "I_h", "A_m", "S_m", "E_m", "I_m")
@@ -232,12 +232,15 @@ def _paper_dfe(p: ModelParams, c: ControlLevel) -> State7:
     """The paper's mosquito-bearing disease-free point, where R0 and the
     control threshold are evaluated (formula and caveats at
     ``equilibria.brdfe``).  Raises MosquitoCollapseError when the viability
-    margin is <= 0."""
+    margin is <= 0 and NumericalFailure when mu_b*mu_m underflows."""
     viability = mosquito_viability(p, c)
     if viability <= 0.0:
         raise MosquitoCollapseError(
             "mosquito population collapses; only trivial equilibrium exists "
             f"(viability margin = {viability:.6g})")
+    # a positive margin keeps eta_A*mu_b > 0, but mu_b*mu_m can underflow
+    if p.mu_b * p.mu_m == 0.0:
+        raise NumericalFailure("disease-free state undefined: mu_b*mu_m underflows to 0")
     return State7(
         p.N_h, 0.0, 0.0,
         p.K * viability / (p.eta_A * p.mu_b),
@@ -255,16 +258,19 @@ def basic_offspring_number(p: ModelParams, c: ControlLevel | float = 0.0) -> flo
     The ratio is returned as written here; the naming mismatch is
     documented rather than resolved.
     """
-    if p.mu_b == 0.0:
-        raise ValueError("basic offspring ratio undefined: mu_b must be nonzero")
+    recruitment = p.mu_b * p.eta_A
+    if recruitment == 0.0:
+        raise ValueError("basic offspring ratio undefined: mu_b*eta_A is 0 "
+                         "(mu_b = 0, or the product underflows)")
     cc = as_control(c).c
-    return (p.eta_A + p.mu_A) * (p.mu_m + cc) / (p.mu_b * p.eta_A)
+    return (p.eta_A + p.mu_A) * (p.mu_m + cc) / recruitment
 
 
 def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     """Closed-form basic reproduction number at the paper's disease-free
     point (the formula and its spectral cross-check are in ``reproduction``);
-    raises MosquitoCollapseError when the viability margin is <= 0."""
+    raises MosquitoCollapseError when the viability margin is <= 0 and
+    NumericalFailure when the denominator's product of rates underflows."""
     ctrl = as_control(c)
     viability = mosquito_viability(p, ctrl)
     if viability <= 0.0:
@@ -272,12 +278,14 @@ def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
             "basic reproduction number undefined: mosquito population "
             f"collapses (viability margin = {viability:.6g})")
     cc = ctrl.c
+    denominator = (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (cc + p.mu_m)
+                   * (cc + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))
+    if denominator == 0.0:
+        raise NumericalFailure("basic reproduction number undefined: the product "
+                               "of rates in its denominator underflows to 0")
     # B stays outside the root: B**2 overflows for B above about 1e154
     r0_sq_per_b_sq = (
-        p.K / p.N_h * p.beta_hm * p.beta_mh * p.eta_m * p.nu_h * viability
-        / (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (cc + p.mu_m)
-           * (cc + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))
-    )
+        p.K / p.N_h * p.beta_hm * p.beta_mh * p.eta_m * p.nu_h * viability / denominator)
     return p.B * math.sqrt(r0_sq_per_b_sq)
 
 

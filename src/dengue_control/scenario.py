@@ -12,16 +12,19 @@ When S_h0 is omitted the human-total rule fills it in:
 S_h0 = N_h - E_h0 - I_h0 - R_h0.  Supplying S_h0 explicitly disables the
 rule.  K defaults to k*N_h, A_m0 to k*N_h, S_m0 to m*N_h.
 
-The built-in ``capeverde2009`` scenario hard-codes the 2009 Cape Verde
-outbreak values (population 480 000, one bite per mosquito per day,
-transmission probabilities 0.375, adult mosquito lifespan 11 days, six
-female mosquitoes and three larvae per human) with zero control.
+Files, the built-in scenario and the CLI's ``--control``/``--t-end``
+overrides all build a Scenario from this mapping through one constructor,
+so they share its defaults and checks.  ``capeverde2009`` holds the paper's
+2009 Cape Verde outbreak values (population 480 000, one bite per mosquito
+per day, transmission probabilities 0.375, adult mosquito lifespan 11 days,
+six female mosquitoes and three larvae per human) and 216 exposed and 434
+infected humans; the default rules supply the rest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ScenarioError
 from .model import STATE_LABELS, ControlLevel, ModelParams, State7, region_violation
@@ -71,30 +74,15 @@ class Scenario:
     initial: State7
     solver: SolverConfig
 
-    def with_control(self, c: float) -> "Scenario":
-        return replace(self, control=ControlLevel(float(c)))
-
-    def with_t_end(self, t_end: float) -> "Scenario":
-        return replace(self, solver=replace(self.solver, t_end=float(t_end)))
-
 
 def builtin_capeverde2009() -> Scenario:
-    n_h = 480000.0
-    params = ModelParams(
-        N_h=n_h, B=1.0, beta_mh=0.375, beta_hm=0.375,
-        mu_h=1.0 / (71.0 * 365.0), eta_h=1.0 / 3.0,
-        mu_m=1.0 / 11.0, mu_b=6.0, mu_A=1.0 / 4.0, eta_A=0.08,
-        eta_m=1.0 / 11.0, nu_h=1.0 / 4.0,
-        m=6.0, k=3.0, K=3.0 * n_h,
-    )
-    e_h0, i_h0 = 216.0, 434.0
-    initial = State7(
-        S_h=n_h - e_h0 - i_h0, E_h=e_h0, I_h=i_h0,
-        A_m=params.k * n_h, S_m=params.m * n_h, E_m=0.0, I_m=0.0,
-    )
-    return Scenario(name="capeverde2009", params=params,
-                    control=ControlLevel(0.0), initial=initial,
-                    solver=SolverConfig())
+    return _build_scenario({
+        "N_h": 480000.0, "B": 1.0, "beta_mh": 0.375, "beta_hm": 0.375,
+        "mu_h": 1.0 / (71.0 * 365.0), "eta_h": 1.0 / 3.0,
+        "mu_m": 1.0 / 11.0, "mu_b": 6.0, "mu_A": 1.0 / 4.0, "eta_A": 0.08,
+        "eta_m": 1.0 / 11.0, "nu_h": 1.0 / 4.0, "m": 6.0, "k": 3.0,
+        "E_h0": 216.0, "I_h0": 434.0,
+    }, "capeverde2009")
 
 
 BUILTINS = {"capeverde2009": builtin_capeverde2009}
@@ -133,8 +121,8 @@ def _parse_pairs(text: str) -> dict[str, float]:
     return values
 
 
-def parse_scenario(text: str, name: str = "custom") -> Scenario:
-    values = _parse_pairs(text)
+def _build_scenario(values: dict[str, float], name: str) -> Scenario:
+    """A Scenario from file keys and values; the default rules fill gaps."""
 
     missing = [key for key in _PARAM_KEYS if key not in values and key != "K"]
     if missing:
@@ -177,6 +165,18 @@ def parse_scenario(text: str, name: str = "custom") -> Scenario:
                     initial=initial, solver=solver)
 
 
+def _values(s: Scenario) -> dict[str, float]:
+    """Inverse of ``_build_scenario``: every file key and value, in file order."""
+    return {**{key: getattr(s.params, key) for key in _PARAM_KEYS},
+            "c": s.control.c,
+            **dict(zip(_STATE_KEYS, s.initial.as_tuple())),
+            **{key: getattr(s.solver, key) for key in _SOLVER_KEYS}}
+
+
+def parse_scenario(text: str, name: str = "custom") -> Scenario:
+    return _build_scenario(_parse_pairs(text), name)
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -189,13 +189,6 @@ def load_scenario(path) -> Scenario:
 def render_scenario(s: Scenario) -> str:
     """Serialize a scenario back to the flat key = value format (parsing
     the result reproduces the scenario)."""
-    p, x0, cfg = s.params, s.initial, s.solver
     lines = [f"# scenario: {s.name}"]
-    for key in _PARAM_KEYS:
-        lines.append(f"{key} = {getattr(p, key)!r}")
-    lines.append(f"c = {s.control.c!r}")
-    for key, value in zip(_STATE_KEYS, x0.as_tuple()):
-        lines.append(f"{key} = {value!r}")
-    for key in _SOLVER_KEYS:
-        lines.append(f"{key} = {getattr(cfg, key)!r}")
+    lines += [f"{key} = {value!r}" for key, value in _values(s).items()]
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MosquitoCollapseError
+from .errors import MosquitoCollapseError, ScenarioError
 from .model import ControlLevel, ModelParams, mosquito_viability, r0_closed_form
 
 #: Bisection keeps going until the reproduction number at the midpoint is
@@ -75,7 +75,7 @@ def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoContro
     and ``c_star`` is its low end, where R0 > 1.
     """
     if not tol > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
+        raise ScenarioError(f"tolerance must be > 0, got {tol}")
 
     c_collapse = collapse_control_bound(p)
     if mosquito_viability(p, 0.0) <= 0.0:

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dengue_control
 from dengue_control import cli, integrator
-from dengue_control.errors import MosquitoCollapseError
+from dengue_control.errors import MosquitoCollapseError, ScenarioError
 from dengue_control.scenario import builtin_capeverde2009, render_scenario
+
+BUILTIN_TEXT = render_scenario(builtin_capeverde2009())
 
 
 def run_cli(capsys, *argv):
@@ -22,8 +27,15 @@ def read_csv_rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
+def builtin_text_with(values):
+    """The rendered built-in scenario with the given keys set to new value text."""
+    return "".join(
+        f"{key} = {values[key]}\n" if (key := line.split(" = ")[0]) in values else f"{line}\n"
+        for line in BUILTIN_TEXT.splitlines())
+
+
 def write_variant(tmp_path, replacements, name="variant.txt"):
-    text = render_scenario(builtin_capeverde2009())
+    text = BUILTIN_TEXT
     for old, new in replacements.items():
         assert old in text
         text = text.replace(old, new)
@@ -90,11 +102,11 @@ class TestSimulate:
     def test_csv_round_trip_byte_identical(self, tmp_path, capsys):
         run_cli(capsys, "simulate", "--builtin", "capeverde2009", "--out", str(tmp_path))
         text = (tmp_path / "trajectory.csv").read_text()
-        times, states = cli.parse_trajectory_csv(text)
+        header, *lines = text.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert header == cli.CSV_HEADER and {len(row) for row in rows} == {9}
         re_rendered = "\n".join(
-            [cli.CSV_HEADER]
-            + [",".join(repr(v) for v in (t,) + s.as_tuple())
-               for t, s in zip(times, states)]) + "\n"
+            [header] + [",".join(repr(v) for v in row) for row in rows]) + "\n"
         assert re_rendered == text
 
 
@@ -367,6 +379,42 @@ class TestExitCodes:
         assert code == 2
         assert ">= 0" in err
 
+    @pytest.mark.parametrize("override", [
+        ("--control", "-0.1"), ("--control", "nan"), ("--control", "inf"),
+        ("--t-end", "-5"), ("--t-end", "nan"), ("--t-end", "inf"),
+    ])
+    def test_overrides_are_checked_like_scenario_keys(self, override):
+        args = cli.build_parser().parse_args(
+            ["simulate", "--builtin", "capeverde2009", *override])
+        with pytest.raises(ScenarioError):
+            cli._load(args)
+
+    @pytest.mark.parametrize("command, values, code, expected", [
+        ("threshold", {"mu_m": "1e-320"}, 3, "basic reproduction number undefined"),
+        ("sweep", {"mu_h": "1e-320", "mu_m": "1e-300"}, 3,
+         "basic reproduction number undefined"),
+        ("analyze", {"beta_hm": "0", "mu_m": "1e-300"}, 3,
+         "basic reproduction number undefined"),
+        ("analyze", {"mu_b": "1e-160", "eta_A": "1e-160", "mu_m": "1e-300", "mu_A": "1e-300"},
+         3, "disease-free state undefined: mu_b*mu_m underflows"),
+        ("analyze", {"mu_b": "5e-324"}, 0, "basic offspring ratio = n/a"),
+        ("analyze", {"mu_h": "1e-200", "nu_h": "1e-200"}, 0,
+         "endemic: endemic closed form undefined: mu_h*nu_h underflows"),
+    ])
+    def test_underflowing_rate_product(self, command, values, code, expected, tmp_path,
+                                       capsys):
+        path = tmp_path / "variant.txt"
+        path.write_text(builtin_text_with(values))
+        out_dir = ["--out", str(tmp_path / "out")] if command == "sweep" else []
+        got, out, err = run_cli(capsys, command, "--scenario", str(path), *out_dir)
+        assert got == code
+        assert all(line.startswith(("error: ", "warning: ")) for line in err.splitlines())
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        if code == 3:
+            assert len(errors) == 1 and expected in errors[0]
+        else:
+            assert errors == [] and expected in out
+
     @pytest.mark.parametrize("command, out", [("simulate", "file"), ("sweep", "file/sub")])
     def test_out_path_through_a_file_is_config_error(self, command, out, tmp_path):
         (tmp_path / "file").write_text("kept\n")
@@ -402,6 +450,49 @@ class TestExitCodes:
     def test_source_required(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["analyze"])
+
+
+FUZZ_VALUES = ("0", "-0.0", "-1", "5e-324", "1e-320", "1e-300", "1e-160", "1e-15",
+               "1e15", "1e154", "1e300", "1.7e308", "nan", "inf")
+FUZZ_FLAG_VALUES = ("nan", "inf", "-1", "0", "1e-300", "1e308")
+FUZZ_FLAGS = {"analyze": ("--control",), "threshold": ("--control", "--tol"),
+              "sweep": ("--control", "--c-min", "--c-max", "--c-step"),
+              "simulate": ("--control", "--t-end")}
+SCENARIO_KEYS = tuple(line.split(" = ")[0] for line in BUILTIN_TEXT.splitlines()[1:])
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A subcommand, 1-3 scenario keys set to extreme value text, and up to
+    two of the subcommand's numeric flags set to values argparse accepts."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    keys = draw(st.lists(st.sampled_from(SCENARIO_KEYS), min_size=1, max_size=3, unique=True))
+    flags = draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), max_size=2, unique=True))
+    return (command, {key: draw(st.sampled_from(FUZZ_VALUES)) for key in keys},
+            [arg for flag in flags for arg in (flag, draw(st.sampled_from(FUZZ_FLAG_VALUES)))])
+
+
+class TestExitCodeFuzz:
+    # the fixtures carry nothing from one example to the next: the scenario
+    # file and the output directory are rewritten, MAX_STEPS set to one value
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run=fuzz_runs())
+    @example(run=("threshold", {"mu_m": "1e-320"}, []))
+    @example(run=("analyze", {"mu_h": "1e-200", "nu_h": "1e-200"}, ["--control", "0"]))
+    def test_every_input_ends_in_a_documented_exit_code(self, run, tmp_path, monkeypatch):
+        command, values, flags = run
+        # a stiff variant would otherwise run up to 10**7 step attempts
+        monkeypatch.setattr(integrator, "MAX_STEPS", 10**4)
+        path = tmp_path / "fuzz.txt"
+        path.write_text(builtin_text_with(values))
+        out_dir = ["--out", str(tmp_path / "out")] if command in ("simulate", "sweep") else []
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--scenario", str(path), *flags, *out_dir])
+        assert code in (0, 2, 3, 4)
+        assert all(line.startswith(("error: ", "warning: "))
+                   for line in err.getvalue().splitlines())
 
 
 def run_without_numpy(*args):

@@ -43,6 +43,16 @@ class TestBuiltin:
         assert s.initial.E_m == 0.0 and s.initial.I_m == 0.0
         assert s.solver.t_end == 100.0
 
+    def test_paper_values_plus_the_default_rules(self):
+        text = "\n".join([
+            "N_h = 480000", "B = 1", "beta_mh = 0.375", "beta_hm = 0.375",
+            f"mu_h = {1.0 / (71.0 * 365.0)!r}", f"eta_h = {1.0 / 3.0!r}",
+            f"mu_m = {1.0 / 11.0!r}", "mu_b = 6", "mu_A = 0.25", "eta_A = 0.08",
+            f"eta_m = {1.0 / 11.0!r}", "nu_h = 0.25", "m = 6", "k = 3",
+            "E_h0 = 216", "I_h0 = 434",
+        ])
+        assert parse_scenario(text, name="capeverde2009") == builtin_capeverde2009()
+
     def test_registry_lookup(self):
         assert get_builtin("capeverde2009").name == "capeverde2009"
         with pytest.raises(ScenarioError, match="unknown builtin"):
