@@ -9,9 +9,10 @@ algebra in the hot loop is the right tool.  A classical fixed-step RK4
 routine is provided as an independent oracle for tests.
 
 A step attempt runs on plain Python floats: with seven components, numpy's
-per-call cost would exceed the arithmetic.  Dense output runs once per
-accepted step, as one numpy pass over every report time inside the step.
-A run is capped at ``MAX_STEPS`` step attempts.
+per-call cost would exceed the arithmetic.  An accepted step that covers
+report times keeps the coefficients of its continuous extension as floats,
+and dense output runs once after the loop, as one numpy pass over every
+report time of the run.  A run is capped at ``MAX_STEPS`` step attempts.
 
 Error control uses a weighted RMS norm with per-component weights
 ``atol*scale_i + rtol*max(|y_i|, |y1_i|)`` where the scales are the
@@ -23,6 +24,7 @@ and silently violate conservation.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -71,6 +73,9 @@ _MIN_STEP = 1e-12  # days; below this the problem is declared stiff/broken
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# Rows per gather in the dense-output pass: bounds its temporaries, so that
+# memory at the grid cap stays that of the (rows, 7) result.
+_DENSE_CHUNK = 4096
 
 #: Most points a reported grid (output times, sweep controls) may hold.
 MAX_GRID_POINTS = 10**6
@@ -156,9 +161,9 @@ def _stages(p: ModelParams, c: float, y, h: float, k1):
     return (k1, k2, k3, k4, k5, k6, k7), y1, err
 
 
-def _dense_rows(y0, y1, k, h: float, theta: np.ndarray) -> np.ndarray:
-    """States on the quartic continuous extension of one step at the step
-    fractions theta, one row per entry."""
+def _extension(y0, y1, k, h: float):
+    """Per component, the coefficients (y0, ydiff, bspl, r4, r5) of the
+    quartic continuous extension of one step."""
     k1, _, k3, k4, k5, k6, k7 = k
     d1, _, d3, d4, d5, d6, d7 = _D
     coef = []
@@ -168,10 +173,29 @@ def _dense_rows(y0, y1, k, h: float, theta: np.ndarray) -> np.ndarray:
         r4 = ydiff - h * q7 - bspl
         r5 = h * (d1 * q1 + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * q7)
         coef.append((a, ydiff, bspl, r4, r5))
-    y0, ydiff, bspl, r4, r5 = np.array(coef).T
-    theta = theta[:, None]
-    u = 1.0 - theta
-    return y0 + theta * (ydiff + u * (bspl + theta * (r4 + u * r5)))
+    return coef
+
+
+def _dense_rows(x0, grid: np.ndarray, covering) -> np.ndarray:
+    """The (n, 7) states at the n grid times: x0 first, then each later time
+    on the continuous extension of the step that covers it.  ``covering``
+    holds (t, h, report-time count, _extension coefficients) of each step
+    that covers report times, in order."""
+    out = np.empty((grid.size, 7))
+    out[0] = x0
+    if not covering:
+        return out
+    t, h, count, coef = zip(*covering)
+    step = np.repeat(np.arange(len(count)), count)
+    theta = np.minimum(1.0, (grid[1:] - np.array(t)[step]) / np.array(h)[step])
+    y0, ydiff, bspl, r4, r5 = np.array(coef).transpose(2, 0, 1)
+    for lo in range(0, step.size, _DENSE_CHUNK):
+        s = step[lo:lo + _DENSE_CHUNK]
+        th = theta[lo:lo + _DENSE_CHUNK, None]
+        u = 1.0 - th
+        out[1 + lo:1 + lo + s.size] = \
+            y0[s] + th * (ydiff[s] + u * (bspl[s] + th * (r4[s] + u * r5[s])))
+    return out
 
 
 def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
@@ -203,7 +227,8 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     k1 = _rhs_floats(p, cc, y)
     h = min(cfg.h_init, cfg.h_max, cfg.t_end - cfg.t0)
 
-    blocks = [np.array([y])]
+    times = grid.tolist()
+    covering = []
     j = 1  # next grid index to fill
     accepted = 0
     rejected = 0
@@ -234,10 +259,9 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
         if err_norm <= 1.0:
             t_new = cfg.t_end if clamped else t + h
             reach = t_new + 1e-12 * max(1.0, abs(t_new))
-            if j < grid.size and grid[j] <= reach:
-                j_end = int(np.searchsorted(grid, reach, side="right"))
-                theta = np.minimum(1.0, (grid[j:j_end] - t) / h)
-                blocks.append(_dense_rows(y, y1, k, h, theta))
+            j_end = bisect.bisect_right(times, reach, j)
+            if j_end > j:
+                covering.append((t, h, j_end - j, _extension(y, y1, k, h)))
                 j = j_end
             t, y, k1 = t_new, y1, k[6]  # first-same-as-last
             accepted += 1
@@ -255,7 +279,9 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     stats = StepStats(accepted=accepted, rejected=rejected,
                       rhs_evals=6 * (accepted + rejected) + 1,
                       smallest_step=smallest if accepted else 0.0, largest_step=largest)
-    return Trajectory(times=grid, data=full_states(p, np.concatenate(blocks)), step_stats=stats)
+    del times  # a million floats at the grid cap; the dense pass needs the memory
+    rows = _dense_rows(x0.as_tuple(), grid, covering)
+    return Trajectory(times=grid, data=full_states(p, rows), step_stats=stats)
 
 
 def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,

@@ -87,8 +87,9 @@ def _panel(x0: int, title: str, times, data, series) -> list[str]:
     out.append(f'<text x="{(px0 + px1) / 2:.0f}" y="{_PANEL_H - 10}" text-anchor="middle" '
                'font-size="12">time (days)</text>')
 
+    xs = sx(times).tolist()
     for label, col, color in series:
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times, data[:, col]))
+        pts = " ".join(f"{X:.2f},{Y:.2f}" for X, Y in zip(xs, sy(data[:, col]).tolist()))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.6"/>')
 

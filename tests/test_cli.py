@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -11,7 +13,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import dengue_control
 from dengue_control import cli, integrator
 from dengue_control.errors import MosquitoCollapseError, ScenarioError
+from dengue_control.integrator import integrate
 from dengue_control.scenario import builtin_capeverde2009, render_scenario
+from dengue_control.svgplot import render_trajectory_svg
 
 BUILTIN_TEXT = render_scenario(builtin_capeverde2009())
 
@@ -108,6 +112,36 @@ class TestSimulate:
         re_rendered = "\n".join(
             [header] + [",".join(repr(v) for v in row) for row in rows]) + "\n"
         assert re_rendered == text
+
+
+class TestGoldenOutput:
+    # SHA-256 of trajectory_to_csv and render_trajectory_svg on the built-in
+    # scenario, computed at commit a19642a, when dense output still ran once
+    # per accepted step and the SVG mapped points one by one.  Deferring the
+    # dense output and mapping whole columns keep every byte.
+    DIGESTS = {
+        (0.0, 0.5): ("a90aa1238c7e9457426ec22e216f73b7ffee6c557808ac4f2c489ea9751e43f2",
+                     "f02009d4a7a276599ec589825c5552ef3e71b2159464f4fb5d8f2a23ee6e5d2d"),
+        (0.05, 0.5): ("63fbfa0fde817b5c7839d265a4f6716f7b5984c4a25cc527a3fdc6aa7d039d41",
+                      "ab8f7583a1d5032b2ed22fc0d459a6f041926971b04b15d6ed6b0f99c8678236"),
+        (0.2, 0.5): ("669df60d3fb1a178c2e42b26bea647b935779232ab16c162ebb07ed61dbea59c",
+                     "803ed0063d50b23efc6d5a5833ccbb75b1c02b2753eecffc3405179615204637"),
+        (0.0, 0.05): ("d779aba207797984f0d5dd33f22329f8b55a5e2c4ef5b351442a7edae325a1d4",
+                      "31243a9268ed9173d4b084b6fa96c074184a073e2b5923ed06f2d2855c613bed"),
+        (0.05, 0.05): ("96018f50e045486164cdfad81721e27f810bea11a1e5f7d3a8a756c03b68b751",
+                       "c2b0cd67afd081efaf1941c6924ababc1f76417dc0f108f621589729b78ac905"),
+        (0.2, 0.05): ("431843bbd155537abee3c92a3143b4c0d2420d3abe5935417139c04c26c444d4",
+                      "82cd631697bab67531bcbb9ff17529faa0319b004d33e5cb50b8186af36963ad"),
+    }
+
+    @pytest.mark.parametrize("c, output_step", sorted(DIGESTS))
+    def test_csv_and_svg_bytes(self, c, output_step):
+        s = builtin_capeverde2009()
+        traj = integrate(s.params, c, s.initial,
+                         dataclasses.replace(s.solver, output_step=output_step))
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
+            cli.trajectory_to_csv(traj), render_trajectory_svg(traj, title=s.name)))
+        assert digests == self.DIGESTS[c, output_step]
 
 
 class TestThreshold:

@@ -316,6 +316,22 @@ class TestStepBudget:
         assert exc_info.value.time == 0.0
 
 
+class TestGridIndependence:
+    # Steps are purely error-controlled, so a finer report grid moves neither
+    # the steps nor the rows at the times both grids share.  The 1/64-day
+    # grid has more rows than one chunk of the dense-output pass.
+    @pytest.mark.parametrize("c", (0.0, 0.05, 0.2))
+    @pytest.mark.parametrize("t_end, fine, coarse", (
+        (100.0, 0.0625, 0.5), (728.0, 0.875, 7.0), (100.0, 0.015625, 0.5)))
+    def test_finer_grid_keeps_steps_and_shared_rows(self, c, t_end, fine, coarse):
+        runs = [integrate(CAPE_VERDE, c, CAPE_VERDE_X0, SolverConfig(t_end=t_end, output_step=step))
+                for step in (fine, coarse)]
+        ratio = round(coarse / fine)
+        assert runs[0].times[::ratio].tolist() == runs[1].times.tolist()
+        assert runs[0].as_array()[::ratio].tolist() == runs[1].as_array().tolist()
+        assert runs[0].step_stats == runs[1].step_stats
+
+
 class TestEmbeddedPairOrder:
     def test_convergence_order_at_least_four_and_a_half(self, rk4_reference):
         ref = np.array(rk4_reference.states[-1].as_tuple())
