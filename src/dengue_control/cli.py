@@ -64,9 +64,26 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Full round-trip double formatting: re-parsing and re-rendering the
-    text reproduces it byte for byte."""
-    rows = zip(traj.times.tolist(), traj.as_array().tolist())
-    return "\n".join([CSV_HEADER] + [",".join(map(repr, (t, *row))) for t, row in rows]) + "\n"
+    text reproduces it byte for byte.
+
+    Rows are formatted in chunks of ``_DENSE_CHUNK``: ``map(repr, ...)``
+    over a chunk's values, grouped into rows by ``zip`` and joined, so the
+    text is byte for byte that of ``",".join(map(repr, row))`` per row,
+    with no Python-level loop per row or value and temporaries a chunk in
+    size."""
+    import numpy as np
+
+    from .integrator import _DENSE_CHUNK
+
+    times, data = traj.times, traj.as_array()
+    parts = [CSV_HEADER]
+    for lo in range(0, len(times), _DENSE_CHUNK):
+        rows = np.column_stack((times[lo:lo + _DENSE_CHUNK], data[lo:lo + _DENSE_CHUNK]))
+        values = map(repr, rows.ravel().tolist())
+        # zip over one iterator, once per column, yields the rows in order
+        parts.append("\n".join(map(",".join, zip(*[values] * rows.shape[1]))))
+    # a last empty part ends the text with a line break without copying it again
+    return "\n".join(parts + [""])
 
 
 def _load(args) -> Scenario:

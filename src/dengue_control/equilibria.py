@@ -44,6 +44,7 @@ the two parts are -V and F of the next-generation split.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,15 +159,19 @@ class Equilibrium:
     refined: bool = False
 
 
-def _scaled_rhs(p: ModelParams, c: float, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """rhs(y) and its max-norm scaled by the integrator's component scales."""
-    r = _rhs_array(p, c, y)
-    return r, float(np.max(np.abs(r) / component_scales(p)))
+def _scaled_rhs(p: ModelParams, c: float, y) -> tuple[tuple[float, ...], float]:
+    """rhs(y) as floats, for y any sequence of 7 floats, and its max-norm
+    scaled by the integrator's component scales.  The norm is NaN when any
+    term is, as np.max gives; a scale that underflows to 0 gives the
+    quotient numpy would (inf, or NaN for 0/0) rather than an exception."""
+    r = _rhs_floats(p, c, y)
+    q = [abs(v) / s if s else abs(v) * math.inf for v, s in zip(r, _component_scales(p))]
+    return r, (math.nan if any(map(math.isnan, q)) else max(q))
 
 
 def residual(p: ModelParams, c: ControlLevel | float, x: State7) -> float:
     """max_i |rhs_i(x)| / scale_i with the integrator's component scales."""
-    return _scaled_rhs(p, as_control(c).c, x.as_array())[1]
+    return float(_scaled_rhs(p, as_control(c).c, x.as_tuple())[1])
 
 
 def trivial_equilibrium(p: ModelParams) -> Equilibrium:
@@ -274,14 +279,14 @@ def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibriu
         raise ValueError("refinement guess contains non-finite components")
     cc = as_control(c).c
     x = guess.as_array()
-    r, res = _scaled_rhs(p, cc, x)
+    r, res = _scaled_rhs(p, cc, guess.as_tuple())
     for _ in range(_MAX_NEWTON_ITERATIONS):
         if res < REFINE_TOL:
             return Equilibrium(kind=_classify_root(p, x), state=State7.from_array(x),
                                residual_norm=res, refined=True)
         jac = _jacobian_array(p, cc, x)
         try:
-            step = np.linalg.solve(jac, -r)
+            step = np.linalg.solve(jac, -np.array(r))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(
                 f"singular Jacobian during refinement (residual {res:.3e})",
@@ -289,8 +294,8 @@ def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibriu
         lam = 1.0
         for _ in range(_MAX_DAMPING_HALVINGS):
             x_new = x + lam * step
-            r_new, res_new = _scaled_rhs(p, cc, x_new)
-            if np.all(np.isfinite(r_new)) and res_new < res:
+            r_new, res_new = _scaled_rhs(p, cc, x_new.tolist())
+            if all(map(math.isfinite, r_new)) and res_new < res:
                 break
             lam *= 0.5
         else:

@@ -12,7 +12,10 @@ A step attempt runs on plain Python floats: with seven components, numpy's
 per-call cost would exceed the arithmetic.  An accepted step that covers
 report times keeps the coefficients of its continuous extension as floats,
 and dense output runs once after the loop, as one numpy pass over every
-report time of the run.  A run is capped at ``MAX_STEPS`` step attempts.
+report time of the run.  That pass writes the (n, 8) result, R_h included,
+in chunks of ``_DENSE_CHUNK`` rows, so its temporaries stay a chunk in size;
+the CSV and SVG renderers format text in chunks of the same row count.  A
+run is capped at ``MAX_STEPS`` step attempts.
 
 Error control uses a weighted RMS norm with per-component weights
 ``atol*scale_i + rtol*max(|y_i|, |y1_i|)`` where the scales are the
@@ -73,8 +76,9 @@ _MIN_STEP = 1e-12  # days; below this the problem is declared stiff/broken
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-# Rows per gather in the dense-output pass: bounds its temporaries, so that
-# memory at the grid cap stays that of the (rows, 7) result.
+# Rows per chunk in the dense-output pass and in the text renderers: bounds
+# their temporaries, so that memory at the grid cap stays that of the
+# (rows, 8) result and the output text.
 _DENSE_CHUNK = 4096
 
 #: Most points a reported grid (output times, sweep controls) may hold.
@@ -104,6 +108,9 @@ class Trajectory:
     data: np.ndarray
     step_stats: StepStats
 
+    def __post_init__(self):
+        self.data.flags.writeable = False
+
     def as_array(self) -> np.ndarray:
         """States as an (n, 8) array in CSV column order."""
         return self.data
@@ -115,11 +122,9 @@ class Trajectory:
 
 
 def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """Read-only (n, 8) array of full states (R_h inserted as column 3)
-    from an (n, 7) array of reduced states."""
-    full = np.insert(rows, 3, _recovered(p, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
-    full.flags.writeable = False
-    return full
+    """(n, 8) array of full states (R_h inserted as column 3) from an
+    (n, 7) array of reduced states."""
+    return np.insert(rows, 3, _recovered(p, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
 
 
 def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
@@ -176,25 +181,27 @@ def _extension(y0, y1, k, h: float):
     return coef
 
 
-def _dense_rows(x0, grid: np.ndarray, covering) -> np.ndarray:
-    """The (n, 7) states at the n grid times: x0 first, then each later time
-    on the continuous extension of the step that covers it.  ``covering``
-    holds (t, h, report-time count, _extension coefficients) of each step
-    that covers report times, in order."""
-    out = np.empty((grid.size, 7))
-    out[0] = x0
+def _dense_rows(p: ModelParams, x0, grid: np.ndarray, covering) -> np.ndarray:
+    """The (n, 8) full states at the n grid times: x0 first, then each later
+    time on the continuous extension of the step that covers it.
+    ``covering`` holds (t, h, report-time count, _extension coefficients) of
+    each step that covers report times, in order.  A report time inside the
+    ``reach`` slack past its step's end takes the step's end state (theta
+    clamped to 1), never an extrapolation."""
+    out = np.empty((grid.size, 8))
+    out[:1] = full_states(p, np.array([x0]))
     if not covering:
         return out
     t, h, count, coef = zip(*covering)
+    t, h = np.array(t), np.array(h)
     step = np.repeat(np.arange(len(count)), count)
-    theta = np.minimum(1.0, (grid[1:] - np.array(t)[step]) / np.array(h)[step])
     y0, ydiff, bspl, r4, r5 = np.array(coef).transpose(2, 0, 1)
     for lo in range(0, step.size, _DENSE_CHUNK):
         s = step[lo:lo + _DENSE_CHUNK]
-        th = theta[lo:lo + _DENSE_CHUNK, None]
+        th = np.minimum(1.0, (grid[1 + lo:1 + lo + s.size] - t[s]) / h[s])[:, None]
         u = 1.0 - th
-        out[1 + lo:1 + lo + s.size] = \
-            y0[s] + th * (ydiff[s] + u * (bspl[s] + th * (r4[s] + u * r5[s])))
+        out[1 + lo:1 + lo + s.size] = full_states(
+            p, y0[s] + th * (ydiff[s] + u * (bspl[s] + th * (r4[s] + u * r5[s]))))
     return out
 
 
@@ -280,8 +287,8 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
                       rhs_evals=6 * (accepted + rejected) + 1,
                       smallest_step=smallest if accepted else 0.0, largest_step=largest)
     del times  # a million floats at the grid cap; the dense pass needs the memory
-    rows = _dense_rows(x0.as_tuple(), grid, covering)
-    return Trajectory(times=grid, data=full_states(p, rows), step_stats=stats)
+    return Trajectory(times=grid, data=_dense_rows(p, x0.as_tuple(), grid, covering),
+                      step_stats=stats)
 
 
 def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,

@@ -1,12 +1,21 @@
 """Static SVG plots of simulation output: one panel per population
 (humans, mosquitoes) with a legend entry per compartment.  Axis ranges are
-auto-scaled; no interactivity, no external plotting dependency."""
+auto-scaled; no interactivity, no external plotting dependency.
+
+A series' points are mapped to pixels column-wise, interleaved into one
+(x, y) buffer and formatted in chunks of ``_DENSE_CHUNK`` rows, each chunk
+by one ``"%.2f,%.2f %.2f,%.2f ..." % values`` call.  ``'%.2f' % v`` and
+``f"{v:.2f}"`` both format through ``PyOS_double_to_string(v, 'f', 2, 0)``,
+so the text is byte for byte that of per-point f-strings, while the
+per-number work stays in C and no list of per-point strings is held."""
 
 from __future__ import annotations
 
 import math
 
-from .integrator import Trajectory
+import numpy as np
+
+from .integrator import _DENSE_CHUNK, Trajectory
 
 _PANEL_W = 460
 _PANEL_H = 340
@@ -51,6 +60,17 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """Polyline points "X,Y X,Y ..." with each coordinate formatted as
+    ``f"{v:.2f}"``, one format call per chunk of rows."""
+    xy = np.column_stack((xs, ys))
+    chunks = []
+    for lo in range(0, len(xy), _DENSE_CHUNK):
+        chunk = xy[lo:lo + _DENSE_CHUNK]
+        chunks.append((" %.2f,%.2f" * len(chunk))[1:] % tuple(chunk.ravel().tolist()))
+    return " ".join(chunks)
+
+
 def _panel(x0: int, title: str, times, data, series) -> list[str]:
     t_lo, t_hi = float(times[0]), float(times[-1])
     if t_hi == t_lo:
@@ -87,9 +107,9 @@ def _panel(x0: int, title: str, times, data, series) -> list[str]:
     out.append(f'<text x="{(px0 + px1) / 2:.0f}" y="{_PANEL_H - 10}" text-anchor="middle" '
                'font-size="12">time (days)</text>')
 
-    xs = sx(times).tolist()
+    xs = sx(times)
     for label, col, color in series:
-        pts = " ".join(f"{X:.2f},{Y:.2f}" for X, Y in zip(xs, sy(data[:, col]).tolist()))
+        pts = _points(xs, sy(data[:, col]))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.6"/>')
 
@@ -116,5 +136,6 @@ def render_trajectory_svg(traj: Trajectory, title: str = "") -> str:
     human_title = "Human compartments" + (f" ({title})" if title else "")
     parts += _panel(0, human_title, traj.times, data, _HUMAN_SERIES)
     parts += _panel(_PANEL_W, "Mosquito compartments", traj.times, data, _MOSQUITO_SERIES)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # a last empty part ends the text with a line break without copying it again
+    parts += ["</svg>", ""]
+    return "\n".join(parts)

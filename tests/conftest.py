@@ -25,6 +25,14 @@ CAPE_VERDE_X0 = State7(S_h=N_H - 216.0 - 434.0, E_h=216.0, I_h=434.0,
                        A_m=3.0 * N_H, S_m=6.0 * N_H, E_m=0.0, I_m=0.0)
 
 
+#: Doubles whose text is easy to get wrong: signed zeros, the smallest
+#: subnormal, exponent switches of repr, values that round to -0.00 or sit
+#: near a halfway case of two decimals, infinities and NaN.
+ADVERSARIAL_DOUBLES = (-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, -1e22, -0.004,
+                       -0.005, -0.0049999, 0.005, 0.125, 0.375, 1.005, 2.675, 123.455,
+                       math.inf, -math.inf, math.nan)
+
+
 def params_with(**overrides) -> ModelParams:
     """The Cape Verde baseline with some fields replaced (validated again)."""
     return dataclasses.replace(CAPE_VERDE, **overrides)

@@ -7,13 +7,16 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from conftest import ADVERSARIAL_DOUBLES
 
 import dengue_control
 from dengue_control import cli, integrator
 from dengue_control.errors import MosquitoCollapseError, ScenarioError
-from dengue_control.integrator import integrate
+from dengue_control.integrator import _DENSE_CHUNK, StepStats, Trajectory, integrate
 from dengue_control.scenario import builtin_capeverde2009, render_scenario
 from dengue_control.svgplot import render_trajectory_svg
 
@@ -142,6 +145,34 @@ class TestGoldenOutput:
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
             cli.trajectory_to_csv(traj), render_trajectory_svg(traj, title=s.name)))
         assert digests == self.DIGESTS[c, output_step]
+
+
+def per_value_csv(traj):
+    """The oracle: each row formatted on its own, value by value."""
+    rows = zip(traj.times.tolist(), traj.as_array().tolist())
+    return "\n".join([cli.CSV_HEADER] + [",".join(map(repr, (t, *row))) for t, row in rows]) + "\n"
+
+
+def hand_built(rows):
+    values = np.array(rows, dtype=float).reshape(-1, 9)
+    return Trajectory(times=values[:, 0].copy(), data=values[:, 1:].copy(),
+                      step_stats=StepStats(0, 0, 1, 0.0, 0.0))
+
+
+class TestCsvFormatting:
+    @pytest.mark.parametrize("n", (1, _DENSE_CHUNK - 1, _DENSE_CHUNK, _DENSE_CHUNK + 1))
+    def test_adversarial_values_match_per_value_repr(self, n):
+        traj = hand_built(np.resize(np.array(ADVERSARIAL_DOUBLES), 9 * n))
+        assert cli.trajectory_to_csv(traj) == per_value_csv(traj)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.lists(st.floats(), min_size=9, max_size=9), min_size=1, max_size=30))
+    def test_any_doubles_match_per_value_repr(self, rows, monkeypatch):
+        # a 7-row chunk, so that the drawn rows span several chunks
+        monkeypatch.setattr(integrator, "_DENSE_CHUNK", 7)
+        traj = hand_built(rows)
+        assert cli.trajectory_to_csv(traj) == per_value_csv(traj)
 
 
 class TestThreshold:

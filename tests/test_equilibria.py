@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.equilibria import (
     EquilibriumKind,
     brdfe,
+    component_scales,
     endemic_closed_form,
     refine,
     refined_endemic,
     residual,
     trivial_equilibrium,
+    _rhs_array,
 )
 from dengue_control.errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
 from dengue_control.model import State7, in_omega, mosquito_viability
@@ -230,6 +234,25 @@ class TestResidual:
     def test_initial_condition_not_a_fixed_point(self):
         x0 = State7(479350.0, 216.0, 434.0, 3.0 * 480000.0, 6.0 * 480000.0, 0.0, 0.0)
         assert residual(CAPE_VERDE, 0.0, x0) > 0.0
+
+    @pytest.mark.parametrize("p", (CAPE_VERDE, params_with(N_h=1e-30, k=1e-300)),
+                             ids=("cape-verde", "aquatic-scale-underflows"))
+    def test_matches_the_array_max_norm(self, p):
+        # the max over the numpy quotients is the reference: a NaN anywhere
+        # gives NaN, and a zero scale gives inf (or NaN for 0/0, as at the
+        # mosquito-free state)
+        rng = np.random.default_rng(11)
+        states = [np.array([p.N_h, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])]
+        for bad in (None, math.nan, math.inf, -math.inf):
+            for i in range(7):
+                states.append(rng.uniform(0.0, 1e6, 7))
+                if bad is not None:
+                    states[-1][i] = bad
+        for x in states:
+            with np.errstate(all="ignore"):
+                expected = np.max(np.abs(_rhs_array(p, 0.1, x)) / component_scales(p))
+            got = residual(p, 0.1, State7.from_array(x))
+            assert type(got) is float and repr(got) == repr(float(expected))
 
 
 class TestCarryingCapacity:

@@ -12,11 +12,13 @@ from dengue_control.integrator import (
     SolverConfig,
     integrate,
     integrate_fixed_rk4,
+    _dense_rows,
+    _extension,
     _integrate_fixed_dp54,
     _output_grid,
     _stages,
 )
-from dengue_control.model import State7, in_omega, rhs
+from dengue_control.model import State7, in_omega, rhs, _rhs_floats
 
 # The Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2): stage matrix, 5th-order weights b, 4th-order weights b-hat,
@@ -330,6 +332,18 @@ class TestGridIndependence:
         assert runs[0].times[::ratio].tolist() == runs[1].times.tolist()
         assert runs[0].as_array()[::ratio].tolist() == runs[1].as_array().tolist()
         assert runs[0].step_stats == runs[1].step_stats
+
+
+class TestDenseOutput:
+    def test_report_time_in_the_reach_slack_takes_the_step_end(self):
+        # integrate assigns a report time up to 1e-12 (relative) past a
+        # step's end to that step; theta is clamped to 1 there rather than
+        # extrapolating the quartic past the step
+        y = CAPE_VERDE_X0.as_tuple()
+        k, y1, _ = _stages(CAPE_VERDE, 0.0, y, 1.0, _rhs_floats(CAPE_VERDE, 0.0, y))
+        covering = [(0.0, 1.0, 2, _extension(y, y1, k, 1.0))]
+        rows = _dense_rows(CAPE_VERDE, y, np.array([0.0, 1.0, 1.0 + 5e-13]), covering)
+        assert rows[2].tolist() == rows[1].tolist()
 
 
 class TestEmbeddedPairOrder:

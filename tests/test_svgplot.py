@@ -1,8 +1,20 @@
-import numpy as np
+import math
 
-from conftest import CAPE_VERDE, CAPE_VERDE_X0
-from dengue_control.integrator import SolverConfig, integrate
-from dengue_control.svgplot import _nice_ticks, render_trajectory_svg
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from conftest import ADVERSARIAL_DOUBLES, CAPE_VERDE, CAPE_VERDE_X0
+from dengue_control import svgplot
+from dengue_control.integrator import _DENSE_CHUNK, SolverConfig, StepStats, Trajectory, integrate
+from dengue_control.svgplot import _nice_ticks, _points, render_trajectory_svg
+
+CHUNK_SIZES = (1, _DENSE_CHUNK - 1, _DENSE_CHUNK, _DENSE_CHUNK + 1)
+
+
+def per_point_fstrings(xs, ys):
+    """The oracle: each point formatted on its own with an f-string."""
+    return " ".join(f"{X:.2f},{Y:.2f}" for X, Y in zip(xs.tolist(), ys.tolist()))
 
 
 class TestNiceTicks:
@@ -39,3 +51,30 @@ class TestRenderTrajectorySvg:
         traj = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, SolverConfig(t_end=0.0))
         svg = render_trajectory_svg(traj)
         assert svg.count("<polyline") == 8
+
+
+class TestPointFormatting:
+    @pytest.mark.parametrize("n", CHUNK_SIZES)
+    def test_adversarial_values_match_per_point_fstrings(self, n):
+        values = np.resize(np.array(ADVERSARIAL_DOUBLES), 2 * n)
+        xs, ys = values[:n], values[n:][::-1].copy()
+        assert _points(xs, ys) == per_point_fstrings(xs, ys)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(points=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=40))
+    def test_any_doubles_match_per_point_fstrings(self, points, monkeypatch):
+        # a 7-row chunk, so that the drawn points span several chunks
+        monkeypatch.setattr(svgplot, "_DENSE_CHUNK", 7)
+        xs, ys = (np.array(col, dtype=float) for col in zip(*points))
+        assert _points(xs, ys) == per_point_fstrings(xs, ys)
+
+    @pytest.mark.parametrize("n", CHUNK_SIZES)
+    def test_chart_matches_per_point_formatting(self, n, monkeypatch):
+        finite = [v for v in ADVERSARIAL_DOUBLES if math.isfinite(v)]
+        traj = Trajectory(times=0.05 * np.arange(n), data=np.resize(np.array(finite), (n, 8)),
+                          step_stats=StepStats(0, 0, 1, 0.0, 0.0))
+        svg = render_trajectory_svg(traj, title="chunks")
+        assert svg.count("<polyline") == 8
+        monkeypatch.setattr(svgplot, "_points", per_point_fstrings)
+        assert svg == render_trajectory_svg(traj, title="chunks")
