@@ -38,6 +38,7 @@ from .errors import NumericalFailure, ScenarioError
 from .model import (
     ControlLevel,
     ModelParams,
+    STATE_LABELS,
     State7,
     State8,
     as_control,
@@ -211,9 +212,9 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
 
     Deterministic: identical inputs give bit-identical trajectories.
     Raises ScenarioError if x0 is outside the admissible region (non-finite
-    states included) or the window needs more than MAX_STEPS steps at
-    h_max, and NumericalFailure (carrying the failure time) on step-size
-    underflow or after MAX_STEPS step attempts.
+    states included), the window needs more than MAX_STEPS steps at h_max or
+    an error weight atol*scale is 0, and NumericalFailure (carrying the
+    failure time) on step-size underflow or after MAX_STEPS step attempts.
     """
     violation = region_violation(p, x0)
     if violation:
@@ -229,6 +230,10 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
             f"more than the cap of {MAX_STEPS}; raise h_max or shorten the window")
     scales = _component_scales(p)
     atol, rtol = cfg.atol, cfg.rtol
+    for label, s in zip(STATE_LABELS, scales):
+        if atol * s == 0.0:
+            raise ScenarioError(f"the error weight atol*scale of {label} underflows to 0 "
+                                f"(atol = {atol:g}, scale = {s:g})")
     y = x0.as_tuple()
     t = cfg.t0
     k1 = _rhs_floats(p, cc, y)

@@ -6,27 +6,22 @@ drops to zero at the collapse bound
     c_collapse = eta_A*mu_b/(eta_A + mu_A) - mu_m
 
 beyond which the mosquito population itself is not viable and no
-reproduction number is defined.  ``min_control`` therefore bisects
-R0(c) - 1 on the bracket [0, c_collapse], whose upper end is the collapse
-bound itself: R0 = 0 there by the closed form (R0^2 is proportional to the
-viability margin), so that end needs no evaluation.  Bisection is slower
-than Newton but gives an unconditional bracketing certificate that is
-trivial to verify.  The collapse bound is reported alongside the threshold
-since it caps how much control is meaningful at all.
+reproduction number is defined.  R0^2 is a constant times the viability
+margin, linear in c, over (c+mu_m)(c+eta_m+mu_m), so ``min_control``
+solves the quadratic R0(c)^2 = 1 in closed form and certifies the root
+with two R0 evaluations at the ends of a bracket no wider than the
+tolerance; R0 = 0 at the collapse bound, so that end needs no evaluation.
+The collapse bound is reported alongside the threshold since it caps how
+much control is meaningful at all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import MosquitoCollapseError, ScenarioError
 from .model import ControlLevel, ModelParams, mosquito_viability, r0_closed_form
-
-#: Bisection keeps going until the reproduction number at the midpoint is
-#: within this distance of one (on top of the requested c-tolerance), or
-#: until the bracket is one ulp wide: where R0 is steeper than float
-#: resolution, no representable c meets the gap.
-R0_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,18 +62,18 @@ def collapse_control_bound(p: ModelParams) -> float:
 def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoControlNeeded:
     """Minimum constant control with R0 < 1, to within ``tol`` per day.
 
-    Returns NoControlNeeded when R0(0) <= 1 and a certified bracket
-    otherwise.  The returned bracket endpoints straddle R0 = 1 with
-    opposite signs (the upper end may be the collapse bound, where R0 = 0)
-    and the midpoint ``c_star`` has R0 within R0_GAP of one, unless R0 is
-    steeper than float resolution there: then the bracket is one ulp wide
-    and ``c_star`` is its low end, where R0 > 1.
+    Returns NoControlNeeded when R0(0) <= 1.  Otherwise ``c_star`` is the
+    closed-form root of R0(c)^2 = 1 below the collapse bound, inside a
+    bracket at most ``tol`` wide with R0 > 1 at its low end and R0 <= 1 at
+    its high end; ``iterations`` counts those two R0 evaluations.  Raises
+    ScenarioError when no such bracket exists, as when ``tol`` is finer
+    than R0 can resolve.
     """
     if not tol > 0.0:
         raise ScenarioError(f"tolerance must be > 0, got {tol}")
 
     c_collapse = collapse_control_bound(p)
-    if mosquito_viability(p, 0.0) <= 0.0:
+    if (m_zero := mosquito_viability(p, 0.0)) <= 0.0:
         return NoControlNeeded(r0_at_zero=None, collapse_bound=c_collapse)
 
     def r0(c: float) -> float:
@@ -89,30 +84,29 @@ def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoContro
             # c_collapse, where the closed form gives R0 = 0
             return 0.0
 
-    r0_zero = r0(0.0)
-    if r0_zero <= 1.0:
+    if (r0_zero := r0(0.0)) <= 1.0:
         return NoControlNeeded(r0_at_zero=r0_zero, collapse_bound=c_collapse)
 
-    lo, hi = 0.0, c_collapse
-    iterations = 0
-    while lo < (c_star := 0.5 * (lo + hi)) < hi:
-        r0_mid = r0(c_star)
-        if hi - lo <= tol and abs(r0_mid - 1.0) < R0_GAP:
-            break
-        iterations += 1
-        if r0_mid > 1.0:
-            lo = c_star
-        else:
-            hi = c_star
-    else:
-        c_star = lo  # one ulp wide: report the viable end, below the collapse bound
-    return ThresholdResult(
-        c_star=c_star,
-        r0_at_c_star=r0(c_star),
-        bracket=(lo, hi),
-        iterations=iterations,
-        collapse_bound=c_collapse,
-    )
+    # With q = mu_m*(mu_m+eta_m), R0(c)^2 = 1 is g*c^2 + b*c - n = 0 for
+    # g = M(0)/R0(0)^2/q, b = g*(2*mu_m+eta_m) + eta_A+mu_A, n = M(0)*(1 - 1/R0(0)^2).
+    # R0(0) is divided out, never squared, so as it grows g underflows and the root tends
+    # to c_collapse.  The root 2n/(b + sqrt(b^2 + 4gn)) has no cancellation (Higham,
+    # Accuracy and Stability of Numerical Algorithms, section 1.8); it is taken through n/b
+    # and g/b since b^2 overflows for large M(0).  Should q underflow, the certificate fails.
+    q = p.mu_m * (p.mu_m + p.eta_m)
+    g = m_zero / r0_zero / r0_zero / q if q > 0.0 else math.nan
+    b = g * (2.0 * p.mu_m + p.eta_m) + p.eta_A + p.mu_A
+    n_b = m_zero * (1.0 - 1.0 / r0_zero / r0_zero) / b
+    c_star = min(2.0 * n_b / (1.0 + math.sqrt(1.0 + 4.0 * (g / b) * n_b)),
+                 math.nextafter(c_collapse, 0.0))
+    lo = max(0.0, min(c_star - tol / 4, math.nextafter(c_star, 0.0)))
+    hi = min(c_collapse, max(c_star + tol / 4, math.nextafter(c_star, math.inf)))
+    if not (lo <= c_star < hi and hi - lo <= tol and r0(lo) > 1.0
+            and (hi == c_collapse or r0(hi) <= 1.0)):
+        raise ScenarioError(f"cannot certify c* = {c_star!r} to within tolerance {tol:g}: no "
+                            "bracket that narrow has R0 > 1 and R0 <= 1 at its ends")
+    return ThresholdResult(c_star=c_star, r0_at_c_star=r0(c_star), bracket=(lo, hi),
+                           iterations=2, collapse_bound=c_collapse)
 
 
 def r0_profile(p: ModelParams, grid) -> list[ProfilePoint]:

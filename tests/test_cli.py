@@ -202,6 +202,17 @@ class TestThreshold:
         assert code == 0
         assert "no control needed" in out
 
+    def test_tolerance_below_float_resolution_is_config_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dengue_control.cli", "threshold",
+             "--builtin", "capeverde2009", "--tol", "1e-300"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot certify c* = 0.156961")
+        assert "tolerance 1e-300" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestSweep:
     def test_grid_rows_and_monotonicity(self, tmp_path, capsys):
@@ -479,6 +490,24 @@ class TestExitCodes:
             assert len(errors) == 1 and expected in errors[0]
         else:
             assert errors == [] and expected in out
+
+    @pytest.mark.parametrize("values, scale", [
+        # k*N_h underflows to 0 itself
+        ({"N_h": "1e-30", "k": "1e-300", "S_h0": "1e-30", "E_h0": "0", "I_h0": "0",
+          "A_m0": "0", "S_m0": "0", "E_m0": "0", "I_m0": "0"}, "scale = 0)"),
+        # k*N_h is positive, but atol*k*N_h underflows to 0
+        ({"N_h": "1", "k": "1e-320", "S_h0": "1", "E_h0": "0", "I_h0": "0",
+          "A_m0": "0", "S_m0": "0", "E_m0": "0", "I_m0": "0"}, "scale = 9.99989e-321)"),
+    ])
+    def test_underflowing_error_weight(self, values, scale, tmp_path, capsys):
+        path = tmp_path / "variant.txt"
+        path.write_text(builtin_text_with(values))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: the error weight atol*scale of A_m underflows to 0 ")
+        assert scale in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, out", [("simulate", "file"), ("sweep", "file/sub")])
     def test_out_path_through_a_file_is_config_error(self, command, out, tmp_path):
