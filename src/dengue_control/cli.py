@@ -25,7 +25,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     MosquitoCollapseError,
@@ -46,13 +46,15 @@ EXIT_REGIME = 4
 CSV_HEADER = "t,S_h,E_h,I_h,R_h,A_m,S_m,E_m,I_m"
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, parts: Iterable[str]) -> None:
+    """Write the strings of ``parts`` in turn to a temporary file, then
+    rename it to ``path``."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(parts)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -62,28 +64,33 @@ def _write_atomic(path: Path, text: str) -> None:
         raise ScenarioError(f"cannot write {path}: {exc}") from exc
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Full round-trip double formatting: re-parsing and re-rendering the
-    text reproduces it byte for byte.
-
-    Rows are formatted in chunks of ``_DENSE_CHUNK``: ``map(repr, ...)``
-    over a chunk's values, grouped into rows by ``zip`` and joined, so the
-    text is byte for byte that of ``",".join(map(repr, row))`` per row,
-    with no Python-level loop per row or value and temporaries a chunk in
-    size."""
+def _csv_chunks(traj: Trajectory) -> Iterator[str]:
+    """The CSV text of ``trajectory_to_csv`` in parts: the header line,
+    then the rows of each chunk of ``_DENSE_CHUNK``, each part ending in a
+    line break, so a writer holds one chunk's text at a time."""
     import numpy as np
 
     from .integrator import _DENSE_CHUNK
 
     times, data = traj.times, traj.as_array()
-    parts = [CSV_HEADER]
+    yield CSV_HEADER + "\n"
     for lo in range(0, len(times), _DENSE_CHUNK):
         rows = np.column_stack((times[lo:lo + _DENSE_CHUNK], data[lo:lo + _DENSE_CHUNK]))
         values = map(repr, rows.ravel().tolist())
         # zip over one iterator, once per column, yields the rows in order
-        parts.append("\n".join(map(",".join, zip(*[values] * rows.shape[1]))))
-    # a last empty part ends the text with a line break without copying it again
-    return "\n".join(parts + [""])
+        yield "\n".join(map(",".join, zip(*[values] * rows.shape[1]))) + "\n"
+
+
+def trajectory_to_csv(traj: Trajectory) -> str:
+    """Full round-trip double formatting: re-parsing and re-rendering the
+    text reproduces it byte for byte.
+
+    Rows are formatted in chunks of ``_DENSE_CHUNK`` (``_csv_chunks``):
+    ``map(repr, ...)`` over a chunk's values, grouped into rows by ``zip``
+    and joined, so the text is byte for byte that of
+    ``",".join(map(repr, row))`` per row, with no Python-level loop per row
+    or value and temporaries a chunk in size."""
+    return "".join(_csv_chunks(traj))
 
 
 def _load(args) -> Scenario:
@@ -104,11 +111,11 @@ def cmd_simulate(args) -> int:
                      scenario.solver)
     out_dir = Path(args.out)
     csv_path = out_dir / "trajectory.csv"
-    _write_atomic(csv_path, trajectory_to_csv(traj))
+    _write_atomic(csv_path, _csv_chunks(traj))
     print(f"wrote {csv_path}")
     if args.svg:
         svg_path = out_dir / "compartments.svg"
-        _write_atomic(svg_path, render_trajectory_svg(traj, title=scenario.name))
+        _write_atomic(svg_path, [render_trajectory_svg(traj, title=scenario.name)])
         print(f"wrote {svg_path}")
     data = traj.as_array()
     print(f"rows: {len(data)}  steps: {traj.step_stats.accepted} accepted, "
@@ -189,7 +196,7 @@ def cmd_sweep(args) -> int:
             lines.append(f"{pt.c!r},{pt.r0!r},{str(stable).lower()},false")
     text = "\n".join(lines) + "\n"
     out_path = Path(args.out) / "sweep.csv"
-    _write_atomic(out_path, text)
+    _write_atomic(out_path, [text])
     print(f"wrote {out_path}")
     sys.stdout.write(text)
     return EXIT_OK

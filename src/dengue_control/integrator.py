@@ -9,13 +9,18 @@ algebra in the hot loop is the right tool.  A classical fixed-step RK4
 routine is provided as an independent oracle for tests.
 
 A step attempt runs on plain Python floats: with seven components, numpy's
-per-call cost would exceed the arithmetic.  An accepted step that covers
-report times keeps the coefficients of its continuous extension as floats,
-and dense output runs once after the loop, as one numpy pass over every
-report time of the run.  That pass writes the (n, 8) result, R_h included,
-in chunks of ``_DENSE_CHUNK`` rows, so its temporaries stay a chunk in size;
-the CSV and SVG renderers format text in chunks of the same row count.  A
-run is capped at ``MAX_STEPS`` step attempts.
+per-call cost would exceed the arithmetic.  For the same reason the attempt
+is straight-line code, generated once at import from the tableau: a
+comprehension over ``zip`` per stage cost more than the stage's arithmetic.
+It keeps the loop form's operation order, so every result is bit for bit
+the same, and it stays duck-typed, so (L,) arrays step L lanes at once.  An
+accepted step that covers report times keeps the coefficients of its
+continuous extension as floats, and dense output runs once after the loop,
+as one numpy pass over every report time of the run.  That pass writes the
+(n, 8) result, R_h included, in chunks of ``_DENSE_CHUNK`` rows, so its
+temporaries stay a chunk in size; the CSV and SVG renderers format text in
+chunks of the same row count.  A run is capped at ``MAX_STEPS`` step
+attempts.
 
 Error control uses a weighted RMS norm with per-component weights
 ``atol*scale_i + rtol*max(|y_i|, |y1_i|)`` where the scales are the
@@ -143,28 +148,50 @@ def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
     return grid
 
 
-def _stages(p: ModelParams, c: float, y, h: float, k1):
-    """One DP54 attempt on 7-sequences of floats: returns (the seven stages
-    k1..k7, the 5th-order y1, the error vector).  The zero weights b2 and
-    e2 are skipped."""
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = _A
-    e1, _, e3, e4, e5, e6, e7 = _E
-    k2 = _rhs_floats(p, c, [x + h * (a21 * q1) for x, q1 in zip(y, k1)])
-    k3 = _rhs_floats(p, c, [x + h * (a31 * q1 + a32 * q2)
-                            for x, q1, q2 in zip(y, k1, k2)])
-    k4 = _rhs_floats(p, c, [x + h * (a41 * q1 + a42 * q2 + a43 * q3)
-                            for x, q1, q2, q3 in zip(y, k1, k2, k3)])
-    k5 = _rhs_floats(p, c, [x + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
-                            for x, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)])
-    k6 = _rhs_floats(p, c, [x + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
-                            for x, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)])
-    y1 = [x + h * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
-          for x, q1, q3, q4, q5, q6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = _rhs_floats(p, c, y1)
-    err = [h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
-           for q1, q3, q4, q5, q6, q7 in zip(k1, k3, k4, k5, k6, k7)]
-    return (k1, k2, k3, k4, k5, k6, k7), y1, err
+def _stages_source() -> str:
+    """Source of ``_stages``, written out from ``_A`` and ``_E``: sums run
+    left to right with the zero weights skipped, and each coefficient is
+    its float's ``repr``, which reads back as the same double."""
+    def column(weights, lead):
+        terms = [[f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0]
+                 for i in range(7)]
+        return "(" + "".join(f"\n        {lead.format(i=i)}({' + '.join(terms[i])}),"
+                             for i in range(7)) + ")"
+
+    def unpack(name):
+        return f"    {', '.join(f'{name}_{i}' for i in range(7))} = {name}\n"
+
+    src = "def _stages(p, c, y, h, k1):\n    x0, x1, x2, x3, x4, x5, x6 = y\n" + unpack("k1")
+    for s, weights in enumerate(_A[:-1], 2):
+        src += f"    k{s} = _rhs_floats(p, c, {column(weights, 'x{i} + h * ')})\n"
+        src += unpack(f"k{s}")
+    src += f"    y1 = {column(_A[-1], 'x{i} + h * ')}\n"  # first-same-as-last: k7 = f(y1)
+    src += "    k7 = _rhs_floats(p, c, y1)\n" + unpack("k7")
+    src += f"    err = {column(_E, 'h * ')}\n"
+    return src + "    return (k1, k2, k3, k4, k5, k6, k7), y1, err\n"
+
+
+def _compile_stages():
+    namespace = {}
+    # globals() makes the body read _rhs_floats from this module, as a def here would
+    exec(compile(_stages_source(), "<dp54 stages>", "exec"), globals(), namespace)
+    stages = namespace["_stages"]
+    stages.__doc__ = """One DP54 attempt on 7-sequences: returns (the seven stages k1..k7,
+    the 5th-order y1, the error vector), y1 and the error as tuples.
+
+    The body is straight-line code generated once from ``_A`` and ``_E``
+    (``_stages_source``): with seven components, a comprehension over
+    ``zip`` per stage costs more than the stage's arithmetic, so each
+    state and stage is unpacked once into locals.  Every component keeps
+    the operation order ``x + h * (a_s1*k1 + ...)``, with b2 and e2
+    skipped, so the results are bit for bit those of that loop form.  The
+    body calls no float(), math function, max or abs: given seven (L,)
+    arrays and a per-lane h and c, it steps L lanes at once, each lane
+    equal to its scalar attempt."""
+    return stages
+
+
+_stages = _compile_stages()
 
 
 def _extension(y0, y1, k, h: float):

@@ -269,8 +269,9 @@ def basic_offspring_number(p: ModelParams, c: ControlLevel | float = 0.0) -> flo
 def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     """Closed-form basic reproduction number at the paper's disease-free
     point (the formula and its spectral cross-check are in ``reproduction``);
-    raises MosquitoCollapseError when the viability margin is <= 0 and
-    NumericalFailure when the denominator's product of rates underflows."""
+    raises MosquitoCollapseError when the viability margin is <= 0, and
+    NumericalFailure when the denominator's product of rates underflows or
+    a product of rates overflows so that R0 is not finite."""
     ctrl = as_control(c)
     viability = mosquito_viability(p, ctrl)
     if viability <= 0.0:
@@ -286,7 +287,11 @@ def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     # B stays outside the root: B**2 overflows for B above about 1e154
     r0_sq_per_b_sq = (
         p.K / p.N_h * p.beta_hm * p.beta_mh * p.eta_m * p.nu_h * viability / denominator)
-    return p.B * math.sqrt(r0_sq_per_b_sq)
+    r0 = p.B * math.sqrt(r0_sq_per_b_sq)
+    if not math.isfinite(r0):
+        raise NumericalFailure(f"basic reproduction number is not finite ({r0!r}): "
+                               "a product of rates overflows")
+    return r0
 
 
 #: Additive slack, as a fraction of each bound, used by the region test to

@@ -116,6 +116,35 @@ class TestSimulate:
             [header] + [",".join(repr(v) for v in row) for row in rows]) + "\n"
         assert re_rendered == text
 
+    def test_csv_is_written_in_chunks(self, tmp_path, capsys, monkeypatch):
+        # 7-row chunks: the 201 rows reach the file as 29 parts after the header
+        monkeypatch.setattr(integrator, "_DENSE_CHUNK", 7)
+        written = []
+        write = cli._write_atomic
+
+        def recording_write(path, parts):
+            assert not isinstance(parts, str)
+            parts = list(parts)
+            written.append(len(parts))
+            write(path, parts)
+
+        monkeypatch.setattr(cli, "_write_atomic", recording_write)
+        assert run_cli(capsys, "simulate", "--builtin", "capeverde2009", "--svg",
+                       "--out", str(tmp_path))[0] == 0
+        s = builtin_capeverde2009()
+        traj = integrate(s.params, s.control, s.initial, s.solver)
+        assert (tmp_path / "trajectory.csv").read_text() == cli.trajectory_to_csv(traj)
+        assert written == [1 + 29, 1]
+
+    def test_failure_mid_stream_leaves_no_file(self, tmp_path):
+        def parts():
+            yield "first part\n"
+            raise ScenarioError("stopped")
+
+        with pytest.raises(ScenarioError, match="stopped"):
+            cli._write_atomic(tmp_path / "out" / "trajectory.csv", parts())
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestGoldenOutput:
     # SHA-256 of trajectory_to_csv and render_trajectory_svg on the built-in
@@ -490,6 +519,24 @@ class TestExitCodes:
             assert len(errors) == 1 and expected in errors[0]
         else:
             assert errors == [] and expected in out
+
+    # R0(0) = nan (both products of R0 overflow), and R0(0) = inf with R0
+    # finite near the collapse bound (K stays k*N_h as N_h grows)
+    @pytest.mark.parametrize("values", [
+        {"eta_m": "1e300", "mu_b": "1.7e308"},
+        {"mu_m": "1e-160", "beta_hm": "1", "N_h": "7.8e162", "K": "2.34e163"},
+    ])
+    @pytest.mark.parametrize("command", ["threshold", "analyze", "sweep"])
+    def test_overflowing_reproduction_number(self, command, values, tmp_path, capsys):
+        path = tmp_path / "variant.txt"
+        path.write_text(builtin_text_with(values))
+        out_dir = ["--out", str(tmp_path / "out")] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), *out_dir)
+        assert code == 3
+        assert all(line.startswith(("error: ", "warning: ")) for line in err.splitlines())
+        assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1
+        if command == "threshold":
+            assert out == "" and err.startswith("error: basic reproduction number is not finite")
 
     @pytest.mark.parametrize("values, scale", [
         # k*N_h underflows to 0 itself

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CAPE_VERDE, CAPE_VERDE_X0, params_with
+from conftest import CAPE_VERDE, CAPE_VERDE_X0, draw_omega_state, draw_params, params_with
 from dengue_control.equilibria import brdfe, component_scales, trivial_equilibrium, _rhs_array
 from dengue_control.errors import NumericalFailure
 from dengue_control import integrator
@@ -60,6 +60,38 @@ def _hand_rhs(x):
         foi_m * s_m - (mu_m + eta_m) * e_m,
         eta_m * e_m - mu_m * i_m,
     ])
+
+
+def _loop_stages(p, c, y, h, k1):
+    """One DP54 attempt in its per-component loop form, the oracle for the
+    straight-line ``integrator._stages``: the same tableau, operation order
+    and skipped zero weights, written as one comprehension per stage."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = integrator._A
+    e1, _, e3, e4, e5, e6, e7 = integrator._E
+    k2 = _rhs_floats(p, c, [x + h * (a21 * q1) for x, q1 in zip(y, k1)])
+    k3 = _rhs_floats(p, c, [x + h * (a31 * q1 + a32 * q2)
+                            for x, q1, q2 in zip(y, k1, k2)])
+    k4 = _rhs_floats(p, c, [x + h * (a41 * q1 + a42 * q2 + a43 * q3)
+                            for x, q1, q2, q3 in zip(y, k1, k2, k3)])
+    k5 = _rhs_floats(p, c, [x + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
+                            for x, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)])
+    k6 = _rhs_floats(p, c, [x + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
+                            for x, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)])
+    y1 = [x + h * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
+          for x, q1, q3, q4, q5, q6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = _rhs_floats(p, c, y1)
+    err = [h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
+           for q1, q3, q4, q5, q6, q7 in zip(k1, k3, k4, k5, k6, k7)]
+    return (k1, k2, k3, k4, k5, k6, k7), y1, err
+
+
+def _bits(attempt):
+    """(k, y1, err) of an attempt as nested tuples of float.hex strings, so
+    that == compares every double bit for bit, signed zeros included."""
+    k, y1, err = attempt
+    return tuple(tuple(map(float.hex, q)) for q in k), tuple(map(float.hex, y1)), \
+        tuple(map(float.hex, err))
 
 
 def _scales8(p):
@@ -242,6 +274,36 @@ class TestDp54Step:
             assert np.max(np.abs(np.array(got_k) - k)) <= 1e-14 * np.max(np.abs(k))
             assert np.max(np.abs(np.array(got_y1) - y1)) <= 1e-14 * np.max(np.abs(y1))
             assert np.max(np.abs(np.array(got_err) - err)) <= 1e-14 * h * np.max(np.abs(k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 2.0), h=st.floats(1e-6, 1.0))
+    def test_straight_line_body_equals_loop_oracle(self, seed, c, h):
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng)
+        y = draw_omega_state(rng, p).as_tuple()
+        k1 = _rhs_floats(p, c, y)
+        assert _bits(_stages(p, c, y, h, k1)) == _bits(_loop_stages(p, c, y, h, k1))
+
+    def test_lanes_equal_scalar_attempts(self):
+        # seven (L,) arrays with a per-lane h and c step L lanes at once
+        rng = np.random.default_rng(13)
+        lanes = 64
+        p = draw_params(rng)
+        states = [draw_omega_state(rng, p).as_tuple() for _ in range(lanes)]
+        c = rng.uniform(0.0, 2.0, lanes)
+        h = np.exp(rng.uniform(np.log(1e-6), 0.0, lanes))
+        y = list(np.array(states).T)
+        k, y1, err = _stages(p, c, y, h, _rhs_floats(p, c, y))
+        assert len(k) == 7 and all(len(q) == 7 for q in k)
+        for lane, (x, cl, hl) in enumerate(zip(states, c.tolist(), h.tolist())):
+            got = ([[q[lane] for q in stage] for stage in k],
+                   [q[lane] for q in y1], [q[lane] for q in err])
+            assert _bits(got) == _bits(_stages(p, cl, x, hl, _rhs_floats(p, cl, x)))
+
+    def test_stages_source_names_its_file(self):
+        assert _stages.__code__.co_filename == "<dp54 stages>"
+        assert _stages.__module__ == "dengue_control.integrator"
+        assert "zip" not in integrator._stages_source()
 
     def test_rhs_matches_hand_formula_bit_for_bit(self):
         eq = brdfe(CAPE_VERDE, 0.0).state

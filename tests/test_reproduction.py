@@ -3,7 +3,7 @@ import pytest
 
 from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.equilibria import brdfe, metzler_decomposition
-from dengue_control.errors import MosquitoCollapseError
+from dengue_control.errors import MosquitoCollapseError, NumericalFailure
 from dengue_control.model import mosquito_viability
 from dengue_control.reproduction import build_ngm, r0_closed_form, r0_factors, r0_spectral
 from dengue_control.stability import jacobian
@@ -99,6 +99,14 @@ class TestR0Routes:
     def test_collapse_rejected(self):
         with pytest.raises(MosquitoCollapseError):
             r0_closed_form(params_with(mu_b=0.1), 0.0)
+
+    @pytest.mark.parametrize("overrides, value", [
+        ({"eta_m": 1e300, "mu_b": 1.7e308}, "nan"),
+        ({"B": 1e308}, "inf"),
+    ])
+    def test_overflow_is_numerical_failure(self, overrides, value):
+        with pytest.raises(NumericalFailure, match=f"not finite \\({value}\\)"):
+            r0_closed_form(params_with(**overrides), 0.0)
 
 
 class TestR0Factors:
