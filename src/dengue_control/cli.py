@@ -105,7 +105,7 @@ def _load(args) -> Scenario:
 def cmd_simulate(args) -> int:
     scenario = _load(args)
     from .integrator import integrate
-    from .svgplot import render_trajectory_svg
+    from .svgplot import trajectory_svg_parts
 
     traj = integrate(scenario.params, scenario.control, scenario.initial,
                      scenario.solver)
@@ -115,7 +115,7 @@ def cmd_simulate(args) -> int:
     print(f"wrote {csv_path}")
     if args.svg:
         svg_path = out_dir / "compartments.svg"
-        _write_atomic(svg_path, [render_trajectory_svg(traj, title=scenario.name)])
+        _write_atomic(svg_path, trajectory_svg_parts(traj, title=scenario.name))
         print(f"wrote {svg_path}")
     data = traj.as_array()
     print(f"rows: {len(data)}  steps: {traj.step_stats.accepted} accepted, "

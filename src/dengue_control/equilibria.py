@@ -59,7 +59,7 @@ from .model import (
     r0_closed_form,
     _component_scales,
     _paper_dfe,
-    _rhs_floats,
+    _rhs_of,
 )
 
 #: Relative residual (max over components, scaled by the natural
@@ -92,7 +92,7 @@ def component_scales(p: ModelParams) -> np.ndarray:
 
 def _rhs_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
     """Derivative of the 7-dim state as an array."""
-    return np.array(_rhs_floats(p, c, x.tolist()))
+    return np.array(_rhs_of(p, c)(x.tolist()))
 
 
 def _metzler_matrix(p: ModelParams, c: float, x) -> np.ndarray:
@@ -159,19 +159,20 @@ class Equilibrium:
     refined: bool = False
 
 
-def _scaled_rhs(p: ModelParams, c: float, y) -> tuple[tuple[float, ...], float]:
-    """rhs(y) as floats, for y any sequence of 7 floats, and its max-norm
-    scaled by the integrator's component scales.  The norm is NaN when any
-    term is, as np.max gives; a scale that underflows to 0 gives the
-    quotient numpy would (inf, or NaN for 0/0) rather than an exception."""
-    r = _rhs_floats(p, c, y)
+def _scaled_rhs(p: ModelParams, f, y) -> tuple[tuple[float, ...], float]:
+    """f(y) as floats, for f the bound derivative ``_rhs_of(p, c)`` and y
+    any sequence of 7 floats, and its max-norm scaled by the integrator's
+    component scales.  The norm is NaN when any term is, as np.max gives; a
+    scale that underflows to 0 gives the quotient numpy would (inf, or NaN
+    for 0/0) rather than an exception."""
+    r = f(y)
     q = [abs(v) / s if s else abs(v) * math.inf for v, s in zip(r, _component_scales(p))]
     return r, (math.nan if any(map(math.isnan, q)) else max(q))
 
 
 def residual(p: ModelParams, c: ControlLevel | float, x: State7) -> float:
     """max_i |rhs_i(x)| / scale_i with the integrator's component scales."""
-    return float(_scaled_rhs(p, as_control(c).c, x.as_tuple())[1])
+    return float(_scaled_rhs(p, _rhs_of(p, as_control(c).c), x.as_tuple())[1])
 
 
 def trivial_equilibrium(p: ModelParams) -> Equilibrium:
@@ -278,8 +279,9 @@ def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibriu
     if not guess.is_finite():
         raise ValueError("refinement guess contains non-finite components")
     cc = as_control(c).c
+    f = _rhs_of(p, cc)
     x = guess.as_array()
-    r, res = _scaled_rhs(p, cc, guess.as_tuple())
+    r, res = _scaled_rhs(p, f, guess.as_tuple())
     for _ in range(_MAX_NEWTON_ITERATIONS):
         if res < REFINE_TOL:
             return Equilibrium(kind=_classify_root(p, x), state=State7.from_array(x),
@@ -294,7 +296,7 @@ def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibriu
         lam = 1.0
         for _ in range(_MAX_DAMPING_HALVINGS):
             x_new = x + lam * step
-            r_new, res_new = _scaled_rhs(p, cc, x_new.tolist())
+            r_new, res_new = _scaled_rhs(p, f, x_new.tolist())
             if all(map(math.isfinite, r_new)) and res_new < res:
                 break
             lam *= 0.5

@@ -9,25 +9,31 @@ algebra in the hot loop is the right tool.  A classical fixed-step RK4
 routine is provided as an independent oracle for tests.
 
 A step attempt runs on plain Python floats: with seven components, numpy's
-per-call cost would exceed the arithmetic.  For the same reason the attempt
-is straight-line code, generated once at import from the tableau: a
-comprehension over ``zip`` per stage cost more than the stage's arithmetic.
-It keeps the loop form's operation order, so every result is bit for bit
-the same, and it stays duck-typed, so (L,) arrays step L lanes at once.  An
-accepted step that covers report times keeps the coefficients of its
-continuous extension as floats, and dense output runs once after the loop,
-as one numpy pass over every report time of the run.  That pass writes the
-(n, 8) result, R_h included, in chunks of ``_DENSE_CHUNK`` rows, so its
-temporaries stay a chunk in size; the CSV and SVG renderers format text in
-chunks of the same row count.  A run is capped at ``MAX_STEPS`` step
-attempts.
+per-call cost would exceed the arithmetic.  It calls the model's derivative
+bound once per run (``model._rhs_of``), so the rate products and sums that
+do not depend on the state are taken once, not on each of an attempt's six
+evaluations.  The attempt is straight-line code, generated once at import
+from the tableau, because a comprehension over ``zip`` per stage cost more
+than the stage's arithmetic.  It keeps the loop form's operation order, so
+every result is bit for bit the same, and it stays duck-typed, so (L,)
+arrays step L lanes at once.  The model formula itself is not pasted into
+the generated code: that would be a second copy of it, and a prototype that
+did so made an attempt only about 6% faster.  The error norm and the
+coefficients of the continuous extension are generated the same way, bit
+for bit their loop forms.  An accepted step that covers report times keeps
+the coefficients of its continuous extension as floats, and dense output
+runs once after the loop, as one numpy pass over every report time of the
+run.  That pass writes the (n, 8) result, R_h included, in chunks of
+``_DENSE_CHUNK`` rows, so its temporaries stay a chunk in size; the CSV and
+SVG renderers format text in chunks of the same row count.  A run is capped
+at ``MAX_STEPS`` step attempts.
 
 Error control uses a weighted RMS norm with per-component weights
 ``atol*scale_i + rtol*max(|y_i|, |y1_i|)`` where the scales are the
-natural compartment magnitudes (N_h, k*N_h, m*N_h).  Values are never
-clipped: positivity is a property to be observed (and asserted post hoc
-with tolerance), not enforced, since clipping would mask integrator bugs
-and silently violate conservation.
+natural compartment magnitudes (N_h, k*N_h, m*N_h); ``atol*scale_i`` is
+taken once per run.  Values are never clipped: positivity is a property to
+be observed (and asserted post hoc with tolerance), not enforced, since
+clipping would mask integrator bugs and silently violate conservation.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .model import (
     region_violation,
     _component_scales,
     _recovered,
-    _rhs_floats,
+    _rhs_of,
 )
 from .scenario import SolverConfig
 
@@ -148,36 +154,75 @@ def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
     return grid
 
 
+def _unpack(name: str) -> str:
+    return f"    {', '.join(f'{name}_{i}' for i in range(7))} = {name}\n"
+
+
+def _weighted(weights, lead: str) -> list[str]:
+    """Per component i, ``lead`` (formatted with i) times the weighted sum
+    of the stages k1_i, k2_i, ...: left to right, the zero weights skipped,
+    each weight its float's ``repr``, which reads back as the same double."""
+    return [lead.format(i=i) + "("
+            + " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
+            + ")" for i in range(7)]
+
+
+def _tuple(items) -> str:
+    return "(" + "".join(f"\n        {item}," for item in items) + ")"
+
+
 def _stages_source() -> str:
-    """Source of ``_stages``, written out from ``_A`` and ``_E``: sums run
-    left to right with the zero weights skipped, and each coefficient is
-    its float's ``repr``, which reads back as the same double."""
-    def column(weights, lead):
-        terms = [[f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0]
-                 for i in range(7)]
-        return "(" + "".join(f"\n        {lead.format(i=i)}({' + '.join(terms[i])}),"
-                             for i in range(7)) + ")"
-
-    def unpack(name):
-        return f"    {', '.join(f'{name}_{i}' for i in range(7))} = {name}\n"
-
-    src = "def _stages(p, c, y, h, k1):\n    x0, x1, x2, x3, x4, x5, x6 = y\n" + unpack("k1")
+    """Source of ``_stages``, written out from ``_A`` and ``_E``."""
+    src = "def _stages(f, y, h, k1):\n" + _unpack("y") + _unpack("k1")
     for s, weights in enumerate(_A[:-1], 2):
-        src += f"    k{s} = _rhs_floats(p, c, {column(weights, 'x{i} + h * ')})\n"
-        src += unpack(f"k{s}")
-    src += f"    y1 = {column(_A[-1], 'x{i} + h * ')}\n"  # first-same-as-last: k7 = f(y1)
-    src += "    k7 = _rhs_floats(p, c, y1)\n" + unpack("k7")
-    src += f"    err = {column(_E, 'h * ')}\n"
+        src += f"    k{s} = f({_tuple(_weighted(weights, 'y_{i} + h * '))})\n" + _unpack(f"k{s}")
+    src += f"    y1 = {_tuple(_weighted(_A[-1], 'y_{i} + h * '))}\n"
+    src += "    k7 = f(y1)\n" + _unpack("k7")  # first-same-as-last: the next step's k1
+    src += f"    err = {_tuple(_weighted(_E, 'h * '))}\n"
     return src + "    return (k1, k2, k3, k4, k5, k6, k7), y1, err\n"
 
 
-def _compile_stages():
+def _error_norm_source() -> str:
+    """Source of ``_error_norm``: per component, ``a if a >= 0.0 else -a``
+    for abs(a) and ``b if b > a else a`` for max(a, b), which is how
+    ``max`` picks (a NaN b gives a); the squares summed left to right."""
+    src = "def _error_norm(err, y, y1, w, rtol):\n"
+    src += "".join(map(_unpack, ("err", "y", "y1", "w")))
+    for i in range(7):
+        src += (f"    a = y_{i} if y_{i} >= 0.0 else -y_{i}\n"
+                f"    b = y1_{i} if y1_{i} >= 0.0 else -y1_{i}\n"
+                f"    q{i} = err_{i} / (w_{i} + rtol * (b if b > a else a))\n")
+    src += f"    sq = {' + '.join(f'q{i} * q{i}' for i in range(7))}\n"
+    finite = " and ".join(["math.isfinite(sq)"] + [f"math.isfinite(y1_{i})" for i in range(7)])
+    return src + f"    return math.sqrt(sq / 7.0) if {finite} else math.inf\n"
+
+
+def _extension_source() -> str:
+    """Source of ``_extension``, written out from ``_D``."""
+    src = "def _extension(y0, y1, k, h):\n" + _unpack("y0") + _unpack("y1")
+    src += "    k1, k2, k3, k4, k5, k6, k7 = k\n"
+    src += "".join(_unpack(f"k{j}") for j, d in enumerate(_D, 1) if d != 0.0)
+    for i in range(7):
+        src += (f"    ydiff_{i} = y1_{i} - y0_{i}\n"
+                f"    bspl_{i} = h * k1_{i} - ydiff_{i}\n")
+    coef = [f"(y0_{i}, ydiff_{i}, bspl_{i}, ydiff_{i} - h * k7_{i} - bspl_{i}, {r5})"
+            for i, r5 in enumerate(_weighted(_D, "h * "))]
+    return src + f"    return {_tuple(coef)}\n"
+
+
+def _compile(name: str, source: str, filename: str, doc: str):
     namespace = {}
-    # globals() makes the body read _rhs_floats from this module, as a def here would
-    exec(compile(_stages_source(), "<dp54 stages>", "exec"), globals(), namespace)
-    stages = namespace["_stages"]
-    stages.__doc__ = """One DP54 attempt on 7-sequences: returns (the seven stages k1..k7,
-    the 5th-order y1, the error vector), y1 and the error as tuples.
+    # globals() makes the function's module this one, as a def here would
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    fn = namespace[name]
+    fn.__doc__ = doc
+    return fn
+
+
+_stages = _compile("_stages", _stages_source(), "<dp54 stages>", """\
+One DP54 attempt on 7-sequences, with f the bound derivative
+    ``model._rhs_of(p, c)``: returns (the seven stages k1..k7, the 5th-order
+    y1, the error vector), y1 and the error as tuples.
 
     The body is straight-line code generated once from ``_A`` and ``_E``
     (``_stages_source``): with seven components, a comprehension over
@@ -186,27 +231,24 @@ def _compile_stages():
     the operation order ``x + h * (a_s1*k1 + ...)``, with b2 and e2
     skipped, so the results are bit for bit those of that loop form.  The
     body calls no float(), math function, max or abs: given seven (L,)
-    arrays and a per-lane h and c, it steps L lanes at once, each lane
-    equal to its scalar attempt."""
-    return stages
+    arrays, a per-lane h and f bound to a per-lane c, it steps L lanes at
+    once, each lane equal to its scalar attempt.""")
 
+_error_norm = _compile("_error_norm", _error_norm_source(), "<dp54 error norm>", """\
+The weighted RMS norm of one attempt's error, with per-component
+    weights ``w_i + rtol*max(|y_i|, |y1_i|)`` for w the precomputed
+    ``atol*scale``; inf when the sum of squares or y1 is not finite.
 
-_stages = _compile_stages()
+    Straight-line code generated once (``_error_norm_source``), bit for bit
+    the norm of the loop ``sq += (e / (w + rtol * max(abs(a), abs(b))))**2``
+    over the components, without its 21 calls of max and abs.  Unlike
+    ``_stages`` it works on floats only.""")
 
-
-def _extension(y0, y1, k, h: float):
-    """Per component, the coefficients (y0, ydiff, bspl, r4, r5) of the
-    quartic continuous extension of one step."""
-    k1, _, k3, k4, k5, k6, k7 = k
-    d1, _, d3, d4, d5, d6, d7 = _D
-    coef = []
-    for a, b, q1, q3, q4, q5, q6, q7 in zip(y0, y1, k1, k3, k4, k5, k6, k7):
-        ydiff = b - a
-        bspl = h * q1 - ydiff
-        r4 = ydiff - h * q7 - bspl
-        r5 = h * (d1 * q1 + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * q7)
-        coef.append((a, ydiff, bspl, r4, r5))
-    return coef
+_extension = _compile("_extension", _extension_source(), "<dp54 extension>", """\
+Per component, the coefficients (y0, ydiff, bspl, r4, r5) of the
+    quartic continuous extension of one step, as straight-line code
+    generated once from ``_D`` (``_extension_source``), bit for bit the
+    loop form's.""")
 
 
 def _dense_rows(p: ModelParams, x0, grid: np.ndarray, covering) -> np.ndarray:
@@ -248,23 +290,26 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
         raise ScenarioError(
             f"initial state lies outside the biologically admissible region: {violation}")
     cc = as_control(c).c
+    t0, t_end, h_max, atol, rtol = cfg.t0, cfg.t_end, cfg.h_max, cfg.atol, cfg.rtol
 
-    grid = _output_grid(cfg.t0, cfg.t_end, cfg.output_step)
-    steps_needed = (cfg.t_end - cfg.t0) / cfg.h_max
+    grid = _output_grid(t0, t_end, cfg.output_step)
+    steps_needed = (t_end - t0) / h_max
     if steps_needed > MAX_STEPS:
         raise ScenarioError(
-            f"the window needs at least {steps_needed:.4g} steps at h_max = {cfg.h_max:g} day, "
+            f"the window needs at least {steps_needed:.4g} steps at h_max = {h_max:g} day, "
             f"more than the cap of {MAX_STEPS}; raise h_max or shorten the window")
     scales = _component_scales(p)
-    atol, rtol = cfg.atol, cfg.rtol
-    for label, s in zip(STATE_LABELS, scales):
-        if atol * s == 0.0:
+    w = tuple(atol * s for s in scales)  # the absolute part of each error weight
+    for label, s, ws in zip(STATE_LABELS, scales, w):
+        if ws == 0.0:
             raise ScenarioError(f"the error weight atol*scale of {label} underflows to 0 "
                                 f"(atol = {atol:g}, scale = {s:g})")
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    f = _rhs_of(p, cc)
     y = x0.as_tuple()
-    t = cfg.t0
-    k1 = _rhs_floats(p, cc, y)
-    h = min(cfg.h_init, cfg.h_max, cfg.t_end - cfg.t0)
+    t = t0
+    k1 = f(y)
+    h = min(cfg.h_init, h_max, t_end - t0)
 
     times = grid.tolist()
     covering = []
@@ -274,29 +319,22 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     smallest = math.inf
     largest = 0.0
 
-    while t < cfg.t_end:
+    while t < t_end:
         if accepted + rejected >= MAX_STEPS:
             raise NumericalFailure(
                 f"step limit ({MAX_STEPS} attempts) reached at t = {t:.6f} day", time=t)
-        clamped = t + h >= cfg.t_end
+        clamped = t + h >= t_end
         if clamped:
-            h = cfg.t_end - t
+            h = t_end - t
         elif h < _MIN_STEP:
             raise NumericalFailure(
                 f"step size underflow ({h:.3e} day) at t = {t:.6f} day", time=t)
 
-        k, y1, err = _stages(p, cc, y, h, k1)
-        sq = 0.0
-        for e, s, a, b in zip(err, scales, y, y1):
-            q = e / (atol * s + rtol * max(abs(a), abs(b)))
-            sq += q * q
-        if math.isfinite(sq) and all(map(math.isfinite, y1)):
-            err_norm = math.sqrt(sq / 7.0)
-        else:
-            err_norm = math.inf
+        k, y1, err = _stages(f, y, h, k1)
+        err_norm = _error_norm(err, y, y1, w, rtol)
 
         if err_norm <= 1.0:
-            t_new = cfg.t_end if clamped else t + h
+            t_new = t_end if clamped else t + h
             reach = t_new + 1e-12 * max(1.0, abs(t_new))
             j_end = bisect.bisect_right(times, reach, j)
             if j_end > j:
@@ -308,12 +346,12 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
                 smallest = h
             if h > largest:
                 largest = h
-            factor = _MAX_FACTOR if err_norm == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
+            factor = max_factor if err_norm == 0.0 else min(
+                max_factor, max(min_factor, safety * err_norm ** -0.2))
         else:
             rejected += 1
-            factor = max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
-        h = min(h * factor, cfg.h_max)
+            factor = max(min_factor, safety * err_norm ** -0.2)
+        h = min(h * factor, h_max)
 
     stats = StepStats(accepted=accepted, rejected=rejected,
                       rhs_evals=6 * (accepted + rejected) + 1,
@@ -369,9 +407,10 @@ def _integrate_fixed_dp54(p: ModelParams, c: ControlLevel | float, x0: State7,
     """
     cc = as_control(c).c
     n_steps = max(0, int(round(t_end / h)))
+    f = _rhs_of(p, cc)
     y = x0.as_tuple()
-    k1 = _rhs_floats(p, cc, y)
+    k1 = f(y)
     for _ in range(n_steps):
-        k, y, _err = _stages(p, cc, y, h, k1)
+        k, y, _err = _stages(f, y, h, k1)
         k1 = k[6]
     return State7.from_array(y)

@@ -19,6 +19,9 @@ The reduced system, in the fixed component order
     dE_m/dt = B*beta_hm*(I_h/N_h)*S_m - (mu_m + eta_m + c)*E_m
     dI_m/dt = eta_m*E_m - (mu_m + c)*I_m
 
+The formula has one home, ``_rhs_of(p, c)``, which takes the rate products
+and sums that do not depend on the state once and returns the derivative
+as a function of the state; the integrator binds it once per run.
 Everything here works on Python floats; the array forms of the model live
 in ``equilibria``, so importing this module does not load numpy.
 """
@@ -171,24 +174,42 @@ def _component_scales(p: ModelParams) -> tuple[float, ...]:
     return (n, n, n, kn, mn, mn, mn)
 
 
-def _rhs_floats(p: ModelParams, c: float, x) -> tuple[float, ...]:
-    """Derivative of the 7-dim state given as any sequence of floats; the
-    one copy of the model formula (hot path, no validation)."""
-    s_h, e_h, i_h, a_m, s_m, e_m, i_m = x
+def _rhs_of(p: ModelParams, c):
+    """The derivative of the 7-dim state as a function of the state, any
+    sequence of floats, with p and c bound; the one copy of the model
+    formula (hot path, no validation).
 
-    foi_h = p.B * p.beta_mh * i_m / p.N_h      # mosquito -> human force of infection
-    foi_m = p.B * p.beta_hm * i_h / p.N_h      # human -> mosquito force of infection
-    adults = s_m + e_m + i_m
+    The products and sums of rates that do not depend on the state are
+    taken once, here, and the returned closure reads them as locals.  Each
+    is a left-most prefix or a parenthesised sum of the formula in the
+    module docstring, so every result keeps its bits.  ``c`` may be an
+    (L,) array, as may the state's components: then it steps L lanes."""
+    n_h, mu_h, nu_h, eta_A, mu_m, eta_m = p.N_h, p.mu_h, p.nu_h, p.eta_A, p.mu_m, p.eta_m
+    mu_b, cap = p.mu_b, p.K
+    bite_mh = p.B * p.beta_mh                 # foi_h = B*beta_mh * I_m/N_h
+    bite_hm = p.B * p.beta_hm                 # foi_m = B*beta_hm * I_h/N_h
+    birth_h = mu_h * n_h
+    out_e_h = nu_h + mu_h
+    out_i_h = p.eta_h + mu_h
+    out_a_m = eta_A + p.mu_A
+    out_e_m = mu_m + eta_m + c
+    out_i_m = mu_m + c
 
-    return (
-        p.mu_h * p.N_h - (foi_h + p.mu_h) * s_h,
-        foi_h * s_h - (p.nu_h + p.mu_h) * e_h,
-        p.nu_h * e_h - (p.eta_h + p.mu_h) * i_h,
-        p.mu_b * (1.0 - a_m / p.K) * adults - (p.eta_A + p.mu_A) * a_m,
-        -(foi_m + p.mu_m + c) * s_m + p.eta_A * a_m,
-        foi_m * s_m - (p.mu_m + p.eta_m + c) * e_m,
-        p.eta_m * e_m - (p.mu_m + c) * i_m,
-    )
+    def f(x):
+        s_h, e_h, i_h, a_m, s_m, e_m, i_m = x
+        foi_h = bite_mh * i_m / n_h       # mosquito -> human force of infection
+        foi_m = bite_hm * i_h / n_h       # human -> mosquito force of infection
+        return (
+            birth_h - (foi_h + mu_h) * s_h,
+            foi_h * s_h - out_e_h * e_h,
+            nu_h * e_h - out_i_h * i_h,
+            mu_b * (1.0 - a_m / cap) * (s_m + e_m + i_m) - out_a_m * a_m,
+            -(foi_m + mu_m + c) * s_m + eta_A * a_m,
+            foi_m * s_m - out_e_m * e_m,
+            eta_m * e_m - out_i_m * i_m,
+        )
+
+    return f
 
 
 def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
@@ -199,7 +220,7 @@ def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
     """
     if not x.is_finite():
         raise ValueError("state contains non-finite components")
-    return State7.from_array(_rhs_floats(p, as_control(c).c, x.as_tuple()))
+    return State7.from_array(_rhs_of(p, as_control(c).c)(x.as_tuple()))
 
 
 def _recovered(p: ModelParams, s_h, e_h, i_h):

@@ -2,9 +2,12 @@
 (humans, mosquitoes) with a legend entry per compartment.  Axis ranges are
 auto-scaled; no interactivity, no external plotting dependency.
 
-A series' points are mapped to pixels column-wise, interleaved into one
-(x, y) buffer and formatted in chunks of ``_DENSE_CHUNK`` rows, each chunk
-by one ``"%.2f,%.2f %.2f,%.2f ..." % values`` call.  ``'%.2f' % v`` and
+The chart is made as a sequence of text parts (``trajectory_svg_parts``),
+which ``simulate --svg`` writes to its file in turn, so the whole text is
+never held in memory.  A series' points are mapped to pixels column-wise,
+interleaved into one (x, y) buffer and formatted in chunks of
+``_DENSE_CHUNK`` rows, each chunk by one ``"%.2f,%.2f %.2f,%.2f ..." %
+values`` call and yielded as its own part.  ``'%.2f' % v`` and
 ``f"{v:.2f}"`` both format through ``PyOS_double_to_string(v, 'f', 2, 0)``,
 so the text is byte for byte that of per-point f-strings, while the
 per-number work stays in C and no list of per-point strings is held."""
@@ -12,6 +15,7 @@ per-number work stays in C and no list of per-point strings is held."""
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -60,18 +64,20 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def _points(xs: np.ndarray, ys: np.ndarray) -> str:
-    """Polyline points "X,Y X,Y ..." with each coordinate formatted as
-    ``f"{v:.2f}"``, one format call per chunk of rows."""
+def _points(xs: np.ndarray, ys: np.ndarray) -> Iterator[str]:
+    """Polyline points "X,Y X,Y ..." in parts of ``_DENSE_CHUNK`` points,
+    each coordinate formatted as ``f"{v:.2f}"``, one format call per part;
+    the parts joined give the whole text."""
     xy = np.column_stack((xs, ys))
-    chunks = []
     for lo in range(0, len(xy), _DENSE_CHUNK):
         chunk = xy[lo:lo + _DENSE_CHUNK]
-        chunks.append((" %.2f,%.2f" * len(chunk))[1:] % tuple(chunk.ravel().tolist()))
-    return " ".join(chunks)
+        fmt = " %.2f,%.2f" * len(chunk)
+        yield (fmt if lo else fmt[1:]) % tuple(chunk.ravel().tolist())
 
 
-def _panel(x0: int, title: str, times, data, series) -> list[str]:
+def _panel(x0: int, title: str, times, data, series) -> Iterator[str]:
+    """The lines of one panel, each ending in a line break; a polyline's
+    points come in the parts of ``_points``."""
     t_lo, t_hi = float(times[0]), float(times[-1])
     if t_hi == t_lo:
         t_hi = t_lo + 1.0
@@ -87,55 +93,57 @@ def _panel(x0: int, title: str, times, data, series) -> list[str]:
     def sy(v):
         return py1 - (v - y_lo) / (y_hi - y_lo) * (py1 - py0)
 
-    out = [f'<text x="{x0 + _PANEL_W / 2:.0f}" y="24" text-anchor="middle" '
-           f'font-size="15" font-weight="bold">{title}</text>']
-    out.append(f'<rect x="{px0}" y="{py0}" width="{px1 - px0}" height="{py1 - py0}" '
-               'fill="none" stroke="#333" stroke-width="1"/>')
+    yield (f'<text x="{x0 + _PANEL_W / 2:.0f}" y="24" text-anchor="middle" '
+           f'font-size="15" font-weight="bold">{title}</text>\n')
+    yield (f'<rect x="{px0}" y="{py0}" width="{px1 - px0}" height="{py1 - py0}" '
+           'fill="none" stroke="#333" stroke-width="1"/>\n')
 
     for t in _nice_ticks(t_lo, t_hi):
         X = sx(t)
-        out.append(f'<line x1="{X:.1f}" y1="{py1}" x2="{X:.1f}" y2="{py1 + 4}" stroke="#333"/>')
-        out.append(f'<text x="{X:.1f}" y="{py1 + 18}" text-anchor="middle" '
-                   f'font-size="11">{_fmt_tick(t)}</text>')
+        yield f'<line x1="{X:.1f}" y1="{py1}" x2="{X:.1f}" y2="{py1 + 4}" stroke="#333"/>\n'
+        yield (f'<text x="{X:.1f}" y="{py1 + 18}" text-anchor="middle" '
+               f'font-size="11">{_fmt_tick(t)}</text>\n')
     for v in _nice_ticks(y_lo, y_hi):
         Y = sy(v)
-        out.append(f'<line x1="{px0 - 4}" y1="{Y:.1f}" x2="{px0}" y2="{Y:.1f}" stroke="#333"/>')
-        out.append(f'<line x1="{px0}" y1="{Y:.1f}" x2="{px1}" y2="{Y:.1f}" '
-                   'stroke="#ddd" stroke-width="0.5"/>')
-        out.append(f'<text x="{px0 - 7}" y="{Y + 4:.1f}" text-anchor="end" '
-                   f'font-size="11">{_fmt_tick(v)}</text>')
-    out.append(f'<text x="{(px0 + px1) / 2:.0f}" y="{_PANEL_H - 10}" text-anchor="middle" '
-               'font-size="12">time (days)</text>')
+        yield f'<line x1="{px0 - 4}" y1="{Y:.1f}" x2="{px0}" y2="{Y:.1f}" stroke="#333"/>\n'
+        yield (f'<line x1="{px0}" y1="{Y:.1f}" x2="{px1}" y2="{Y:.1f}" '
+               'stroke="#ddd" stroke-width="0.5"/>\n')
+        yield (f'<text x="{px0 - 7}" y="{Y + 4:.1f}" text-anchor="end" '
+               f'font-size="11">{_fmt_tick(v)}</text>\n')
+    yield (f'<text x="{(px0 + px1) / 2:.0f}" y="{_PANEL_H - 10}" text-anchor="middle" '
+           'font-size="12">time (days)</text>\n')
 
     xs = sx(times)
     for label, col, color in series:
-        pts = _points(xs, sy(data[:, col]))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   'stroke-width="1.6"/>')
+        yield '<polyline points="'
+        yield from _points(xs, sy(data[:, col]))
+        yield f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n'
 
     lx, ly = px1 - 64, py0 + 8
     for i, (label, _, color) in enumerate(series):
         Y = ly + 16 * i
-        out.append(f'<line x1="{lx}" y1="{Y}" x2="{lx + 18}" y2="{Y}" '
-                   f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 24}" y="{Y + 4}" font-size="11">{label}</text>')
-    return out
+        yield (f'<line x1="{lx}" y1="{Y}" x2="{lx + 18}" y2="{Y}" '
+               f'stroke="{color}" stroke-width="2"/>\n')
+        yield f'<text x="{lx + 24}" y="{Y + 4}" font-size="11">{label}</text>\n'
+
+
+def trajectory_svg_parts(traj: Trajectory, title: str = "") -> Iterator[str]:
+    """Two-panel chart (human and mosquito compartments) as SVG text in
+    parts, so a writer holds one part at a time."""
+    data = traj.as_array()
+    width = 2 * _PANEL_W
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+           f'height="{_PANEL_H}" viewBox="0 0 {width} {_PANEL_H}" '
+           'font-family="Helvetica, Arial, sans-serif">\n')
+    yield f'<rect width="{width}" height="{_PANEL_H}" fill="white"/>\n'
+    human_title = "Human compartments" + (f" ({title})" if title else "")
+    yield from _panel(0, human_title, traj.times, data, _HUMAN_SERIES)
+    yield from _panel(_PANEL_W, "Mosquito compartments", traj.times, data, _MOSQUITO_SERIES)
+    yield "</svg>\n"
 
 
 def render_trajectory_svg(traj: Trajectory, title: str = "") -> str:
-    """Two-panel chart (human and mosquito compartments) as an SVG string."""
-    data = traj.as_array()
-    width = 2 * _PANEL_W
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{_PANEL_H}" viewBox="0 0 {width} {_PANEL_H}" '
-        'font-family="Helvetica, Arial, sans-serif">',
-        f'<rect width="{width}" height="{_PANEL_H}" fill="white"/>',
-    ]
-    human_title = "Human compartments" + (f" ({title})" if title else "")
-    parts += _panel(0, human_title, traj.times, data, _HUMAN_SERIES)
-    parts += _panel(_PANEL_W, "Mosquito compartments", traj.times, data, _MOSQUITO_SERIES)
-    # a last empty part ends the text with a line break without copying it again
-    parts += ["</svg>", ""]
-    return "\n".join(parts)
+    """Two-panel chart (human and mosquito compartments) as an SVG string:
+    the parts of ``trajectory_svg_parts`` joined."""
+    return "".join(trajectory_svg_parts(traj, title))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MosquitoCollapseError, ScenarioError
+from .errors import MosquitoCollapseError, NumericalFailure, ScenarioError
 from .model import ControlLevel, ModelParams, mosquito_viability, r0_closed_form
 
 
@@ -111,12 +111,18 @@ def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoContro
 
 def r0_profile(p: ModelParams, grid) -> list[ProfilePoint]:
     """Pointwise R0 over a grid of control levels (all >= 0); levels at or
-    beyond the collapse bound are flagged instead of given a value."""
+    beyond the collapse bound are flagged instead of given a value.  Raises
+    NumericalFailure, naming the control level, where R0 is not finite or
+    its denominator underflows."""
     points = []
     for c in grid:
         ctrl = ControlLevel(float(c))
         if mosquito_viability(p, ctrl) <= 0.0:
             points.append(ProfilePoint(c=ctrl.c, r0=None, collapsed=True))
-        else:
-            points.append(ProfilePoint(c=ctrl.c, r0=r0_closed_form(p, ctrl), collapsed=False))
+            continue
+        try:
+            r0 = r0_closed_form(p, ctrl)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"{exc} at c = {ctrl.c!r}") from exc
+        points.append(ProfilePoint(c=ctrl.c, r0=r0, collapsed=False))
     return points

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from conftest import ADVERSARIAL_DOUBLES
 
 import dengue_control
-from dengue_control import cli, integrator
+from dengue_control import cli, integrator, svgplot
 from dengue_control.errors import MosquitoCollapseError, ScenarioError
 from dengue_control.integrator import _DENSE_CHUNK, StepStats, Trajectory, integrate
 from dengue_control.scenario import builtin_capeverde2009, render_scenario
@@ -117,8 +117,10 @@ class TestSimulate:
         assert re_rendered == text
 
     def test_csv_is_written_in_chunks(self, tmp_path, capsys, monkeypatch):
-        # 7-row chunks: the 201 rows reach the file as 29 parts after the header
+        # 7-row chunks: the 201 rows reach the CSV file as 29 parts after the
+        # header, and each of the 8 SVG series as 29 parts of its points
         monkeypatch.setattr(integrator, "_DENSE_CHUNK", 7)
+        monkeypatch.setattr(svgplot, "_DENSE_CHUNK", 7)
         written = []
         write = cli._write_atomic
 
@@ -134,7 +136,9 @@ class TestSimulate:
         s = builtin_capeverde2009()
         traj = integrate(s.params, s.control, s.initial, s.solver)
         assert (tmp_path / "trajectory.csv").read_text() == cli.trajectory_to_csv(traj)
-        assert written == [1 + 29, 1]
+        assert (tmp_path / "compartments.svg").read_text() == render_trajectory_svg(traj, s.name)
+        svg_parts = len(list(svgplot.trajectory_svg_parts(traj, s.name)))
+        assert written == [1 + 29, svg_parts] and svg_parts > 8 * 29
 
     def test_failure_mid_stream_leaves_no_file(self, tmp_path):
         def parts():
@@ -537,6 +541,15 @@ class TestExitCodes:
         assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1
         if command == "threshold":
             assert out == "" and err.startswith("error: basic reproduction number is not finite")
+
+    def test_sweep_names_the_control_level_of_a_non_finite_r0(self, tmp_path, capsys):
+        path = tmp_path / "variant.txt"
+        path.write_text(builtin_text_with({"eta_m": "1e300", "mu_b": "1.7e308"}))
+        code, out, err = run_cli(capsys, "sweep", "--scenario", str(path), "--c-min", "0.1",
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (3, "")
+        assert err == ("error: basic reproduction number is not finite (nan): "
+                       "a product of rates overflows at c = 0.1\n")
 
     @pytest.mark.parametrize("values, scale", [
         # k*N_h underflows to 0 itself

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,13 @@ from dengue_control.integrator import (
     integrate,
     integrate_fixed_rk4,
     _dense_rows,
+    _error_norm,
     _extension,
     _integrate_fixed_dp54,
     _output_grid,
     _stages,
 )
-from dengue_control.model import State7, in_omega, rhs, _rhs_floats
+from dengue_control.model import State7, in_omega, rhs, _rhs_of
 
 # The Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2): stage matrix, 5th-order weights b, 4th-order weights b-hat,
@@ -62,28 +65,55 @@ def _hand_rhs(x):
     ])
 
 
-def _loop_stages(p, c, y, h, k1):
+def _loop_stages(f, y, h, k1):
     """One DP54 attempt in its per-component loop form, the oracle for the
     straight-line ``integrator._stages``: the same tableau, operation order
     and skipped zero weights, written as one comprehension per stage."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = integrator._A
     e1, _, e3, e4, e5, e6, e7 = integrator._E
-    k2 = _rhs_floats(p, c, [x + h * (a21 * q1) for x, q1 in zip(y, k1)])
-    k3 = _rhs_floats(p, c, [x + h * (a31 * q1 + a32 * q2)
-                            for x, q1, q2 in zip(y, k1, k2)])
-    k4 = _rhs_floats(p, c, [x + h * (a41 * q1 + a42 * q2 + a43 * q3)
-                            for x, q1, q2, q3 in zip(y, k1, k2, k3)])
-    k5 = _rhs_floats(p, c, [x + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
-                            for x, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)])
-    k6 = _rhs_floats(p, c, [x + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
-                            for x, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)])
+    k2 = f([x + h * (a21 * q1) for x, q1 in zip(y, k1)])
+    k3 = f([x + h * (a31 * q1 + a32 * q2)
+           for x, q1, q2 in zip(y, k1, k2)])
+    k4 = f([x + h * (a41 * q1 + a42 * q2 + a43 * q3)
+           for x, q1, q2, q3 in zip(y, k1, k2, k3)])
+    k5 = f([x + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
+           for x, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)])
+    k6 = f([x + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
+           for x, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)])
     y1 = [x + h * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
           for x, q1, q3, q4, q5, q6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = _rhs_floats(p, c, y1)
+    k7 = f(y1)
     err = [h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
            for q1, q3, q4, q5, q6, q7 in zip(k1, k3, k4, k5, k6, k7)]
     return (k1, k2, k3, k4, k5, k6, k7), y1, err
+
+
+def _loop_error_norm(err, scales, y, y1, atol, rtol):
+    """The weighted RMS error norm in its per-component loop form, the
+    oracle for the straight-line ``integrator._error_norm``."""
+    sq = 0.0
+    for e, s, a, b in zip(err, scales, y, y1):
+        q = e / (atol * s + rtol * max(abs(a), abs(b)))
+        sq += q * q
+    if math.isfinite(sq) and all(map(math.isfinite, y1)):
+        return math.sqrt(sq / 7.0)
+    return math.inf
+
+
+def _loop_extension(y0, y1, k, h):
+    """The continuous-extension coefficients in their per-component loop
+    form, the oracle for the straight-line ``integrator._extension``."""
+    k1, _, k3, k4, k5, k6, k7 = k
+    d1, _, d3, d4, d5, d6, d7 = integrator._D
+    coef = []
+    for a, b, q1, q3, q4, q5, q6, q7 in zip(y0, y1, k1, k3, k4, k5, k6, k7):
+        ydiff = b - a
+        bspl = h * q1 - ydiff
+        r4 = ydiff - h * q7 - bspl
+        r5 = h * (d1 * q1 + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * q7)
+        coef.append((a, ydiff, bspl, r4, r5))
+    return coef
 
 
 def _bits(attempt):
@@ -268,7 +298,8 @@ class TestDp54Step:
             y1 = y + h * (DP54_B @ k)
             err = h * ((DP54_B - DP54_BHAT) @ k)
 
-            got_k, got_y1, got_err = _stages(CAPE_VERDE, c, y.tolist(), h, k[0].tolist())
+            got_k, got_y1, got_err = _stages(_rhs_of(CAPE_VERDE, c), y.tolist(), h,
+                                             k[0].tolist())
             # norm-wise relative gaps; the error vector is a small difference
             # of stage terms of size h*|k|, so it is measured against those
             assert np.max(np.abs(np.array(got_k) - k)) <= 1e-14 * np.max(np.abs(k))
@@ -281,8 +312,9 @@ class TestDp54Step:
         rng = np.random.default_rng(seed)
         p = draw_params(rng)
         y = draw_omega_state(rng, p).as_tuple()
-        k1 = _rhs_floats(p, c, y)
-        assert _bits(_stages(p, c, y, h, k1)) == _bits(_loop_stages(p, c, y, h, k1))
+        f = _rhs_of(p, c)
+        k1 = f(y)
+        assert _bits(_stages(f, y, h, k1)) == _bits(_loop_stages(f, y, h, k1))
 
     def test_lanes_equal_scalar_attempts(self):
         # seven (L,) arrays with a per-lane h and c step L lanes at once
@@ -293,12 +325,59 @@ class TestDp54Step:
         c = rng.uniform(0.0, 2.0, lanes)
         h = np.exp(rng.uniform(np.log(1e-6), 0.0, lanes))
         y = list(np.array(states).T)
-        k, y1, err = _stages(p, c, y, h, _rhs_floats(p, c, y))
+        f = _rhs_of(p, c)
+        k, y1, err = _stages(f, y, h, f(y))
         assert len(k) == 7 and all(len(q) == 7 for q in k)
         for lane, (x, cl, hl) in enumerate(zip(states, c.tolist(), h.tolist())):
             got = ([[q[lane] for q in stage] for stage in k],
                    [q[lane] for q in y1], [q[lane] for q in err])
-            assert _bits(got) == _bits(_stages(p, cl, x, hl, _rhs_floats(p, cl, x)))
+            fl = _rhs_of(p, cl)
+            assert _bits(got) == _bits(_stages(fl, x, hl, fl(x)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 2.0), h=st.floats(1e-6, 1.0),
+           tol=st.sampled_from((1e-12, 1e-8, 1e-4, 1e-1)))
+    def test_error_norm_and_extension_equal_loop_forms_on_attempts(self, seed, c, h, tol):
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng)
+        y = draw_omega_state(rng, p).as_tuple()
+        f = _rhs_of(p, c)
+        k, y1, err = _stages(f, y, h, f(y))
+        scales = component_scales(p).tolist()
+        w = tuple(tol * s for s in scales)
+        norm = _error_norm(err, y, y1, w, tol)
+        assert norm.hex() == _loop_error_norm(err, scales, y, y1, tol, tol).hex()
+        assert [tuple(map(float.hex, q)) for q in _extension(y, y1, k, h)] == \
+            [tuple(map(float.hex, q)) for q in _loop_extension(y, y1, k, h)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(), st.sampled_from(
+               (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7e308))),
+               min_size=21, max_size=21),
+           atol=st.floats(1e-300, 1.0), rtol=st.floats(1e-300, 1.0))
+    def test_error_norm_equals_loop_on_any_doubles(self, values, atol, rtol):
+        # NaN, +-inf and -0.0 in y, y1 and the error: the same bits of the
+        # norm, and so the same accept decision, as the loop form
+        err, y, y1 = values[:7], values[7:14], values[14:]
+        scales = component_scales(CAPE_VERDE).tolist()
+        norm = _error_norm(err, y, y1, tuple(atol * s for s in scales), rtol)
+        expected = _loop_error_norm(err, scales, y, y1, atol, rtol)
+        assert norm.hex() == expected.hex()
+        assert (norm <= 1.0) == (expected <= 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=63, max_size=63), h=st.floats())
+    def test_extension_equals_loop_on_any_doubles(self, values, h):
+        y0, y1 = values[:7], values[7:14]
+        k = [values[14 + 7 * i:21 + 7 * i] for i in range(7)]
+        assert [tuple(map(float.hex, q)) for q in _extension(y0, y1, k, h)] == \
+            [tuple(map(float.hex, q)) for q in _loop_extension(y0, y1, k, h)]
+
+    def test_generated_sources_name_their_files(self):
+        assert _error_norm.__code__.co_filename == "<dp54 error norm>"
+        assert _extension.__code__.co_filename == "<dp54 extension>"
+        for source in (integrator._error_norm_source(), integrator._extension_source()):
+            assert "zip" not in source and "max(" not in source and "abs(" not in source
 
     def test_stages_source_names_its_file(self):
         assert _stages.__code__.co_filename == "<dp54 stages>"
@@ -321,7 +400,7 @@ class TestDp54Step:
         assert len(traj.times) == 51
 
         y0 = np.array(self.MID.as_tuple())
-        k, y1, _ = _stages(CAPE_VERDE, 0.0, y0.tolist(), h,
+        k, y1, _ = _stages(_rhs_of(CAPE_VERDE, 0.0), y0.tolist(), h,
                            _rhs_array(CAPE_VERDE, 0.0, y0).tolist())
         k, y1 = np.array(k), np.array(y1)
         ydiff = y1 - y0
@@ -402,7 +481,8 @@ class TestDenseOutput:
         # step's end to that step; theta is clamped to 1 there rather than
         # extrapolating the quartic past the step
         y = CAPE_VERDE_X0.as_tuple()
-        k, y1, _ = _stages(CAPE_VERDE, 0.0, y, 1.0, _rhs_floats(CAPE_VERDE, 0.0, y))
+        f = _rhs_of(CAPE_VERDE, 0.0)
+        k, y1, _ = _stages(f, y, 1.0, f(y))
         covering = [(0.0, 1.0, 2, _extension(y, y1, k, 1.0))]
         rows = _dense_rows(CAPE_VERDE, y, np.array([0.0, 1.0, 1.0 + 5e-13]), covering)
         assert rows[2].tolist() == rows[1].tolist()

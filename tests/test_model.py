@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CAPE_VERDE,
@@ -20,7 +21,63 @@ from dengue_control.model import (
     mosquito_viability,
     reconstruct_rh,
     rhs,
+    _rhs_of,
 )
+
+
+def reference_rhs(p, c, x):
+    """The model formula as it read before the rates were bound once per
+    run, with every rate read from ``p`` on each call; the oracle for
+    ``_rhs_of``, which must give the same bits."""
+    s_h, e_h, i_h, a_m, s_m, e_m, i_m = x
+
+    foi_h = p.B * p.beta_mh * i_m / p.N_h      # mosquito -> human force of infection
+    foi_m = p.B * p.beta_hm * i_h / p.N_h      # human -> mosquito force of infection
+    adults = s_m + e_m + i_m
+
+    return (
+        p.mu_h * p.N_h - (foi_h + p.mu_h) * s_h,
+        foi_h * s_h - (p.nu_h + p.mu_h) * e_h,
+        p.nu_h * e_h - (p.eta_h + p.mu_h) * i_h,
+        p.mu_b * (1.0 - a_m / p.K) * adults - (p.eta_A + p.mu_A) * a_m,
+        -(foi_m + p.mu_m + c) * s_m + p.eta_A * a_m,
+        foi_m * s_m - (p.mu_m + p.eta_m + c) * e_m,
+        p.eta_m * e_m - (p.mu_m + c) * i_m,
+    )
+
+
+def hex_bits(values):
+    return tuple(map(float.hex, values))
+
+
+class TestBoundRhs:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 2.0), wide=st.booleans())
+    def test_equals_reference_formula_bit_for_bit(self, seed, c, wide):
+        rng = np.random.default_rng(seed)
+        p = draw_params_wide(rng)[0] if wide else draw_params(rng)
+        y = draw_omega_state(rng, p).as_tuple()
+        assert hex_bits(_rhs_of(p, c)(y)) == hex_bits(reference_rhs(p, c, y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.floats(), min_size=7, max_size=7), c=st.floats(0.0, 1.7e308))
+    def test_any_doubles_equal_reference(self, x, c):
+        # non-finite states, signed zeros and overflowing products included
+        assert hex_bits(_rhs_of(CAPE_VERDE, c)(x)) == hex_bits(reference_rhs(CAPE_VERDE, c, x))
+
+    def test_lanes_with_per_lane_control_equal_reference(self):
+        rng = np.random.default_rng(14)
+        lanes = 64
+        p = draw_params(rng)
+        states = [draw_omega_state(rng, p).as_tuple() for _ in range(lanes)]
+        c = rng.uniform(0.0, 2.0, lanes)
+        got = _rhs_of(p, c)(list(np.array(states).T))
+        for lane, (x, cl) in enumerate(zip(states, c.tolist())):
+            assert hex_bits(q[lane] for q in got) == hex_bits(reference_rhs(p, cl, x))
+
+    def test_rhs_binds_the_control_level(self):
+        assert rhs(CAPE_VERDE, ControlLevel(0.2), CAPE_VERDE_X0).as_tuple() == \
+            reference_rhs(CAPE_VERDE, 0.2, CAPE_VERDE_X0.as_tuple())
 
 
 class TestValidation:

@@ -58,7 +58,7 @@ class TestPointFormatting:
     def test_adversarial_values_match_per_point_fstrings(self, n):
         values = np.resize(np.array(ADVERSARIAL_DOUBLES), 2 * n)
         xs, ys = values[:n], values[n:][::-1].copy()
-        assert _points(xs, ys) == per_point_fstrings(xs, ys)
+        assert "".join(_points(xs, ys)) == per_point_fstrings(xs, ys)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -67,7 +67,7 @@ class TestPointFormatting:
         # a 7-row chunk, so that the drawn points span several chunks
         monkeypatch.setattr(svgplot, "_DENSE_CHUNK", 7)
         xs, ys = (np.array(col, dtype=float) for col in zip(*points))
-        assert _points(xs, ys) == per_point_fstrings(xs, ys)
+        assert "".join(_points(xs, ys)) == per_point_fstrings(xs, ys)
 
     @pytest.mark.parametrize("n", CHUNK_SIZES)
     def test_chart_matches_per_point_formatting(self, n, monkeypatch):

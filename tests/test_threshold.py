@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CAPE_VERDE, draw_params, params_with
-from dengue_control.errors import MosquitoCollapseError, ScenarioError
+from dengue_control.errors import MosquitoCollapseError, NumericalFailure, ScenarioError
 from dengue_control.reproduction import r0_closed_form, r0_spectral
 from dengue_control.threshold import (
     NoControlNeeded,
@@ -110,6 +110,16 @@ class TestR0Profile:
     def test_rejects_negative_levels(self):
         with pytest.raises(ValueError):
             r0_profile(CAPE_VERDE, [-0.1])
+
+    @pytest.mark.parametrize("p, grid, level", [
+        # both products of R0 overflow: R0 = nan at every level
+        (params_with(eta_m=1e300, mu_b=1.7e308), [0.5, 1.0], "0.5"),
+        # R0 is finite for c > 0 and overflows to inf at c = 0
+        (params_with(mu_m=1e-160, beta_hm=1.0, N_h=7.8e162, K=2.34e163), [1.0, 0.0], "0.0"),
+    ])
+    def test_non_finite_r0_names_its_control_level(self, p, grid, level):
+        with pytest.raises(NumericalFailure, match=f"not finite .* at c = {level}$"):
+            r0_profile(p, grid)
 
 
 class TestSteepReproductionNumber:
