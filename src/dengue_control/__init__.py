@@ -18,14 +18,14 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _PUBLIC = {
-    "equilibria": ("Equilibrium", "EquilibriumKind", "MetzlerForm", "brdfe",
-                   "component_scales", "endemic_closed_form", "metzler_decomposition",
-                   "refine", "refined_endemic", "residual", "trivial_equilibrium"),
+    "equilibria": ("Equilibrium", "EquilibriumKind", "brdfe", "endemic_closed_form",
+                   "metzler_matrix", "refine", "refined_endemic", "residual",
+                   "trivial_equilibrium"),
     "errors": ("MosquitoCollapseError", "NoEndemicEquilibrium", "NumericalFailure",
                "ScenarioError"),
     "integrator": ("StepStats", "Trajectory", "integrate", "integrate_fixed_rk4"),
-    "model": ("ControlLevel", "ModelParams", "State7", "State8", "basic_offspring_number",
-              "in_omega", "mosquito_viability", "r0_closed_form", "reconstruct_rh", "rhs"),
+    "model": ("ControlLevel", "ModelParams", "State7", "basic_offspring_number",
+              "component_scales", "in_omega", "mosquito_viability", "r0_closed_form", "rhs"),
     "reproduction": ("NgmDecomposition", "build_ngm", "r0_factors", "r0_spectral"),
     "scenario": ("Scenario", "SolverConfig", "builtin_capeverde2009", "load_scenario",
                  "parse_scenario"),

@@ -33,12 +33,12 @@ the result.
 
 This module also holds the model's array forms, used by Newton refinement,
 the stability analysis and the integrator's RK4 oracle: the right-hand
-side, the component scales, and the Metzler form dX/dt = M(X)X + F with
-F = (mu_h*N_h, 0, ..., 0) and M(X) having nonnegative off-diagonal entries
-on the admissible region, which keeps trajectories in the nonnegative
-orthant.  The analytic Jacobian is derived from M by the product rule,
-J(X) = M(X) + (dM/dX)X; at the disease-free point the infected blocks of
-the two parts are -V and F of the next-generation split.
+side and the Metzler form dX/dt = M(X)X + F, with F = (mu_h*N_h, 0, ..., 0)
+constant and M(X) (``metzler_matrix``) having nonnegative off-diagonal
+entries on the admissible region, which keeps trajectories in the
+nonnegative orthant.  The analytic Jacobian is derived from M by the
+product rule, J(X) = M(X) + (dM/dX)X; at the disease-free point the
+infected blocks of the two parts are -V and F of the next-generation split.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ from .model import (
     ModelParams,
     State7,
     as_control,
+    component_scales,
     mosquito_viability,
     r0_closed_form,
-    _component_scales,
     _paper_dfe,
     _rhs_of,
 )
@@ -70,33 +70,20 @@ _MAX_NEWTON_ITERATIONS = 100
 _MAX_DAMPING_HALVINGS = 30
 
 
-@dataclass(frozen=True)
-class MetzlerForm:
-    """Decomposition dX/dt = m_of_x @ X + inflow.
-
-    Off-diagonal entries of ``m_of_x`` are nonnegative for states in the
-    admissible region; ``inflow`` is the constant recruitment vector
-    (mu_h*N_h, 0, ..., 0).
-    """
-
-    m_of_x: np.ndarray
-    inflow: np.ndarray
-
-
-def component_scales(p: ModelParams) -> np.ndarray:
-    """Natural magnitude of each compartment as an array: N_h for humans,
-    k*N_h for the aquatic stage, m*N_h for adult mosquitoes.  Used for
-    relative residuals and integrator error weights."""
-    return np.array(_component_scales(p), dtype=float)
-
-
 def _rhs_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
     """Derivative of the 7-dim state as an array."""
     return np.array(_rhs_of(p, c)(x.tolist()))
 
 
-def _metzler_matrix(p: ModelParams, c: float, x) -> np.ndarray:
-    """M(X) of the Metzler form for x given as any sequence of 7 floats."""
+def metzler_matrix(p: ModelParams, c: ControlLevel | float, x) -> np.ndarray:
+    """M(X) of the Metzler form dX/dt = M(X)X + F at x, any sequence of 7
+    floats, where F = (mu_h*N_h, 0, ..., 0) is the constant recruitment.
+
+    The state-dependence sits on the diagonal (force-of-infection and
+    logistic-crowding terms), so every off-diagonal entry is nonnegative
+    whenever the state is admissible.
+    """
+    c = as_control(c).c
     foi_h = p.B * p.beta_mh * x[6] / p.N_h
     foi_m = p.B * p.beta_hm * x[2] / p.N_h
     adults = x[4] + x[5] + x[6]
@@ -117,10 +104,10 @@ def _metzler_matrix(p: ModelParams, c: float, x) -> np.ndarray:
     return mat
 
 
-def _jacobian_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
-    """Analytic 7x7 Jacobian of ``_rhs_array`` at x: J(X) = M(X) + (dM/dX)X."""
-    x = x.tolist()
-    jac = _metzler_matrix(p, c, x)
+def _jacobian_array(p: ModelParams, c: float, x) -> np.ndarray:
+    """Analytic 7x7 Jacobian of the right-hand side at x, any sequence of 7
+    floats: J(X) = M(X) + (dM/dX)X."""
+    jac = metzler_matrix(p, c, x)
     # (dM/dX)X: crowded recruitment and the cross-infection derivatives
     jac[3, 4] = jac[3, 5] = jac[3, 6] = p.mu_b * (1.0 - x[3] / p.K)
     jac[1, 6] = p.B * p.beta_mh * x[0] / p.N_h
@@ -128,19 +115,6 @@ def _jacobian_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
     jac[5, 2] = p.B * p.beta_hm * x[4] / p.N_h
     jac[4, 2] = -jac[5, 2]
     return jac
-
-
-def metzler_decomposition(p: ModelParams, c: ControlLevel | float, x: State7) -> MetzlerForm:
-    """State-dependent matrix form dX/dt = M(X)X + F.
-
-    The state-dependence sits on the diagonal (force-of-infection and
-    logistic-crowding terms), so every off-diagonal entry is nonnegative
-    whenever the state is admissible.
-    """
-    inflow = np.zeros(7, dtype=float)
-    inflow[0] = p.mu_h * p.N_h
-    return MetzlerForm(m_of_x=_metzler_matrix(p, as_control(c).c, x.as_tuple()),
-                       inflow=inflow)
 
 
 class EquilibriumKind(enum.Enum):
@@ -166,7 +140,7 @@ def _scaled_rhs(p: ModelParams, f, y) -> tuple[tuple[float, ...], float]:
     scale that underflows to 0 gives the quotient numpy would (inf, or NaN
     for 0/0) rather than an exception."""
     r = f(y)
-    q = [abs(v) / s if s else abs(v) * math.inf for v, s in zip(r, _component_scales(p))]
+    q = [abs(v) / s if s else abs(v) * math.inf for v, s in zip(r, component_scales(p))]
     return r, (math.nan if any(map(math.isnan, q)) else max(q))
 
 
@@ -286,7 +260,7 @@ def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibriu
         if res < REFINE_TOL:
             return Equilibrium(kind=_classify_root(p, x), state=State7.from_array(x),
                                residual_norm=res, refined=True)
-        jac = _jacobian_array(p, cc, x)
+        jac = _jacobian_array(p, cc, x.tolist())
         try:
             step = np.linalg.solve(jac, -np.array(r))
         except np.linalg.LinAlgError as exc:

@@ -18,15 +18,16 @@ than the stage's arithmetic.  It keeps the loop form's operation order, so
 every result is bit for bit the same, and it stays duck-typed, so (L,)
 arrays step L lanes at once.  The model formula itself is not pasted into
 the generated code: that would be a second copy of it, and a prototype that
-did so made an attempt only about 6% faster.  The error norm and the
-coefficients of the continuous extension are generated the same way, bit
-for bit their loop forms.  An accepted step that covers report times keeps
-the coefficients of its continuous extension as floats, and dense output
-runs once after the loop, as one numpy pass over every report time of the
-run.  That pass writes the (n, 8) result, R_h included, in chunks of
-``_DENSE_CHUNK`` rows, so its temporaries stay a chunk in size; the CSV and
-SVG renderers format text in chunks of the same row count.  A run is capped
-at ``MAX_STEPS`` step attempts.
+did so made an attempt only about 6% faster.  The error norm is generated
+the same way, bit for bit its loop form.  An accepted step that covers
+report times keeps the state, end state and stages it already holds, and
+dense output runs once after the loop, as one numpy pass over every report
+time of the run: it takes the continuous extension's coefficients of all
+those steps at once, in the loop form's operation order, and writes the
+(n, 8) result, R_h included, in chunks of ``_DENSE_CHUNK`` rows, so its
+per-row temporaries stay a chunk in size; the CSV and SVG renderers format
+text in chunks of the same row count.  A run is capped at ``MAX_STEPS``
+step attempts.
 
 Error control uses a weighted RMS norm with per-component weights
 ``atol*scale_i + rtol*max(|y_i|, |y1_i|)`` where the scales are the
@@ -51,10 +52,9 @@ from .model import (
     ModelParams,
     STATE_LABELS,
     State7,
-    State8,
     as_control,
+    component_scales,
     region_violation,
-    _component_scales,
     _recovered,
     _rhs_of,
 )
@@ -127,11 +127,6 @@ class Trajectory:
         """States as an (n, 8) array in CSV column order."""
         return self.data
 
-    @property
-    def states(self) -> tuple[State8, ...]:
-        """The rows as State8 objects, built on each access."""
-        return tuple(State8(*row) for row in self.data.tolist())
-
 
 def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
     """(n, 8) array of full states (R_h inserted as column 3) from an
@@ -197,19 +192,6 @@ def _error_norm_source() -> str:
     return src + f"    return math.sqrt(sq / 7.0) if {finite} else math.inf\n"
 
 
-def _extension_source() -> str:
-    """Source of ``_extension``, written out from ``_D``."""
-    src = "def _extension(y0, y1, k, h):\n" + _unpack("y0") + _unpack("y1")
-    src += "    k1, k2, k3, k4, k5, k6, k7 = k\n"
-    src += "".join(_unpack(f"k{j}") for j, d in enumerate(_D, 1) if d != 0.0)
-    for i in range(7):
-        src += (f"    ydiff_{i} = y1_{i} - y0_{i}\n"
-                f"    bspl_{i} = h * k1_{i} - ydiff_{i}\n")
-    coef = [f"(y0_{i}, ydiff_{i}, bspl_{i}, ydiff_{i} - h * k7_{i} - bspl_{i}, {r5})"
-            for i, r5 in enumerate(_weighted(_D, "h * "))]
-    return src + f"    return {_tuple(coef)}\n"
-
-
 def _compile(name: str, source: str, filename: str, doc: str):
     namespace = {}
     # globals() makes the function's module this one, as a def here would
@@ -244,28 +226,32 @@ The weighted RMS norm of one attempt's error, with per-component
     over the components, without its 21 calls of max and abs.  Unlike
     ``_stages`` it works on floats only.""")
 
-_extension = _compile("_extension", _extension_source(), "<dp54 extension>", """\
-Per component, the coefficients (y0, ydiff, bspl, r4, r5) of the
-    quartic continuous extension of one step, as straight-line code
-    generated once from ``_D`` (``_extension_source``), bit for bit the
-    loop form's.""")
-
 
 def _dense_rows(p: ModelParams, x0, grid: np.ndarray, covering) -> np.ndarray:
     """The (n, 8) full states at the n grid times: x0 first, then each later
-    time on the continuous extension of the step that covers it.
-    ``covering`` holds (t, h, report-time count, _extension coefficients) of
-    each step that covers report times, in order.  A report time inside the
-    ``reach`` slack past its step's end takes the step's end state (theta
-    clamped to 1), never an extrapolation."""
+    time on the quartic continuous extension of the step that covers it.
+    ``covering`` holds (t, h, report-time count, y, y1, stages k) of each
+    step that covers report times, in order.  The extension's coefficients
+    are taken for all those steps at once, per component in the order of
+    the loop ``ydiff = y1 - y; bspl = h*k1 - ydiff; r4 = ydiff - h*k7 - bspl;
+    r5 = h*(d1*k1 + d3*k3 + ...)`` (d2 = 0 skipped).  A report time inside
+    the ``reach`` slack past its step's end takes the step's end state
+    (theta clamped to 1), never an extrapolation."""
     out = np.empty((grid.size, 8))
     out[:1] = full_states(p, np.array([x0]))
     if not covering:
         return out
-    t, h, count, coef = zip(*covering)
-    t, h = np.array(t), np.array(h)
+    t, h, count, y0, y1, k = zip(*covering)
+    t, h, y0, k = np.array(t), np.array(h), np.array(y0), np.array(k)
+    hk = h[:, None]
+    ydiff = np.array(y1) - y0
+    bspl = hk * k[:, 0] - ydiff
+    r4 = ydiff - hk * k[:, 6] - bspl
+    r5 = _D[0] * k[:, 0]
+    for j, d in enumerate(_D[2:], 2):  # d2 = 0 skipped
+        r5 += d * k[:, j]
+    r5 *= hk
     step = np.repeat(np.arange(len(count)), count)
-    y0, ydiff, bspl, r4, r5 = np.array(coef).transpose(2, 0, 1)
     for lo in range(0, step.size, _DENSE_CHUNK):
         s = step[lo:lo + _DENSE_CHUNK]
         th = np.minimum(1.0, (grid[1 + lo:1 + lo + s.size] - t[s]) / h[s])[:, None]
@@ -298,7 +284,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
         raise ScenarioError(
             f"the window needs at least {steps_needed:.4g} steps at h_max = {h_max:g} day, "
             f"more than the cap of {MAX_STEPS}; raise h_max or shorten the window")
-    scales = _component_scales(p)
+    scales = component_scales(p)
     w = tuple(atol * s for s in scales)  # the absolute part of each error weight
     for label, s, ws in zip(STATE_LABELS, scales, w):
         if ws == 0.0:
@@ -338,7 +324,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
             reach = t_new + 1e-12 * max(1.0, abs(t_new))
             j_end = bisect.bisect_right(times, reach, j)
             if j_end > j:
-                covering.append((t, h, j_end - j, _extension(y, y1, k, h)))
+                covering.append((t, h, j_end - j, y, y1, k))
                 j = j_end
             t, y, k1 = t_new, y1, k[6]  # first-same-as-last
             accepted += 1

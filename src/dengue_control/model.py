@@ -146,27 +146,7 @@ class State7:
         return (self.S_h, self.E_h, self.I_h, self.A_m, self.S_m, self.E_m, self.I_m)
 
 
-@dataclass(frozen=True)
-class State8:
-    """Full state including the derived recovered class R_h."""
-
-    S_h: float
-    E_h: float
-    I_h: float
-    R_h: float
-    A_m: float
-    S_m: float
-    E_m: float
-    I_m: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.S_h, self.E_h, self.I_h, self.R_h, self.A_m, self.S_m, self.E_m, self.I_m)
-
-    def drop_rh(self) -> State7:
-        return State7(self.S_h, self.E_h, self.I_h, self.A_m, self.S_m, self.E_m, self.I_m)
-
-
-def _component_scales(p: ModelParams) -> tuple[float, ...]:
+def component_scales(p: ModelParams) -> tuple[float, ...]:
     """Natural magnitude of each compartment: N_h for humans, k*N_h for the
     aquatic stage, m*N_h for adult mosquitoes.  Used for relative residuals,
     region bounds and integrator error weights."""
@@ -225,15 +205,10 @@ def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
 
 def _recovered(p: ModelParams, s_h, e_h, i_h):
     """R_h = N_h - S_h - E_h - I_h, subtracted in that order, for scalars or
-    arrays alike (so rows and single states agree bit for bit)."""
-    return p.N_h - s_h - e_h - i_h
-
-
-def reconstruct_rh(p: ModelParams, x: State7) -> State8:
-    """Recover R_h = N_h - S_h - E_h - I_h.  A negative R_h is reported as
+    arrays alike; the one home of R_h, which full rows (``Trajectory``'s
+    CSV-ordered array) carry as column 3.  A negative R_h is reported as
     is; it signals departure from the admissible region, not an error."""
-    r_h = _recovered(p, x.S_h, x.E_h, x.I_h)
-    return State8(x.S_h, x.E_h, x.I_h, r_h, x.A_m, x.S_m, x.E_m, x.I_m)
+    return p.N_h - s_h - e_h - i_h
 
 
 def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
@@ -334,7 +309,7 @@ def region_violation(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> s
     Each inequality gets additive slack ``slack * bound``; the aquatic bound
     is k*N_h (not the carrying capacity K).  Non-finite states are outside.
     """
-    for label, value, bound in zip(STATE_LABELS, x.as_tuple(), _component_scales(p)):
+    for label, value, bound in zip(STATE_LABELS, x.as_tuple(), component_scales(p)):
         if not value >= -slack * bound:
             return f"{label}0 = {value!r} violates {label}0 >= 0"
     n_h, kn, mn = p.N_h, p.k * p.N_h, p.m * p.N_h
@@ -349,6 +324,6 @@ def region_violation(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> s
     return None
 
 
-def in_omega(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> bool:
+def in_omega(p: ModelParams, x: State7) -> bool:
     """Membership in the admissible region (see ``region_violation``)."""
-    return region_violation(p, x, slack) is None
+    return region_violation(p, x) is None

@@ -46,7 +46,9 @@ class AnalysisReport:
     threshold: dict
 
 
-def _entry(scenario: Scenario, eq: Equilibrium) -> EquilibriumEntry:
+def _entry(scenario: Scenario, eq: Equilibrium, r0: float | None = None) -> EquilibriumEntry:
+    """One equilibrium's entry; ``r0`` is the reproduction number at the
+    point, given for the disease-free state only."""
     rep = classify(scenario.params, scenario.control, eq)
     return EquilibriumEntry(
         kind=eq.kind.value,
@@ -55,7 +57,7 @@ def _entry(scenario: Scenario, eq: Equilibrium) -> EquilibriumEntry:
         inside_region=in_omega(scenario.params, eq.state),
         refined=eq.refined,
         classification=rep.classification.value,
-        r0_at_point=rep.r0_at_point,
+        r0_at_point=r0,
     )
 
 
@@ -83,7 +85,7 @@ def build_report(scenario: Scenario) -> AnalysisReport:
         r0s = r0_spectral(p, ctrl)
         r0c = r0_closed_form(p, ctrl)
         r_hm, r_mh = r0_factors(p, ctrl)
-        entries.append(_entry(scenario, brdfe(p, ctrl)))
+        entries.append(_entry(scenario, brdfe(p, ctrl), r0c))
         try:
             entries.append(_entry(scenario, refined_endemic(p, ctrl)))
         except (NoEndemicEquilibrium, NumericalFailure) as exc:

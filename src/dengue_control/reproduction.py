@@ -33,7 +33,6 @@ import numpy as np
 from .equilibria import _jacobian_array
 from .errors import NumericalFailure
 from .model import ControlLevel, ModelParams, as_control, _paper_dfe
-from .model import r0_closed_form  # noqa: F401  (the second route, re-exported here)
 from .stability import eigenvalues
 
 #: Rows and columns of the infected subsystem (E_h, I_h, E_m, I_m) in the state.
@@ -60,7 +59,7 @@ def build_ngm(p: ModelParams, c: ControlLevel | float = 0.0) -> NgmDecomposition
     disease-free equilibrium: F - V is the infected block of the model's
     Jacobian there, and F keeps the block's two new-infection entries."""
     ctrl = as_control(c)
-    block = _jacobian_array(p, ctrl.c, _paper_dfe(p, ctrl).as_array())[_INFECTED]
+    block = _jacobian_array(p, ctrl.c, _paper_dfe(p, ctrl).as_tuple())[_INFECTED]
     j_f = np.zeros((4, 4), dtype=float)
     j_f[0, 3] = block[0, 3]   # mosquito -> human: E_h gains from I_m
     j_f[2, 1] = block[2, 1]   # human -> mosquito: E_m gains from I_h

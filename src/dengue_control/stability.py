@@ -14,7 +14,10 @@ numerically from the eigenvalues themselves rather than inferred from the
 reproduction-number threshold; the two agree (the Jacobian at a
 disease-free state block-triangularizes into an always-stable
 susceptible/vector block and an infected block whose stability flips
-exactly where the reproduction number crosses one).
+exactly where the reproduction number crosses one).  A StabilityReport
+holds the spectrum and its label only: the reproduction number at that
+point is ``r0_closed_form``'s, which a caller such as ``report`` has
+already computed.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind, _jacobian_array
+from .equilibria import Equilibrium, _jacobian_array
 from .errors import NumericalFailure
-from .model import ControlLevel, ModelParams, State7, as_control, r0_closed_form
+from .model import ControlLevel, ModelParams, State7, as_control
 
 #: Classification margin as a fraction of the Jacobian's spectral radius.
 MARGIN_FACTOR = 1e-9
@@ -35,8 +38,6 @@ MARGIN_FACTOR = 1e-9
 #: Residual above which classify() warns that the input is not close
 #: enough to a fixed point for its linearization to mean much.
 RESIDUAL_WARN = 1e-6
-
-_MAX_EIG_DIM = 16
 
 
 class Classification(enum.Enum):
@@ -50,7 +51,6 @@ class StabilityReport:
     eigenvalues: tuple[complex, ...]        # sorted by descending real part
     spectral_abscissa: float
     classification: Classification
-    r0_at_point: float | None = None
 
 
 def jacobian(p: ModelParams, c: ControlLevel | float, x: State7) -> np.ndarray:
@@ -62,21 +62,19 @@ def jacobian(p: ModelParams, c: ControlLevel | float, x: State7) -> np.ndarray:
     """
     if not x.is_finite():
         raise ValueError("state contains non-finite components")
-    return _jacobian_array(p, as_control(c).c, x.as_array())
+    return _jacobian_array(p, as_control(c).c, x.as_tuple())
 
 
 def eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
     """Eigenvalues of a small dense real matrix, sorted by descending real
     part (ties by descending imaginary part) for deterministic output.
 
-    Intended for matrices up to 16x16; raises NumericalFailure if the
-    underlying QR iteration fails to converge.
+    Raises NumericalFailure if the underlying QR iteration fails to
+    converge.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > _MAX_EIG_DIM:
-        raise ValueError(f"matrix dimension {a.shape[0]} exceeds {_MAX_EIG_DIM}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     try:
@@ -90,9 +88,7 @@ def eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
 def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> StabilityReport:
     """Local stability of an equilibrium from the Jacobian spectrum.
 
-    For the mosquito-bearing disease-free equilibrium the report also
-    carries the basic reproduction number at that point.  Raises
-    NumericalFailure when the state or its Jacobian is not finite.
+    Raises NumericalFailure when the state or its Jacobian is not finite.
     """
     ctrl = as_control(c)
     if eq.residual_norm > RESIDUAL_WARN:
@@ -116,9 +112,5 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
         label = Classification.UNSTABLE
     else:
         label = Classification.MARGINAL
-
-    r0 = None
-    if eq.kind is EquilibriumKind.BRDFE:
-        r0 = r0_closed_form(p, ctrl)
     return StabilityReport(eigenvalues=vals, spectral_abscissa=float(abscissa),
-                           classification=label, r0_at_point=r0)
+                           classification=label)

@@ -27,6 +27,7 @@ _MARGIN_L = 72
 _MARGIN_R = 16
 _MARGIN_T = 46
 _MARGIN_B = 46
+_TICKS = 5  # about this many ticks per axis
 
 _HUMAN_SERIES = (("S_h", 0, "#1f77b4"), ("E_h", 1, "#ff7f0e"),
                  ("I_h", 2, "#d62728"), ("R_h", 3, "#2ca02c"))
@@ -34,10 +35,10 @@ _MOSQUITO_SERIES = (("A_m", 4, "#8c564b"), ("S_m", 5, "#1f77b4"),
                     ("E_m", 6, "#ff7f0e"), ("I_m", 7, "#d62728"))
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag

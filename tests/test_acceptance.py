@@ -13,10 +13,15 @@ from conftest import (
     draw_params,
     draw_params_wide,
 )
-from dengue_control.equilibria import brdfe, component_scales, refined_endemic, trivial_equilibrium
+from dengue_control.equilibria import brdfe, refined_endemic, trivial_equilibrium
 from dengue_control.integrator import SolverConfig, integrate, _integrate_fixed_dp54
-from dengue_control.model import basic_offspring_number, mosquito_viability
-from dengue_control.reproduction import r0_closed_form, r0_factors, r0_spectral
+from dengue_control.model import (
+    basic_offspring_number,
+    component_scales,
+    mosquito_viability,
+    r0_closed_form,
+)
+from dengue_control.reproduction import r0_factors, r0_spectral
 from dengue_control.stability import Classification, classify
 from dengue_control.threshold import min_control
 
@@ -134,7 +139,7 @@ def test_criterion_6_positivity_and_conservation():
 
 
 def test_criterion_7_integrator_order(rk4_reference):
-    ref = np.array(rk4_reference.states[-1].as_tuple())
+    ref = rk4_reference.as_array()[-1]
     ref7 = np.array([ref[0], ref[1], ref[2], ref[4], ref[5], ref[6], ref[7]])
     scales = component_scales(CAPE_VERDE)
     errs = []

@@ -690,7 +690,7 @@ class TestProcessInvocation:
 
 class TestPublicNames:
     def test_each_name_resolves_to_its_defining_module(self):
-        assert len(dengue_control.__all__) == len(set(dengue_control.__all__)) == 49
+        assert len(dengue_control.__all__) == len(set(dengue_control.__all__)) == 46
         for name in dengue_control.__all__:
             obj = getattr(dengue_control, name)
             assert getattr(sys.modules[obj.__module__], name) is obj

@@ -8,7 +8,6 @@ from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.equilibria import (
     EquilibriumKind,
     brdfe,
-    component_scales,
     endemic_closed_form,
     refine,
     refined_endemic,
@@ -17,8 +16,14 @@ from dengue_control.equilibria import (
     _rhs_array,
 )
 from dengue_control.errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
-from dengue_control.model import State7, in_omega, mosquito_viability
-from dengue_control.reproduction import r0_closed_form, r0_spectral
+from dengue_control.model import (
+    State7,
+    component_scales,
+    in_omega,
+    mosquito_viability,
+    r0_closed_form,
+)
+from dengue_control.reproduction import r0_spectral
 from dengue_control.threshold import min_control
 
 

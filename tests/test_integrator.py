@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CAPE_VERDE, CAPE_VERDE_X0, draw_omega_state, draw_params, params_with
-from dengue_control.equilibria import brdfe, component_scales, trivial_equilibrium, _rhs_array
+from dengue_control.equilibria import brdfe, trivial_equilibrium, _rhs_array
 from dengue_control.errors import NumericalFailure
 from dengue_control import integrator
 from dengue_control.integrator import (
@@ -16,12 +16,11 @@ from dengue_control.integrator import (
     integrate_fixed_rk4,
     _dense_rows,
     _error_norm,
-    _extension,
     _integrate_fixed_dp54,
     _output_grid,
     _stages,
 )
-from dengue_control.model import State7, in_omega, rhs, _rhs_of
+from dengue_control.model import State7, component_scales, in_omega, rhs, _rhs_of
 
 # The Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2): stage matrix, 5th-order weights b, 4th-order weights b-hat,
@@ -103,7 +102,7 @@ def _loop_error_norm(err, scales, y, y1, atol, rtol):
 
 def _loop_extension(y0, y1, k, h):
     """The continuous-extension coefficients in their per-component loop
-    form, the oracle for the straight-line ``integrator._extension``."""
+    form, the oracle for those ``integrator._dense_rows`` takes."""
     k1, _, k3, k4, k5, k6, k7 = k
     d1, _, d3, d4, d5, d6, d7 = integrator._D
     coef = []
@@ -116,12 +115,37 @@ def _loop_extension(y0, y1, k, h):
     return coef
 
 
+def _loop_dense_rows(p, x0, grid, covering):
+    """``integrator._dense_rows`` evaluated one report time at a time on the
+    loop-form coefficients: theta = min(1, (t - t_step)/h), then per
+    component y0 + theta*(ydiff + u*(bspl + theta*(r4 + u*r5))), u = 1 - theta,
+    and R_h = N_h - S_h - E_h - I_h."""
+    rows = [x0]
+    times = iter(grid[1:].tolist())
+    for t0, h, count, y0, y1, k in covering:
+        coef = _loop_extension(y0, y1, k, h)
+        for _ in range(count):
+            th = min(1.0, (next(times) - t0) / h)
+            u = 1.0 - th
+            rows.append([a + th * (d + u * (b + th * (r4 + u * r5))) for a, d, b, r4, r5 in coef])
+    return [row[:3] + [p.N_h - row[0] - row[1] - row[2]] + row[3:] for row in map(list, rows)]
+
+
+def _hex_rows(rows):
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
 def _bits(attempt):
     """(k, y1, err) of an attempt as nested tuples of float.hex strings, so
     that == compares every double bit for bit, signed zeros included."""
     k, y1, err = attempt
     return tuple(tuple(map(float.hex, q)) for q in k), tuple(map(float.hex, y1)), \
         tuple(map(float.hex, err))
+
+
+def _state7(row):
+    """The reduced state of a CSV-ordered row (R_h dropped)."""
+    return State7.from_array(row[:3] + row[4:])
 
 
 def _scales8(p):
@@ -151,28 +175,28 @@ class TestSolverConfig:
 class TestIntegrate:
     def test_zero_horizon_single_point(self):
         traj = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, SolverConfig(t0=0.0, t_end=0.0))
-        assert len(traj.states) == 1
+        assert len(traj.as_array()) == 1
         assert traj.times[0] == 0.0
-        assert traj.states[0].drop_rh() == CAPE_VERDE_X0
+        assert _state7(traj.as_array()[0].tolist()) == CAPE_VERDE_X0
 
     def test_first_state_is_initial_condition(self):
         traj = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, SolverConfig(t_end=3.0))
-        assert traj.states[0].drop_rh() == CAPE_VERDE_X0
+        assert _state7(traj.as_array()[0].tolist()) == CAPE_VERDE_X0
         assert np.all(np.diff(traj.times) > 0)
-        assert len(traj.states) == len(traj.times)
+        assert len(traj.as_array()) == len(traj.times)
 
     def test_disease_free_equilibrium_stays_put(self):
         eq = brdfe(CAPE_VERDE, 0.0)
         traj = integrate(CAPE_VERDE, 0.0, eq.state, SolverConfig(t_end=100.0))
         x0 = np.array(eq.state.as_tuple())
-        for s in traj.states:
-            drift = np.abs(np.array(s.drop_rh().as_tuple()) - x0)
+        for row in traj.as_array():
+            drift = np.abs(np.delete(row, 3) - x0)
             assert np.max(drift) < 1e-6 * CAPE_VERDE.N_h
 
     def test_agrees_with_rk4_oracle(self, rk4_reference):
         traj = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, SolverConfig(t_end=100.0))
-        final = np.array(traj.states[-1].as_tuple())
-        ref = np.array(rk4_reference.states[-1].as_tuple())
+        final = traj.as_array()[-1]
+        ref = rk4_reference.as_array()[-1]
         rel = np.abs(final - ref) / np.maximum(np.abs(ref), 1e-30)
         assert np.max(rel) < 1e-5
 
@@ -187,7 +211,7 @@ class TestIntegrate:
     def test_reported_states_stay_admissible(self):
         for c in (0.0, 0.2):
             traj = integrate(CAPE_VERDE, c, CAPE_VERDE_X0, SolverConfig(t_end=100.0))
-            assert all(in_omega(CAPE_VERDE, s.drop_rh()) for s in traj.states)
+            assert all(in_omega(CAPE_VERDE, _state7(row)) for row in traj.as_array().tolist())
 
     def test_positivity_along_trajectory(self):
         traj = integrate(CAPE_VERDE, 0.2, CAPE_VERDE_X0, SolverConfig(t_end=100.0))
@@ -205,7 +229,7 @@ class TestIntegrate:
         a = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, cfg)
         b = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, cfg)
         assert np.array_equal(a.times, b.times)
-        assert all(x.as_tuple() == y.as_tuple() for x, y in zip(a.states, b.states))
+        assert np.array_equal(a.as_array(), b.as_array())
         assert a.step_stats == b.step_stats
 
     def test_concurrent_runs_match_serial(self):
@@ -218,13 +242,13 @@ class TestIntegrate:
             concurrent = list(pool.map(
                 lambda c: integrate(CAPE_VERDE, c, CAPE_VERDE_X0, cfg), controls))
         for a, b in zip(serial, concurrent):
-            assert all(x.as_tuple() == y.as_tuple() for x, y in zip(a.states, b.states))
+            assert np.array_equal(a.as_array(), b.as_array())
 
     def test_output_step_longer_than_horizon(self):
         traj = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0,
                          SolverConfig(t_end=3.0, output_step=10.0))
         assert list(traj.times) == [0.0, 3.0]
-        assert len(traj.states) == 2
+        assert len(traj.as_array()) == 2
 
     def test_rejects_start_outside_region(self):
         bad = State7(CAPE_VERDE.N_h, 0.0, -5.0, 0.0, 0.0, 0.0, 0.0)
@@ -246,7 +270,7 @@ class TestFixedRk4:
         eq = trivial_equilibrium(CAPE_VERDE)
         traj = integrate_fixed_rk4(CAPE_VERDE, 0.0, eq.state, 0.5, 10.0)
         x0 = eq.state.as_tuple()
-        assert all(s.drop_rh().as_tuple() == x0 for s in traj.states)
+        assert all(_state7(row).as_tuple() == x0 for row in traj.as_array().tolist())
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
@@ -277,8 +301,8 @@ class TestFixedRk4:
         expected_e_h = y0[1] + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
 
         traj = integrate_fixed_rk4(CAPE_VERDE, 0.0, CAPE_VERDE_X0, h, h)
-        assert len(traj.states) == 2
-        assert traj.states[1].E_h == pytest.approx(expected_e_h, rel=1e-12)
+        assert len(traj.as_array()) == 2
+        assert traj.as_array()[1, 1] == pytest.approx(expected_e_h, rel=1e-12)  # E_h
 
 
 class TestDp54Step:
@@ -343,12 +367,20 @@ class TestDp54Step:
         y = draw_omega_state(rng, p).as_tuple()
         f = _rhs_of(p, c)
         k, y1, err = _stages(f, y, h, f(y))
-        scales = component_scales(p).tolist()
+        scales = component_scales(p)
         w = tuple(tol * s for s in scales)
         norm = _error_norm(err, y, y1, w, tol)
         assert norm.hex() == _loop_error_norm(err, scales, y, y1, tol, tol).hex()
-        assert [tuple(map(float.hex, q)) for q in _extension(y, y1, k, h)] == \
-            [tuple(map(float.hex, q)) for q in _loop_extension(y, y1, k, h)]
+        # dense output over two steps, each with report times inside it, at
+        # its end and inside the reach slack past it (theta clamped to 1)
+        k_next, y2, _ = _stages(f, y1, h, k[6])
+        t0 = float(rng.uniform(0.0, 100.0))
+        thetas = (0.0, 0.25, 0.5, 1.0, 1.0 + 5e-13)
+        grid = np.array([t0] + [t0 + th * h for th in thetas[1:]]
+                        + [t0 + h + th * h for th in thetas[1:]])
+        covering = [(t0, h, 4, y, y1, k), (t0 + h, h, 4, y1, y2, k_next)]
+        assert _hex_rows(_dense_rows(p, y, grid, covering).tolist()) == \
+            _hex_rows(_loop_dense_rows(p, y, grid, covering))
 
     @settings(max_examples=500, deadline=None)
     @given(values=st.lists(st.one_of(st.floats(), st.sampled_from(
@@ -359,25 +391,34 @@ class TestDp54Step:
         # NaN, +-inf and -0.0 in y, y1 and the error: the same bits of the
         # norm, and so the same accept decision, as the loop form
         err, y, y1 = values[:7], values[7:14], values[14:]
-        scales = component_scales(CAPE_VERDE).tolist()
+        scales = component_scales(CAPE_VERDE)
         norm = _error_norm(err, y, y1, tuple(atol * s for s in scales), rtol)
         expected = _loop_error_norm(err, scales, y, y1, atol, rtol)
         assert norm.hex() == expected.hex()
         assert (norm <= 1.0) == (expected <= 1.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(st.floats(), min_size=63, max_size=63), h=st.floats())
-    def test_extension_equals_loop_on_any_doubles(self, values, h):
+    @given(values=st.lists(st.one_of(st.floats(), st.sampled_from((-0.0, 0.0))),
+                           min_size=63, max_size=63),
+           h=st.floats(1e-300, 1e300), thetas=st.lists(st.floats(0.0, 1.0 + 1e-12), max_size=8))
+    def test_extension_equals_loop_on_any_doubles(self, values, h, thetas):
+        # NaN, +-inf and -0.0 in the states and stages: dense output keeps
+        # the bits of the loop form, report time by report time
         y0, y1 = values[:7], values[7:14]
-        k = [values[14 + 7 * i:21 + 7 * i] for i in range(7)]
-        assert [tuple(map(float.hex, q)) for q in _extension(y0, y1, k, h)] == \
-            [tuple(map(float.hex, q)) for q in _loop_extension(y0, y1, k, h)]
+        k = tuple(tuple(values[14 + 7 * i:21 + 7 * i]) for i in range(7))
+        grid = np.array([0.0] + sorted(th * h for th in thetas))
+        covering = [(0.0, h, len(thetas), tuple(y0), tuple(y1), k)] if thetas else []
+        with np.errstate(all="ignore"):
+            rows = _dense_rows(CAPE_VERDE, y0, grid, covering)
+        assert _hex_rows(rows.tolist()) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y0, grid, covering))
 
     def test_generated_sources_name_their_files(self):
+        # the attempt and its error norm are the only generated functions
         assert _error_norm.__code__.co_filename == "<dp54 error norm>"
-        assert _extension.__code__.co_filename == "<dp54 extension>"
-        for source in (integrator._error_norm_source(), integrator._extension_source()):
-            assert "zip" not in source and "max(" not in source and "abs(" not in source
+        assert not hasattr(integrator, "_extension")
+        assert not hasattr(integrator, "_extension_source")
+        source = integrator._error_norm_source()
+        assert "zip" not in source and "max(" not in source and "abs(" not in source
 
     def test_stages_source_names_its_file(self):
         assert _stages.__code__.co_filename == "<dp54 stages>"
@@ -483,14 +524,16 @@ class TestDenseOutput:
         y = CAPE_VERDE_X0.as_tuple()
         f = _rhs_of(CAPE_VERDE, 0.0)
         k, y1, _ = _stages(f, y, 1.0, f(y))
-        covering = [(0.0, 1.0, 2, _extension(y, y1, k, 1.0))]
-        rows = _dense_rows(CAPE_VERDE, y, np.array([0.0, 1.0, 1.0 + 5e-13]), covering)
+        covering = [(0.0, 1.0, 2, y, y1, k)]
+        grid = np.array([0.0, 1.0, 1.0 + 5e-13])
+        rows = _dense_rows(CAPE_VERDE, y, grid, covering)
         assert rows[2].tolist() == rows[1].tolist()
+        assert _hex_rows(rows.tolist()) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y, grid, covering))
 
 
 class TestEmbeddedPairOrder:
     def test_convergence_order_at_least_four_and_a_half(self, rk4_reference):
-        ref = np.array(rk4_reference.states[-1].as_tuple())
+        ref = rk4_reference.as_array()[-1]
         ref7 = np.array([ref[0], ref[1], ref[2], ref[4], ref[5], ref[6], ref[7]])
         scales = component_scales(CAPE_VERDE)
         errs = []
@@ -515,8 +558,7 @@ class TestTrajectoryArray:
         for row in data.tolist():
             s_h, e_h, i_h, r_h = row[:4]
             assert r_h == CAPE_VERDE.N_h - s_h - e_h - i_h
-        states = traj.states
-        assert all(states[i].as_tuple() == tuple(data[i]) for i in range(len(data)))
+        assert traj.as_array() is traj.data  # the rows are the one full-state form
         assert not data.flags.writeable
         with pytest.raises(ValueError):
             data[0, 0] = 0.0

@@ -12,14 +12,15 @@ from conftest import (
     draw_params_wide,
     params_with,
 )
-from dengue_control.equilibria import component_scales, metzler_decomposition
+from dengue_control.equilibria import metzler_matrix
+from dengue_control.integrator import full_states
 from dengue_control.model import (
     ControlLevel,
     State7,
     basic_offspring_number,
+    component_scales,
     in_omega,
     mosquito_viability,
-    reconstruct_rh,
     rhs,
     _rhs_of,
 )
@@ -165,29 +166,36 @@ class TestRhs:
             assert lhs == pytest.approx(rhs_val, rel=1e-8, abs=1e-8)
 
 
+def full_row(x):
+    """x as the CSV-ordered row (S_h, E_h, I_h, R_h, A_m, S_m, E_m, I_m) that
+    trajectories report, R_h recovered from the human total."""
+    return full_states(CAPE_VERDE, np.array([x.as_tuple()]))[0].tolist()
+
+
 class TestReconstructRh:
     def test_all_susceptible(self):
         x = State7(CAPE_VERDE.N_h, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert reconstruct_rh(CAPE_VERDE, x).R_h == 0.0
+        assert full_row(x)[3] == 0.0
 
     def test_outbreak_initial_condition(self):
         x = State7(479350.0, 216.0, 434.0, 0.0, 0.0, 0.0, 0.0)
-        assert reconstruct_rh(CAPE_VERDE, x).R_h == 0.0
+        assert full_row(x)[3] == 0.0
 
     def test_plain_arithmetic(self):
         x = State7(400000.0, 30000.0, 20000.0, 0.0, 0.0, 0.0, 0.0)
-        assert reconstruct_rh(CAPE_VERDE, x).R_h == 30000.0
+        assert full_row(x)[3] == 30000.0
 
     def test_negative_rh_reported_not_rejected(self):
         x = State7(CAPE_VERDE.N_h, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert reconstruct_rh(CAPE_VERDE, x).R_h == -1000.0
+        assert full_row(x)[3] == -1000.0
 
     def test_human_total_conserved(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             x = draw_omega_state(rng, CAPE_VERDE)
-            s8 = reconstruct_rh(CAPE_VERDE, x)
-            total = s8.S_h + s8.E_h + s8.I_h + s8.R_h
+            row = full_row(x)
+            assert row[:3] + row[4:] == list(x.as_tuple())
+            total = row[0] + row[1] + row[2] + row[3]
             assert total == pytest.approx(CAPE_VERDE.N_h, rel=1e-8)
 
 
@@ -268,30 +276,33 @@ class TestMetzlerDecomposition:
             p = draw_params(rng)
             c = rng.uniform(0.0, 0.3)
             x = draw_omega_state(rng, p)
-            form = metzler_decomposition(p, c, x)
-            recon = form.m_of_x @ x.as_array() + form.inflow
+            inflow = np.zeros(7)
+            inflow[0] = p.mu_h * p.N_h
+            recon = metzler_matrix(p, c, x.as_tuple()) @ x.as_array() + inflow
             r = np.array(rhs(p, c, x).as_tuple())
             assert np.all(np.abs(recon - r) <= 1e-10 * (np.abs(r) + component_scales(p)))
 
     def test_inflow_vector(self):
-        form = metzler_decomposition(CAPE_VERDE, 0.0,
-                                     State7(CAPE_VERDE.N_h, 0, 0, 0, 0, 0, 0))
+        # F = rhs - M(X)X is the constant recruitment (mu_h*N_h, 0, ..., 0)
+        x = State7(CAPE_VERDE.N_h, 0, 0, 0, 0, 0, 0)
+        inflow = (np.array(rhs(CAPE_VERDE, 0.0, x).as_tuple())
+                  - metzler_matrix(CAPE_VERDE, 0.0, x.as_tuple()) @ x.as_array())
         expected = np.zeros(7)
         expected[0] = CAPE_VERDE.mu_h * CAPE_VERDE.N_h
-        assert np.array_equal(form.inflow, expected)
+        assert np.array_equal(inflow, expected)
 
     def test_offdiagonals_nonnegative_on_omega(self):
         rng = np.random.default_rng(37)
         for _ in range(1000):
             p = draw_params(rng)
             x = draw_omega_state(rng, p)
-            m = metzler_decomposition(p, rng.uniform(0.0, 0.5), x).m_of_x
+            m = metzler_matrix(p, rng.uniform(0.0, 0.5), x.as_tuple())
             off = m - np.diag(np.diag(m))
             assert np.all(off >= 0.0)
 
     def test_infection_entry_with_thousand_infected_mosquitoes(self):
         x = State7(480000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
-        m = metzler_decomposition(CAPE_VERDE, 0.0, x).m_of_x
+        m = metzler_matrix(CAPE_VERDE, 0.0, x.as_tuple())
         expected = CAPE_VERDE.B * CAPE_VERDE.beta_mh * 1000.0 / CAPE_VERDE.N_h
         assert m[1, 0] == pytest.approx(expected, rel=1e-12)
         assert m[1, 0] == pytest.approx(0.375 * 1000.0 / 480000.0, rel=1e-12)

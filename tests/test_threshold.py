@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.errors import MosquitoCollapseError, NumericalFailure, ScenarioError
-from dengue_control.reproduction import r0_closed_form, r0_spectral
+from dengue_control.model import r0_closed_form
+from dengue_control.reproduction import r0_spectral
 from dengue_control.threshold import (
     NoControlNeeded,
     ThresholdResult,
@@ -180,6 +181,20 @@ class TestClosedFormRoot:
         p = params_with(mu_b=1e300, mu_m=1e-162, eta_m=1e-162, K=1e-14)
         with pytest.raises(ScenarioError, match="c\\* = nan"):
             min_control(p, tol=tol)
+
+    def test_subnormal_denominator_of_r0_at_zero_control_certifies(self):
+        # R0(0)'s denominator holds mu_m^2 = 1e-320, a subnormal, so the
+        # quadratic taken from R0(0) misses the root by about 4e-5 and its
+        # certificate fails; the one taken from R0 at half the collapse
+        # bound is certified
+        p = params_with(mu_m=1e-160, beta_hm=1.0, N_h=7.8e162)
+        result = min_control(p)
+        assert isinstance(result, ThresholdResult)
+        lo, hi = result.bracket
+        assert lo <= result.c_star < hi and hi - lo <= 1e-6
+        assert r0_closed_form(p, lo) > 1.0 >= r0_closed_form(p, hi)
+        assert r0_closed_form(p, result.c_star - 1e-7) > 1.0 > r0_closed_form(p, result.c_star + 1e-7)
+        assert abs(result.c_star - bisect_to_one_ulp(p)) <= 1e-12
 
     # at B = 1e12 R0 falls through one between neighbouring floats, so only
     # the bracket width fails the certificate
