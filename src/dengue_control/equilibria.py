@@ -31,14 +31,14 @@ component and sits outside the admissible region.  Callers that need a
 biologically meaningful endemic state should check region membership on
 the result.
 
-This module also holds the model's array forms, used by Newton refinement,
-the stability analysis and the integrator's RK4 oracle: the right-hand
-side and the Metzler form dX/dt = M(X)X + F, with F = (mu_h*N_h, 0, ..., 0)
-constant and M(X) (``metzler_matrix``) having nonnegative off-diagonal
-entries on the admissible region, which keeps trajectories in the
-nonnegative orthant.  The analytic Jacobian is derived from M by the
-product rule, J(X) = M(X) + (dM/dX)X; at the disease-free point the
-infected blocks of the two parts are -V and F of the next-generation split.
+This module also holds the model's array forms, used by Newton refinement
+and the stability analysis: the Metzler form dX/dt = M(X)X + F, with
+F = (mu_h*N_h, 0, ..., 0) constant and M(X) (``metzler_matrix``) having
+nonnegative off-diagonal entries on the admissible region, which keeps
+trajectories in the nonnegative orthant.  The analytic Jacobian is derived
+from M by the product rule, J(X) = M(X) + (dM/dX)X; at the disease-free
+point the infected blocks of the two parts are -V and F of the
+next-generation split.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ REFINE_TOL = 1e-10
 
 _MAX_NEWTON_ITERATIONS = 100
 _MAX_DAMPING_HALVINGS = 30
-
-
-def _rhs_array(p: ModelParams, c: float, x: np.ndarray) -> np.ndarray:
-    """Derivative of the 7-dim state as an array."""
-    return np.array(_rhs_of(p, c)(x.tolist()))
 
 
 def metzler_matrix(p: ModelParams, c: ControlLevel | float, x) -> np.ndarray:

@@ -20,14 +20,14 @@ arrays step L lanes at once.  The model formula itself is not pasted into
 the generated code: that would be a second copy of it, and a prototype that
 did so made an attempt only about 6% faster.  The error norm is generated
 the same way, bit for bit its loop form.  An accepted step that covers
-report times keeps the state, end state and stages it already holds, and
-dense output runs once after the loop, as one numpy pass over every report
-time of the run: it takes the continuous extension's coefficients of all
-those steps at once, in the loop form's operation order, and writes the
-(n, 8) result, R_h included, in chunks of ``_DENSE_CHUNK`` rows, so its
-per-row temporaries stay a chunk in size; the CSV and SVG renderers format
-text in chunks of the same row count.  A run is capped at ``MAX_STEPS``
-step attempts.
+report times appends the 58 doubles its continuous extension reads to one
+flat ``bytearray``.  Dense output runs once after the loop, as one numpy
+pass that reads that buffer in place: it takes the extension's
+coefficients of all those steps at once, in the loop form's operation
+order, and writes the (n, 8) result, R_h included, in chunks of
+``_DENSE_CHUNK`` rows, so its per-row temporaries stay a chunk in size;
+the CSV and SVG renderers format text in chunks of the same row count.  A
+run is capped at ``MAX_STEPS`` step attempts.
 
 Error control uses a weighted RMS norm with per-component weights
 ``atol*scale_i + rtol*max(|y_i|, |y1_i|)`` where the scales are the
@@ -42,10 +42,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from struct import pack
 
 import numpy as np
 
-from .equilibria import _rhs_array
 from .errors import NumericalFailure, ScenarioError
 from .model import (
     ControlLevel,
@@ -227,31 +227,33 @@ The weighted RMS norm of one attempt's error, with per-component
     ``_stages`` it works on floats only.""")
 
 
-def _dense_rows(p: ModelParams, x0, grid: np.ndarray, covering) -> np.ndarray:
+def _dense_rows(p: ModelParams, x0, grid: np.ndarray, steps, counts) -> np.ndarray:
     """The (n, 8) full states at the n grid times: x0 first, then each later
     time on the quartic continuous extension of the step that covers it.
-    ``covering`` holds (t, h, report-time count, y, y1, stages k) of each
-    step that covers report times, in order.  The extension's coefficients
-    are taken for all those steps at once, per component in the order of
-    the loop ``ydiff = y1 - y; bspl = h*k1 - ydiff; r4 = ydiff - h*k7 - bspl;
+    ``steps`` holds a row of 58 doubles per step that covers report times,
+    in order (t, h, y, y1, k1, k3, ..., k7; k2 has weight d2 = 0), read in
+    place; ``counts`` holds their report-time counts.  The coefficients are
+    taken for all those steps at once, per component in the order of the
+    loop ``ydiff = y1 - y; bspl = h*k1 - ydiff; r4 = ydiff - h*k7 - bspl;
     r5 = h*(d1*k1 + d3*k3 + ...)`` (d2 = 0 skipped).  A report time inside
     the ``reach`` slack past its step's end takes the step's end state
     (theta clamped to 1), never an extrapolation."""
     out = np.empty((grid.size, 8))
     out[:1] = full_states(p, np.array([x0]))
-    if not covering:
+    if not counts:
         return out
-    t, h, count, y0, y1, k = zip(*covering)
-    t, h, y0, k = np.array(t), np.array(h), np.array(y0), np.array(k)
+    rows = np.frombuffer(steps).reshape(-1, 58)
+    t, h, y0, y1 = rows[:, 0], rows[:, 1], rows[:, 2:9], rows[:, 9:16]
+    k = rows[:, 16:].reshape(-1, 6, 7)  # k1, k3, k4, k5, k6, k7
     hk = h[:, None]
-    ydiff = np.array(y1) - y0
+    ydiff = y1 - y0
     bspl = hk * k[:, 0] - ydiff
-    r4 = ydiff - hk * k[:, 6] - bspl
+    r4 = ydiff - hk * k[:, 5] - bspl
     r5 = _D[0] * k[:, 0]
-    for j, d in enumerate(_D[2:], 2):  # d2 = 0 skipped
+    for j, d in enumerate(_D[2:], 1):  # d2 = 0 skipped
         r5 += d * k[:, j]
     r5 *= hk
-    step = np.repeat(np.arange(len(count)), count)
+    step = np.repeat(np.arange(len(counts)), counts)
     for lo in range(0, step.size, _DENSE_CHUNK):
         s = step[lo:lo + _DENSE_CHUNK]
         th = np.minimum(1.0, (grid[1 + lo:1 + lo + s.size] - t[s]) / h[s])[:, None]
@@ -298,7 +300,8 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     h = min(cfg.h_init, h_max, t_end - t0)
 
     times = grid.tolist()
-    covering = []
+    steps = bytearray()  # one row of 58 doubles per step that covers report times
+    counts = []
     j = 1  # next grid index to fill
     accepted = 0
     rejected = 0
@@ -324,7 +327,9 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
             reach = t_new + 1e-12 * max(1.0, abs(t_new))
             j_end = bisect.bisect_right(times, reach, j)
             if j_end > j:
-                covering.append((t, h, j_end - j, y, y1, k))
+                k1, _, k3, k4, k5, k6, k7 = k
+                steps += pack("58d", t, h, *y, *y1, *k1, *k3, *k4, *k5, *k6, *k7)
+                counts.append(j_end - j)
                 j = j_end
             t, y, k1 = t_new, y1, k[6]  # first-same-as-last
             accepted += 1
@@ -343,7 +348,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
                       rhs_evals=6 * (accepted + rejected) + 1,
                       smallest_step=smallest if accepted else 0.0, largest_step=largest)
     del times  # a million floats at the grid cap; the dense pass needs the memory
-    return Trajectory(times=grid, data=_dense_rows(p, x0.as_tuple(), grid, covering),
+    return Trajectory(times=grid, data=_dense_rows(p, x0.as_tuple(), grid, steps, counts),
                       step_stats=stats)
 
 
@@ -358,7 +363,7 @@ def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
         raise ValueError(f"step size must be > 0, got {h}")
     if not x0.is_finite():
         raise ValueError("initial state contains non-finite components")
-    cc = as_control(c).c
+    f = _rhs_of(p, as_control(c).c)
 
     n_steps = max(0, int(round(t_end / h)))
     stride = max(1, int(round(0.5 / h)))
@@ -367,10 +372,10 @@ def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
     out = [y.copy()]
     t = 0.0
     for i in range(1, n_steps + 1):
-        k1 = _rhs_array(p, cc, y)
-        k2 = _rhs_array(p, cc, y + 0.5 * h * k1)
-        k3 = _rhs_array(p, cc, y + 0.5 * h * k2)
-        k4 = _rhs_array(p, cc, y + h * k3)
+        k1 = np.array(f(y.tolist()))
+        k2 = np.array(f((y + 0.5 * h * k1).tolist()))
+        k3 = np.array(f((y + 0.5 * h * k2).tolist()))
+        k4 = np.array(f((y + h * k3).tolist()))
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = i * h
         if i % stride == 0 or i == n_steps:

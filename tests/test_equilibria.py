@@ -13,7 +13,6 @@ from dengue_control.equilibria import (
     refined_endemic,
     residual,
     trivial_equilibrium,
-    _rhs_array,
 )
 from dengue_control.errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
 from dengue_control.model import (
@@ -22,6 +21,7 @@ from dengue_control.model import (
     in_omega,
     mosquito_viability,
     r0_closed_form,
+    _rhs_of,
 )
 from dengue_control.reproduction import r0_spectral
 from dengue_control.threshold import min_control
@@ -255,7 +255,7 @@ class TestResidual:
                     states[-1][i] = bad
         for x in states:
             with np.errstate(all="ignore"):
-                expected = np.max(np.abs(_rhs_array(p, 0.1, x)) / component_scales(p))
+                expected = np.max(np.abs(_rhs_of(p, 0.1)(x.tolist())) / component_scales(p))
             got = residual(p, 0.1, State7.from_array(x))
             assert type(got) is float and repr(got) == repr(float(expected))
 

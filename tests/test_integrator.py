@@ -1,11 +1,15 @@
 import math
+import subprocess
+import sys
+import textwrap
+from struct import pack
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CAPE_VERDE, CAPE_VERDE_X0, draw_omega_state, draw_params, params_with
-from dengue_control.equilibria import brdfe, trivial_equilibrium, _rhs_array
+from dengue_control.equilibria import brdfe, trivial_equilibrium
 from dengue_control.errors import NumericalFailure
 from dengue_control import integrator
 from dengue_control.integrator import (
@@ -129,6 +133,17 @@ def _loop_dense_rows(p, x0, grid, covering):
             u = 1.0 - th
             rows.append([a + th * (d + u * (b + th * (r4 + u * r5))) for a, d, b, r4, r5 in coef])
     return [row[:3] + [p.N_h - row[0] - row[1] - row[2]] + row[3:] for row in map(list, rows)]
+
+
+def _pack(covering):
+    """The (steps, counts) arguments of ``integrator._dense_rows`` from
+    (t, h, count, y, y1, k) tuples: per step the row of doubles t, h, y,
+    y1, k1, k3, ..., k7 and its report-time count."""
+    steps, counts = bytearray(), []
+    for t, h, count, y, y1, k in covering:
+        steps += pack("58d", t, h, *y, *y1, *k[0], *k[2], *k[3], *k[4], *k[5], *k[6])
+        counts.append(count)
+    return steps, counts
 
 
 def _hex_rows(rows):
@@ -315,15 +330,15 @@ class TestDp54Step:
     def test_stages_match_matrix_form(self, c, h):
         for x in (CAPE_VERDE_X0, self.MID):
             y = np.array(x.as_tuple())
+            f = _rhs_of(CAPE_VERDE, c)
             k = np.zeros((7, 7))
-            k[0] = _rhs_array(CAPE_VERDE, c, y)
+            k[0] = f(y.tolist())
             for i in range(1, 7):
-                k[i] = _rhs_array(CAPE_VERDE, c, y + h * (DP54_A[i] @ k))
+                k[i] = f((y + h * (DP54_A[i] @ k)).tolist())
             y1 = y + h * (DP54_B @ k)
             err = h * ((DP54_B - DP54_BHAT) @ k)
 
-            got_k, got_y1, got_err = _stages(_rhs_of(CAPE_VERDE, c), y.tolist(), h,
-                                             k[0].tolist())
+            got_k, got_y1, got_err = _stages(f, y.tolist(), h, k[0].tolist())
             # norm-wise relative gaps; the error vector is a small difference
             # of stage terms of size h*|k|, so it is measured against those
             assert np.max(np.abs(np.array(got_k) - k)) <= 1e-14 * np.max(np.abs(k))
@@ -379,7 +394,7 @@ class TestDp54Step:
         grid = np.array([t0] + [t0 + th * h for th in thetas[1:]]
                         + [t0 + h + th * h for th in thetas[1:]])
         covering = [(t0, h, 4, y, y1, k), (t0 + h, h, 4, y1, y2, k_next)]
-        assert _hex_rows(_dense_rows(p, y, grid, covering).tolist()) == \
+        assert _hex_rows(_dense_rows(p, y, grid, *_pack(covering)).tolist()) == \
             _hex_rows(_loop_dense_rows(p, y, grid, covering))
 
     @settings(max_examples=500, deadline=None)
@@ -409,7 +424,7 @@ class TestDp54Step:
         grid = np.array([0.0] + sorted(th * h for th in thetas))
         covering = [(0.0, h, len(thetas), tuple(y0), tuple(y1), k)] if thetas else []
         with np.errstate(all="ignore"):
-            rows = _dense_rows(CAPE_VERDE, y0, grid, covering)
+            rows = _dense_rows(CAPE_VERDE, y0, grid, *_pack(covering))
         assert _hex_rows(rows.tolist()) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y0, grid, covering))
 
     def test_generated_sources_name_their_files(self):
@@ -430,7 +445,7 @@ class TestDp54Step:
         for x in (CAPE_VERDE_X0, self.MID, eq, State7(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)):
             y = np.array(x.as_tuple())
             expected = _hand_rhs(y)
-            assert np.array_equal(_rhs_array(CAPE_VERDE, 0.0, y), expected)
+            assert np.array_equal(_rhs_of(CAPE_VERDE, 0.0)(y.tolist()), expected)
             assert rhs(CAPE_VERDE, 0.0, x).as_tuple() == tuple(expected.tolist())
 
     def test_one_step_over_many_grid_points(self):
@@ -441,8 +456,8 @@ class TestDp54Step:
         assert len(traj.times) == 51
 
         y0 = np.array(self.MID.as_tuple())
-        k, y1, _ = _stages(_rhs_of(CAPE_VERDE, 0.0), y0.tolist(), h,
-                           _rhs_array(CAPE_VERDE, 0.0, y0).tolist())
+        f = _rhs_of(CAPE_VERDE, 0.0)
+        k, y1, _ = _stages(f, y0.tolist(), h, f(y0.tolist()))
         k, y1 = np.array(k), np.array(y1)
         ydiff = y1 - y0
         bspl = h * k[0] - ydiff
@@ -526,9 +541,33 @@ class TestDenseOutput:
         k, y1, _ = _stages(f, y, 1.0, f(y))
         covering = [(0.0, 1.0, 2, y, y1, k)]
         grid = np.array([0.0, 1.0, 1.0 + 5e-13])
-        rows = _dense_rows(CAPE_VERDE, y, grid, covering)
+        rows = _dense_rows(CAPE_VERDE, y, grid, *_pack(covering))
         assert rows[2].tolist() == rows[1].tolist()
         assert _hex_rows(rows.tolist()) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y, grid, covering))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, Linux's unit")
+    def test_one_row_steps_keep_peak_memory_small(self):
+        # 20,001 steps of 0.01 day, each covering one report time: the peak
+        # grows by the 1.3 MB (n, 8) result and what each covering step
+        # keeps until the dense pass, 58 doubles, plus the pass's temporaries
+        code = textwrap.dedent("""\
+            import resource
+            from dengue_control.integrator import SolverConfig, integrate
+            from dengue_control.scenario import builtin_capeverde2009
+            s = builtin_capeverde2009()
+            def run(t_end):
+                cfg = SolverConfig(t_end=t_end, h_init=0.01, h_max=0.01, output_step=0.01)
+                return integrate(s.params, 0.05, s.initial, cfg).step_stats.accepted
+            run(1.0)  # warm-up: imports and first-call allocations
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(run(200.0), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        steps, growth_kib = map(int, proc.stdout.split())
+        assert steps == 20001
+        assert growth_kib < 35 * 1024
 
 
 class TestEmbeddedPairOrder:

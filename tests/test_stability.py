@@ -7,15 +7,15 @@ import pytest
 from conftest import CAPE_VERDE, draw_omega_state, draw_params, params_with
 from dengue_control.equilibria import brdfe, refined_endemic, trivial_equilibrium
 from dengue_control.integrator import SolverConfig, integrate
-from dengue_control.model import ControlLevel, State7, component_scales, in_omega, r0_closed_form
+from dengue_control.model import (
+    ControlLevel, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
 from dengue_control.report import build_report
 from dengue_control.scenario import builtin_capeverde2009
 from dengue_control.stability import Classification, classify, eigenvalues, jacobian
 
 
 def _fd_jacobian(p, c, x):
-    from dengue_control.equilibria import _rhs_array
-
+    f = _rhs_of(p, c)
     base = x.as_array()
     steps = 1e-6 * np.array(component_scales(p))
     jac = np.empty((7, 7))
@@ -23,7 +23,7 @@ def _fd_jacobian(p, c, x):
         up, dn = base.copy(), base.copy()
         up[j] += steps[j]
         dn[j] -= steps[j]
-        jac[:, j] = (_rhs_array(p, c, up) - _rhs_array(p, c, dn)) / (2.0 * steps[j])
+        jac[:, j] = (np.array(f(up.tolist())) - np.array(f(dn.tolist()))) / (2.0 * steps[j])
     return jac
 
 
