@@ -24,9 +24,9 @@ _PUBLIC = {
     "errors": ("MosquitoCollapseError", "NoEndemicEquilibrium", "NumericalFailure",
                "ScenarioError"),
     "integrator": ("StepStats", "Trajectory", "integrate", "integrate_fixed_rk4"),
-    "model": ("ControlLevel", "ModelParams", "State7", "basic_offspring_number",
-              "component_scales", "in_omega", "mosquito_viability", "r0_closed_form", "rhs"),
-    "reproduction": ("NgmDecomposition", "build_ngm", "r0_factors", "r0_spectral"),
+    "model": ("ControlLevel", "ModelParams", "State7", "basic_offspring_number", "component_scales",
+              "in_omega", "mosquito_viability", "r0_closed_form", "r0_factors", "rhs"),
+    "reproduction": ("NgmDecomposition", "build_ngm", "r0_spectral"),
     "scenario": ("Scenario", "SolverConfig", "builtin_capeverde2009", "load_scenario",
                  "parse_scenario"),
     "stability": ("Classification", "StabilityReport", "classify", "eigenvalues", "jacobian"),

@@ -388,20 +388,3 @@ def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
     return Trajectory(times=np.array(times, dtype=float), data=full_states(p, np.array(out)),
                       step_stats=stats)
 
-
-def _integrate_fixed_dp54(p: ModelParams, c: ControlLevel | float, x0: State7,
-                          h: float, t_end: float) -> State7:
-    """Final state of the DP54 propagating solution at fixed step size.
-
-    Test hook for measuring the pair's convergence order; not part of the
-    public surface.
-    """
-    cc = as_control(c).c
-    n_steps = max(0, int(round(t_end / h)))
-    f = _rhs_of(p, cc)
-    y = x0.as_tuple()
-    k1 = f(y)
-    for _ in range(n_steps):
-        k, y, _err = _stages(f, y, h, k1)
-        k1 = k[6]
-    return State7.from_array(y)

@@ -290,6 +290,27 @@ def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     return r0
 
 
+def r0_factors(p: ModelParams, c: ControlLevel | float = 0.0) -> tuple[float, float]:
+    """Two-factor split R0^2 = R_hm * R_mh at the paper's disease-free point.
+
+    R_hm (human -> mosquito) bundles the bite rate against susceptible
+    mosquitoes per human, the viraemic period 1/(eta_h+mu_h), and the
+    fraction of humans surviving incubation nu_h/(mu_h+nu_h).  R_mh
+    (mosquito -> human) bundles the bite rate against susceptible humans,
+    the controlled mosquito lifespan 1/(c+mu_m), and the fraction of
+    mosquitoes surviving incubation eta_m/(c+eta_m+mu_m).  Raises as
+    ``_paper_dfe`` does.
+    """
+    ctrl = as_control(c)
+    dfe = _paper_dfe(p, ctrl)
+    cc = ctrl.c
+    r_hm = (p.B * dfe.S_m * p.beta_hm * p.nu_h
+            / (p.N_h * (p.eta_h + p.mu_h) * (p.mu_h + p.nu_h)))
+    r_mh = (p.B * dfe.S_h * p.beta_mh * p.eta_m
+            / (p.N_h * (cc + p.mu_m) * (cc + p.eta_m + p.mu_m)))
+    return r_hm, r_mh
+
+
 #: Additive slack, as a fraction of each bound, used by the region test to
 #: absorb floating-point drift from integration.
 OMEGA_SLACK = 1e-9

@@ -1,6 +1,6 @@
-"""Basic reproduction number at the disease-free equilibrium.
+"""Next-generation-matrix route to the basic reproduction number.
 
-Two independent routes are provided and tested against each other:
+Two independent routes are tested against each other:
 
 * ``r0_spectral`` builds the next-generation matrix F*V^-1 of the
   infected subsystem (E_h, I_h, E_m, I_m), as in van den Driessche and
@@ -9,8 +9,9 @@ Two independent routes are provided and tested against each other:
   Jacobian (the one ``stability.classify`` uses), J = M(X) + (dM/dX)X on
   the Metzler form: there the new-infection operator F is (dM/dX)X and the
   transition operator V is -M(X), so neither is typed a second time;
-* ``r0_closed_form`` (defined in ``model``, which needs no numpy)
-  evaluates the closed-form expression
+* ``r0_closed_form`` (defined in ``model``, which needs no numpy, beside
+  ``r0_factors``, its two-factor split R0^2 = R_hm*R_mh) evaluates the
+  closed-form expression
 
       R0^2 = B^2 (K/N_h) beta_hm beta_mh eta_m nu_h M
              / (mu_b (eta_h+mu_h) mu_m (c+mu_m) (c+eta_m+mu_m) (mu_h+nu_h))
@@ -85,22 +86,3 @@ def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
             f"next-generation {exc} (overflow at these parameters)") from exc
     return max(abs(v) for v in vals)
 
-
-def r0_factors(p: ModelParams, c: ControlLevel | float = 0.0) -> tuple[float, float]:
-    """Two-factor split R0^2 = R_hm * R_mh at the disease-free equilibrium.
-
-    R_hm (human -> mosquito) bundles the bite rate against susceptible
-    mosquitoes per human, the viraemic period 1/(eta_h+mu_h), and the
-    fraction of humans surviving incubation nu_h/(mu_h+nu_h).  R_mh
-    (mosquito -> human) bundles the bite rate against susceptible humans,
-    the controlled mosquito lifespan 1/(c+mu_m), and the fraction of
-    mosquitoes surviving incubation eta_m/(c+eta_m+mu_m).
-    """
-    ctrl = as_control(c)
-    dfe = _paper_dfe(p, ctrl)
-    cc = ctrl.c
-    r_hm = (p.B * dfe.S_m * p.beta_hm * p.nu_h
-            / (p.N_h * (p.eta_h + p.mu_h) * (p.mu_h + p.nu_h)))
-    r_mh = (p.B * dfe.S_h * p.beta_mh * p.eta_m
-            / (p.N_h * (cc + p.mu_m) * (cc + p.eta_m + p.mu_m)))
-    return r_hm, r_mh

@@ -11,8 +11,9 @@ margin, linear in c, over (c+mu_m)(c+eta_m+mu_m), so ``min_control``
 solves the quadratic R0(c)^2 = 1 in closed form and certifies the root
 with two R0 evaluations at the ends of a bracket no wider than the
 tolerance; R0 = 0 at the collapse bound, so that end needs no evaluation.
-Where R0(0) has lost digits to a subnormal product, the quadratic is taken
-from R0 at half the collapse bound and the root certified again.
+The quadratic's leading coefficient is taken from R0's human -> mosquito
+factor at c = 0, which keeps its digits where R0(0)'s own denominator is
+subnormal.
 The collapse bound is reported alongside the threshold since it caps how
 much control is meaningful at all.
 """
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MosquitoCollapseError, NumericalFailure, ScenarioError
-from .model import ControlLevel, ModelParams, mosquito_viability, r0_closed_form
+from .model import ControlLevel, ModelParams, mosquito_viability, r0_closed_form, r0_factors
 
 
 @dataclass(frozen=True)
@@ -91,37 +92,29 @@ def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoContro
 
     # With q = mu_m*(mu_m+eta_m), R0(c)^2 = 1 is g*c^2 + b*c - n = 0 for
     # g = M(0)/R0(0)^2/q, b = g*(2*mu_m+eta_m) + eta_A+mu_A, n = M(0)*(1 - 1/R0(0)^2).
-    # R0(0) is divided out, never squared, so as it grows g underflows and the root tends
-    # to c_collapse.  The root 2n/(b + sqrt(b^2 + 4gn)) has no cancellation (Higham,
-    # Accuracy and Stability of Numerical Algorithms, section 1.8); it is taken through n/b
-    # and g/b since b^2 overflows for large M(0).  Should q underflow, the certificate fails.
+    # The next-generation matrix is a two-cycle, R0^2 = R_hm*R_mh, and R_mh(0)*q =
+    # B*beta_mh*eta_m, so g = M(0)/R_hm(0)/(B*beta_mh*eta_m): neither factor holds mu_m^2,
+    # which goes subnormal for mu_m below about 1e-154 and costs R0(0) digits.  Where
+    # mu_b*mu_m underflows, R_hm(0) is +inf in exact arithmetic and g its limit 0.  As R0(0)
+    # grows g underflows and the root tends to c_collapse.  The root 2n/(b + sqrt(b^2 + 4gn))
+    # has no cancellation (Higham, Accuracy and Stability of Numerical Algorithms, section
+    # 1.8); it is taken through n/b and g/b since b^2 overflows for large M(0).  Should g
+    # overflow, or a factor of it underflow to 0, c* is nan and the certificate fails.
+    try:
+        g = m_zero / r0_factors(p, 0.0)[0] / (p.B * p.beta_mh * p.eta_m)
+    except NumericalFailure:
+        g = 0.0
+    except ZeroDivisionError:
+        g = math.nan
     n = m_zero * (1.0 - 1.0 / r0_zero / r0_zero)
-
-    def certified_root(g: float):
-        b = g * (2.0 * p.mu_m + p.eta_m) + p.eta_A + p.mu_A
-        n_b = n / b
-        c_star = min(2.0 * n_b / (1.0 + math.sqrt(1.0 + 4.0 * (g / b) * n_b)),
-                     math.nextafter(c_collapse, 0.0))
-        lo = max(0.0, min(c_star - tol / 4, math.nextafter(c_star, 0.0)))
-        hi = min(c_collapse, max(c_star + tol / 4, math.nextafter(c_star, math.inf)))
-        ok = (lo <= c_star < hi and hi - lo <= tol and r0(lo) > 1.0
-              and (hi == c_collapse or r0(hi) <= 1.0))
-        return c_star, lo, hi, ok
-
-    q = p.mu_m * (p.mu_m + p.eta_m)
-    g = m_zero / r0_zero / r0_zero / q if q > 0.0 else math.nan
-    c_star, lo, hi, ok = certified_root(g)
-    c0 = c_collapse / 2
-    if not ok and c0 > 0.0 and (r0_c0 := r0(c0)) > 0.0:
-        # R0(0)'s denominator holds mu_m^2, subnormal for mu_m below about 1e-154, where g
-        # from R0(0) loses digits that R0 at the root keeps.  g taken at c0 instead, as
-        # M(c0)/R0(c0)^2/((c0+mu_m)(c0+eta_m+mu_m)), then differs far beyond the ~1e-15 by
-        # which the two agree when the failure is the tolerance's; its root is certified.
-        g_c0 = (mosquito_viability(p, c0) / r0_c0 / r0_c0
-                / (c0 + p.mu_m) / (c0 + p.eta_m + p.mu_m))
-        if abs(g_c0 - g) > 1e-12 * g_c0:
-            c_star, lo, hi, ok = certified_root(g_c0)
-    if not ok:
+    b = g * (2.0 * p.mu_m + p.eta_m) + p.eta_A + p.mu_A
+    n_b = n / b
+    c_star = min(2.0 * n_b / (1.0 + math.sqrt(1.0 + 4.0 * (g / b) * n_b)),
+                 math.nextafter(c_collapse, 0.0))
+    lo = max(0.0, min(c_star - tol / 4, math.nextafter(c_star, 0.0)))
+    hi = min(c_collapse, max(c_star + tol / 4, math.nextafter(c_star, math.inf)))
+    if not (lo <= c_star < hi and hi - lo <= tol and r0(lo) > 1.0
+            and (hi == c_collapse or r0(hi) <= 1.0)):
         raise ScenarioError(f"cannot certify c* = {c_star!r} to within tolerance {tol:g}: no "
                             "bracket that narrow has R0 > 1 and R0 <= 1 at its ends")
     return ThresholdResult(c_star=c_star, r0_at_c_star=r0(c_star), bracket=(lo, hi),

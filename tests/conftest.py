@@ -1,5 +1,6 @@
 """Shared fixtures: the Cape Verde 2009 baseline, random parameter draws,
-and a session-wide fixed-step RK4 reference run."""
+a fixed-step DP5(4) propagator, and a session-wide fixed-step RK4
+reference run."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from dengue_control.integrator import integrate_fixed_rk4
-from dengue_control.model import ControlLevel, ModelParams, State7
+from dengue_control.integrator import integrate_fixed_rk4, _stages
+from dengue_control.model import ControlLevel, ModelParams, State7, as_control, _rhs_of
 
 N_H = 480000.0
 
@@ -96,6 +97,19 @@ def draw_omega_state(rng: np.random.Generator, p: ModelParams) -> State7:
         E_m=adults[1] * p.m * p.N_h,
         I_m=adults[2] * p.m * p.N_h,
     )
+
+
+def integrate_fixed_dp54(p: ModelParams, c: ControlLevel | float, x0: State7,
+                         h: float, t_end: float) -> State7:
+    """Final state of the DP5(4) propagating solution at fixed step size h,
+    for measuring the pair's convergence order."""
+    f = _rhs_of(p, as_control(c).c)
+    y = x0.as_tuple()
+    k1 = f(y)
+    for _ in range(max(0, int(round(t_end / h)))):
+        k, y, _err = _stages(f, y, h, k1)
+        k1 = k[6]
+    return State7.from_array(y)
 
 
 @pytest.fixture

@@ -12,16 +12,18 @@ from conftest import (
     CAPE_VERDE_X0,
     draw_params,
     draw_params_wide,
+    integrate_fixed_dp54,
 )
 from dengue_control.equilibria import brdfe, refined_endemic, trivial_equilibrium
-from dengue_control.integrator import SolverConfig, integrate, _integrate_fixed_dp54
+from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
     basic_offspring_number,
     component_scales,
     mosquito_viability,
     r0_closed_form,
+    r0_factors,
 )
-from dengue_control.reproduction import r0_factors, r0_spectral
+from dengue_control.reproduction import r0_spectral
 from dengue_control.stability import Classification, classify
 from dengue_control.threshold import min_control
 
@@ -144,7 +146,7 @@ def test_criterion_7_integrator_order(rk4_reference):
     scales = component_scales(CAPE_VERDE)
     errs = []
     for h in (0.1, 0.05, 0.025):
-        y = _integrate_fixed_dp54(CAPE_VERDE, 0.0, CAPE_VERDE_X0, h, 100.0)
+        y = integrate_fixed_dp54(CAPE_VERDE, 0.0, CAPE_VERDE_X0, h, 100.0)
         errs.append(float(np.max(np.abs(y.as_array() - ref7) / scales)))
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
     ok = min(orders) >= 4.5

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CAPE_VERDE, CAPE_VERDE_X0, draw_omega_state, draw_params, params_with
+from conftest import (CAPE_VERDE, CAPE_VERDE_X0, draw_omega_state, draw_params,
+                      integrate_fixed_dp54, params_with)
 from dengue_control.equilibria import brdfe, trivial_equilibrium
 from dengue_control.errors import NumericalFailure
 from dengue_control import integrator
@@ -20,7 +21,6 @@ from dengue_control.integrator import (
     integrate_fixed_rk4,
     _dense_rows,
     _error_norm,
-    _integrate_fixed_dp54,
     _output_grid,
     _stages,
 )
@@ -577,7 +577,7 @@ class TestEmbeddedPairOrder:
         scales = component_scales(CAPE_VERDE)
         errs = []
         for h in (0.1, 0.05, 0.025):
-            y = _integrate_fixed_dp54(CAPE_VERDE, 0.0, CAPE_VERDE_X0, h, 100.0)
+            y = integrate_fixed_dp54(CAPE_VERDE, 0.0, CAPE_VERDE_X0, h, 100.0)
             errs.append(np.max(np.abs(y.as_array() - ref7) / scales))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 4.5

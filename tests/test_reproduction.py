@@ -4,8 +4,8 @@ import pytest
 from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.equilibria import brdfe, metzler_matrix
 from dengue_control.errors import MosquitoCollapseError, NumericalFailure
-from dengue_control.model import mosquito_viability, r0_closed_form
-from dengue_control.reproduction import build_ngm, r0_factors, r0_spectral
+from dengue_control.model import mosquito_viability, r0_closed_form, r0_factors
+from dengue_control.reproduction import build_ngm, r0_spectral
 from dengue_control.stability import jacobian
 
 

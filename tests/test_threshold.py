@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.errors import MosquitoCollapseError, NumericalFailure, ScenarioError
-from dengue_control.model import r0_closed_form
+from dengue_control.model import r0_closed_form, r0_factors
 from dengue_control.reproduction import r0_spectral
 from dengue_control.threshold import (
     NoControlNeeded,
@@ -182,11 +182,16 @@ class TestClosedFormRoot:
         with pytest.raises(ScenarioError, match="c\\* = nan"):
             min_control(p, tol=tol)
 
+    def test_underflowing_bite_product_is_refused(self):
+        # B*beta_mh*eta_m = 1e-330 underflows to 0 while R0(0) stays finite
+        p = params_with(B=1e-100, beta_mh=1e-100, eta_m=1e-130, mu_m=1e-200, mu_b=1e300)
+        with pytest.raises(ScenarioError, match="c\\* = nan"):
+            min_control(p)
+
     def test_subnormal_denominator_of_r0_at_zero_control_certifies(self):
-        # R0(0)'s denominator holds mu_m^2 = 1e-320, a subnormal, so the
-        # quadratic taken from R0(0) misses the root by about 4e-5 and its
-        # certificate fails; the one taken from R0 at half the collapse
-        # bound is certified
+        # R0(0)'s denominator holds mu_m^2 = 1e-320, a subnormal, so a
+        # quadratic taken from R0(0) would miss the root by about 4e-5; the
+        # one taken from R0's human -> mosquito factor keeps its digits
         p = params_with(mu_m=1e-160, beta_hm=1.0, N_h=7.8e162)
         result = min_control(p)
         assert isinstance(result, ThresholdResult)
@@ -195,6 +200,35 @@ class TestClosedFormRoot:
         assert r0_closed_form(p, lo) > 1.0 >= r0_closed_form(p, hi)
         assert r0_closed_form(p, result.c_star - 1e-7) > 1.0 > r0_closed_form(p, result.c_star + 1e-7)
         assert abs(result.c_star - bisect_to_one_ulp(p)) <= 1e-12
+
+    @pytest.mark.parametrize("overrides", [
+        dict(mu_m=1e-158, beta_hm=1.0, N_h=1e162),
+        dict(mu_m=1e-161, beta_hm=1.0, N_h=1e197, B=0.5, beta_mh=0.2),
+        dict(mu_m=1e-160, beta_hm=1.0, N_h=1e195),
+    ])
+    def test_root_matches_bisection_where_r0_at_zero_loses_digits(self, overrides):
+        # R0(0) rounds through a subnormal mu_m^2 yet the root still
+        # certifies, so only the oracle shows whether g kept its digits
+        p = params_with(**overrides)
+        result = min_control(p)
+        assert isinstance(result, ThresholdResult)
+        lo, hi = result.bracket
+        assert lo <= result.c_star < hi and hi - lo <= 1e-6
+        assert r0_closed_form(p, lo) > 1.0 >= r0_closed_form(p, hi)
+        o = bisect_to_one_ulp(p)
+        assert abs(result.c_star - o) <= 1e-12 * o
+
+    def test_underflowing_dfe_product_takes_the_limit_of_g(self):
+        # mu_b*mu_m = 1e-350 underflows, so R0's two-factor split is refused
+        # while R0(0) itself is finite; the root sits at the collapse bound
+        p = params_with(mu_b=1e-100, eta_h=1e300, mu_m=1e-250)
+        with pytest.raises(NumericalFailure):
+            r0_factors(p, 0.0)
+        result = min_control(p)
+        assert isinstance(result, ThresholdResult)
+        bound = collapse_control_bound(p)
+        assert result.c_star == math.nextafter(bound, 0.0) == 2.4242424242424243e-101
+        assert result.bracket == (0.0, bound)
 
     # at B = 1e12 R0 falls through one between neighbouring floats, so only
     # the bracket width fails the certificate
