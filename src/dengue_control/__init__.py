@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 _PUBLIC = {
     "equilibria": ("Equilibrium", "EquilibriumKind", "brdfe", "endemic_closed_form",
-                   "metzler_matrix", "refine", "refined_endemic", "residual",
+                   "jacobian", "metzler_matrix", "refine", "refined_endemic", "residual",
                    "trivial_equilibrium"),
     "errors": ("MosquitoCollapseError", "NoEndemicEquilibrium", "NumericalFailure",
                "ScenarioError"),
@@ -29,7 +29,7 @@ _PUBLIC = {
     "reproduction": ("NgmDecomposition", "build_ngm", "r0_spectral"),
     "scenario": ("Scenario", "SolverConfig", "builtin_capeverde2009", "load_scenario",
                  "parse_scenario"),
-    "stability": ("Classification", "StabilityReport", "classify", "eigenvalues", "jacobian"),
+    "stability": ("Classification", "StabilityReport", "classify", "eigenvalues"),
     "threshold": ("NoControlNeeded", "ProfilePoint", "ThresholdResult",
                   "collapse_control_bound", "min_control", "r0_profile"),
 }

@@ -33,6 +33,7 @@ from .errors import (
     NumericalFailure,
     ScenarioError,
 )
+from .model import ROW_LABELS
 from .scenario import Scenario, _build_scenario, _values, get_builtin, load_scenario
 
 if TYPE_CHECKING:
@@ -43,7 +44,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_REGIME = 4
 
-CSV_HEADER = "t,S_h,E_h,I_h,R_h,A_m,S_m,E_m,I_m"
+CSV_HEADER = ",".join(("t",) + ROW_LABELS)
 
 
 def _write_atomic(path: Path, parts: Iterable[str]) -> None:
@@ -118,11 +119,12 @@ def cmd_simulate(args) -> int:
         _write_atomic(svg_path, trajectory_svg_parts(traj, title=scenario.name))
         print(f"wrote {svg_path}")
     data = traj.as_array()
+    i_h, i_m = (data[:, ROW_LABELS.index(label)] for label in ("I_h", "I_m"))
     print(f"rows: {len(data)}  steps: {traj.step_stats.accepted} accepted, "
           f"{traj.step_stats.rejected} rejected")
-    print(f"peak infected humans: {float(data[:, 2].max())!r} "
-          f"at t = {float(traj.times[data[:, 2].argmax()])!r}")
-    print(f"final infected mosquitoes: {float(data[-1, 7])!r}")
+    print(f"peak infected humans: {float(i_h.max())!r} "
+          f"at t = {float(traj.times[i_h.argmax()])!r}")
+    print(f"final infected mosquitoes: {float(i_m[-1])!r}")
     return EXIT_OK
 
 

@@ -35,10 +35,10 @@ This module also holds the model's array forms, used by Newton refinement
 and the stability analysis: the Metzler form dX/dt = M(X)X + F, with
 F = (mu_h*N_h, 0, ..., 0) constant and M(X) (``metzler_matrix``) having
 nonnegative off-diagonal entries on the admissible region, which keeps
-trajectories in the nonnegative orthant.  The analytic Jacobian is derived
-from M by the product rule, J(X) = M(X) + (dM/dX)X; at the disease-free
-point the infected blocks of the two parts are -V and F of the
-next-generation split.
+trajectories in the nonnegative orthant.  The analytic ``jacobian`` is
+derived from M by the product rule, J(X) = M(X) + (dM/dX)X; at the
+disease-free point the infected blocks of the two parts are -V and F of
+the next-generation split.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ _MAX_DAMPING_HALVINGS = 30
 
 def metzler_matrix(p: ModelParams, c: ControlLevel | float, x) -> np.ndarray:
     """M(X) of the Metzler form dX/dt = M(X)X + F at x, any sequence of 7
-    floats, where F = (mu_h*N_h, 0, ..., 0) is the constant recruitment.
+    floats (a ``State7`` included), where F = (mu_h*N_h, 0, ..., 0) is the
+    constant recruitment.
 
     The state-dependence sits on the diagonal (force-of-infection and
     logistic-crowding terms), so every off-diagonal entry is nonnegative
@@ -99,9 +100,9 @@ def metzler_matrix(p: ModelParams, c: ControlLevel | float, x) -> np.ndarray:
     return mat
 
 
-def _jacobian_array(p: ModelParams, c: float, x) -> np.ndarray:
+def jacobian(p: ModelParams, c: ControlLevel | float, x) -> np.ndarray:
     """Analytic 7x7 Jacobian of the right-hand side at x, any sequence of 7
-    floats: J(X) = M(X) + (dM/dX)X."""
+    floats (a ``State7`` included): J(X) = M(X) + (dM/dX)X."""
     jac = metzler_matrix(p, c, x)
     # (dM/dX)X: crowded recruitment and the cross-infection derivatives
     jac[3, 4] = jac[3, 5] = jac[3, 6] = p.mu_b * (1.0 - x[3] / p.K)
@@ -141,7 +142,7 @@ def _scaled_rhs(p: ModelParams, f, y) -> tuple[tuple[float, ...], float]:
 
 def residual(p: ModelParams, c: ControlLevel | float, x: State7) -> float:
     """max_i |rhs_i(x)| / scale_i with the integrator's component scales."""
-    return float(_scaled_rhs(p, _rhs_of(p, as_control(c).c), x.as_tuple())[1])
+    return float(_scaled_rhs(p, _rhs_of(p, as_control(c).c), x)[1])
 
 
 def trivial_equilibrium(p: ModelParams) -> Equilibrium:
@@ -249,13 +250,13 @@ def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibriu
         raise ValueError("refinement guess contains non-finite components")
     cc = as_control(c).c
     f = _rhs_of(p, cc)
-    x = guess.as_array()
-    r, res = _scaled_rhs(p, f, guess.as_tuple())
+    x = np.array(guess, dtype=float)
+    r, res = _scaled_rhs(p, f, guess)
     for _ in range(_MAX_NEWTON_ITERATIONS):
         if res < REFINE_TOL:
             return Equilibrium(kind=_classify_root(p, x), state=State7.from_array(x),
                                residual_norm=res, refined=True)
-        jac = _jacobian_array(p, cc, x.tolist())
+        jac = jacobian(p, cc, x.tolist())
         try:
             step = np.linalg.solve(jac, -np.array(r))
         except np.linalg.LinAlgError as exc:

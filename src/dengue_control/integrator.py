@@ -50,6 +50,7 @@ from .errors import NumericalFailure, ScenarioError
 from .model import (
     ControlLevel,
     ModelParams,
+    ROW_LABELS,
     STATE_LABELS,
     State7,
     as_control,
@@ -129,9 +130,10 @@ class Trajectory:
 
 
 def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """(n, 8) array of full states (R_h inserted as column 3) from an
-    (n, 7) array of reduced states."""
-    return np.insert(rows, 3, _recovered(p, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
+    """(n, 8) array of full states, columns ``ROW_LABELS`` (R_h inserted),
+    from an (n, 7) array of reduced states."""
+    return np.insert(rows, ROW_LABELS.index("R_h"),
+                     _recovered(p, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
 
 
 def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
@@ -294,7 +296,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
                                 f"(atol = {atol:g}, scale = {s:g})")
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     f = _rhs_of(p, cc)
-    y = x0.as_tuple()
+    y = x0
     t = t0
     k1 = f(y)
     h = min(cfg.h_init, h_max, t_end - t0)
@@ -348,7 +350,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
                       rhs_evals=6 * (accepted + rejected) + 1,
                       smallest_step=smallest if accepted else 0.0, largest_step=largest)
     del times  # a million floats at the grid cap; the dense pass needs the memory
-    return Trajectory(times=grid, data=_dense_rows(p, x0.as_tuple(), grid, steps, counts),
+    return Trajectory(times=grid, data=_dense_rows(p, x0, grid, steps, counts),
                       step_stats=stats)
 
 
@@ -367,7 +369,7 @@ def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
 
     n_steps = max(0, int(round(t_end / h)))
     stride = max(1, int(round(0.5 / h)))
-    y = x0.as_array()
+    y = np.array(x0, dtype=float)
     times = [0.0]
     out = [y.copy()]
     t = 0.0

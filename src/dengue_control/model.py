@@ -21,20 +21,19 @@ The reduced system, in the fixed component order
 
 The formula has one home, ``_rhs_of(p, c)``, which takes the rate products
 and sums that do not depend on the state once and returns the derivative
-as a function of the state; the integrator binds it once per run.
-Everything here works on Python floats; the array forms of the model live
-in ``equilibria``, so importing this module does not load numpy.
+as a function of the state, any sequence of 7 floats (a ``State7``
+included); the integrator binds it once per run.  Everything here works
+on Python floats; the array forms of the model live in ``equilibria``, so
+importing this module does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import MosquitoCollapseError, NumericalFailure
-
-#: Component order used by every array-facing routine in the package.
-STATE_LABELS = ("S_h", "E_h", "I_h", "A_m", "S_m", "E_m", "I_m")
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -116,9 +115,9 @@ def as_control(c: ControlLevel | float) -> ControlLevel:
     return c if isinstance(c, ControlLevel) else ControlLevel(float(c))
 
 
-@dataclass(frozen=True)
-class State7:
-    """Reduced state: humans (S_h, E_h, I_h) and mosquitoes (A_m, S_m, E_m, I_m)."""
+class State7(NamedTuple):
+    """Reduced state: humans (S_h, E_h, I_h) and mosquitoes (A_m, S_m, E_m,
+    I_m), the 7-tuple that every routine taking a state reads."""
 
     S_h: float
     E_h: float
@@ -128,11 +127,6 @@ class State7:
     E_m: float
     I_m: float
 
-    def as_array(self):
-        """The components as a float ndarray (the one method needing numpy)."""
-        import numpy as np
-        return np.array(self.as_tuple(), dtype=float)
-
     @classmethod
     def from_array(cls, x) -> "State7":
         if len(x) != 7:
@@ -140,10 +134,13 @@ class State7:
         return cls(*(float(v) for v in x))
 
     def is_finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.as_tuple())
+        return all(map(math.isfinite, self))
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.S_h, self.E_h, self.I_h, self.A_m, self.S_m, self.E_m, self.I_m)
+
+#: Component order used by every array-facing routine in the package.
+STATE_LABELS = State7._fields
+#: Column order of a full row (``Trajectory.data``): R_h after I_h.
+ROW_LABELS = STATE_LABELS[:3] + ("R_h",) + STATE_LABELS[3:]
 
 
 def component_scales(p: ModelParams) -> tuple[float, ...]:
@@ -156,8 +153,8 @@ def component_scales(p: ModelParams) -> tuple[float, ...]:
 
 def _rhs_of(p: ModelParams, c):
     """The derivative of the 7-dim state as a function of the state, any
-    sequence of floats, with p and c bound; the one copy of the model
-    formula (hot path, no validation).
+    sequence of 7 floats (a ``State7`` included), with p and c bound; the
+    one copy of the model formula (hot path, no validation).
 
     The products and sums of rates that do not depend on the state are
     taken once, here, and the returned closure reads them as locals.  Each
@@ -200,14 +197,14 @@ def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
     """
     if not x.is_finite():
         raise ValueError("state contains non-finite components")
-    return State7.from_array(_rhs_of(p, as_control(c).c)(x.as_tuple()))
+    return State7.from_array(_rhs_of(p, as_control(c).c)(x))
 
 
 def _recovered(p: ModelParams, s_h, e_h, i_h):
     """R_h = N_h - S_h - E_h - I_h, subtracted in that order, for scalars or
-    arrays alike; the one home of R_h, which full rows (``Trajectory``'s
-    CSV-ordered array) carry as column 3.  A negative R_h is reported as
-    is; it signals departure from the admissible region, not an error."""
+    arrays alike; the one home of R_h, which full rows carry after I_h
+    (``ROW_LABELS``).  A negative R_h is reported as is; it signals
+    departure from the admissible region, not an error."""
     return p.N_h - s_h - e_h - i_h
 
 
@@ -299,16 +296,19 @@ def r0_factors(p: ModelParams, c: ControlLevel | float = 0.0) -> tuple[float, fl
     (mosquito -> human) bundles the bite rate against susceptible humans,
     the controlled mosquito lifespan 1/(c+mu_m), and the fraction of
     mosquitoes surviving incubation eta_m/(c+eta_m+mu_m).  Raises as
-    ``_paper_dfe`` does.
+    ``_paper_dfe`` does, and NumericalFailure when the product of rates in
+    either factor's denominator underflows to 0.
     """
     ctrl = as_control(c)
     dfe = _paper_dfe(p, ctrl)
     cc = ctrl.c
-    r_hm = (p.B * dfe.S_m * p.beta_hm * p.nu_h
-            / (p.N_h * (p.eta_h + p.mu_h) * (p.mu_h + p.nu_h)))
-    r_mh = (p.B * dfe.S_h * p.beta_mh * p.eta_m
-            / (p.N_h * (cc + p.mu_m) * (cc + p.eta_m + p.mu_m)))
-    return r_hm, r_mh
+    den_hm = p.N_h * (p.eta_h + p.mu_h) * (p.mu_h + p.nu_h)
+    den_mh = p.N_h * (cc + p.mu_m) * (cc + p.eta_m + p.mu_m)
+    if den_hm == 0.0 or den_mh == 0.0:
+        raise NumericalFailure("reproduction factors R_hm, R_mh undefined: the product "
+                               "of rates in a denominator underflows to 0")
+    return (p.B * dfe.S_m * p.beta_hm * p.nu_h / den_hm,
+            p.B * dfe.S_h * p.beta_mh * p.eta_m / den_mh)
 
 
 #: Additive slack, as a fraction of each bound, used by the region test to
@@ -330,7 +330,7 @@ def region_violation(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> s
     Each inequality gets additive slack ``slack * bound``; the aquatic bound
     is k*N_h (not the carrying capacity K).  Non-finite states are outside.
     """
-    for label, value, bound in zip(STATE_LABELS, x.as_tuple(), component_scales(p)):
+    for label, value, bound in zip(STATE_LABELS, x, component_scales(p)):
         if not value >= -slack * bound:
             return f"{label}0 = {value!r} violates {label}0 >= 0"
     n_h, kn, mn = p.N_h, p.k * p.N_h, p.m * p.N_h

@@ -53,7 +53,7 @@ def _entry(scenario: Scenario, eq: Equilibrium, r0: float | None = None) -> Equi
     rep = classify(scenario.params, scenario.control, eq)
     return EquilibriumEntry(
         kind=eq.kind.value,
-        state=eq.state.as_tuple(),
+        state=eq.state,
         residual=eq.residual_norm,
         inside_region=in_omega(scenario.params, eq.state),
         refined=eq.refined,

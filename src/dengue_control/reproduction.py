@@ -6,9 +6,10 @@ Two independent routes are tested against each other:
   infected subsystem (E_h, I_h, E_m, I_m), as in van den Driessche and
   Watmough (Math. Biosci. 180, 2002), and takes its spectral radius
   numerically.  F - V is the infected block of the model's analytic
-  Jacobian (the one ``stability.classify`` uses), J = M(X) + (dM/dX)X on
-  the Metzler form: there the new-infection operator F is (dM/dX)X and the
-  transition operator V is -M(X), so neither is typed a second time;
+  Jacobian ``equilibria.jacobian`` (the one ``stability.classify`` uses),
+  J = M(X) + (dM/dX)X on the Metzler form: there the new-infection
+  operator F is (dM/dX)X and the transition operator V is -M(X), so
+  neither is typed a second time;
 * ``r0_closed_form`` (defined in ``model``, which needs no numpy, beside
   ``r0_factors``, its two-factor split R0^2 = R_hm*R_mh) evaluates the
   closed-form expression
@@ -20,9 +21,11 @@ Two independent routes are tested against each other:
 
 Both are evaluated at the disease-free point S_h = N_h,
 S_m = K*M/(mu_b*mu_m), read from ``model._paper_dfe``, the same point
-``equilibria.brdfe`` returns; the closed form above is exactly the spectral
-radius at that point.  R0 itself (not its square) is the canonical return
-value; a free-state reproduction number is deliberately not exposed.
+``equilibria.brdfe`` returns; the Jacobian takes it as it takes any
+sequence of 7 floats (a ``State7`` included).  The closed form above is
+exactly the spectral radius at that point.  R0 itself (not its square) is
+the canonical return value; a free-state reproduction number is
+deliberately not exposed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import _jacobian_array
+from .equilibria import jacobian
 from .errors import NumericalFailure
 from .model import ControlLevel, ModelParams, as_control, _paper_dfe
 from .stability import eigenvalues
@@ -60,7 +63,7 @@ def build_ngm(p: ModelParams, c: ControlLevel | float = 0.0) -> NgmDecomposition
     disease-free equilibrium: F - V is the infected block of the model's
     Jacobian there, and F keeps the block's two new-infection entries."""
     ctrl = as_control(c)
-    block = _jacobian_array(p, ctrl.c, _paper_dfe(p, ctrl).as_tuple())[_INFECTED]
+    block = jacobian(p, ctrl, _paper_dfe(p, ctrl))[_INFECTED]
     j_f = np.zeros((4, 4), dtype=float)
     j_f[0, 3] = block[0, 3]   # mosquito -> human: E_h gains from I_m
     j_f[2, 1] = block[2, 1]   # human -> mosquito: E_m gains from I_h

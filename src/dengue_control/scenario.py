@@ -169,7 +169,7 @@ def _values(s: Scenario) -> dict[str, float]:
     """Inverse of ``_build_scenario``: every file key and value, in file order."""
     return {**{key: getattr(s.params, key) for key in _PARAM_KEYS},
             "c": s.control.c,
-            **dict(zip(_STATE_KEYS, s.initial.as_tuple())),
+            **dict(zip(_STATE_KEYS, s.initial)),
             **{key: getattr(s.solver, key) for key in _SOLVER_KEYS}}
 
 

@@ -1,13 +1,15 @@
-"""Linearization and local stability classification of equilibria.
+"""Eigenvalues and local stability classification of equilibria.
 
 The linearization target is the reduced 7-dimensional system (recovered
 humans eliminated); the eliminated direction contributes a known -mu_h
-eigenvalue that is documented here rather than computed.  Classification
-is by the spectral abscissa of the analytic Jacobian with a small margin
-band, a fixed fraction of the Jacobian's spectral radius: eigenvalue
-crossings cannot be resolved below the eigensolver's rounding, which
-scales with the largest eigenvalue modulus, so abscissas inside the band
-are reported as marginal instead of being forced to a side.
+eigenvalue that is documented here rather than computed.  The analytic
+Jacobian is ``equilibria.jacobian``, which takes the state as any sequence
+of 7 floats (a ``State7`` included).  Classification is by the spectral
+abscissa of that Jacobian with a small margin band, a fixed fraction of
+the Jacobian's spectral radius: eigenvalue crossings cannot be resolved
+below the eigensolver's rounding, which scales with the largest
+eigenvalue modulus, so abscissas inside the band are reported as marginal
+instead of being forced to a side.
 
 For the disease-free equilibrium the classification is verified
 numerically from the eigenvalues themselves rather than inferred from the
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import Equilibrium, _jacobian_array
+from .equilibria import Equilibrium, jacobian
 from .errors import NumericalFailure
-from .model import ControlLevel, ModelParams, State7, as_control
+from .model import ControlLevel, ModelParams, as_control
 
 #: Classification margin as a fraction of the Jacobian's spectral radius.
 MARGIN_FACTOR = 1e-9
@@ -51,18 +53,6 @@ class StabilityReport:
     eigenvalues: tuple[complex, ...]        # sorted by descending real part
     spectral_abscissa: float
     classification: Classification
-
-
-def jacobian(p: ModelParams, c: ControlLevel | float, x: State7) -> np.ndarray:
-    """Analytic 7x7 Jacobian of the right-hand side at x.
-
-    Includes the quadratic logistic couplings, e.g. the derivative of the
-    aquatic recruitment with respect to each adult class is
-    mu_b*(1 - A_m/K).
-    """
-    if not x.is_finite():
-        raise ValueError("state contains non-finite components")
-    return _jacobian_array(p, as_control(c).c, x.as_tuple())
 
 
 def eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
@@ -98,6 +88,8 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
             stacklevel=2)
 
     try:
+        if not eq.state.is_finite():
+            raise ValueError("state contains non-finite components")
         vals = eigenvalues(jacobian(p, ctrl, eq.state))
     except ValueError as exc:
         # the matrix is always 7x7, so only a non-finite state or entry gets here

@@ -20,6 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .integrator import _DENSE_CHUNK, Trajectory
+from .model import ROW_LABELS
 
 _PANEL_W = 460
 _PANEL_H = 340
@@ -29,10 +30,8 @@ _MARGIN_T = 46
 _MARGIN_B = 46
 _TICKS = 5  # about this many ticks per axis
 
-_HUMAN_SERIES = (("S_h", 0, "#1f77b4"), ("E_h", 1, "#ff7f0e"),
-                 ("I_h", 2, "#d62728"), ("R_h", 3, "#2ca02c"))
-_MOSQUITO_SERIES = (("A_m", 4, "#8c564b"), ("S_m", 5, "#1f77b4"),
-                    ("E_m", 6, "#ff7f0e"), ("I_m", 7, "#d62728"))
+_HUMAN_SERIES = (("S_h", "#1f77b4"), ("E_h", "#ff7f0e"), ("I_h", "#d62728"), ("R_h", "#2ca02c"))
+_MOSQUITO_SERIES = (("A_m", "#8c564b"), ("S_m", "#1f77b4"), ("E_m", "#ff7f0e"), ("I_m", "#d62728"))
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -82,7 +81,8 @@ def _panel(x0: int, title: str, times, data, series) -> Iterator[str]:
     t_lo, t_hi = float(times[0]), float(times[-1])
     if t_hi == t_lo:
         t_hi = t_lo + 1.0
-    y_hi = max(max(data[:, col].max() for _, col, _ in series), 1.0) * 1.05
+    columns = [data[:, ROW_LABELS.index(label)] for label, _ in series]
+    y_hi = max(max(col.max() for col in columns), 1.0) * 1.05
     y_lo = 0.0
 
     px0, px1 = x0 + _MARGIN_L, x0 + _PANEL_W - _MARGIN_R
@@ -115,13 +115,13 @@ def _panel(x0: int, title: str, times, data, series) -> Iterator[str]:
            'font-size="12">time (days)</text>\n')
 
     xs = sx(times)
-    for label, col, color in series:
+    for (_, color), col in zip(series, columns):
         yield '<polyline points="'
-        yield from _points(xs, sy(data[:, col]))
+        yield from _points(xs, sy(col))
         yield f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n'
 
     lx, ly = px1 - 64, py0 + 8
-    for i, (label, _, color) in enumerate(series):
+    for i, (label, color) in enumerate(series):
         Y = ly + 16 * i
         yield (f'<line x1="{lx}" y1="{Y}" x2="{lx + 18}" y2="{Y}" '
                f'stroke="{color}" stroke-width="2"/>\n')

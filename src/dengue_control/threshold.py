@@ -99,13 +99,11 @@ def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoContro
     # grows g underflows and the root tends to c_collapse.  The root 2n/(b + sqrt(b^2 + 4gn))
     # has no cancellation (Higham, Accuracy and Stability of Numerical Algorithms, section
     # 1.8); it is taken through n/b and g/b since b^2 overflows for large M(0).  Should g
-    # overflow, or a factor of it underflow to 0, c* is nan and the certificate fails.
+    # overflow, or a product of rates in it underflow to 0, c* is nan and the certificate fails.
     try:
         g = m_zero / r0_factors(p, 0.0)[0] / (p.B * p.beta_mh * p.eta_m)
-    except NumericalFailure:
-        g = 0.0
-    except ZeroDivisionError:
-        g = math.nan
+    except (NumericalFailure, ZeroDivisionError):
+        g = 0.0 if p.mu_b * p.mu_m == 0.0 else math.nan
     n = m_zero * (1.0 - 1.0 / r0_zero / r0_zero)
     b = g * (2.0 * p.mu_m + p.eta_m) + p.eta_A + p.mu_A
     n_b = n / b

@@ -104,7 +104,7 @@ def integrate_fixed_dp54(p: ModelParams, c: ControlLevel | float, x0: State7,
     """Final state of the DP5(4) propagating solution at fixed step size h,
     for measuring the pair's convergence order."""
     f = _rhs_of(p, as_control(c).c)
-    y = x0.as_tuple()
+    y = x0
     k1 = f(y)
     for _ in range(max(0, int(round(t_end / h)))):
         k, y, _err = _stages(f, y, h, k1)

@@ -147,7 +147,7 @@ def test_criterion_7_integrator_order(rk4_reference):
     errs = []
     for h in (0.1, 0.05, 0.025):
         y = integrate_fixed_dp54(CAPE_VERDE, 0.0, CAPE_VERDE_X0, h, 100.0)
-        errs.append(float(np.max(np.abs(y.as_array() - ref7) / scales)))
+        errs.append(float(np.max(np.abs(np.array(y) - ref7) / scales)))
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
     ok = min(orders) >= 4.5
     _report(7, "integrator-order", ok,

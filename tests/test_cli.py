@@ -634,6 +634,8 @@ class TestExitCodeFuzz:
     @given(run=fuzz_runs())
     @example(run=("threshold", {"mu_m": "1e-320"}, []))
     @example(run=("analyze", {"mu_h": "1e-200", "nu_h": "1e-200"}, ["--control", "0"]))
+    @example(run=("analyze", {"B": "1e-100", "beta_mh": "1e-100", "eta_m": "1e-130",
+                              "mu_m": "1e-200", "mu_b": "1e300"}, []))
     def test_every_input_ends_in_a_documented_exit_code(self, run, tmp_path, monkeypatch):
         command, values, flags = run
         # a stiff variant would otherwise run up to 10**7 step attempts

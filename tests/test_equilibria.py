@@ -88,7 +88,7 @@ class TestBrdfe:
 class TestEndemicClosedForm:
     def test_uncontrolled_interior_point(self):
         eq = endemic_closed_form(CAPE_VERDE, 0.0)
-        assert all(v > 0.0 for v in eq.state.as_tuple())
+        assert all(v > 0.0 for v in eq.state)
         assert in_omega(CAPE_VERDE, eq.state)
         assert eq.refined is False
 
@@ -152,7 +152,7 @@ class TestRefine:
             root.state.A_m, root.state.S_m, root.state.E_m, root.state.I_m)
         eq = refine(CAPE_VERDE, 0.0, bumped)
         rel = max(abs(a - b) / max(abs(b), 1e-30)
-                  for a, b in zip(eq.state.as_tuple(), root.state.as_tuple()))
+                  for a, b in zip(eq.state, root.state))
         assert rel < 1e-8
 
     def test_nonfinite_guess_rejected(self):
@@ -194,7 +194,7 @@ class TestEndemicExistenceWindow:
             assert eq.residual_norm < 1e-10
         for c in (0.0, 0.05, 0.08):
             eq = refine(CAPE_VERDE, c, endemic_closed_form(CAPE_VERDE, c).state)
-            assert all(v > 0.0 for v in eq.state.as_tuple())
+            assert all(v > 0.0 for v in eq.state)
 
     def test_no_interior_endemic_root_above_threshold(self):
         c_star = min_control(CAPE_VERDE).c_star
@@ -206,7 +206,7 @@ class TestEndemicExistenceWindow:
             for guess in guesses:
                 eq = refine(CAPE_VERDE, c, guess)
                 positive_interior = (eq.kind is EquilibriumKind.ENDEMIC
-                                     and all(v > 0.0 for v in eq.state.as_tuple()))
+                                     and all(v > 0.0 for v in eq.state))
                 assert not positive_interior
 
     def test_infected_humans_change_sign_below_paper_threshold(self):

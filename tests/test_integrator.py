@@ -203,7 +203,7 @@ class TestIntegrate:
     def test_disease_free_equilibrium_stays_put(self):
         eq = brdfe(CAPE_VERDE, 0.0)
         traj = integrate(CAPE_VERDE, 0.0, eq.state, SolverConfig(t_end=100.0))
-        x0 = np.array(eq.state.as_tuple())
+        x0 = np.array(eq.state)
         for row in traj.as_array():
             drift = np.abs(np.delete(row, 3) - x0)
             assert np.max(drift) < 1e-6 * CAPE_VERDE.N_h
@@ -284,8 +284,8 @@ class TestFixedRk4:
     def test_trivial_equilibrium_constant(self):
         eq = trivial_equilibrium(CAPE_VERDE)
         traj = integrate_fixed_rk4(CAPE_VERDE, 0.0, eq.state, 0.5, 10.0)
-        x0 = eq.state.as_tuple()
-        assert all(_state7(row).as_tuple() == x0 for row in traj.as_array().tolist())
+        x0 = eq.state
+        assert all(_state7(row) == x0 for row in traj.as_array().tolist())
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
@@ -308,7 +308,7 @@ class TestFixedRk4:
         # independent four-stage oracle on the hand-written model
         f = _hand_rhs
         h = 0.01
-        y0 = np.array(CAPE_VERDE_X0.as_tuple())
+        y0 = np.array(CAPE_VERDE_X0)
         k1 = f(y0)
         k2 = f(y0 + 0.5 * h * k1)
         k3 = f(y0 + 0.5 * h * k2)
@@ -329,7 +329,7 @@ class TestDp54Step:
     @pytest.mark.parametrize("c, h", ((0.0, 0.01), (0.1, 0.5), (0.3, 1.0)))
     def test_stages_match_matrix_form(self, c, h):
         for x in (CAPE_VERDE_X0, self.MID):
-            y = np.array(x.as_tuple())
+            y = np.array(x)
             f = _rhs_of(CAPE_VERDE, c)
             k = np.zeros((7, 7))
             k[0] = f(y.tolist())
@@ -350,7 +350,7 @@ class TestDp54Step:
     def test_straight_line_body_equals_loop_oracle(self, seed, c, h):
         rng = np.random.default_rng(seed)
         p = draw_params(rng)
-        y = draw_omega_state(rng, p).as_tuple()
+        y = draw_omega_state(rng, p)
         f = _rhs_of(p, c)
         k1 = f(y)
         assert _bits(_stages(f, y, h, k1)) == _bits(_loop_stages(f, y, h, k1))
@@ -360,7 +360,7 @@ class TestDp54Step:
         rng = np.random.default_rng(13)
         lanes = 64
         p = draw_params(rng)
-        states = [draw_omega_state(rng, p).as_tuple() for _ in range(lanes)]
+        states = [draw_omega_state(rng, p) for _ in range(lanes)]
         c = rng.uniform(0.0, 2.0, lanes)
         h = np.exp(rng.uniform(np.log(1e-6), 0.0, lanes))
         y = list(np.array(states).T)
@@ -379,7 +379,7 @@ class TestDp54Step:
     def test_error_norm_and_extension_equal_loop_forms_on_attempts(self, seed, c, h, tol):
         rng = np.random.default_rng(seed)
         p = draw_params(rng)
-        y = draw_omega_state(rng, p).as_tuple()
+        y = draw_omega_state(rng, p)
         f = _rhs_of(p, c)
         k, y1, err = _stages(f, y, h, f(y))
         scales = component_scales(p)
@@ -443,10 +443,10 @@ class TestDp54Step:
     def test_rhs_matches_hand_formula_bit_for_bit(self):
         eq = brdfe(CAPE_VERDE, 0.0).state
         for x in (CAPE_VERDE_X0, self.MID, eq, State7(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)):
-            y = np.array(x.as_tuple())
+            y = np.array(x)
             expected = _hand_rhs(y)
             assert np.array_equal(_rhs_of(CAPE_VERDE, 0.0)(y.tolist()), expected)
-            assert rhs(CAPE_VERDE, 0.0, x).as_tuple() == tuple(expected.tolist())
+            assert rhs(CAPE_VERDE, 0.0, x) == tuple(expected.tolist())
 
     def test_one_step_over_many_grid_points(self):
         h = 0.5
@@ -455,7 +455,7 @@ class TestDp54Step:
         assert (traj.step_stats.accepted, traj.step_stats.rejected) == (1, 0)
         assert len(traj.times) == 51
 
-        y0 = np.array(self.MID.as_tuple())
+        y0 = np.array(self.MID)
         f = _rhs_of(CAPE_VERDE, 0.0)
         k, y1, _ = _stages(f, y0.tolist(), h, f(y0.tolist()))
         k, y1 = np.array(k), np.array(y1)
@@ -536,7 +536,7 @@ class TestDenseOutput:
         # integrate assigns a report time up to 1e-12 (relative) past a
         # step's end to that step; theta is clamped to 1 there rather than
         # extrapolating the quartic past the step
-        y = CAPE_VERDE_X0.as_tuple()
+        y = CAPE_VERDE_X0
         f = _rhs_of(CAPE_VERDE, 0.0)
         k, y1, _ = _stages(f, y, 1.0, f(y))
         covering = [(0.0, 1.0, 2, y, y1, k)]
@@ -578,7 +578,7 @@ class TestEmbeddedPairOrder:
         errs = []
         for h in (0.1, 0.05, 0.025):
             y = integrate_fixed_dp54(CAPE_VERDE, 0.0, CAPE_VERDE_X0, h, 100.0)
-            errs.append(np.max(np.abs(y.as_array() - ref7) / scales))
+            errs.append(np.max(np.abs(np.array(y) - ref7) / scales))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 4.5
 

@@ -15,6 +15,8 @@ from conftest import (
 from dengue_control.equilibria import metzler_matrix
 from dengue_control.integrator import full_states
 from dengue_control.model import (
+    ROW_LABELS,
+    STATE_LABELS,
     ControlLevel,
     State7,
     basic_offspring_number,
@@ -57,7 +59,7 @@ class TestBoundRhs:
     def test_equals_reference_formula_bit_for_bit(self, seed, c, wide):
         rng = np.random.default_rng(seed)
         p = draw_params_wide(rng)[0] if wide else draw_params(rng)
-        y = draw_omega_state(rng, p).as_tuple()
+        y = draw_omega_state(rng, p)
         assert hex_bits(_rhs_of(p, c)(y)) == hex_bits(reference_rhs(p, c, y))
 
     @settings(max_examples=300, deadline=None)
@@ -70,15 +72,15 @@ class TestBoundRhs:
         rng = np.random.default_rng(14)
         lanes = 64
         p = draw_params(rng)
-        states = [draw_omega_state(rng, p).as_tuple() for _ in range(lanes)]
+        states = [draw_omega_state(rng, p) for _ in range(lanes)]
         c = rng.uniform(0.0, 2.0, lanes)
         got = _rhs_of(p, c)(list(np.array(states).T))
         for lane, (x, cl) in enumerate(zip(states, c.tolist())):
             assert hex_bits(q[lane] for q in got) == hex_bits(reference_rhs(p, cl, x))
 
     def test_rhs_binds_the_control_level(self):
-        assert rhs(CAPE_VERDE, ControlLevel(0.2), CAPE_VERDE_X0).as_tuple() == \
-            reference_rhs(CAPE_VERDE, 0.2, CAPE_VERDE_X0.as_tuple())
+        assert rhs(CAPE_VERDE, ControlLevel(0.2), CAPE_VERDE_X0) == \
+            reference_rhs(CAPE_VERDE, 0.2, CAPE_VERDE_X0)
 
 
 class TestValidation:
@@ -120,17 +122,38 @@ class TestValidation:
             ControlLevel(math.nan)
 
 
+class TestState7:
+    def test_fields_are_the_state_labels(self):
+        assert State7._fields == STATE_LABELS
+        assert ROW_LABELS == ("S_h", "E_h", "I_h", "R_h", "A_m", "S_m", "E_m", "I_m")
+
+    def test_is_the_seven_tuple(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x = tuple(rng.uniform(-1.0, 1.0, size=7).tolist())
+            assert State7(*x) == x and tuple(State7(*x)) == x
+
+    def test_from_array_takes_floats(self):
+        x = State7.from_array(np.arange(7))
+        assert x == tuple(map(float, range(7))) and all(type(v) is float for v in x)
+
+    @pytest.mark.parametrize("n", [0, 6, 8])
+    def test_from_array_rejects_other_lengths(self, n):
+        with pytest.raises(ValueError, match=f"expected 7 components, got {n}"):
+            State7.from_array([1.0] * n)
+
+
 class TestRhs:
     def test_trivial_equilibrium_is_fixed_point(self):
         x = State7(480000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         d = rhs(CAPE_VERDE, 0.0, x)
-        assert d.as_tuple() == (0.0,) * 7
+        assert d == (0.0,) * 7
 
     def test_disease_free_state_is_fixed_point(self):
         # closed form evaluated by hand: A* = 3*480000*0.45/(0.08*6),
         # S* = 3*480000*0.45*11/6
         x = State7(480000.0, 0.0, 0.0, 1_350_000.0, 1_188_000.0, 0.0, 0.0)
-        d = np.array(rhs(CAPE_VERDE, 0.0, x).as_tuple())
+        d = np.array(rhs(CAPE_VERDE, 0.0, x))
         assert np.max(np.abs(d)) < 1e-9 * CAPE_VERDE.N_h
 
     def test_exposure_inflow_hand_value(self):
@@ -169,7 +192,7 @@ class TestRhs:
 def full_row(x):
     """x as the CSV-ordered row (S_h, E_h, I_h, R_h, A_m, S_m, E_m, I_m) that
     trajectories report, R_h recovered from the human total."""
-    return full_states(CAPE_VERDE, np.array([x.as_tuple()]))[0].tolist()
+    return full_states(CAPE_VERDE, np.array([x]))[0].tolist()
 
 
 class TestReconstructRh:
@@ -194,7 +217,7 @@ class TestReconstructRh:
         for _ in range(100):
             x = draw_omega_state(rng, CAPE_VERDE)
             row = full_row(x)
-            assert row[:3] + row[4:] == list(x.as_tuple())
+            assert row[:3] + row[4:] == list(x)
             total = row[0] + row[1] + row[2] + row[3]
             assert total == pytest.approx(CAPE_VERDE.N_h, rel=1e-8)
 
@@ -278,15 +301,15 @@ class TestMetzlerDecomposition:
             x = draw_omega_state(rng, p)
             inflow = np.zeros(7)
             inflow[0] = p.mu_h * p.N_h
-            recon = metzler_matrix(p, c, x.as_tuple()) @ x.as_array() + inflow
-            r = np.array(rhs(p, c, x).as_tuple())
+            recon = metzler_matrix(p, c, x) @ np.array(x) + inflow
+            r = np.array(rhs(p, c, x))
             assert np.all(np.abs(recon - r) <= 1e-10 * (np.abs(r) + component_scales(p)))
 
     def test_inflow_vector(self):
         # F = rhs - M(X)X is the constant recruitment (mu_h*N_h, 0, ..., 0)
         x = State7(CAPE_VERDE.N_h, 0, 0, 0, 0, 0, 0)
-        inflow = (np.array(rhs(CAPE_VERDE, 0.0, x).as_tuple())
-                  - metzler_matrix(CAPE_VERDE, 0.0, x.as_tuple()) @ x.as_array())
+        inflow = (np.array(rhs(CAPE_VERDE, 0.0, x))
+                  - metzler_matrix(CAPE_VERDE, 0.0, x) @ np.array(x))
         expected = np.zeros(7)
         expected[0] = CAPE_VERDE.mu_h * CAPE_VERDE.N_h
         assert np.array_equal(inflow, expected)
@@ -296,13 +319,13 @@ class TestMetzlerDecomposition:
         for _ in range(1000):
             p = draw_params(rng)
             x = draw_omega_state(rng, p)
-            m = metzler_matrix(p, rng.uniform(0.0, 0.5), x.as_tuple())
+            m = metzler_matrix(p, rng.uniform(0.0, 0.5), x)
             off = m - np.diag(np.diag(m))
             assert np.all(off >= 0.0)
 
     def test_infection_entry_with_thousand_infected_mosquitoes(self):
         x = State7(480000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
-        m = metzler_matrix(CAPE_VERDE, 0.0, x.as_tuple())
+        m = metzler_matrix(CAPE_VERDE, 0.0, x)
         expected = CAPE_VERDE.B * CAPE_VERDE.beta_mh * 1000.0 / CAPE_VERDE.N_h
         assert m[1, 0] == pytest.approx(expected, rel=1e-12)
         assert m[1, 0] == pytest.approx(0.375 * 1000.0 / 480000.0, rel=1e-12)
@@ -316,5 +339,5 @@ class TestFixedPointIdentity:
         p = CAPE_VERDE
         bound = 1e-9 * max(p.N_h, p.m * p.N_h)
         for eq in (trivial_equilibrium(p), brdfe(p, 0.0), refined_endemic(p, 0.0)):
-            d = np.array(rhs(p, 0.0, eq.state).as_tuple())
+            d = np.array(rhs(p, 0.0, eq.state))
             assert np.max(np.abs(d)) < bound

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import CAPE_VERDE, draw_params, params_with
-from dengue_control.equilibria import brdfe, metzler_matrix
+from dengue_control.equilibria import brdfe, jacobian, metzler_matrix
 from dengue_control.errors import MosquitoCollapseError, NumericalFailure
 from dengue_control.model import mosquito_viability, r0_closed_form, r0_factors
 from dengue_control.reproduction import build_ngm, r0_spectral
-from dengue_control.stability import jacobian
 
 
 class TestBuildNgm:
@@ -42,7 +41,7 @@ class TestBuildNgm:
         infected = np.ix_((1, 2, 5, 6), (1, 2, 5, 6))
         for c in (0.0, 0.07, 0.2):
             dfe = brdfe(CAPE_VERDE, c).state
-            m_of_x = metzler_matrix(CAPE_VERDE, c, dfe.as_tuple())
+            m_of_x = metzler_matrix(CAPE_VERDE, c, dfe)
             ngm = build_ngm(CAPE_VERDE, c)
             assert np.array_equal(ngm.j_v, -m_of_x[infected])
             assert np.array_equal(ngm.j_f, (jacobian(CAPE_VERDE, c, dfe) - m_of_x)[infected])

@@ -106,7 +106,7 @@ class TestParsing:
     def test_known_keys_are_the_dataclass_fields(self):
         def names(cls):
             return {f.name for f in dataclasses.fields(cls)}
-        initial = {f"{name}0" for name in names(State7)}
+        initial = {f"{name}0" for name in State7._fields}
         assert KNOWN_KEYS == (names(ModelParams) | names(SolverConfig) | initial
                               | {"c", "R_h0"})
 

@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from conftest import CAPE_VERDE, draw_omega_state, draw_params, params_with
-from dengue_control.equilibria import brdfe, refined_endemic, trivial_equilibrium
+from dengue_control.equilibria import brdfe, jacobian, refined_endemic, trivial_equilibrium
 from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
     ControlLevel, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
 from dengue_control.report import build_report
 from dengue_control.scenario import builtin_capeverde2009
-from dengue_control.stability import Classification, classify, eigenvalues, jacobian
+from dengue_control.stability import Classification, classify, eigenvalues
 
 
 def _fd_jacobian(p, c, x):
     f = _rhs_of(p, c)
-    base = x.as_array()
+    base = np.array(x)
     steps = 1e-6 * np.array(component_scales(p))
     jac = np.empty((7, 7))
     for j in range(7):
@@ -40,7 +40,7 @@ def _entry_r0(c):
 def _typed_jacobian(p, c, x):
     """The model's Jacobian typed entry by entry (19 entries), independently
     of the Metzler form the package derives it from."""
-    s_h, _, i_h, a_m, s_m, e_m, i_m = x.as_tuple()
+    s_h, _, i_h, a_m, s_m, e_m, i_m = x
     foi_h = p.B * p.beta_mh * i_m / p.N_h
     foi_m = p.B * p.beta_hm * i_h / p.N_h
     adults = s_m + e_m + i_m
@@ -88,6 +88,7 @@ class TestJacobian:
             y[rng.integers(7)] = (0.0, -0.0)[i % 2]
             x = State7.from_array(y)
             derived = jacobian(p, c, x)
+            assert jacobian(p, c, tuple(x)).tobytes() == derived.tobytes()
             typed = _typed_jacobian(p, c, x)
             assert np.array_equal(derived, typed)
             assert np.array_equal(np.signbit(derived), np.signbit(typed))
@@ -222,7 +223,7 @@ class TestSimulationConcordance:
             scales = np.array(component_scales(p))
             direction = np.array([-1.0, 0.5, 0.5, -1.0, -1.0, 0.5, 0.5])
             start = State7.from_array(
-                np.array(eq.state.as_tuple()) + 1e-4 * scales * direction)
+                np.array(eq.state) + 1e-4 * scales * direction)
             assert in_omega(p, start)
 
             traj = integrate(p, 0.0, start, SolverConfig(t_end=200.0))
