@@ -157,6 +157,8 @@ def cmd_threshold(args) -> int:
 
 
 def _sweep_grid(c_min: float, c_max: float, c_step: float) -> list[float]:
+    import numpy as np
+
     from .integrator import MAX_GRID_POINTS
 
     stop = c_max + 1e-12 * max(1.0, abs(c_max))
@@ -166,15 +168,10 @@ def _sweep_grid(c_min: float, c_max: float, c_step: float) -> list[float]:
         raise ScenarioError(
             f"invalid sweep grid: need finite 0 <= c-min <= c-max, c-step > 0 "
             f"and at most {MAX_GRID_POINTS} points (got {c_min}, {c_max}, {c_step})")
-    grid = []
-    i = 0
-    while True:
-        c = c_min + i * c_step
-        if c > stop:
-            break
-        grid.append(min(c, c_max))
-        i += 1
-    return grid
+    grid = c_min + c_step * np.arange(math.floor((stop - c_min) / c_step) + 2)
+    grid = grid[grid <= stop]
+    # min(c, c_max) per level: c itself on a tie, so c_max = -0.0 still gives 0.0
+    return np.where(grid > c_max, c_max, grid).tolist()
 
 
 def cmd_sweep(args) -> int:

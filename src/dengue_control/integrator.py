@@ -339,11 +339,11 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
                 smallest = h
             if h > largest:
                 largest = h
-            factor = max_factor if err_norm == 0.0 else min(
-                max_factor, max(min_factor, safety * err_norm ** -0.2))
         else:
             rejected += 1
-            factor = max(min_factor, safety * err_norm ** -0.2)
+        # a rejected attempt has err_norm > 1 (or inf), where max_factor never binds
+        factor = max_factor if err_norm == 0.0 else min(
+            max_factor, max(min_factor, safety * err_norm ** -0.2))
         h = min(h * factor, h_max)
 
     stats = StepStats(accepted=accepted, rejected=rejected,

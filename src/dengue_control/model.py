@@ -84,7 +84,8 @@ class ModelParams:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _require_finite(f.name, getattr(self, f.name)))
-        for name in ("B", "mu_h", "eta_h", "mu_m", "mu_A", "eta_A", "eta_m", "nu_h", "m", "k"):
+        for name in ("N_h", "B", "mu_h", "eta_h", "mu_m", "mu_A", "eta_A", "eta_m", "nu_h",
+                     "m", "k", "K"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.mu_b < 0.0:
@@ -92,10 +93,6 @@ class ModelParams:
         for name in ("beta_mh", "beta_hm"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if self.N_h <= 0.0:
-            raise ValueError(f"N_h must be > 0, got {self.N_h}")
-        if self.K <= 0.0:
-            raise ValueError(f"K must be > 0, got {self.K}")
 
 
 @dataclass(frozen=True)
@@ -221,16 +218,21 @@ def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     return p.eta_A * p.mu_b - cc * (p.eta_A + p.mu_A) - p.mu_m * (p.mu_A + p.eta_A)
 
 
+def _viability(p: ModelParams, c: ControlLevel | float, what: str) -> float:
+    """The viability margin at c; MosquitoCollapseError ("``what`` undefined") if <= 0."""
+    viability = mosquito_viability(p, c)
+    if viability <= 0.0:
+        raise MosquitoCollapseError(f"{what} undefined: mosquito population collapses "
+                                    f"(viability margin = {viability:.6g})")
+    return viability
+
+
 def _paper_dfe(p: ModelParams, c: ControlLevel) -> State7:
     """The paper's mosquito-bearing disease-free point, where R0 and the
     control threshold are evaluated (formula and caveats at
     ``equilibria.brdfe``).  Raises MosquitoCollapseError when the viability
     margin is <= 0 and NumericalFailure when mu_b*mu_m underflows."""
-    viability = mosquito_viability(p, c)
-    if viability <= 0.0:
-        raise MosquitoCollapseError(
-            "mosquito population collapses; only trivial equilibrium exists "
-            f"(viability margin = {viability:.6g})")
+    viability = _viability(p, c, "disease-free state")
     # a positive margin keeps eta_A*mu_b > 0, but mu_b*mu_m can underflow
     if p.mu_b * p.mu_m == 0.0:
         raise NumericalFailure("disease-free state undefined: mu_b*mu_m underflows to 0")
@@ -266,11 +268,7 @@ def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     NumericalFailure when the denominator's product of rates underflows or
     a product of rates overflows so that R0 is not finite."""
     ctrl = as_control(c)
-    viability = mosquito_viability(p, ctrl)
-    if viability <= 0.0:
-        raise MosquitoCollapseError(
-            "basic reproduction number undefined: mosquito population "
-            f"collapses (viability margin = {viability:.6g})")
+    viability = _viability(p, ctrl, "basic reproduction number")
     cc = ctrl.c
     denominator = (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (cc + p.mu_m)
                    * (cc + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))

@@ -2,13 +2,16 @@
 equilibria with residuals, stability, and the control threshold.
 
 The text and JSON renderings are built from the same report object and
-format every number with ``repr``, so the two carry identical digits.
+format every number with ``repr``, so the two carry identical digits.  The
+report holds None for a number that is not finite: ``n/a`` in text, ``null``
+in JSON.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, is_dataclass, replace
 
 from .equilibria import Equilibrium, brdfe, refined_endemic, trivial_equilibrium
 from .errors import NoEndemicEquilibrium, NumericalFailure
@@ -62,9 +65,15 @@ def _entry(scenario: Scenario, eq: Equilibrium, r0: float | None = None) -> Equi
     )
 
 
-def _threshold_summary(result) -> dict:
-    kind = "no_control_needed" if isinstance(result, NoControlNeeded) else "threshold"
-    return {"kind": kind, **asdict(result)}
+def _finite(value):
+    """``value`` with each non-finite float in it, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, tuple):
+        return tuple(map(_finite, value))
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    return replace(value, **_finite(vars(value))) if is_dataclass(value) else value
 
 
 def build_report(scenario: Scenario) -> AnalysisReport:
@@ -92,7 +101,8 @@ def build_report(scenario: Scenario) -> AnalysisReport:
         except (NoEndemicEquilibrium, NumericalFailure) as exc:
             endemic_note = str(exc)
 
-    return AnalysisReport(
+    threshold = min_control(p)
+    return _finite(AnalysisReport(
         scenario=scenario.name,
         control=ctrl.c,
         viability=viability,
@@ -104,8 +114,9 @@ def build_report(scenario: Scenario) -> AnalysisReport:
         r_mh=r_mh,
         equilibria=tuple(entries),
         endemic_note=endemic_note,
-        threshold=_threshold_summary(min_control(p)),
-    )
+        threshold={"kind": "no_control_needed" if isinstance(threshold, NoControlNeeded)
+                   else "threshold", **asdict(threshold)},
+    ))
 
 
 def _num(value) -> str:
@@ -161,4 +172,4 @@ def as_json_dict(report: AnalysisReport) -> dict:
 
 
 def render_json(report: AnalysisReport) -> str:
-    return json.dumps(as_json_dict(report), indent=2) + "\n"
+    return json.dumps(as_json_dict(report), indent=2, allow_nan=False) + "\n"

@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ScenarioError
-from .model import STATE_LABELS, ControlLevel, ModelParams, State7, region_violation
+from .model import (STATE_LABELS, ControlLevel, ModelParams, State7, _require_finite,
+                    region_violation)
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            v = float(getattr(self, f.name))
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite")
-            object.__setattr__(self, f.name, v)
+            object.__setattr__(self, f.name, _require_finite(f.name, getattr(self, f.name)))
         if self.t_end < self.t0:
             raise ValueError(f"t_end ({self.t_end}) must be >= t0 ({self.t0})")
         if self.rtol <= 0.0 or self.atol <= 0.0:

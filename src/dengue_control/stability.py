@@ -16,10 +16,7 @@ numerically from the eigenvalues themselves rather than inferred from the
 reproduction-number threshold; the two agree (the Jacobian at a
 disease-free state block-triangularizes into an always-stable
 susceptible/vector block and an infected block whose stability flips
-exactly where the reproduction number crosses one).  A StabilityReport
-holds the spectrum and its label only: the reproduction number at that
-point is ``r0_closed_form``'s, which a caller such as ``report`` has
-already computed.
+exactly where the reproduction number crosses one).
 """
 
 from __future__ import annotations

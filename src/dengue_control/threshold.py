@@ -127,12 +127,11 @@ def r0_profile(p: ModelParams, grid) -> list[ProfilePoint]:
     points = []
     for c in grid:
         ctrl = ControlLevel(float(c))
-        if mosquito_viability(p, ctrl) <= 0.0:
-            points.append(ProfilePoint(c=ctrl.c, r0=None, collapsed=True))
-            continue
         try:
             r0 = r0_closed_form(p, ctrl)
+        except MosquitoCollapseError:
+            r0 = None
         except NumericalFailure as exc:
             raise NumericalFailure(f"{exc} at c = {ctrl.c!r}") from exc
-        points.append(ProfilePoint(c=ctrl.c, r0=r0, collapsed=False))
+        points.append(ProfilePoint(c=ctrl.c, r0=r0, collapsed=r0 is None))
     return points

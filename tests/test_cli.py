@@ -247,7 +247,36 @@ class TestThreshold:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def sweep_grid_loop(c_min, c_max, c_step):
+    """The sweep grid as an append loop, the oracle of ``cli._sweep_grid``."""
+    stop = c_max + 1e-12 * max(1.0, abs(c_max))
+    grid = []
+    i = 0
+    while (c := c_min + i * c_step) <= stop:
+        grid.append(min(c, c_max))
+        i += 1
+    return grid
+
+
 class TestSweep:
+    @pytest.mark.parametrize("c_min, c_max, c_step", (
+        (0.0, 0.0, 0.05), (0.3, 0.3, 0.1), (0.0, -0.0, 0.1),   # zero width
+        (0.0, 0.30000000000000004, 0.1), (0.0, 0.3 + 1e-13, 0.1),  # just past 3 steps
+        (0.0, 1.0, 1 / 3), (0.1, 2.0, 1 / 3), (0.0, 2.0, 0.01), (0.0, 1.5, 0.00015),
+    ))
+    def test_grid_matches_append_loop_on_edge_grids(self, c_min, c_max, c_step):
+        assert (list(map(repr, cli._sweep_grid(c_min, c_max, c_step)))
+                == list(map(repr, sweep_grid_loop(c_min, c_max, c_step))))
+
+    def test_grid_matches_append_loop_on_seeded_grids(self):
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            c_min = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            c_max = c_min + float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            c_step = float(10.0 ** rng.uniform(-3.0, 0.5))
+            assert (list(map(repr, cli._sweep_grid(c_min, c_max, c_step)))
+                    == list(map(repr, sweep_grid_loop(c_min, c_max, c_step))))
+
     def test_grid_rows_and_monotonicity(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--builtin", "capeverde2009",
                              "--c-min", "0", "--c-max", "0.3", "--c-step", "0.05",
@@ -353,6 +382,19 @@ class TestAnalyze:
                       doc["r_hm"], doc["r_mh"], doc["threshold"]["c_star"],
                       doc["equilibria"][2]["state"]["I_h"]):
             assert repr(value) in text_out
+
+    def test_non_finite_values_are_null_in_strict_json(self, tmp_path, capsys):
+        # mu_b*eta_A is subnormal, so the offspring ratio overflows to inf
+        path = write_variant(tmp_path, {"mu_b = 6.0": "mu_b = 1e-310"})
+        code, json_out, _ = run_cli(capsys, "analyze", "--scenario", str(path), "--json")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+        doc = json.loads(json_out, parse_constant=reject)
+        assert doc["offspring_ratio"] is None and doc["collapsed"] is True
+        _, text_out, _ = run_cli(capsys, "analyze", "--scenario", str(path))
+        assert "basic offspring ratio = n/a" in text_out
 
     def test_scenario_file_matches_builtin(self, tmp_path, capsys):
         path = write_variant(tmp_path, {})

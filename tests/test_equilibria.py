@@ -167,6 +167,46 @@ class TestRefine:
         assert exc_info.value.residual is not None
         assert exc_info.value.residual > 0.0
 
+    def test_trivial_state_refines_to_trivial_kind(self):
+        eq = refine(CAPE_VERDE, 0.0, trivial_equilibrium(CAPE_VERDE).state)
+        assert eq.kind is EquilibriumKind.TRIVIAL
+        assert eq.residual_norm == 0.0
+
+    @staticmethod
+    def overshooting_guess():
+        """A seeded guess inside the region whose full first Newton step
+        raises the scaled residual (2.51 to about 1.3e3)."""
+        rng = np.random.default_rng(0)
+        x = State7.from_array(rng.uniform(0.0, 1.0, (2, 7))[1]
+                              * component_scales(CAPE_VERDE) / 3.0)
+        assert in_omega(CAPE_VERDE, x)
+        f = _rhs_of(CAPE_VERDE, 0.0)
+        r, res = eq_mod._scaled_rhs(CAPE_VERDE, f, x)
+        step = np.linalg.solve(eq_mod.jacobian(CAPE_VERDE, 0.0, x), -np.array(r))
+        assert eq_mod._scaled_rhs(CAPE_VERDE, f, (np.array(x) + step).tolist())[1] > res
+        return x
+
+    def test_damping_recovers_from_an_overshooting_step(self):
+        eq = refine(CAPE_VERDE, 0.0, self.overshooting_guess())
+        assert eq.kind is EquilibriumKind.ENDEMIC
+        assert eq.residual_norm < 1e-10
+
+    def test_exhausted_damping_stalls_with_last_residual(self, monkeypatch):
+        guess = self.overshooting_guess()
+        # one trial, the full step, which raises the residual
+        monkeypatch.setattr(eq_mod, "_MAX_DAMPING_HALVINGS", 1)
+        with pytest.raises(NumericalFailure, match="refinement stalled") as exc_info:
+            refine(CAPE_VERDE, 0.0, guess)
+        assert exc_info.value.residual == residual(CAPE_VERDE, 0.0, guess)
+
+    def test_singular_jacobian_is_numerical_failure(self, monkeypatch):
+        def singular(*_):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalFailure, match="singular Jacobian") as exc_info:
+            refine(CAPE_VERDE, 0.0, State7(1e5, 1e5, 1e5, 1e5, 1e5, 1e5, 1e5))
+        assert exc_info.value.residual > 0.0
+
     def test_finds_true_controlled_balance_from_reference_state(self):
         # the exact disease-free fixed point under control solves
         # eta_A*A = (mu_m + c)*S; refining the reference state must land
@@ -227,6 +267,12 @@ class TestEndemicExistenceWindow:
     def test_refined_endemic_guard(self):
         with pytest.raises(NoEndemicEquilibrium):
             refined_endemic(CAPE_VERDE, 0.2)
+
+    def test_refined_endemic_refuses_a_disease_free_root(self):
+        # at the sign change of I_h the closed form sits on the disease-free
+        # state, and Newton refinement lands there
+        with pytest.raises(NoEndemicEquilibrium, match="collapsed to a disease-free state"):
+            refined_endemic(CAPE_VERDE, 0.0837170033)
 
 
 class TestResidual:

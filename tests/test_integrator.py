@@ -291,6 +291,10 @@ class TestFixedRk4:
         with pytest.raises(ValueError):
             integrate_fixed_rk4(CAPE_VERDE, 0.0, CAPE_VERDE_X0, 0.0, 1.0)
 
+    def test_rejects_non_finite_start(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_fixed_rk4(CAPE_VERDE, 0.0, CAPE_VERDE_X0._replace(I_m=math.nan), 0.5, 1.0)
+
     def test_fourth_order_halving(self, rk4_reference):
         # error against the h=1e-3 reference should shrink ~16x when h
         # halves from 1e-2 to 5e-3 (measured over the shared grid)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import CAPE_VERDE, draw_omega_state, draw_params, params_with
 from dengue_control.equilibria import brdfe, jacobian, refined_endemic, trivial_equilibrium
+from dengue_control.errors import NumericalFailure
 from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
     ControlLevel, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
@@ -151,6 +152,13 @@ class TestEigenvalues:
             eigenvalues(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="finite"):
             eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_failed_iteration_is_numerical_failure(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericalFailure, match="eigenvalue iteration failed"):
+            eigenvalues(np.eye(3))
 
 
 class TestClassify:
