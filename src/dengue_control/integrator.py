@@ -56,7 +56,6 @@ from .model import (
     as_control,
     component_scales,
     region_violation,
-    _recovered,
     _rhs_of,
 )
 from .scenario import SolverConfig
@@ -130,21 +129,24 @@ class Trajectory:
 
 
 def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """(n, 8) array of full states, columns ``ROW_LABELS`` (R_h inserted),
-    from an (n, 7) array of reduced states."""
+    """(n, 8) full states, columns ``ROW_LABELS``, from (n, 7) reduced ones;
+    the one home of R_h = N_h - S_h - E_h - I_h, subtracted in that order.  A
+    negative R_h is reported as is: it signals leaving the region, not an error."""
     return np.insert(rows, ROW_LABELS.index("R_h"),
-                     _recovered(p, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
+                     p.N_h - rows[:, 0] - rows[:, 1] - rows[:, 2], axis=1)
 
 
 def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
     span = (t_end - t0) / step + 1e-9
-    if not span < MAX_GRID_POINTS:
+    n = math.floor(span) if span < MAX_GRID_POINTS else MAX_GRID_POINTS
+    # t_end is appended when it lies past the last uniform point; it counts toward the cap
+    past = t0 + step * n < t_end - 1e-9 * max(1.0, abs(t_end))
+    if n + 1 + past > MAX_GRID_POINTS:
         raise ScenarioError(
             f"output grid needs {span + 1:.4g} points, more than the cap of "
             f"{MAX_GRID_POINTS}; raise output_step or shorten the window")
-    n = int(math.floor(span))
     grid = t0 + step * np.arange(n + 1, dtype=float)
-    if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
+    if past:
         grid = np.append(grid, t_end)
     else:
         grid[-1] = t_end

@@ -197,14 +197,6 @@ def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
     return State7.from_array(_rhs_of(p, as_control(c).c)(x))
 
 
-def _recovered(p: ModelParams, s_h, e_h, i_h):
-    """R_h = N_h - S_h - E_h - I_h, subtracted in that order, for scalars or
-    arrays alike; the one home of R_h, which full rows carry after I_h
-    (``ROW_LABELS``).  A negative R_h is reported as is; it signals
-    departure from the admissible region, not an error."""
-    return p.N_h - s_h - e_h - i_h
-
-
 def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     """Viability margin of the vector population:
 
@@ -251,13 +243,13 @@ def basic_offspring_number(p: ModelParams, c: ControlLevel | float = 0.0) -> flo
     orientation: this is the ratio whose *smallness* means a sustainable
     population; the conventional "offspring number" is its reciprocal.
     The ratio is returned as written here; the naming mismatch is
-    documented rather than resolved.
+    documented rather than resolved.  Where mu_b*eta_A is 0 (mu_b = 0, or
+    an underflow) the ratio's limit, ``math.inf``, is returned.
     """
+    cc = as_control(c).c
     recruitment = p.mu_b * p.eta_A
     if recruitment == 0.0:
-        raise ValueError("basic offspring ratio undefined: mu_b*eta_A is 0 "
-                         "(mu_b = 0, or the product underflows)")
-    cc = as_control(c).c
+        return math.inf
     return (p.eta_A + p.mu_A) * (p.mu_m + cc) / recruitment
 
 
@@ -328,10 +320,11 @@ def region_violation(p: ModelParams, x: State7, slack: float = OMEGA_SLACK) -> s
     Each inequality gets additive slack ``slack * bound``; the aquatic bound
     is k*N_h (not the carrying capacity K).  Non-finite states are outside.
     """
-    for label, value, bound in zip(STATE_LABELS, x, component_scales(p)):
+    scales = component_scales(p)
+    for label, value, bound in zip(STATE_LABELS, x, scales):
         if not value >= -slack * bound:
             return f"{label}0 = {value!r} violates {label}0 >= 0"
-    n_h, kn, mn = p.N_h, p.k * p.N_h, p.m * p.N_h
+    n_h, _, _, kn, mn, _, _ = scales
     human = x.S_h + x.E_h + x.I_h
     if human > n_h * (1.0 + slack):
         return f"S_h0+E_h0+I_h0 = {human!r} exceeds N_h = {n_h!r}"

@@ -80,10 +80,6 @@ def build_report(scenario: Scenario) -> AnalysisReport:
     p, ctrl = scenario.params, scenario.control
     viability = mosquito_viability(p, ctrl)
     collapsed = viability <= 0.0
-    try:
-        offspring = basic_offspring_number(p, ctrl)
-    except ValueError:
-        offspring = None
 
     entries = [_entry(scenario, trivial_equilibrium(p))]
     r0s = r0c = r_hm = r_mh = None
@@ -107,7 +103,7 @@ def build_report(scenario: Scenario) -> AnalysisReport:
         control=ctrl.c,
         viability=viability,
         collapsed=collapsed,
-        offspring_ratio=offspring,
+        offspring_ratio=basic_offspring_number(p, ctrl),
         r0_spectral=r0s,
         r0_closed_form=r0c,
         r_hm=r_hm,
@@ -164,12 +160,8 @@ def render_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def as_json_dict(report: AnalysisReport) -> dict:
+def render_json(report: AnalysisReport) -> str:
     doc = asdict(report)
     for eq in doc["equilibria"]:
         eq["state"] = dict(zip(STATE_LABELS, eq["state"]))
-    return doc
-
-
-def render_json(report: AnalysisReport) -> str:
-    return json.dumps(as_json_dict(report), indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -60,6 +60,9 @@ _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))   # K optional, default
 _STATE_KEYS = tuple(f"{label}0" for label in STATE_LABELS)
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 KNOWN_KEYS = frozenset(_PARAM_KEYS + ("c",) + _STATE_KEYS + ("R_h0",) + _SOLVER_KEYS)
+#: Largest scenario file ``load_scenario`` accepts (bytes); the rendered
+#: built-in scenario is under 500.
+MAX_SCENARIO_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -176,11 +179,23 @@ def parse_scenario(text: str, name: str = "custom") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    """Parse the scenario file at ``path``.  It must be UTF-8 and hold at
+    most ``MAX_SCENARIO_BYTES`` bytes: at most one byte past the cap is
+    read, so memory stays bounded whatever the path names (``/dev/zero``
+    included).  A file that cannot be read, is over the cap or does not
+    decode is a ScenarioError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_SCENARIO_BYTES + 1)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    if len(raw) > MAX_SCENARIO_BYTES:
+        raise ScenarioError(f"scenario file {path} is larger than the cap of "
+                            f"{MAX_SCENARIO_BYTES} bytes")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8: {exc}") from exc
     return parse_scenario(text, name=str(path))
 
 

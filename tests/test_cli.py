@@ -498,6 +498,23 @@ class TestExitCodes:
         assert err.startswith("error: output grid needs")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_appended_end_over_grid_cap_is_config_error(self, tmp_path, capsys):
+        path = write_variant(tmp_path, {"t_end = 100.0": "t_end = 999999.5",
+                                        "output_step = 0.5": "output_step = 1.0"})
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: output grid needs") and err.count("\n") == 1
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_not_utf8_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"N_h = 1\xff\n")
+        code, _, err = run_cli(capsys, "threshold", "--scenario", str(path))
+        assert code == 2
+        assert err == f"error: scenario file {path} is not UTF-8: 'utf-8' codec can't " \
+                      "decode byte 0xff in position 7: invalid start byte\n"
+
     def test_window_beyond_step_cap_is_config_error(self, tmp_path, capsys):
         path = write_variant(tmp_path, {"t_end = 100.0": "t_end = 1e9",
                                         "output_step = 0.5": "output_step = 1e4"})

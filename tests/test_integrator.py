@@ -624,3 +624,8 @@ class TestOutputGrid:
 
     def test_cap_allows_its_own_size(self):
         assert _output_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0).size == MAX_GRID_POINTS
+
+    def test_cap_counts_the_appended_end(self):
+        # 10^6 uniform points, then t_end past the last of them
+        with pytest.raises(ValueError, match="output grid needs"):
+            _output_grid(0.0, MAX_GRID_POINTS - 0.5, 1.0)

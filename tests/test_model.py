@@ -260,8 +260,9 @@ class TestBasicOffspringNumber:
         assert abs(mosquito_viability(CAPE_VERDE, c)) < 1e-12
 
     def test_undefined_without_recruitment(self):
-        with pytest.raises(ValueError, match="mu_b"):
-            basic_offspring_number(params_with(mu_b=0.0), 0.0)
+        # the ratio's limit where mu_b*eta_A is 0; reports print it as n/a
+        assert basic_offspring_number(params_with(mu_b=0.0), 0.0) == math.inf
+        assert basic_offspring_number(params_with(mu_b=5e-324), 0.0) == math.inf
 
 
 class TestInOmega:

@@ -10,9 +10,11 @@ from dengue_control.integrator import SolverConfig
 from dengue_control.model import ControlLevel, ModelParams, State7
 from dengue_control.scenario import (
     KNOWN_KEYS,
+    MAX_SCENARIO_BYTES,
     Scenario,
     builtin_capeverde2009,
     get_builtin,
+    load_scenario,
     parse_scenario,
     render_scenario,
 )
@@ -139,6 +141,22 @@ class TestParseErrors:
             "mu_m = 0.09090909090909091", "mu_m = 0.0")
         with pytest.raises(ScenarioError, match="mu_m"):
             parse_scenario(text)
+
+
+class TestLoadScenario:
+    def test_file_over_the_cap_refused(self, tmp_path):
+        path = tmp_path / "large.txt"
+        path.write_bytes(b"#" * (MAX_SCENARIO_BYTES + 1))
+        with pytest.raises(ScenarioError, match=f"{path} is larger than the cap"):
+            load_scenario(path)
+
+    def test_file_at_the_cap_parses(self, tmp_path):
+        text = render_scenario(builtin_capeverde2009()).encode()
+        path = tmp_path / "padded.txt"
+        path.write_bytes(text + b"#" * (MAX_SCENARIO_BYTES - len(text)))
+        assert path.stat().st_size == MAX_SCENARIO_BYTES
+        assert load_scenario(path) == dataclasses.replace(builtin_capeverde2009(),
+                                                          name=str(path))
 
 
 class TestInitialConditionValidation:
