@@ -13,7 +13,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 All file writes are whole-file atomic (temp file + rename).
 
 Each subcommand loads its scenario before importing the modules it needs,
-so configuration errors and ``threshold`` finish without loading numpy.
+so configuration errors, ``threshold`` and ``sweep`` finish without loading
+numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .errors import (
     ScenarioError,
 )
 from .model import ROW_LABELS
-from .scenario import Scenario, _build_scenario, _values, get_builtin, load_scenario
+from .scenario import (MAX_GRID_POINTS, Scenario, _build_scenario, _values, get_builtin,
+                       load_scenario)
 
 if TYPE_CHECKING:
     from .integrator import Trajectory
@@ -157,42 +159,33 @@ def cmd_threshold(args) -> int:
 
 
 def _sweep_grid(c_min: float, c_max: float, c_step: float) -> list[float]:
-    import numpy as np
-
-    from .integrator import MAX_GRID_POINTS
-
-    stop = c_max + 1e-12 * max(1.0, abs(c_max))
+    # the end slack admits a level that rounding puts just past c_max; at most
+    # half a step of it, so no two levels are clamped to c_max
+    stop = c_max + min(1e-12 * max(1.0, abs(c_max)), 0.5 * c_step)
     if not (all(math.isfinite(v) for v in (c_min, c_max, c_step))
             and 0.0 <= c_min <= c_max and c_step > 0.0
             and (stop - c_min) / c_step < MAX_GRID_POINTS):
         raise ScenarioError(
             f"invalid sweep grid: need finite 0 <= c-min <= c-max, c-step > 0 "
             f"and at most {MAX_GRID_POINTS} points (got {c_min}, {c_max}, {c_step})")
-    grid = c_min + c_step * np.arange(math.floor((stop - c_min) / c_step) + 2)
-    grid = grid[grid <= stop]
+    grid = (c_min + c_step * i for i in range(math.floor((stop - c_min) / c_step) + 2))
     # min(c, c_max) per level: c itself on a tie, so c_max = -0.0 still gives 0.0
-    return np.where(grid > c_max, c_max, grid).tolist()
+    return [c_max if c > c_max else c for c in grid if c <= stop]
 
 
 def cmd_sweep(args) -> int:
     scenario = _load(args)
-    from .equilibria import brdfe
-    from .stability import Classification, classify
     from .threshold import r0_profile
 
-    p = scenario.params
+    # At a disease-free point the Jacobian is block triangular: -mu_h and the
+    # (A_m, S_m) block are always stable, and the infected block's abscissa
+    # has the sign of R0 - 1, so the point is asymptotically stable exactly
+    # when R0 < 1 (van den Driessche & Watmough 2002, Thm 2)
     lines = ["c,R0,brdfe_stable,collapsed"]
-    with warnings.catch_warnings():
-        # brdfe at c > 0 is classified at the declared reference state,
-        # whose residual warning would fire once per grid point here
-        warnings.simplefilter("ignore")
-        for pt in r0_profile(p, _sweep_grid(args.c_min, args.c_max, args.c_step)):
-            if pt.collapsed:
-                lines.append(f"{pt.c!r},,,true")
-                continue
-            rep = classify(p, pt.c, brdfe(p, pt.c))
-            stable = rep.classification is Classification.ASYMPTOTICALLY_STABLE
-            lines.append(f"{pt.c!r},{pt.r0!r},{str(stable).lower()},false")
+    for pt in r0_profile(scenario.params,
+                         _sweep_grid(args.c_min, args.c_max, args.c_step)):
+        lines.append(f"{pt.c!r},,,true" if pt.collapsed
+                     else f"{pt.c!r},{pt.r0!r},{str(pt.r0 < 1.0).lower()},false")
     text = "\n".join(lines) + "\n"
     out_path = Path(args.out) / "sweep.csv"
     _write_atomic(out_path, [text])

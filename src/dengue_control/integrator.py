@@ -58,7 +58,7 @@ from .model import (
     region_violation,
     _rhs_of,
 )
-from .scenario import SolverConfig
+from .scenario import MAX_GRID_POINTS, SolverConfig
 
 # Dormand-Prince 5(4): stage coefficients, whose last row is the 5th-order
 # weights b (first-same-as-last), and the (b5 - b4) error weights e.
@@ -93,8 +93,6 @@ _MAX_FACTOR = 5.0
 # (rows, 8) result and the output text.
 _DENSE_CHUNK = 4096
 
-#: Most points a reported grid (output times, sweep controls) may hold.
-MAX_GRID_POINTS = 10**6
 #: Most step attempts one integration may make.
 MAX_STEPS = 10**7
 

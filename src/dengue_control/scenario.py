@@ -63,6 +63,8 @@ KNOWN_KEYS = frozenset(_PARAM_KEYS + ("c",) + _STATE_KEYS + ("R_h0",) + _SOLVER_
 #: Largest scenario file ``load_scenario`` accepts (bytes); the rendered
 #: built-in scenario is under 500.
 MAX_SCENARIO_BYTES = 2**20
+#: Most points a reported grid (output times, sweep controls) may hold.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ numerically from the eigenvalues themselves rather than inferred from the
 reproduction-number threshold; the two agree (the Jacobian at a
 disease-free state block-triangularizes into an always-stable
 susceptible/vector block and an infected block whose stability flips
-exactly where the reproduction number crosses one).
+exactly where the reproduction number crosses one).  ``sweep`` reads that
+stability from R0 < 1 by this theorem; ``classify`` stays its numerical check.
 """
 
 from __future__ import annotations

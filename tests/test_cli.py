@@ -249,7 +249,7 @@ class TestThreshold:
 
 def sweep_grid_loop(c_min, c_max, c_step):
     """The sweep grid as an append loop, the oracle of ``cli._sweep_grid``."""
-    stop = c_max + 1e-12 * max(1.0, abs(c_max))
+    stop = c_max + min(1e-12 * max(1.0, abs(c_max)), 0.5 * c_step)
     grid = []
     i = 0
     while (c := c_min + i * c_step) <= stop:
@@ -263,6 +263,7 @@ class TestSweep:
         (0.0, 0.0, 0.05), (0.3, 0.3, 0.1), (0.0, -0.0, 0.1),   # zero width
         (0.0, 0.30000000000000004, 0.1), (0.0, 0.3 + 1e-13, 0.1),  # just past 3 steps
         (0.0, 1.0, 1 / 3), (0.1, 2.0, 1 / 3), (0.0, 2.0, 0.01), (0.0, 1.5, 0.00015),
+        (0.1, 0.1, 1e-13), (0.0, 0.0, 1e-300), (3.0, 3.0, 1e-12),  # steps below the slack
     ))
     def test_grid_matches_append_loop_on_edge_grids(self, c_min, c_max, c_step):
         assert (list(map(repr, cli._sweep_grid(c_min, c_max, c_step)))
@@ -318,9 +319,37 @@ class TestSweep:
         assert code == 2
         assert "sweep grid" in err
 
+    @pytest.mark.parametrize("c, c_step", (("0.1", "1e-13"), ("0", "1e-300")))
+    def test_step_below_the_end_slack_gives_one_row(self, c, c_step, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "sweep", "--builtin", "capeverde2009", "--c-min", c,
+                             "--c-max", c, "--c-step", c_step, "--out", str(tmp_path))
+        assert code == 0
+        _, rows = read_csv_rows(tmp_path / "sweep.csv")
+        assert [row[0] for row in rows] == [repr(float(c))]
+
+    # brdfe_stable is R0 < 1, also where the Jacobian at the disease-free
+    # point overflows or its eigenvalues cannot resolve the sign of the abscissa
+    @pytest.mark.parametrize("values, row", [
+        ({"B": "1e303"}, "0.0,2.396084838081026e+303,false,false"),
+        ({"mu_b": "1e308"}, "0.0,2.4746657797301097,false,false"),
+        ({"mu_b": "1e308"}, "0.2,0.9546230496222703,true,false"),
+        # the eigensolver's abscissa is -3.9e-5 here, though R0 > 1
+        ({"nu_h": "5.698401065858151e-191", "K": "8.594060525582403e+296",
+          "B": "1.2274103995950326e-06"}, "0.0,8.731635034714375e+46,false,false"),
+        # the spectrum is strictly negative, but -mu_h lies inside the margin band
+        ({"mu_h": "1.3320455243803204e-51"}, "0.2,0.8539561296861633,true,false"),
+    ])
+    def test_stable_column_is_r0_below_one(self, values, row, tmp_path, capsys):
+        path = tmp_path / "variant.txt"
+        path.write_text(builtin_text_with(values))
+        code, _, err = run_cli(capsys, "sweep", "--scenario", str(path),
+                               "--out", str(tmp_path / "out"))
+        assert (code, err) == (0, "")
+        assert row in (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+
     @pytest.mark.parametrize("grid", (
         ("--c-max", "inf"), ("--c-min", "nan"), ("--c-step", "nan"), ("--c-step", "1e-300"),
-        ("--c-step", "inf"), ("--c-min", "0", "--c-max", "0", "--c-step", "1e-300"),
+        ("--c-step", "inf"),
     ))
     def test_unbounded_grid_rejected(self, grid, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--builtin", "capeverde2009", *grid,
@@ -641,24 +670,20 @@ class TestExitCodes:
         assert [f.name for f in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text() == "kept\n"
 
-    @pytest.mark.parametrize("command, replacement, state", [
-        ("analyze", {"\nB = 1.0\n": "\nB = 1e303\n"}, "trivial"),
-        ("sweep", {"\nB = 1.0\n": "\nB = 1e303\n"}, "brdfe"),
-        ("analyze", {"mu_b = 6.0": "mu_b = 1e308"}, "brdfe"),
-        ("sweep", {"mu_b = 6.0": "mu_b = 1e308"}, "brdfe"),
+    @pytest.mark.parametrize("replacement, state", [
+        ({"\nB = 1.0\n": "\nB = 1e303\n"}, "trivial"),
+        ({"mu_b = 6.0": "mu_b = 1e308"}, "brdfe"),
     ])
-    def test_overflow_is_numerical_failure(self, command, replacement, state, tmp_path):
+    def test_overflow_is_numerical_failure(self, replacement, state, tmp_path):
         path = write_variant(tmp_path, replacement)
-        args = ["--out", str(tmp_path / "out")] if command == "sweep" else []
         proc = subprocess.run(
-            [sys.executable, "-m", "dengue_control.cli", command, "--scenario", str(path),
-             *args], capture_output=True, text=True, timeout=60)
+            [sys.executable, "-m", "dengue_control.cli", "analyze", "--scenario", str(path)],
+            capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and f"the {state} state" in errors[0]
         assert all(line.startswith(("error: ", "warning: "))
                    for line in proc.stderr.splitlines())
-        assert not (tmp_path / "out").exists()
 
     def test_source_required(self, capsys):
         with pytest.raises(SystemExit):
@@ -731,11 +756,18 @@ class TestProcessInvocation:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "c* = 0.156961"
 
-    def test_threshold_without_numpy(self):
-        proc = run_without_numpy("-m", "dengue_control.cli", "threshold",
-                                 "--builtin", "capeverde2009")
+    @pytest.mark.parametrize("command, first_line", [
+        ("threshold", "c* = 0.156961"),
+        ("sweep", "0.0,2.396084838081026,false,false"),
+    ])
+    def test_command_without_numpy(self, command, first_line, tmp_path):
+        out = ["--out", str(tmp_path)] if command == "sweep" else []
+        proc = run_without_numpy("-m", "dengue_control.cli", command,
+                                 "--builtin", "capeverde2009", *out)
         assert proc.returncode == 0
-        assert proc.stdout.splitlines()[0] == "c* = 0.156961"
+        lines = ((tmp_path / "sweep.csv").read_text().splitlines()[1:] if out
+                 else proc.stdout.splitlines())
+        assert lines[0] == first_line
 
     @pytest.mark.parametrize("command", ["simulate", "analyze", "threshold", "sweep"])
     def test_configuration_error_without_numpy(self, command, tmp_path):
