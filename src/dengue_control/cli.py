@@ -168,6 +168,9 @@ def _sweep_grid(c_min: float, c_max: float, c_step: float) -> list[float]:
         raise ScenarioError(
             f"invalid sweep grid: need finite 0 <= c-min <= c-max, c-step > 0 "
             f"and at most {MAX_GRID_POINTS} points (got {c_min}, {c_max}, {c_step})")
+    if c_step < 4.0 * math.ulp(c_max):  # a finer step repeats levels after rounding
+        raise ScenarioError(f"invalid sweep grid: c-step {c_step!r} is below 4 times the "
+                            f"spacing of doubles at c-max ({math.ulp(c_max)!r})")
     grid = (c_min + c_step * i for i in range(math.floor((stop - c_min) / c_step) + 2))
     # min(c, c_max) per level: c itself on a tie, so c_max = -0.0 still gives 0.0
     return [c_max if c > c_max else c for c in grid if c <= stop]

@@ -54,11 +54,11 @@ from .model import (
     ControlLevel,
     ModelParams,
     State7,
-    as_control,
     component_scales,
     mosquito_viability,
     r0_closed_form,
     _paper_dfe,
+    _rate,
     _rhs_of,
 )
 
@@ -79,7 +79,7 @@ def metzler_matrix(p: ModelParams, c: ControlLevel | float, x) -> np.ndarray:
     logistic-crowding terms), so every off-diagonal entry is nonnegative
     whenever the state is admissible.
     """
-    c = as_control(c).c
+    c = _rate(c)
     foi_h = p.B * p.beta_mh * x[6] / p.N_h
     foi_m = p.B * p.beta_hm * x[2] / p.N_h
     adults = x[4] + x[5] + x[6]
@@ -142,7 +142,7 @@ def _scaled_rhs(p: ModelParams, f, y) -> tuple[tuple[float, ...], float]:
 
 def residual(p: ModelParams, c: ControlLevel | float, x: State7) -> float:
     """max_i |rhs_i(x)| / scale_i with the integrator's component scales."""
-    return float(_scaled_rhs(p, _rhs_of(p, as_control(c).c), x)[1])
+    return float(_scaled_rhs(p, _rhs_of(p, _rate(c)), x)[1])
 
 
 def trivial_equilibrium(p: ModelParams) -> Equilibrium:
@@ -172,10 +172,10 @@ def brdfe(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
     construction, the evaluation point of the reproduction-number and
     control-threshold computations.
     """
-    ctrl = as_control(c)
-    state = _paper_dfe(p, ctrl)
+    cc = _rate(c)
+    state = _paper_dfe(p, cc)
     return Equilibrium(kind=EquilibriumKind.BRDFE, state=state,
-                       residual_norm=residual(p, ctrl, state))
+                       residual_norm=residual(p, cc, state))
 
 
 def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
@@ -195,14 +195,13 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     range).  See the module docstring for the positivity window of the
     result under control.
     """
-    ctrl = as_control(c)
-    cc = ctrl.c
-    viability = mosquito_viability(p, ctrl)
+    cc = _rate(c)
+    viability = mosquito_viability(p, cc)
     if viability <= 0.0:
         raise NoEndemicEquilibrium(
             "no endemic equilibrium in the admissible region: mosquito "
             f"population collapses (viability margin = {viability:.6g})")
-    r0 = r0_closed_form(p, ctrl)
+    r0 = r0_closed_form(p, cc)
     if r0 <= 1.0:
         raise NoEndemicEquilibrium(
             "no endemic equilibrium in the admissible region: basic "
@@ -215,7 +214,7 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     # the S_h, E_h and I_h balances give N_h - S_h = L*I_h
     L = (p.mu_h + p.nu_h) * (p.mu_h + p.eta_h) / (p.mu_h * p.nu_h)
     i_h = p.N_h * (rho - 1.0) / (rho * L + p.B * p.beta_hm / removal)
-    a_m = _paper_dfe(p, ctrl).A_m
+    a_m = _paper_dfe(p, cc).A_m
     foi_m = p.B * p.beta_hm * i_h / p.N_h
     s_m = p.eta_A * a_m / (foi_m + removal)
     e_m = foi_m * s_m / (p.mu_m + p.eta_m + cc)
@@ -224,7 +223,7 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     if not state.is_finite():
         raise NumericalFailure("endemic closed form is not finite at these parameters")
     return Equilibrium(kind=EquilibriumKind.ENDEMIC, state=state,
-                       residual_norm=residual(p, ctrl, state), refined=False)
+                       residual_norm=residual(p, cc, state), refined=False)
 
 
 def _classify_root(p: ModelParams, x: np.ndarray) -> EquilibriumKind:
@@ -248,7 +247,7 @@ def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibriu
     """
     if not guess.is_finite():
         raise ValueError("refinement guess contains non-finite components")
-    cc = as_control(c).c
+    cc = _rate(c)
     f = _rhs_of(p, cc)
     x = np.array(guess, dtype=float)
     r, res = _scaled_rhs(p, f, guess)

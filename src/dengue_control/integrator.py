@@ -53,9 +53,9 @@ from .model import (
     ROW_LABELS,
     STATE_LABELS,
     State7,
-    as_control,
     component_scales,
     region_violation,
+    _rate,
     _rhs_of,
 )
 from .scenario import MAX_GRID_POINTS, SolverConfig
@@ -279,7 +279,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     if violation:
         raise ScenarioError(
             f"initial state lies outside the biologically admissible region: {violation}")
-    cc = as_control(c).c
+    cc = _rate(c)
     t0, t_end, h_max, atol, rtol = cfg.t0, cfg.t_end, cfg.h_max, cfg.atol, cfg.rtol
 
     grid = _output_grid(t0, t_end, cfg.output_step)
@@ -365,7 +365,7 @@ def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
         raise ValueError(f"step size must be > 0, got {h}")
     if not x0.is_finite():
         raise ValueError("initial state contains non-finite components")
-    f = _rhs_of(p, as_control(c).c)
+    f = _rhs_of(p, _rate(c))
 
     n_steps = max(0, int(round(t_end / h)))
     stride = max(1, int(round(0.5 / h)))

@@ -22,9 +22,10 @@ The reduced system, in the fixed component order
 The formula has one home, ``_rhs_of(p, c)``, which takes the rate products
 and sums that do not depend on the state once and returns the derivative
 as a function of the state, any sequence of 7 floats (a ``State7``
-included); the integrator binds it once per run.  Everything here works
-on Python floats; the array forms of the model live in ``equilibria``, so
-importing this module does not load numpy.
+included); the integrator binds it once per run.  The rule "c finite and
+>= 0" has one home too, ``_rate(c)``, which gives every routine its float
+rate.  Everything here works on Python floats; the array forms of the model
+live in ``equilibria``, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -102,14 +103,18 @@ class ControlLevel:
     c: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _require_finite("c", self.c))
-        if self.c < 0.0:
-            raise ValueError(f"c must be >= 0, got {self.c}")
+        object.__setattr__(self, "c", _rate(self.c))
 
 
-def as_control(c: ControlLevel | float) -> ControlLevel:
-    """Normalize a bare rate into a validated ControlLevel."""
-    return c if isinstance(c, ControlLevel) else ControlLevel(float(c))
+def _rate(c: ControlLevel | float) -> float:
+    """The control rate of c as a float: a ControlLevel's own ``c``, or a
+    bare rate checked finite and >= 0 (ValueError otherwise)."""
+    if isinstance(c, ControlLevel):
+        return c.c
+    c = _require_finite("c", c)
+    if c < 0.0:
+        raise ValueError(f"c must be >= 0, got {c}")
+    return c
 
 
 class State7(NamedTuple):
@@ -194,7 +199,7 @@ def rhs(p: ModelParams, c: ControlLevel | float, x: State7) -> State7:
     """
     if not x.is_finite():
         raise ValueError("state contains non-finite components")
-    return State7.from_array(_rhs_of(p, as_control(c).c)(x))
+    return State7.from_array(_rhs_of(p, _rate(c))(x))
 
 
 def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
@@ -206,11 +211,11 @@ def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     at or below zero the population collapses and only the mosquito-free
     equilibrium remains.
     """
-    cc = as_control(c).c
+    cc = _rate(c)
     return p.eta_A * p.mu_b - cc * (p.eta_A + p.mu_A) - p.mu_m * (p.mu_A + p.eta_A)
 
 
-def _viability(p: ModelParams, c: ControlLevel | float, what: str) -> float:
+def _viability(p: ModelParams, c: float, what: str) -> float:
     """The viability margin at c; MosquitoCollapseError ("``what`` undefined") if <= 0."""
     viability = mosquito_viability(p, c)
     if viability <= 0.0:
@@ -219,7 +224,7 @@ def _viability(p: ModelParams, c: ControlLevel | float, what: str) -> float:
     return viability
 
 
-def _paper_dfe(p: ModelParams, c: ControlLevel) -> State7:
+def _paper_dfe(p: ModelParams, c: float) -> State7:
     """The paper's mosquito-bearing disease-free point, where R0 and the
     control threshold are evaluated (formula and caveats at
     ``equilibria.brdfe``).  Raises MosquitoCollapseError when the viability
@@ -246,7 +251,7 @@ def basic_offspring_number(p: ModelParams, c: ControlLevel | float = 0.0) -> flo
     documented rather than resolved.  Where mu_b*eta_A is 0 (mu_b = 0, or
     an underflow) the ratio's limit, ``math.inf``, is returned.
     """
-    cc = as_control(c).c
+    cc = _rate(c)
     recruitment = p.mu_b * p.eta_A
     if recruitment == 0.0:
         return math.inf
@@ -259,9 +264,8 @@ def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     raises MosquitoCollapseError when the viability margin is <= 0, and
     NumericalFailure when the denominator's product of rates underflows or
     a product of rates overflows so that R0 is not finite."""
-    ctrl = as_control(c)
-    viability = _viability(p, ctrl, "basic reproduction number")
-    cc = ctrl.c
+    cc = _rate(c)
+    viability = _viability(p, cc, "basic reproduction number")
     denominator = (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (cc + p.mu_m)
                    * (cc + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))
     if denominator == 0.0:
@@ -289,9 +293,8 @@ def r0_factors(p: ModelParams, c: ControlLevel | float = 0.0) -> tuple[float, fl
     ``_paper_dfe`` does, and NumericalFailure when the product of rates in
     either factor's denominator underflows to 0.
     """
-    ctrl = as_control(c)
-    dfe = _paper_dfe(p, ctrl)
-    cc = ctrl.c
+    cc = _rate(c)
+    dfe = _paper_dfe(p, cc)
     den_hm = p.N_h * (p.eta_h + p.mu_h) * (p.mu_h + p.nu_h)
     den_mh = p.N_h * (cc + p.mu_m) * (cc + p.eta_m + p.mu_m)
     if den_hm == 0.0 or den_mh == 0.0:

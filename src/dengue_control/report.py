@@ -161,7 +161,6 @@ def render_text(report: AnalysisReport) -> str:
 
 
 def render_json(report: AnalysisReport) -> str:
-    doc = asdict(report)
-    for eq in doc["equilibria"]:
-        eq["state"] = dict(zip(STATE_LABELS, eq["state"]))
+    doc = dict(vars(report), equilibria=[
+        dict(vars(eq), state=dict(zip(STATE_LABELS, eq.state))) for eq in report.equilibria])
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -36,7 +36,7 @@ import numpy as np
 
 from .equilibria import jacobian
 from .errors import NumericalFailure
-from .model import ControlLevel, ModelParams, as_control, _paper_dfe
+from .model import ControlLevel, ModelParams, _paper_dfe, _rate
 from .stability import eigenvalues
 
 #: Rows and columns of the infected subsystem (E_h, I_h, E_m, I_m) in the state.
@@ -62,8 +62,8 @@ def build_ngm(p: ModelParams, c: ControlLevel | float = 0.0) -> NgmDecomposition
     """Next-generation decomposition of the infected subsystem at the
     disease-free equilibrium: F - V is the infected block of the model's
     Jacobian there, and F keeps the block's two new-infection entries."""
-    ctrl = as_control(c)
-    block = jacobian(p, ctrl, _paper_dfe(p, ctrl))[_INFECTED]
+    cc = _rate(c)
+    block = jacobian(p, cc, _paper_dfe(p, cc))[_INFECTED]
     j_f = np.zeros((4, 4), dtype=float)
     j_f[0, 3] = block[0, 3]   # mosquito -> human: E_h gains from I_m
     j_f[2, 1] = block[2, 1]   # human -> mosquito: E_m gains from I_h

@@ -18,6 +18,8 @@ disease-free state block-triangularizes into an always-stable
 susceptible/vector block and an infected block whose stability flips
 exactly where the reproduction number crosses one).  ``sweep`` reads that
 stability from R0 < 1 by this theorem; ``classify`` stays its numerical check.
+
+A classification costs one ``np.linalg.eigvals`` plus its checks.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .equilibria import Equilibrium, jacobian
 from .errors import NumericalFailure
-from .model import ControlLevel, ModelParams, as_control
+from .model import ControlLevel, ModelParams, _rate
 
 #: Classification margin as a fraction of the Jacobian's spectral radius.
 MARGIN_FACTOR = 1e-9
@@ -53,6 +55,10 @@ class StabilityReport:
     classification: Classification
 
 
+def _descending(z: complex) -> tuple[float, float]:
+    return -z.real, -z.imag
+
+
 def eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
     """Eigenvalues of a small dense real matrix, sorted by descending real
     part (ties by descending imaginary part) for deterministic output.
@@ -63,14 +69,13 @@ def eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
-    ordered = sorted((complex(v) for v in vals), key=lambda z: (-z.real, -z.imag))
-    return tuple(ordered)
+    return tuple(sorted(vals.astype(complex).tolist(), key=_descending))
 
 
 def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> StabilityReport:
@@ -78,7 +83,7 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
 
     Raises NumericalFailure when the state or its Jacobian is not finite.
     """
-    ctrl = as_control(c)
+    cc = _rate(c)
     if eq.residual_norm > RESIDUAL_WARN:
         warnings.warn(
             f"classifying a state with relative residual {eq.residual_norm:.3e}; "
@@ -88,14 +93,14 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
     try:
         if not eq.state.is_finite():
             raise ValueError("state contains non-finite components")
-        vals = eigenvalues(jacobian(p, ctrl, eq.state))
+        vals = eigenvalues(jacobian(p, cc, eq.state))
     except ValueError as exc:
         # the matrix is always 7x7, so only a non-finite state or entry gets here
         raise NumericalFailure(
             f"cannot classify the {eq.kind.value} state: {exc} "
             "(overflow at these parameters)") from exc
     abscissa = vals[0].real
-    margin = MARGIN_FACTOR * max(abs(v) for v in vals)
+    margin = MARGIN_FACTOR * max(map(abs, vals))
     if abscissa < -margin:
         label = Classification.ASYMPTOTICALLY_STABLE
     elif abscissa > margin:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MosquitoCollapseError, NumericalFailure, ScenarioError
-from .model import ControlLevel, ModelParams, mosquito_viability, r0_closed_form, r0_factors
+from .model import ModelParams, mosquito_viability, r0_closed_form, r0_factors, _rate
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,12 @@ def r0_profile(p: ModelParams, grid) -> list[ProfilePoint]:
     its denominator underflows."""
     points = []
     for c in grid:
-        ctrl = ControlLevel(float(c))
+        c = _rate(c)
         try:
-            r0 = r0_closed_form(p, ctrl)
+            r0 = r0_closed_form(p, c)
         except MosquitoCollapseError:
             r0 = None
         except NumericalFailure as exc:
-            raise NumericalFailure(f"{exc} at c = {ctrl.c!r}") from exc
-        points.append(ProfilePoint(c=ctrl.c, r0=r0, collapsed=r0 is None))
+            raise NumericalFailure(f"{exc} at c = {c!r}") from exc
+        points.append(ProfilePoint(c=c, r0=r0, collapsed=r0 is None))
     return points

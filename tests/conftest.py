@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dengue_control.integrator import integrate_fixed_rk4, _stages
-from dengue_control.model import ControlLevel, ModelParams, State7, as_control, _rhs_of
+from dengue_control.model import ControlLevel, ModelParams, State7, _rate, _rhs_of
 
 N_H = 480000.0
 
@@ -103,7 +103,7 @@ def integrate_fixed_dp54(p: ModelParams, c: ControlLevel | float, x0: State7,
                          h: float, t_end: float) -> State7:
     """Final state of the DP5(4) propagating solution at fixed step size h,
     for measuring the pair's convergence order."""
-    f = _rhs_of(p, as_control(c).c)
+    f = _rhs_of(p, _rate(c))
     y = x0
     k1 = f(y)
     for _ in range(max(0, int(round(t_end / h)))):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -179,6 +180,37 @@ class TestGoldenOutput:
             cli.trajectory_to_csv(traj), render_trajectory_svg(traj, title=s.name)))
         assert digests == self.DIGESTS[c, output_step]
 
+    # SHA-256 of the analyze stdout (text, --json) on the built-in scenario and
+    # of the default sweep.csv, computed before classify, brdfe and render_json
+    # read the control rate as a float and render_json stopped calling asdict
+    ANALYZE_DIGESTS = {
+        0.0: ("dbf5af17ef09707e9cf68d47a0b8d17d838c9b2432be4c070529fdbb0749a2c1",
+              "e12e7faecce9d0e92c0e973bc0f65f9840d9be9c9b0282a1083790d82177876f"),
+        0.05: ("2effe53805d659fae000f5e3882594a9cae44ecf211fef964fb0a1eaf5ca0e61",
+               "9cd6bac64dc5dc6e63416ff9daf315e2b0ad9e1e5f375811bac7185f22e714cc"),
+        0.12: ("1a7b5a908a5f1f8138e151c5176f47f15d4d93ad9f65dbed555da4721110a818",
+               "67c93dbbda173a065596c6d9352fff62e7992eaa4f13c4ff3ba29c4691435b6e"),
+        0.2: ("dfac1cd4f3f2851b183af37474ea3de70d6b89ecfae065b1810f3e8ab80c8f54",
+              "0e921d7a5034e09cdb6fae10952fd521822844a5d365de6cbc6ccebea5802bd1"),
+    }
+    SWEEP_DIGEST = "ac7302269f84df3e14e20f52ea52f84aab3e0b539bdc56c395995b249b01c5e0"
+
+    @pytest.mark.parametrize("c", sorted(ANALYZE_DIGESTS))
+    def test_analyze_bytes(self, c, capsys):
+        digests = []
+        for json_flag in ((), ("--json",)):
+            code, out, _ = run_cli(capsys, "analyze", "--builtin", "capeverde2009",
+                                   "--control", repr(c), *json_flag)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(digests) == self.ANALYZE_DIGESTS[c]
+
+    def test_sweep_bytes(self, tmp_path, capsys):
+        assert run_cli(capsys, "sweep", "--builtin", "capeverde2009",
+                       "--out", str(tmp_path))[0] == 0
+        digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == self.SWEEP_DIGEST
+
 
 def per_value_csv(traj):
     """The oracle: each row formatted on its own, value by value."""
@@ -277,6 +309,35 @@ class TestSweep:
             c_step = float(10.0 ** rng.uniform(-3.0, 0.5))
             assert (list(map(repr, cli._sweep_grid(c_min, c_max, c_step)))
                     == list(map(repr, sweep_grid_loop(c_min, c_max, c_step))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(c_min=st.floats(0.0, 1e6), width=st.one_of(st.just(0.0), st.floats(0.0, 1e-12),
+                                                      st.floats(0.0, 10.0)),
+           ulps=st.one_of(st.floats(0.0, 16.0), st.floats(0.0, 1e12)))
+    def test_accepted_grids_strictly_increase(self, c_min, width, ulps):
+        c_max = c_min + width
+        c_step = ulps * math.ulp(c_max)
+        try:
+            grid = cli._sweep_grid(c_min, c_max, c_step)
+        except ScenarioError:
+            return
+        assert grid and all(a < b for a, b in zip(grid, grid[1:]))
+
+    # a step under 4 ulps of c-max used to repeat levels: two 1.0 rows for the
+    # first grid, 114 rows over 6 distinct levels for the second
+    @pytest.mark.parametrize("c_max", ("1", "1.000000000000001"))
+    def test_step_below_four_ulps_of_c_max_rejected(self, c_max, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--builtin", "capeverde2009", "--c-min", "1",
+                                 "--c-max", c_max, "--c-step", "1e-17", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: invalid sweep grid: c-step 1e-17")
+        assert "2.220446049250313e-16" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_step_of_four_ulps_of_c_max_accepted(self):
+        step = 4.0 * math.ulp(1.0)
+        assert cli._sweep_grid(1.0, 1.0, step) == [1.0]
+        assert cli._sweep_grid(1.0, 1.0 + 2 * step, step) == [1.0, 1.0 + step, 1.0 + 2 * step]
 
     def test_grid_rows_and_monotonicity(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--builtin", "capeverde2009",

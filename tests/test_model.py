@@ -12,8 +12,8 @@ from conftest import (
     draw_params_wide,
     params_with,
 )
-from dengue_control.equilibria import metzler_matrix
-from dengue_control.integrator import full_states
+from dengue_control.equilibria import brdfe, metzler_matrix, trivial_equilibrium
+from dengue_control.integrator import SolverConfig, full_states, integrate
 from dengue_control.model import (
     ROW_LABELS,
     STATE_LABELS,
@@ -23,9 +23,13 @@ from dengue_control.model import (
     component_scales,
     in_omega,
     mosquito_viability,
+    r0_closed_form,
     rhs,
+    _rate,
     _rhs_of,
 )
+from dengue_control.stability import classify
+from dengue_control.threshold import r0_profile
 
 
 def reference_rhs(p, c, x):
@@ -120,6 +124,40 @@ class TestValidation:
             ControlLevel(-1e-9)
         with pytest.raises(ValueError, match="finite"):
             ControlLevel(math.nan)
+
+
+# each bad control level's error, as ControlLevel raised it before the rule
+# "c finite and >= 0" moved into model._rate
+BAD_CONTROLS = (
+    (math.nan, "c must be finite, got nan"),
+    (math.inf, "c must be finite, got inf"),
+    (-math.inf, "c must be finite, got -inf"),
+    (-1.0, "c must be >= 0, got -1.0"),
+    ("x", "could not convert string to float: 'x'"),
+)
+
+TAKES_CONTROL = {
+    "ControlLevel": lambda c: ControlLevel(c),
+    "brdfe": lambda c: brdfe(CAPE_VERDE, c),
+    "classify": lambda c: classify(CAPE_VERDE, c, trivial_equilibrium(CAPE_VERDE)),
+    "r0_closed_form": lambda c: r0_closed_form(CAPE_VERDE, c),
+    "r0_profile": lambda c: r0_profile(CAPE_VERDE, [0.0, c]),
+    "mosquito_viability": lambda c: mosquito_viability(CAPE_VERDE, c),
+    "integrate": lambda c: integrate(CAPE_VERDE, c, CAPE_VERDE_X0, SolverConfig()),
+}
+
+
+class TestBadControlLevel:
+    @pytest.mark.parametrize("name", sorted(TAKES_CONTROL))
+    @pytest.mark.parametrize("c, message", BAD_CONTROLS)
+    def test_same_error_through_every_entry_point(self, name, c, message):
+        with pytest.raises(ValueError) as info:
+            TAKES_CONTROL[name](c)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("c", (0.0, 5e-324, 0.05, 1e308))
+    def test_rate_of_a_level_is_the_rate_of_its_float(self, c):
+        assert _rate(ControlLevel(c)) == _rate(c) == ControlLevel(c).c == c
 
 
 class TestState7:

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import CAPE_VERDE, draw_omega_state, draw_params, params_with
 from dengue_control.equilibria import brdfe, jacobian, refined_endemic, trivial_equilibrium
-from dengue_control.errors import NumericalFailure
+from dengue_control.errors import NoEndemicEquilibrium, NumericalFailure
 from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
     ControlLevel, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
@@ -159,6 +161,68 @@ class TestEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(NumericalFailure, match="eigenvalue iteration failed"):
             eigenvalues(np.eye(3))
+
+
+def reference_eigenvalues(matrix):
+    """The former body of ``eigenvalues``, the oracle of its sort: each value
+    made complex one by one and sorted by a per-call key."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
+    ordered = sorted((complex(v) for v in vals), key=lambda z: (-z.real, -z.imag))
+    return tuple(ordered)
+
+
+def _block_diagonal(blocks):
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    i = 0
+    for b in blocks:
+        out[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    return out
+
+
+_entry = st.floats(-10.0, 10.0)
+_small = st.sampled_from((-2.0, -1.0, -0.0, 0.0, 0.5, 1.0))   # repeats give ties
+# general 7x7 matrices carry both real values and complex pairs
+_dense = hnp.arrays(float, (7, 7), elements=_entry)
+# upper triangular with a tie-prone diagonal: a real spectrum with repeats
+_triangular = st.tuples(st.lists(_small, min_size=7, max_size=7),
+                        hnp.arrays(float, (7, 7), elements=_entry)).map(
+    lambda t: np.triu(t[1], 1) + np.diag(t[0]))
+# rotation-scaling blocks [[a, -b], [b, a]]: complex pairs a +- bi, whose real
+# parts tie within each pair and, drawn from few values, across pairs
+_pairs = st.lists(st.tuples(_small, st.one_of(_small, _entry)), min_size=1, max_size=3).map(
+    lambda ab: _block_diagonal([np.array([[a, -b], [b, a]]) for a, b in ab] + [np.eye(1)]))
+
+
+class TestEigenvaluesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=st.one_of(_dense, _triangular, _pairs))
+    def test_equals_reference_on_drawn_matrices(self, matrix):
+        assert (list(map(repr, eigenvalues(matrix)))
+                == list(map(repr, reference_eigenvalues(matrix))))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_reference_on_model_jacobians(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        p = draw_params(rng)
+        for c in (0.0, 0.05, 0.12, 0.2, float(rng.uniform(0.0, 0.3))):
+            points = [trivial_equilibrium(p).state, brdfe(p, c).state]
+            try:
+                points.append(refined_endemic(p, c).state)
+            except NoEndemicEquilibrium:
+                pass
+            for x in points:
+                jac = jacobian(p, c, x)
+                assert (list(map(repr, eigenvalues(jac)))
+                        == list(map(repr, reference_eigenvalues(jac))))
 
 
 class TestClassify:
