@@ -13,8 +13,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 All file writes are whole-file atomic (temp file + rename).
 
 Each subcommand loads its scenario before importing the modules it needs,
-so configuration errors, ``threshold`` and ``sweep`` finish without loading
-numpy.
+so configuration errors, ``simulate``, ``threshold`` and ``sweep`` finish
+without loading numpy; ``simulate`` formats its CSV and reads its summary
+straight from the trajectory's flat row buffer.
 """
 
 from __future__ import annotations
@@ -71,17 +72,14 @@ def _csv_chunks(traj: Trajectory) -> Iterator[str]:
     """The CSV text of ``trajectory_to_csv`` in parts: the header line,
     then the rows of each chunk of ``_DENSE_CHUNK``, each part ending in a
     line break, so a writer holds one chunk's text at a time."""
-    import numpy as np
+    from .integrator import _DENSE_CHUNK, _WIDTH
 
-    from .integrator import _DENSE_CHUNK
-
-    times, data = traj.times, traj.as_array()
+    rows, size = traj.rows, _DENSE_CHUNK * _WIDTH
     yield CSV_HEADER + "\n"
-    for lo in range(0, len(times), _DENSE_CHUNK):
-        rows = np.column_stack((times[lo:lo + _DENSE_CHUNK], data[lo:lo + _DENSE_CHUNK]))
-        values = map(repr, rows.ravel().tolist())
+    for lo in range(0, len(rows), size):
+        values = map(repr, rows[lo:lo + size])
         # zip over one iterator, once per column, yields the rows in order
-        yield "\n".join(map(",".join, zip(*[values] * rows.shape[1]))) + "\n"
+        yield "\n".join(map(",".join, zip(*[values] * _WIDTH))) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -89,7 +87,8 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     text reproduces it byte for byte.
 
     Rows are formatted in chunks of ``_DENSE_CHUNK`` (``_csv_chunks``):
-    ``map(repr, ...)`` over a chunk's values, grouped into rows by ``zip``
+    ``map(repr, ...)`` over a chunk's values, read from the flat row buffer
+    ``Trajectory.rows`` with no numpy, grouped into rows by ``zip``
     and joined, so the text is byte for byte that of
     ``",".join(map(repr, row))`` per row, with no Python-level loop per row
     or value and temporaries a chunk in size."""
@@ -105,9 +104,21 @@ def _load(args) -> Scenario:
     return _build_scenario({**_values(scenario), **overrides}, scenario.name)
 
 
+def _peak(values) -> tuple[int, float]:
+    """Index and value of the largest of the floats ``values``, as numpy's
+    argmax and max give them: the first NaN if there is one, else the first
+    index of the largest value, the last of its copies giving the sign of a
+    zero (0.0 after an initial -0.0)."""
+    nan = list(map(math.isnan, values))
+    if True in nan:
+        return nan.index(True), math.nan
+    peak = max(values[::-1])
+    return values.index(peak), peak
+
+
 def cmd_simulate(args) -> int:
     scenario = _load(args)
-    from .integrator import integrate
+    from .integrator import _WIDTH, integrate
     from .svgplot import trajectory_svg_parts
 
     traj = integrate(scenario.params, scenario.control, scenario.initial,
@@ -120,13 +131,13 @@ def cmd_simulate(args) -> int:
         svg_path = out_dir / "compartments.svg"
         _write_atomic(svg_path, trajectory_svg_parts(traj, title=scenario.name))
         print(f"wrote {svg_path}")
-    data = traj.as_array()
-    i_h, i_m = (data[:, ROW_LABELS.index(label)] for label in ("I_h", "I_m"))
-    print(f"rows: {len(data)}  steps: {traj.step_stats.accepted} accepted, "
+    rows = traj.rows
+    i_h = rows[1 + ROW_LABELS.index("I_h")::_WIDTH]
+    at, peak = _peak(i_h)
+    print(f"rows: {len(i_h)}  steps: {traj.step_stats.accepted} accepted, "
           f"{traj.step_stats.rejected} rejected")
-    print(f"peak infected humans: {float(i_h.max())!r} "
-          f"at t = {float(traj.times[i_h.argmax()])!r}")
-    print(f"final infected mosquitoes: {float(i_m[-1])!r}")
+    print(f"peak infected humans: {peak!r} at t = {rows[_WIDTH * at]!r}")
+    print(f"final infected mosquitoes: {rows[1 + ROW_LABELS.index('I_m') - _WIDTH]!r}")
     return EXIT_OK
 
 

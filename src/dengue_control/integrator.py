@@ -21,13 +21,17 @@ the generated code: that would be a second copy of it, and a prototype that
 did so made an attempt only about 6% faster.  The error norm is generated
 the same way, bit for bit its loop form.  An accepted step that covers
 report times appends the 58 doubles its continuous extension reads to one
-flat ``bytearray``.  Dense output runs once after the loop, as one numpy
-pass that reads that buffer in place: it takes the extension's
-coefficients of all those steps at once, in the loop form's operation
-order, and writes the (n, 8) result, R_h included, in chunks of
-``_DENSE_CHUNK`` rows, so its per-row temporaries stay a chunk in size;
-the CSV and SVG renderers format text in chunks of the same row count.  A
-run is capped at ``MAX_STEPS`` step attempts.
+flat ``bytearray``.  Dense output runs once after the loop and writes
+the report rows, t and the eight ``ROW_LABELS`` columns per report time, R_h
+included, into one flat ``array('d')``, allocated once.  Once numpy is
+loaded it is one numpy pass that reads the step buffer in place, takes the
+extension's coefficients of all those steps at once, in the loop form's
+operation order, and writes the rows in chunks of ``_DENSE_CHUNK``, so its
+per-row temporaries stay a chunk in size; without numpy it is that loop
+form on floats, one report row at a time, so that ``simulate`` never
+imports numpy (``_numpy_loaded``).  The CSV and SVG renderers format text
+in chunks of the same row count.  A run is capped at ``MAX_STEPS`` step
+attempts.
 
 Error control uses a weighted RMS norm with per-component weights
 ``atol*scale_i + rtol*max(|y_i|, |y1_i|)`` where the scales are the
@@ -41,10 +45,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from struct import pack
-
-import numpy as np
+import sys
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
+from struct import Struct, iter_unpack, pack
+from typing import TYPE_CHECKING
 
 from .errors import NumericalFailure, ScenarioError
 from .model import (
@@ -59,6 +65,9 @@ from .model import (
     _rhs_of,
 )
 from .scenario import MAX_GRID_POINTS, SolverConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dormand-Prince 5(4): stage coefficients, whose last row is the 5th-order
 # weights b (first-same-as-last), and the (b5 - b4) error weights e.
@@ -88,10 +97,13 @@ _MIN_STEP = 1e-12  # days; below this the problem is declared stiff/broken
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-# Rows per chunk in the dense-output pass and in the text renderers: bounds
-# their temporaries, so that memory at the grid cap stays that of the
-# (rows, 8) result and the output text.
+# Rows per chunk in the vectorized dense-output pass and in the text
+# renderers: bounds their temporaries, so that memory at the grid cap stays
+# that of the row buffer and the output text.
 _DENSE_CHUNK = 4096
+# Doubles per report row, t and then the ROW_LABELS columns; the row format.
+_WIDTH = 1 + len(ROW_LABELS)
+_ROW = Struct(f"{_WIDTH}d")
 
 #: Most step attempts one integration may make.
 MAX_STEPS = 10**7
@@ -111,30 +123,52 @@ class StepStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Reported time grid and the read-only (n, 8) array of states in CSV
-    column order (with R_h reconstructed)."""
+    """The report rows of one run and its step counts.  ``rows`` holds, per
+    report time, the 9 doubles of a CSV row in one flat ``array('d')``: t,
+    then the states in the column order ``ROW_LABELS`` (R_h reconstructed).
+    ``times`` and ``as_array()`` are read-only numpy views of it, made on
+    first use, so that reading rows as text or floats needs no numpy."""
 
-    times: np.ndarray
-    data: np.ndarray
+    rows: array = field(repr=False)
     step_stats: StepStats
 
-    def __post_init__(self):
-        self.data.flags.writeable = False
+    @cached_property
+    def _table(self) -> np.ndarray:
+        import numpy as np
+
+        table = np.frombuffer(self.rows).reshape(-1, _WIDTH)
+        table.flags.writeable = False
+        return table
+
+    @property
+    def times(self) -> np.ndarray:
+        """The report times, a read-only (n,) view of ``rows``."""
+        return self._table[:, 0]
 
     def as_array(self) -> np.ndarray:
-        """States as an (n, 8) array in CSV column order."""
-        return self.data
+        """States as a read-only (n, 8) view of ``rows``, CSV column order."""
+        return self._table[:, 1:]
+
+
+def _r_h(n_h, s_h, e_h, i_h):
+    """R_h = N_h - S_h - E_h - I_h, subtracted in that order, on floats or
+    arrays: the one home of R_h.  A negative R_h is reported as is: it
+    signals leaving the region, not an error."""
+    return n_h - s_h - e_h - i_h
 
 
 def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """(n, 8) full states, columns ``ROW_LABELS``, from (n, 7) reduced ones;
-    the one home of R_h = N_h - S_h - E_h - I_h, subtracted in that order.  A
-    negative R_h is reported as is: it signals leaving the region, not an error."""
+    """(n, 8) full states, columns ``ROW_LABELS``, from (n, 7) reduced ones."""
+    import numpy as np
+
     return np.insert(rows, ROW_LABELS.index("R_h"),
-                     p.N_h - rows[:, 0] - rows[:, 1] - rows[:, 2], axis=1)
+                     _r_h(p.N_h, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
 
 
-def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
+def _output_grid(t0: float, t_end: float, step: float) -> array:
+    """The report times ``t0 + step*i`` as an ``array('d')``, bit for bit
+    ``t0 + step * np.arange(n + 1)``, their last replaced by t_end or
+    followed by it; 8 bytes a time, where a list of floats takes 32."""
     span = (t_end - t0) / step + 1e-9
     n = math.floor(span) if span < MAX_GRID_POINTS else MAX_GRID_POINTS
     # t_end is appended when it lies past the last uniform point; it counts toward the cap
@@ -143,9 +177,9 @@ def _output_grid(t0: float, t_end: float, step: float) -> np.ndarray:
         raise ScenarioError(
             f"output grid needs {span + 1:.4g} points, more than the cap of "
             f"{MAX_GRID_POINTS}; raise output_step or shorten the window")
-    grid = t0 + step * np.arange(n + 1, dtype=float)
+    grid = array("d", (t0 + step * i for i in range(n + 1)))
     if past:
-        grid = np.append(grid, t_end)
+        grid.append(t_end)
     else:
         grid[-1] = t_end
     return grid
@@ -229,21 +263,72 @@ The weighted RMS norm of one attempt's error, with per-component
     ``_stages`` it works on floats only.""")
 
 
-def _dense_rows(p: ModelParams, x0, grid: np.ndarray, steps, counts) -> np.ndarray:
-    """The (n, 8) full states at the n grid times: x0 first, then each later
-    time on the quartic continuous extension of the step that covers it.
-    ``steps`` holds a row of 58 doubles per step that covers report times,
-    in order (t, h, y, y1, k1, k3, ..., k7; k2 has weight d2 = 0), read in
-    place; ``counts`` holds their report-time counts.  The coefficients are
-    taken for all those steps at once, per component in the order of the
-    loop ``ydiff = y1 - y; bspl = h*k1 - ydiff; r4 = ydiff - h*k7 - bspl;
-    r5 = h*(d1*k1 + d3*k3 + ...)`` (d2 = 0 skipped).  A report time inside
-    the ``reach`` slack past its step's end takes the step's end state
-    (theta clamped to 1), never an extrapolation."""
-    out = np.empty((grid.size, 8))
-    out[:1] = full_states(p, np.array([x0]))
-    if not counts:
+def _numpy_loaded() -> bool:
+    """Whether numpy is imported already: the one choice between the
+    vectorized passes (dense output, SVG pixel mapping) and their per-row
+    loops.  The cost avoided is numpy's import, more than a whole
+    ``simulate`` on its default grid of 201 rows otherwise takes; once that
+    import is paid, the vectorized pass is the faster one."""
+    return "numpy" in sys.modules
+
+
+def _dense_rows(p: ModelParams, x0, grid: array, steps, counts) -> array:
+    """The report rows at the n grid times, as one flat ``array('d')`` of
+    ``_WIDTH`` doubles per row (t, then the full state): x0 first, then each
+    later time on the quartic continuous extension of the step that covers
+    it.  ``steps`` holds a row of 58 doubles per step that covers report
+    times, in order (t, h, y, y1, k1, k3, ..., k7; k2 has weight d2 = 0);
+    ``counts`` holds their report-time counts.  The coefficients are, per
+    component, those of the loop ``ydiff = y1 - y; bspl = h*k1 - ydiff;
+    r4 = ydiff - h*k7 - bspl; r5 = h*(d1*k1 + d3*k3 + ...)`` (d2 = 0
+    skipped), and a report time t gives y + theta*(ydiff + u*(bspl +
+    theta*(r4 + u*r5))) with theta = min(1, (t - t_step)/h), u = 1 - theta.
+    A report time inside the ``reach`` slack past its step's end takes the
+    step's end state (theta clamped to 1), never an extrapolation.
+
+    The buffer is allocated once, by repeating a one-double array, so no
+    full-size temporary is made.  Once numpy is loaded (``_numpy_loaded``)
+    the rows are written through ``np.frombuffer`` by ``_dense_vectorized``;
+    otherwise one at a time, in place, by the loop above on floats."""
+    out = array("d", [0.0]) * (_WIDTH * len(grid))
+    s_h, e_h, i_h, a_m, s_m, e_m, i_m = x0
+    _ROW.pack_into(out, 0, grid[0], s_h, e_h, i_h, _r_h(p.N_h, s_h, e_h, i_h),
+                   a_m, s_m, e_m, i_m)
+    if _numpy_loaded():
+        _dense_vectorized(p, out, grid, steps, counts)
         return out
+    n_h, put, size = p.N_h, _ROW.pack_into, _ROW.size
+    d1, _, d3, d4, d5, d6, d7 = _D
+    j = 1
+    for row, count in zip(iter_unpack("58d", steps), counts):
+        t, h = row[0], row[1]
+        coef = []
+        for a, b, q1, q3, q4, q5, q6, q7 in zip(row[2:9], row[9:16], row[16:23], row[23:30],
+                                                row[30:37], row[37:44], row[44:51], row[51:58]):
+            ydiff = b - a
+            bspl = h * q1 - ydiff
+            coef.append((a, ydiff, bspl, ydiff - h * q7 - bspl,
+                         h * (d1 * q1 + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * q7)))
+        for tj in grid[j:j + count]:
+            th = min(1.0, (tj - t) / h)
+            u = 1.0 - th
+            s_h, e_h, i_h, a_m, s_m, e_m, i_m = [
+                a + th * (d + u * (b + th * (r4 + u * r5))) for a, d, b, r4, r5 in coef]
+            put(out, size * j, tj, s_h, e_h, i_h, _r_h(n_h, s_h, e_h, i_h), a_m, s_m, e_m, i_m)
+            j += 1
+    return out
+
+
+def _dense_vectorized(p: ModelParams, out: array, grid: array, steps, counts) -> None:
+    """Rows 1, 2, ... of ``_dense_rows``, written into ``out`` by numpy:
+    the coefficients of all covering steps at once, read from ``steps`` in
+    place, then the report rows in chunks of ``_DENSE_CHUNK``."""
+    import numpy as np
+
+    table = np.frombuffer(out).reshape(-1, _WIDTH)
+    table[:, 0] = np.frombuffer(grid)
+    if not counts:
+        return
     rows = np.frombuffer(steps).reshape(-1, 58)
     t, h, y0, y1 = rows[:, 0], rows[:, 1], rows[:, 2:9], rows[:, 9:16]
     k = rows[:, 16:].reshape(-1, 6, 7)  # k1, k3, k4, k5, k6, k7
@@ -258,11 +343,11 @@ def _dense_rows(p: ModelParams, x0, grid: np.ndarray, steps, counts) -> np.ndarr
     step = np.repeat(np.arange(len(counts)), counts)
     for lo in range(0, step.size, _DENSE_CHUNK):
         s = step[lo:lo + _DENSE_CHUNK]
-        th = np.minimum(1.0, (grid[1 + lo:1 + lo + s.size] - t[s]) / h[s])[:, None]
+        chunk = table[1 + lo:1 + lo + s.size]
+        th = np.minimum(1.0, (chunk[:, 0] - t[s]) / h[s])[:, None]
         u = 1.0 - th
-        out[1 + lo:1 + lo + s.size] = full_states(
+        chunk[:, 1:] = full_states(
             p, y0[s] + th * (ydiff[s] + u * (bspl[s] + th * (r4[s] + u * r5[s]))))
-    return out
 
 
 def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
@@ -301,7 +386,6 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     k1 = f(y)
     h = min(cfg.h_init, h_max, t_end - t0)
 
-    times = grid.tolist()
     steps = bytearray()  # one row of 58 doubles per step that covers report times
     counts = []
     j = 1  # next grid index to fill
@@ -327,7 +411,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
         if err_norm <= 1.0:
             t_new = t_end if clamped else t + h
             reach = t_new + 1e-12 * max(1.0, abs(t_new))
-            j_end = bisect.bisect_right(times, reach, j)
+            j_end = bisect.bisect_right(grid, reach, j)
             if j_end > j:
                 k1, _, k3, k4, k5, k6, k7 = k
                 steps += pack("58d", t, h, *y, *y1, *k1, *k3, *k4, *k5, *k6, *k7)
@@ -349,9 +433,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     stats = StepStats(accepted=accepted, rejected=rejected,
                       rhs_evals=6 * (accepted + rejected) + 1,
                       smallest_step=smallest if accepted else 0.0, largest_step=largest)
-    del times  # a million floats at the grid cap; the dense pass needs the memory
-    return Trajectory(times=grid, data=_dense_rows(p, x0, grid, steps, counts),
-                      step_stats=stats)
+    return Trajectory(rows=_dense_rows(p, x0, grid, steps, counts), step_stats=stats)
 
 
 def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
@@ -361,6 +443,8 @@ def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
     States are recorded roughly every half day (every step for coarse h)
     plus the final point, to keep fine-step oracle runs memory-sane.
     """
+    import numpy as np
+
     if h <= 0.0:
         raise ValueError(f"step size must be > 0, got {h}")
     if not x0.is_finite():
@@ -387,6 +471,6 @@ def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
     step = h if n_steps else 0.0
     stats = StepStats(accepted=n_steps, rejected=0, rhs_evals=4 * n_steps,
                       smallest_step=step, largest_step=step)
-    return Trajectory(times=np.array(times, dtype=float), data=full_states(p, np.array(out)),
-                      step_stats=stats)
+    table = np.column_stack((times, full_states(p, np.array(out))))
+    return Trajectory(rows=array("d", table.tobytes()), step_stats=stats)
 

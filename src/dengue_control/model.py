@@ -141,7 +141,7 @@ class State7(NamedTuple):
 
 #: Component order used by every array-facing routine in the package.
 STATE_LABELS = State7._fields
-#: Column order of a full row (``Trajectory.data``): R_h after I_h.
+#: Column order of a full row (``Trajectory.as_array()``): R_h after I_h.
 ROW_LABELS = STATE_LABELS[:3] + ("R_h",) + STATE_LABELS[3:]
 
 

@@ -4,22 +4,26 @@ auto-scaled; no interactivity, no external plotting dependency.
 
 The chart is made as a sequence of text parts (``trajectory_svg_parts``),
 which ``simulate --svg`` writes to its file in turn, so the whole text is
-never held in memory.  A series' points are mapped to pixels column-wise,
-interleaved into one (x, y) buffer and formatted in chunks of
-``_DENSE_CHUNK`` rows, each chunk by one ``"%.2f,%.2f %.2f,%.2f ..." %
-values`` call and yielded as its own part.  ``'%.2f' % v`` and
-``f"{v:.2f}"`` both format through ``PyOS_double_to_string(v, 'f', 2, 0)``,
-so the text is byte for byte that of per-point f-strings, while the
-per-number work stays in C and no list of per-point strings is held."""
+never held in memory.  A series' points are mapped to pixels a column at a
+time: as numpy arrays once numpy is loaded, else point by point into an
+``array('d')`` (``integrator._numpy_loaded``), so that ``simulate --svg``
+never imports numpy; the two give the same doubles.  The x and y pixels are
+interleaved into one buffer and formatted in chunks of ``_DENSE_CHUNK``
+rows, each chunk by one ``"%.2f,%.2f %.2f,%.2f ..." % values`` call and
+yielded as its own part.  ``'%.2f' % v`` and ``f"{v:.2f}"`` both format
+through ``PyOS_double_to_string(v, 'f', 2, 0)``, so the text is byte for
+byte that of per-point f-strings, while the per-number work stays in C and
+no list of per-point strings is held."""
 
 from __future__ import annotations
 
 import math
+import re
+import sys
+from array import array
 from typing import Iterator
 
-import numpy as np
-
-from .integrator import _DENSE_CHUNK, Trajectory
+from .integrator import _DENSE_CHUNK, _WIDTH, Trajectory, _numpy_loaded
 from .model import ROW_LABELS
 
 _PANEL_W = 460
@@ -29,6 +33,11 @@ _MARGIN_R = 16
 _MARGIN_T = 46
 _MARGIN_B = 46
 _TICKS = 5  # about this many ticks per axis
+
+# Characters XML 1.0 cannot carry: C0 controls other than tab, line feed and
+# carriage return, and the lone surrogates that stand for the undecodable
+# bytes of a file name
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 _HUMAN_SERIES = (("S_h", "#1f77b4"), ("E_h", "#ff7f0e"), ("I_h", "#d62728"), ("R_h", "#2ca02c"))
 _MOSQUITO_SERIES = (("A_m", "#8c564b"), ("S_m", "#1f77b4"), ("E_m", "#ff7f0e"), ("I_m", "#d62728"))
@@ -46,7 +55,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * step:
+    end = min(hi + 1e-9 * step, sys.float_info.max)  # the slack overflows near the largest double
+    while t <= end:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         if t + step == t:
             break  # step below half an ulp of t: no further tick is representable
@@ -64,25 +74,44 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def _points(xs: np.ndarray, ys: np.ndarray) -> Iterator[str]:
-    """Polyline points "X,Y X,Y ..." in parts of ``_DENSE_CHUNK`` points,
-    each coordinate formatted as ``f"{v:.2f}"``, one format call per part;
-    the parts joined give the whole text."""
-    xy = np.column_stack((xs, ys))
-    for lo in range(0, len(xy), _DENSE_CHUNK):
-        chunk = xy[lo:lo + _DENSE_CHUNK]
-        fmt = " %.2f,%.2f" * len(chunk)
-        yield (fmt if lo else fmt[1:]) % tuple(chunk.ravel().tolist())
+def _points(xs, ys) -> Iterator[str]:
+    """Polyline points "X,Y X,Y ..." of the pixels xs, ys (numpy arrays or
+    ``array('d')``) in parts of ``_DENSE_CHUNK`` points, each coordinate
+    formatted as ``f"{v:.2f}"``, one format call per part; the parts joined
+    give the whole text."""
+    for lo in range(0, len(xs), _DENSE_CHUNK):
+        x = xs[lo:lo + _DENSE_CHUNK].tolist()
+        xy = [0.0] * (2 * len(x))
+        xy[0::2] = x
+        xy[1::2] = ys[lo:lo + _DENSE_CHUNK].tolist()
+        fmt = " %.2f,%.2f" * len(x)
+        yield (fmt if lo else fmt[1:]) % tuple(xy)
 
 
-def _panel(x0: int, title: str, times, data, series) -> Iterator[str]:
+def _panel(x0: int, title: str, traj: Trajectory, series) -> Iterator[str]:
     """The lines of one panel, each ending in a line break; a polyline's
     points come in the parts of ``_points``."""
+    if _numpy_loaded():
+        data = traj.as_array()
+        times = traj.times
+        columns = [data[:, ROW_LABELS.index(label)] for label, _ in series]
+        top = float(max(col.max() for col in columns))
+
+        def pixels(f, col):
+            return f(col)
+    else:
+        times = traj.rows[0::_WIDTH]
+        columns = [traj.rows[1 + ROW_LABELS.index(label)::_WIDTH] for label, _ in series]
+        top = max(map(max, columns))
+
+        def pixels(f, col):
+            return array("d", map(f, col))
     t_lo, t_hi = float(times[0]), float(times[-1])
     if t_hi == t_lo:
         t_hi = t_lo + 1.0
-    columns = [data[:, ROW_LABELS.index(label)] for label, _ in series]
-    y_hi = max(max(col.max() for col in columns), 1.0) * 1.05
+    # the headroom overflows a top within 5% of the largest double; the axis
+    # top stays finite, so that the ticks can be placed
+    y_hi = min(max(top, 1.0) * 1.05, sys.float_info.max)
     y_lo = 0.0
 
     px0, px1 = x0 + _MARGIN_L, x0 + _PANEL_W - _MARGIN_R
@@ -114,10 +143,10 @@ def _panel(x0: int, title: str, times, data, series) -> Iterator[str]:
     yield (f'<text x="{(px0 + px1) / 2:.0f}" y="{_PANEL_H - 10}" text-anchor="middle" '
            'font-size="12">time (days)</text>\n')
 
-    xs = sx(times)
+    xs = pixels(sx, times)
     for (_, color), col in zip(series, columns):
         yield '<polyline points="'
-        yield from _points(xs, sy(col))
+        yield from _points(xs, pixels(sy, col))
         yield f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n'
 
     lx, ly = px1 - 64, py0 + 8
@@ -130,17 +159,19 @@ def _panel(x0: int, title: str, times, data, series) -> Iterator[str]:
 
 def trajectory_svg_parts(traj: Trajectory, title: str = "") -> Iterator[str]:
     """Two-panel chart (human and mosquito compartments) as SVG text in
-    parts, so a writer holds one part at a time."""
-    data = traj.as_array()
+    parts, so a writer holds one part at a time.  The title is XML-escaped,
+    with U+FFFD for each character XML cannot carry."""
     width = 2 * _PANEL_W
     yield '<?xml version="1.0" encoding="UTF-8"?>\n'
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
            f'height="{_PANEL_H}" viewBox="0 0 {width} {_PANEL_H}" '
            'font-family="Helvetica, Arial, sans-serif">\n')
     yield f'<rect width="{width}" height="{_PANEL_H}" fill="white"/>\n'
-    human_title = "Human compartments" + (f" ({title})" if title else "")
-    yield from _panel(0, human_title, traj.times, data, _HUMAN_SERIES)
-    yield from _panel(_PANEL_W, "Mosquito compartments", traj.times, data, _MOSQUITO_SERIES)
+    escaped = _NOT_XML.sub("\ufffd", title.replace("&", "&amp;").replace("<", "&lt;")
+                           .replace(">", "&gt;"))
+    human_title = "Human compartments" + (f" ({escaped})" if title else "")
+    yield from _panel(0, human_title, traj, _HUMAN_SERIES)
+    yield from _panel(_PANEL_W, "Mosquito compartments", traj, _MOSQUITO_SERIES)
     yield "</svg>\n"
 
 

@@ -4,9 +4,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
 import warnings
+import xml.etree.ElementTree as ET
+from array import array
 
 import numpy as np
 import pytest
@@ -107,6 +111,43 @@ class TestSimulate:
         assert "rows: 3 " in out
         assert (tmp_path / "compartments.svg").read_text().count("<polyline") == 8
 
+    @pytest.mark.parametrize("vectorized", (True, False))
+    def test_svg_axis_top_stays_finite_near_the_largest_double(self, vectorized, tmp_path,
+                                                               capsys, monkeypatch):
+        # the largest S_h times the 1.05 headroom overflows to inf
+        monkeypatch.setattr(svgplot, "_numpy_loaded", lambda: vectorized)
+        path = tmp_path / "huge.txt"
+        path.write_text(builtin_text_with({"N_h": "1.75e308", "k": "0.5", "m": "0.5"}))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path), "--t-end", "0.5",
+                               "--svg", "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        svg = ET.parse(tmp_path / "compartments.svg").getroot()
+        ticks = [float(el.get("y1")) for el in svg.iter("{http://www.w3.org/2000/svg}line")
+                 if el.get("stroke") == "#ddd"]
+        assert len(ticks) >= 2 and all(map(math.isfinite, ticks))
+
+    @pytest.mark.parametrize("name, shown", (
+        ("R&D <v2>.txt", "R&D <v2>.txt"),
+        ("a\x01b.txt", "a\ufffdb.txt"),
+        (os.fsdecode(b"bad\xff.txt"), "bad\ufffd.txt"),
+    ), ids=("markup", "control-character", "not-utf8"))
+    def test_svg_title_is_escaped(self, name, shown, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(BUILTIN_TEXT)
+        assert run_cli(capsys, "simulate", "--scenario", str(path), "--svg",
+                       "--out", str(tmp_path))[0] == 0
+        svg = ET.parse(tmp_path / "compartments.svg").getroot()
+        titles = [el.text for el in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert f"Human compartments ({tmp_path / shown})" in titles
+
+    @pytest.mark.parametrize("values", (
+        [1.0, 3.0, 3.0, 2.0], [-0.0, 0.0, 0.0], [-0.0], [0.0] * 5, [1.0, math.nan, 5.0, math.nan]))
+    def test_peak_is_numpy_max_and_argmax(self, values):
+        # repr tells NaN, -0.0 and 0.0 apart
+        at, peak = cli._peak(array("d", values))
+        expected = np.array(values)
+        assert (at, repr(peak)) == (expected.argmax(), repr(float(expected.max())))
+
     def test_csv_round_trip_byte_identical(self, tmp_path, capsys):
         run_cli(capsys, "simulate", "--builtin", "capeverde2009", "--out", str(tmp_path))
         text = (tmp_path / "trajectory.csv").read_text()
@@ -180,6 +221,26 @@ class TestGoldenOutput:
             cli.trajectory_to_csv(traj), render_trajectory_svg(traj, title=s.name)))
         assert digests == self.DIGESTS[c, output_step]
 
+    def test_csv_and_svg_bytes_without_numpy(self):
+        # the same six cases on the per-row dense output and SVG mapping
+        code = textwrap.dedent("""\
+            import dataclasses, hashlib
+            from dengue_control.cli import trajectory_to_csv
+            from dengue_control.integrator import integrate
+            from dengue_control.scenario import builtin_capeverde2009
+            from dengue_control.svgplot import render_trajectory_svg
+            s = builtin_capeverde2009()
+            for c, output_step in %r:
+                traj = integrate(s.params, c, s.initial,
+                                 dataclasses.replace(s.solver, output_step=output_step))
+                print(*(hashlib.sha256(text.encode()).hexdigest() for text in (
+                    trajectory_to_csv(traj), render_trajectory_svg(traj, title=s.name))))
+        """) % sorted(self.DIGESTS)
+        proc = run_without_numpy("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        digests = [tuple(line.split()) for line in proc.stdout.splitlines()]
+        assert digests == [self.DIGESTS[case] for case in sorted(self.DIGESTS)]
+
     # SHA-256 of the analyze stdout (text, --json) on the built-in scenario and
     # of the default sweep.csv, computed before classify, brdfe and render_json
     # read the control rate as a float and render_json stopped calling asdict
@@ -220,8 +281,7 @@ def per_value_csv(traj):
 
 def hand_built(rows):
     values = np.array(rows, dtype=float).reshape(-1, 9)
-    return Trajectory(times=values[:, 0].copy(), data=values[:, 1:].copy(),
-                      step_stats=StepStats(0, 0, 1, 0.0, 0.0))
+    return Trajectory(rows=array("d", values.tobytes()), step_stats=StepStats(0, 0, 1, 0.0, 0.0))
 
 
 class TestCsvFormatting:
@@ -820,13 +880,19 @@ class TestProcessInvocation:
     @pytest.mark.parametrize("command, first_line", [
         ("threshold", "c* = 0.156961"),
         ("sweep", "0.0,2.396084838081026,false,false"),
+        ("simulate", "0.0,479350.0,216.0,434.0,0.0,1440000.0,2880000.0,0.0,0.0"),
+        ("simulate --svg", '<svg xmlns="http://www.w3.org/2000/svg" width="920" height="340" '
+                           'viewBox="0 0 920 340" font-family="Helvetica, Arial, sans-serif">'),
     ])
     def test_command_without_numpy(self, command, first_line, tmp_path):
-        out = ["--out", str(tmp_path)] if command == "sweep" else []
-        proc = run_without_numpy("-m", "dengue_control.cli", command,
+        # the second line of the output file, or else the first line of stdout
+        output = {"sweep": "sweep.csv", "simulate": "trajectory.csv",
+                  "simulate --svg": "compartments.svg"}.get(command)
+        out = ["--out", str(tmp_path)] if output else []
+        proc = run_without_numpy("-m", "dengue_control.cli", *command.split(),
                                  "--builtin", "capeverde2009", *out)
         assert proc.returncode == 0
-        lines = ((tmp_path / "sweep.csv").read_text().splitlines()[1:] if out
+        lines = ((tmp_path / output).read_text().splitlines()[1:] if output
                  else proc.stdout.splitlines())
         assert lines[0] == first_line
 

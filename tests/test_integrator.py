@@ -2,7 +2,9 @@ import math
 import subprocess
 import sys
 import textwrap
+from array import array
 from struct import pack
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,6 +146,21 @@ def _pack(covering):
         steps += pack("58d", t, h, *y, *y1, *k[0], *k[2], *k[3], *k[4], *k[5], *k[6])
         counts.append(count)
     return steps, counts
+
+
+def _dense_states(p, x0, grid, covering):
+    """``integrator._dense_rows`` on the vectorized pass and on the per-row
+    loop: the report rows as a list of (n, 8) states, after checking that
+    both passes give the same doubles (a NaN's sign and payload aside) and
+    that their time column is the grid."""
+    runs = []
+    for vectorized in (True, False):
+        with mock.patch.object(integrator, "_numpy_loaded", lambda: vectorized):
+            out = _dense_rows(p, x0, array("d", grid), *_pack(covering))
+        runs.append(np.frombuffer(out).reshape(-1, 9).tolist())
+    assert _hex_rows(runs[0]) == _hex_rows(runs[1])
+    assert [row[0] for row in runs[0]] == grid.tolist()
+    return [row[1:] for row in runs[0]]
 
 
 def _hex_rows(rows):
@@ -398,7 +415,7 @@ class TestDp54Step:
         grid = np.array([t0] + [t0 + th * h for th in thetas[1:]]
                         + [t0 + h + th * h for th in thetas[1:]])
         covering = [(t0, h, 4, y, y1, k), (t0 + h, h, 4, y1, y2, k_next)]
-        assert _hex_rows(_dense_rows(p, y, grid, *_pack(covering)).tolist()) == \
+        assert _hex_rows(_dense_states(p, y, grid, covering)) == \
             _hex_rows(_loop_dense_rows(p, y, grid, covering))
 
     @settings(max_examples=500, deadline=None)
@@ -428,8 +445,8 @@ class TestDp54Step:
         grid = np.array([0.0] + sorted(th * h for th in thetas))
         covering = [(0.0, h, len(thetas), tuple(y0), tuple(y1), k)] if thetas else []
         with np.errstate(all="ignore"):
-            rows = _dense_rows(CAPE_VERDE, y0, grid, *_pack(covering))
-        assert _hex_rows(rows.tolist()) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y0, grid, covering))
+            rows = _dense_states(CAPE_VERDE, y0, grid, covering)
+        assert _hex_rows(rows) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y0, grid, covering))
 
     def test_generated_sources_name_their_files(self):
         # the attempt and its error norm are the only generated functions
@@ -545,17 +562,18 @@ class TestDenseOutput:
         k, y1, _ = _stages(f, y, 1.0, f(y))
         covering = [(0.0, 1.0, 2, y, y1, k)]
         grid = np.array([0.0, 1.0, 1.0 + 5e-13])
-        rows = _dense_rows(CAPE_VERDE, y, grid, *_pack(covering))
-        assert rows[2].tolist() == rows[1].tolist()
-        assert _hex_rows(rows.tolist()) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y, grid, covering))
+        rows = _dense_states(CAPE_VERDE, y, grid, covering)
+        assert rows[2] == rows[1]
+        assert _hex_rows(rows) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y, grid, covering))
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, Linux's unit")
     def test_one_row_steps_keep_peak_memory_small(self):
         # 20,001 steps of 0.01 day, each covering one report time: the peak
-        # grows by the 1.3 MB (n, 8) result and what each covering step
-        # keeps until the dense pass, 58 doubles, plus the pass's temporaries
+        # grows by the 1.4 MB row buffer and what each covering step keeps
+        # until the dense pass, 58 doubles, plus the vectorized pass's
+        # temporaries when numpy is imported first
         code = textwrap.dedent("""\
-            import resource
+            import resource, sys
             from dengue_control.integrator import SolverConfig, integrate
             from dengue_control.scenario import builtin_capeverde2009
             s = builtin_capeverde2009()
@@ -564,14 +582,17 @@ class TestDenseOutput:
                 return integrate(s.params, 0.05, s.initial, cfg).step_stats.accepted
             run(1.0)  # warm-up: imports and first-call allocations
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            print(run(200.0), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+            print(run(200.0), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before,
+                  "numpy" in sys.modules)
         """)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        steps, growth_kib = map(int, proc.stdout.split())
-        assert steps == 20001
-        assert growth_kib < 35 * 1024
+        for preload in ("import numpy\n", ""):
+            proc = subprocess.run([sys.executable, "-c", preload + code], capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            steps, growth_kib, numpy_loaded = proc.stdout.split()
+            assert int(steps) == 20001
+            assert int(growth_kib) < 35 * 1024
+            assert numpy_loaded == str(bool(preload))
 
 
 class TestEmbeddedPairOrder:
@@ -601,8 +622,10 @@ class TestTrajectoryArray:
         for row in data.tolist():
             s_h, e_h, i_h, r_h = row[:4]
             assert r_h == CAPE_VERDE.N_h - s_h - e_h - i_h
-        assert traj.as_array() is traj.data  # the rows are the one full-state form
-        assert not data.flags.writeable
+        # the rows are the one full-state form: views of the one row buffer
+        assert np.shares_memory(data, np.frombuffer(traj.rows))
+        assert np.shares_memory(traj.times, np.frombuffer(traj.rows))
+        assert not data.flags.writeable and not traj.times.flags.writeable
         with pytest.raises(ValueError):
             data[0, 0] = 0.0
 
@@ -617,13 +640,21 @@ class TestOutputGrid:
     def test_zero_length_window_is_one_point(self, t):
         assert _output_grid(t, t, 0.5).tolist() == [t]
 
+    @pytest.mark.parametrize("t0, t_end, step", (
+        (0.0, 100.0, 0.5), (0.0, 100.0, 0.05), (-3.0, 728.0, 0.875), (0.0, 37.3, 0.3),
+        (1e9, 1e9 + 3.3, 0.3)))
+    def test_points_are_the_arange_form(self, t0, t_end, step):
+        grid = _output_grid(t0, t_end, step).tolist()
+        assert grid[:-1] == (t0 + step * np.arange(len(grid) - 1, dtype=float)).tolist()
+        assert grid[-1] == t_end
+
     def test_cap_refuses_before_allocating(self):
         with pytest.raises(ValueError, match="output grid needs 1e\\+15 points"):
             integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0,
                       SolverConfig(t_end=1e12, output_step=1e-3))
 
     def test_cap_allows_its_own_size(self):
-        assert _output_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0).size == MAX_GRID_POINTS
+        assert len(_output_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
 
     def test_cap_counts_the_appended_end(self):
         # 10^6 uniform points, then t_end past the last of them

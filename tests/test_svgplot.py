@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from dengue_control.integrator import _DENSE_CHUNK, SolverConfig, StepStats, Tra
 from dengue_control.svgplot import _nice_ticks, _points, render_trajectory_svg
 
 CHUNK_SIZES = (1, _DENSE_CHUNK - 1, _DENSE_CHUNK, _DENSE_CHUNK + 1)
+# Pixel columns as the vectorized mapping and the per-row one give them
+PIXELS = (np.asarray, lambda col: array("d", col))
 
 
 def per_point_fstrings(xs, ys):
@@ -57,8 +60,9 @@ class TestPointFormatting:
     @pytest.mark.parametrize("n", CHUNK_SIZES)
     def test_adversarial_values_match_per_point_fstrings(self, n):
         values = np.resize(np.array(ADVERSARIAL_DOUBLES), 2 * n)
-        xs, ys = values[:n], values[n:][::-1].copy()
-        assert "".join(_points(xs, ys)) == per_point_fstrings(xs, ys)
+        for pixels in PIXELS:
+            xs, ys = pixels(values[:n]), pixels(values[n:][::-1].copy())
+            assert "".join(_points(xs, ys)) == per_point_fstrings(xs, ys)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -66,15 +70,20 @@ class TestPointFormatting:
     def test_any_doubles_match_per_point_fstrings(self, points, monkeypatch):
         # a 7-row chunk, so that the drawn points span several chunks
         monkeypatch.setattr(svgplot, "_DENSE_CHUNK", 7)
-        xs, ys = (np.array(col, dtype=float) for col in zip(*points))
-        assert "".join(_points(xs, ys)) == per_point_fstrings(xs, ys)
+        for pixels in PIXELS:
+            xs, ys = (pixels(np.array(col, dtype=float)) for col in zip(*points))
+            assert "".join(_points(xs, ys)) == per_point_fstrings(xs, ys)
 
     @pytest.mark.parametrize("n", CHUNK_SIZES)
     def test_chart_matches_per_point_formatting(self, n, monkeypatch):
         finite = [v for v in ADVERSARIAL_DOUBLES if math.isfinite(v)]
-        traj = Trajectory(times=0.05 * np.arange(n), data=np.resize(np.array(finite), (n, 8)),
+        table = np.column_stack((0.05 * np.arange(n), np.resize(np.array(finite), (n, 8))))
+        traj = Trajectory(rows=array("d", table.tobytes()),
                           step_stats=StepStats(0, 0, 1, 0.0, 0.0))
         svg = render_trajectory_svg(traj, title="chunks")
         assert svg.count("<polyline") == 8
         monkeypatch.setattr(svgplot, "_points", per_point_fstrings)
+        assert svg == render_trajectory_svg(traj, title="chunks")
+        # the per-row pixel mapping gives the bytes of the vectorized one
+        monkeypatch.setattr(svgplot, "_numpy_loaded", lambda: False)
         assert svg == render_trajectory_svg(traj, title="chunks")
