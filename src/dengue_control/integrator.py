@@ -97,6 +97,12 @@ _MIN_STEP = 1e-12  # days; below this the problem is declared stiff/broken
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# Largest spacing of doubles at the window's times, as a share of h_max,
+# that a run accepts: t advances by the rounded t + h while the state
+# advances by the full h, so a coarser spacing skews the time axis and can
+# make a clamped last step repeat until MAX_STEPS.  At h_max = 1 day every
+# window within 2^23 days is accepted.
+_TIME_RESOLUTION = 1e-9
 # Rows per chunk in the vectorized dense-output pass and in the text
 # renderers: bounds their temporaries, so that memory at the grid cap stays
 # that of the row buffer and the output text.
@@ -356,7 +362,8 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
 
     Deterministic: identical inputs give bit-identical trajectories.
     Raises ScenarioError if x0 is outside the admissible region (non-finite
-    states included), the window needs more than MAX_STEPS steps at h_max or
+    states included), the window needs more than MAX_STEPS steps at h_max,
+    doubles at its times are more than ``_TIME_RESOLUTION * h_max`` apart or
     an error weight atol*scale is 0, and NumericalFailure (carrying the
     failure time) on step-size underflow or after MAX_STEPS step attempts.
     """
@@ -373,6 +380,12 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
         raise ScenarioError(
             f"the window needs at least {steps_needed:.4g} steps at h_max = {h_max:g} day, "
             f"more than the cap of {MAX_STEPS}; raise h_max or shorten the window")
+    spacing = math.ulp(max(abs(t0), abs(t_end)))
+    if spacing > _TIME_RESOLUTION * h_max:
+        raise ScenarioError(
+            f"doubles near the window's times are {spacing:.4g} day apart, more than "
+            f"{_TIME_RESOLUTION:g} of h_max = {h_max:g} day, so the steps' times cannot "
+            "be resolved; move t0 and t_end toward 0")
     scales = component_scales(p)
     w = tuple(atol * s for s in scales)  # the absolute part of each error weight
     for label, s, ws in zip(STATE_LABELS, scales, w):

@@ -7,13 +7,19 @@ which ``simulate --svg`` writes to its file in turn, so the whole text is
 never held in memory.  A series' points are mapped to pixels a column at a
 time: as numpy arrays once numpy is loaded, else point by point into an
 ``array('d')`` (``integrator._numpy_loaded``), so that ``simulate --svg``
-never imports numpy; the two give the same doubles.  The x and y pixels are
-interleaved into one buffer and formatted in chunks of ``_DENSE_CHUNK``
-rows, each chunk by one ``"%.2f,%.2f %.2f,%.2f ..." % values`` call and
-yielded as its own part.  ``'%.2f' % v`` and ``f"{v:.2f}"`` both format
-through ``PyOS_double_to_string(v, 'f', 2, 0)``, so the text is byte for
-byte that of per-point f-strings, while the per-number work stays in C and
-no list of per-point strings is held."""
+never imports numpy; the two give the same doubles.  A panel formats its
+time pixels once, in chunks of ``_DENSE_CHUNK`` rows, each chunk by one
+``"%.2f %.2f ..." % values`` call into one string (``_x_text``), and its
+four polylines share that text: each chunk of a polyline is one
+``"%s,%.2f %s,%.2f ..." % values`` call over the chunk's time text, split
+into its pixels, interleaved with the series' y pixels, and is yielded as
+its own part.  ``'%.2f' % v`` and ``f"{v:.2f}"`` both format through
+``PyOS_double_to_string(v, 'f', 2, 0)``, and ``%s`` of such a string is
+that string, so the text is byte for byte that of per-point f-strings,
+while the per-number work stays in C.  The time text is held as one
+``str`` per chunk, about 7 bytes a row, not as a list of per-point strings
+(about 60 bytes a row); the lists and tuples of one format call are a
+chunk in size."""
 
 from __future__ import annotations
 
@@ -74,23 +80,36 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def _points(xs, ys) -> Iterator[str]:
-    """Polyline points "X,Y X,Y ..." of the pixels xs, ys (numpy arrays or
-    ``array('d')``) in parts of ``_DENSE_CHUNK`` points, each coordinate
-    formatted as ``f"{v:.2f}"``, one format call per part; the parts joined
-    give the whole text."""
+def _x_text(xs) -> list[str]:
+    """The pixels xs (a numpy array or ``array('d')``) formatted once, as
+    ``f"{v:.2f} "`` per pixel, in one string per ``_DENSE_CHUNK`` of them."""
+    text = []
     for lo in range(0, len(xs), _DENSE_CHUNK):
         x = xs[lo:lo + _DENSE_CHUNK].tolist()
-        xy = [0.0] * (2 * len(x))
+        text.append(("%.2f " * len(x)) % tuple(x))
+    return text
+
+
+def _points(x_text: list[str], ys) -> Iterator[str]:
+    """Polyline points "X,Y X,Y ..." of the x pixels formatted by
+    ``_x_text`` and the y pixels ys (a numpy array or ``array('d')``), in
+    parts of ``_DENSE_CHUNK`` points, each y formatted as ``f"{v:.2f}"``,
+    one format call per part; the parts joined give the whole text."""
+    lo = 0
+    for text in x_text:
+        x = text.split()
+        xy = [None] * (2 * len(x))
         xy[0::2] = x
-        xy[1::2] = ys[lo:lo + _DENSE_CHUNK].tolist()
-        fmt = " %.2f,%.2f" * len(x)
+        xy[1::2] = ys[lo:lo + len(x)].tolist()
+        fmt = " %s,%.2f" * len(x)
         yield (fmt if lo else fmt[1:]) % tuple(xy)
+        lo += len(x)
 
 
 def _panel(x0: int, title: str, traj: Trajectory, series) -> Iterator[str]:
     """The lines of one panel, each ending in a line break; a polyline's
-    points come in the parts of ``_points``."""
+    points come in the parts of ``_points``, over the panel's one time
+    text."""
     if _numpy_loaded():
         data = traj.as_array()
         times = traj.times
@@ -143,10 +162,10 @@ def _panel(x0: int, title: str, traj: Trajectory, series) -> Iterator[str]:
     yield (f'<text x="{(px0 + px1) / 2:.0f}" y="{_PANEL_H - 10}" text-anchor="middle" '
            'font-size="12">time (days)</text>\n')
 
-    xs = pixels(sx, times)
+    x_text = _x_text(pixels(sx, times))  # shared by the four polylines
     for (_, color), col in zip(series, columns):
         yield '<polyline points="'
-        yield from _points(xs, pixels(sy, col))
+        yield from _points(x_text, pixels(sy, col))
         yield f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n'
 
     lx, ly = px1 - 64, py0 + 8

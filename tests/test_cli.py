@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from array import array
@@ -102,8 +103,11 @@ class TestSimulate:
             assert f">{label}</text>" in svg
 
     def test_svg_of_a_window_a_few_ulps_wide(self, tmp_path, capsys):
+        # doubles at 1e9 are 1.2e-7 day apart, so the window is resolvable
+        # only with h_max at least 119 days (integrator._TIME_RESOLUTION)
         path = write_variant(tmp_path, {"t0 = 0.0": "t0 = 1000000000.0",
                                         "t_end = 100.0": "t_end = 1000000000.0000002",
+                                        "h_max = 1.0": "h_max = 1000.0",
                                         "output_step = 0.5": "output_step = 1e-07"})
         code, out, _ = run_cli(capsys, "simulate", "--scenario", str(path),
                                "--svg", "--out", str(tmp_path))
@@ -673,6 +677,20 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: the window needs at least 1e+09 steps")
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("t0, t_end", (
+        ("1099511627776.0", "1099511627840.0"), ("1e15", "1000000000000000.3")))
+    def test_window_doubles_cannot_resolve_is_config_error(self, t0, t_end, tmp_path, capsys):
+        path = tmp_path / "variant.txt"
+        path.write_text(builtin_text_with({"t0": t0, "t_end": t_end, "output_step": "0.1"}))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(path),
+                               "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.startswith("error: doubles near the window's times are ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_step_limit_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(integrator, "MAX_STEPS", 50)

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import time
 from array import array
 from struct import pack
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (CAPE_VERDE, CAPE_VERDE_X0, draw_omega_state, draw_params,
                       integrate_fixed_dp54, params_with)
 from dengue_control.equilibria import brdfe, trivial_equilibrium
-from dengue_control.errors import NumericalFailure
+from dengue_control.errors import NumericalFailure, ScenarioError
 from dengue_control import integrator
 from dengue_control.integrator import (
     MAX_GRID_POINTS,
@@ -519,6 +520,25 @@ class TestStepBudget:
         cfg = SolverConfig(t_end=1e9, output_step=1e4)
         with pytest.raises(ValueError, match=f"more than the cap of {MAX_STEPS}"):
             integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, cfg)
+
+    @pytest.mark.parametrize("t0, t_end, spacing", (
+        (2.0**40, 2.0**40 + 64.0, "0.0002441"), (1e15, 1e15 + 0.3, "0.125")))
+    def test_window_doubles_cannot_resolve_refused_before_stepping(self, t0, t_end, spacing):
+        # at 2^40 the time axis drifted from the states; at 1e15 the clamped
+        # last step of one ulp repeated until MAX_STEPS
+        cfg = SolverConfig(t0=t0, t_end=t_end, output_step=0.1)
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match=f"doubles near the window's times are "
+                                                f"{spacing} day apart, more than 1e-09 of h_max"):
+            integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, cfg)
+        assert time.perf_counter() - start < 1.0
+
+    def test_window_doubles_resolve_matches_the_window_at_zero(self):
+        runs = [integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, SolverConfig(t0=t0, t_end=t0 + 64.0))
+                for t0 in (0.0, 2.0**20)]
+        assert runs[1].times.tolist() == (runs[0].times + 2.0**20).tolist()
+        gap = np.abs(np.delete(runs[1].as_array() - runs[0].as_array(), 3, axis=1))
+        assert np.max(gap / component_scales(CAPE_VERDE)) < 1e-9
 
     def test_step_limit_reports_time_reached(self, monkeypatch):
         monkeypatch.setattr(integrator, "MAX_STEPS", 50)
