@@ -9,8 +9,8 @@ Every public name is listed once, under its module, in the table below and
 imported on first use (PEP 562), so ``import dengue_control`` loads no
 submodule.  numpy is needed only by the array modules (``equilibria``,
 ``reproduction``, ``stability``) and by the array views of a trajectory
-(``Trajectory.times``, ``as_array()``) and ``integrate_fixed_rk4``;
-``model``, ``scenario`` and ``threshold`` run on Python floats, and
+(``Trajectory.times``, ``as_array()``); ``model``, ``scenario``,
+``threshold`` and ``integrate_fixed_rk4`` run on Python floats, and
 ``integrator`` and ``svgplot`` use numpy only once it is loaded, so the
 minimum control level, scenario parsing and a simulation with its CSV and
 SVG start without it.

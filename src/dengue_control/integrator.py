@@ -19,19 +19,20 @@ every result is bit for bit the same, and it stays duck-typed, so (L,)
 arrays step L lanes at once.  The model formula itself is not pasted into
 the generated code: that would be a second copy of it, and a prototype that
 did so made an attempt only about 6% faster.  The error norm is generated
-the same way, bit for bit its loop form.  An accepted step that covers
-report times appends the 58 doubles its continuous extension reads to one
-flat ``bytearray``.  Dense output runs once after the loop and writes
-the report rows, t and the eight ``ROW_LABELS`` columns per report time, R_h
-included, into one flat ``array('d')``, allocated once.  Once numpy is
-loaded it is one numpy pass that reads the step buffer in place, takes the
-extension's coefficients of all those steps at once, in the loop form's
+the same way, bit for bit its loop form.  The report rows, t and the
+eight ``ROW_LABELS`` columns per report time, R_h included, go into one
+flat ``array('d')``, allocated once, x0's row first.  Without numpy, an
+accepted step that covers report times writes their rows there at once,
+on the quartic continuous extension of its own (t, h, y, y1, k), as floats
+(``_step_rows``), so that ``simulate`` never imports numpy
+(``_numpy_loaded``).  Once numpy is loaded, such a step instead appends the
+58 doubles its extension reads to one flat ``bytearray``, which exists for
+this pass alone: after the loop, ``_dense_vectorized`` reads it in place,
+takes the coefficients of all those steps at once, in the loop form's
 operation order, and writes the rows in chunks of ``_DENSE_CHUNK``, so its
-per-row temporaries stay a chunk in size; without numpy it is that loop
-form on floats, one report row at a time, so that ``simulate`` never
-imports numpy (``_numpy_loaded``).  The CSV and SVG renderers format text
-in chunks of the same row count.  A run is capped at ``MAX_STEPS`` step
-attempts.
+per-row temporaries stay a chunk in size.  The CSV and SVG renderers format
+text in chunks of the same row count.  A run is capped at ``MAX_STEPS``
+step attempts.
 
 Error control uses a weighted RMS norm with per-component weights
 ``atol*scale_i + rtol*max(|y_i|, |y1_i|)`` where the scales are the
@@ -49,7 +50,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from struct import Struct, iter_unpack, pack
+from struct import Struct, pack
 from typing import TYPE_CHECKING
 
 from .errors import NumericalFailure, ScenarioError
@@ -163,14 +164,6 @@ def _r_h(n_h, s_h, e_h, i_h):
     return n_h - s_h - e_h - i_h
 
 
-def full_states(p: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """(n, 8) full states, columns ``ROW_LABELS``, from (n, 7) reduced ones."""
-    import numpy as np
-
-    return np.insert(rows, ROW_LABELS.index("R_h"),
-                     _r_h(p.N_h, rows[:, 0], rows[:, 1], rows[:, 2]), axis=1)
-
-
 def _output_grid(t0: float, t_end: float, step: float) -> array:
     """The report times ``t0 + step*i`` as an ``array('d')``, bit for bit
     ``t0 + step * np.arange(n + 1)``, their last replaced by t_end or
@@ -278,57 +271,44 @@ def _numpy_loaded() -> bool:
     return "numpy" in sys.modules
 
 
-def _dense_rows(p: ModelParams, x0, grid: array, steps, counts) -> array:
-    """The report rows at the n grid times, as one flat ``array('d')`` of
-    ``_WIDTH`` doubles per row (t, then the full state): x0 first, then each
-    later time on the quartic continuous extension of the step that covers
-    it.  ``steps`` holds a row of 58 doubles per step that covers report
-    times, in order (t, h, y, y1, k1, k3, ..., k7; k2 has weight d2 = 0);
-    ``counts`` holds their report-time counts.  The coefficients are, per
-    component, those of the loop ``ydiff = y1 - y; bspl = h*k1 - ydiff;
-    r4 = ydiff - h*k7 - bspl; r5 = h*(d1*k1 + d3*k3 + ...)`` (d2 = 0
-    skipped), and a report time t gives y + theta*(ydiff + u*(bspl +
-    theta*(r4 + u*r5))) with theta = min(1, (t - t_step)/h), u = 1 - theta.
-    A report time inside the ``reach`` slack past its step's end takes the
-    step's end state (theta clamped to 1), never an extrapolation.
-
-    The buffer is allocated once, by repeating a one-double array, so no
-    full-size temporary is made.  Once numpy is loaded (``_numpy_loaded``)
-    the rows are written through ``np.frombuffer`` by ``_dense_vectorized``;
-    otherwise one at a time, in place, by the loop above on floats."""
-    out = array("d", [0.0]) * (_WIDTH * len(grid))
-    s_h, e_h, i_h, a_m, s_m, e_m, i_m = x0
-    _ROW.pack_into(out, 0, grid[0], s_h, e_h, i_h, _r_h(p.N_h, s_h, e_h, i_h),
-                   a_m, s_m, e_m, i_m)
-    if _numpy_loaded():
-        _dense_vectorized(p, out, grid, steps, counts)
-        return out
-    n_h, put, size = p.N_h, _ROW.pack_into, _ROW.size
+def _step_rows(out: array, n_h: float, grid: array, j: int, j_end: int, t: float, h: float,
+               y, y1, k) -> None:
+    """Write rows j .. j_end - 1 of ``out`` (``_WIDTH`` doubles each: t,
+    then the full state) at the report times ``grid[j:j_end]``, on the
+    quartic continuous extension of the step of size h from (t, y) to y1
+    with stages k.  Per component the coefficients are those of the loop
+    ``ydiff = y1 - y; bspl = h*k1 - ydiff; r4 = ydiff - h*k7 - bspl;
+    r5 = h*(d1*k1 + d3*k3 + ...)`` (d2 = 0 skipped), and a report time t_j
+    gives y + theta*(ydiff + u*(bspl + theta*(r4 + u*r5))) with theta =
+    min(1, (t_j - t)/h), u = 1 - theta.  A report time inside the ``reach``
+    slack past the step's end takes the step's end state (theta clamped to
+    1), never an extrapolation.  This is the per-row pass; once numpy is
+    loaded, ``_dense_vectorized`` writes the same doubles instead."""
+    k1, _, k3, k4, k5, k6, k7 = k
     d1, _, d3, d4, d5, d6, d7 = _D
-    j = 1
-    for row, count in zip(iter_unpack("58d", steps), counts):
-        t, h = row[0], row[1]
-        coef = []
-        for a, b, q1, q3, q4, q5, q6, q7 in zip(row[2:9], row[9:16], row[16:23], row[23:30],
-                                                row[30:37], row[37:44], row[44:51], row[51:58]):
-            ydiff = b - a
-            bspl = h * q1 - ydiff
-            coef.append((a, ydiff, bspl, ydiff - h * q7 - bspl,
-                         h * (d1 * q1 + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * q7)))
-        for tj in grid[j:j + count]:
-            th = min(1.0, (tj - t) / h)
-            u = 1.0 - th
-            s_h, e_h, i_h, a_m, s_m, e_m, i_m = [
-                a + th * (d + u * (b + th * (r4 + u * r5))) for a, d, b, r4, r5 in coef]
-            put(out, size * j, tj, s_h, e_h, i_h, _r_h(n_h, s_h, e_h, i_h), a_m, s_m, e_m, i_m)
-            j += 1
-    return out
+    coef = []
+    for a, b, q1, q3, q4, q5, q6, q7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
+        ydiff = b - a
+        bspl = h * q1 - ydiff
+        coef.append((a, ydiff, bspl, ydiff - h * q7 - bspl,
+                     h * (d1 * q1 + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * q7)))
+    put, size = _ROW.pack_into, _ROW.size
+    for tj in grid[j:j_end]:
+        th = min(1.0, (tj - t) / h)
+        u = 1.0 - th
+        s_h, e_h, i_h, a_m, s_m, e_m, i_m = [
+            a + th * (d + u * (b + th * (r4 + u * r5))) for a, d, b, r4, r5 in coef]
+        put(out, size * j, tj, s_h, e_h, i_h, _r_h(n_h, s_h, e_h, i_h), a_m, s_m, e_m, i_m)
+        j += 1
 
 
-def _dense_vectorized(p: ModelParams, out: array, grid: array, steps, counts) -> None:
-    """Rows 1, 2, ... of ``_dense_rows``, written into ``out`` by numpy:
-    the coefficients of all covering steps at once, read from ``steps`` in
-    place, then the report rows in chunks of ``_DENSE_CHUNK``."""
+def _dense_vectorized(out: array, n_h: float, grid: array, steps, counts) -> None:
+    """Rows 1, 2, ... of ``out``, the doubles of ``_step_rows``, written by
+    numpy: ``steps`` holds a row of 58 doubles per step that covers report
+    times, in order (t, h, y, y1, k1, k3, ..., k7; k2 has weight d2 = 0),
+    and ``counts`` their report-time counts.  The coefficients of all
+    covering steps are taken at once, read from ``steps`` in place, then
+    the report rows are written in chunks of ``_DENSE_CHUNK``."""
     import numpy as np
 
     table = np.frombuffer(out).reshape(-1, _WIDTH)
@@ -352,8 +332,10 @@ def _dense_vectorized(p: ModelParams, out: array, grid: array, steps, counts) ->
         chunk = table[1 + lo:1 + lo + s.size]
         th = np.minimum(1.0, (chunk[:, 0] - t[s]) / h[s])[:, None]
         u = 1.0 - th
-        chunk[:, 1:] = full_states(
-            p, y0[s] + th * (ydiff[s] + u * (bspl[s] + th * (r4[s] + u * r5[s]))))
+        states = y0[s] + th * (ydiff[s] + u * (bspl[s] + th * (r4[s] + u * r5[s])))
+        chunk[:, 1:4] = states[:, :3]
+        chunk[:, 4] = _r_h(n_h, states[:, 0], states[:, 1], states[:, 2])
+        chunk[:, 5:] = states[:, 3:]
 
 
 def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
@@ -399,8 +381,15 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     k1 = f(y)
     h = min(cfg.h_init, h_max, t_end - t0)
 
-    steps = bytearray()  # one row of 58 doubles per step that covers report times
-    counts = []
+    # the row buffer, allocated once by repeating a one-double array (no
+    # full-size temporary), and x0's row
+    n_h = p.N_h
+    out = array("d", [0.0]) * (_WIDTH * len(grid))
+    _ROW.pack_into(out, 0, grid[0], *x0[:3], _r_h(n_h, *x0[:3]), *x0[3:])
+    vectorized = _numpy_loaded()
+    # for the vectorized pass alone: per covering step t, h, y, y1, k1, k3,
+    # ..., k7 (58 doubles) and its report-time count
+    steps, counts = bytearray(), []
     j = 1  # next grid index to fill
     accepted = 0
     rejected = 0
@@ -426,9 +415,11 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
             reach = t_new + 1e-12 * max(1.0, abs(t_new))
             j_end = bisect.bisect_right(grid, reach, j)
             if j_end > j:
-                k1, _, k3, k4, k5, k6, k7 = k
-                steps += pack("58d", t, h, *y, *y1, *k1, *k3, *k4, *k5, *k6, *k7)
-                counts.append(j_end - j)
+                if vectorized:
+                    steps += pack("58d", t, h, *y, *y1, *k[0], *k[2], *k[3], *k[4], *k[5], *k[6])
+                    counts.append(j_end - j)
+                else:
+                    _step_rows(out, n_h, grid, j, j_end, t, h, y, y1, k)
                 j = j_end
             t, y, k1 = t_new, y1, k[6]  # first-same-as-last
             accepted += 1
@@ -446,7 +437,9 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     stats = StepStats(accepted=accepted, rejected=rejected,
                       rhs_evals=6 * (accepted + rejected) + 1,
                       smallest_step=smallest if accepted else 0.0, largest_step=largest)
-    return Trajectory(rows=_dense_rows(p, x0, grid, steps, counts), step_stats=stats)
+    if vectorized:
+        _dense_vectorized(out, n_h, grid, steps, counts)
+    return Trajectory(rows=out, step_stats=stats)
 
 
 def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
@@ -454,36 +447,35 @@ def integrate_fixed_rk4(p: ModelParams, c: ControlLevel | float, x0: State7,
     """Classical fixed-step RK4 from t=0; the independent test oracle.
 
     States are recorded roughly every half day (every step for coarse h)
-    plus the final point, to keep fine-step oracle runs memory-sane.
+    plus the final point, to keep fine-step oracle runs memory-sane.  Runs
+    on floats, per component in the operation order of the array form
+    ``y + (h/6)*(k1 + 2*k2 + 2*k3 + k4)``.
     """
-    import numpy as np
-
     if h <= 0.0:
         raise ValueError(f"step size must be > 0, got {h}")
     if not x0.is_finite():
         raise ValueError("initial state contains non-finite components")
     f = _rhs_of(p, _rate(c))
+    n_h, half, sixth = p.N_h, 0.5 * h, h / 6.0
 
     n_steps = max(0, int(round(t_end / h)))
     stride = max(1, int(round(0.5 / h)))
-    y = np.array(x0, dtype=float)
-    times = [0.0]
-    out = [y.copy()]
+    y = [float(v) for v in x0]
+    rows = array("d")
     t = 0.0
-    for i in range(1, n_steps + 1):
-        k1 = np.array(f(y.tolist()))
-        k2 = np.array(f((y + 0.5 * h * k1).tolist()))
-        k3 = np.array(f((y + 0.5 * h * k2).tolist()))
-        k4 = np.array(f((y + h * k3).tolist()))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = i * h
+    for i in range(n_steps + 1):
+        if i:
+            k1 = f(y)
+            k2 = f([a + half * b for a, b in zip(y, k1)])
+            k3 = f([a + half * b for a, b in zip(y, k2)])
+            k4 = f([a + h * b for a, b in zip(y, k3)])
+            y = [a + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+                 for a, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
+            t = i * h
         if i % stride == 0 or i == n_steps:
-            times.append(t)
-            out.append(y.copy())
+            rows.extend((t, *y[:3], _r_h(n_h, *y[:3]), *y[3:]))
 
     step = h if n_steps else 0.0
     stats = StepStats(accepted=n_steps, rejected=0, rhs_evals=4 * n_steps,
                       smallest_step=step, largest_step=step)
-    table = np.column_stack((times, full_states(p, np.array(out))))
-    return Trajectory(rows=array("d", table.tobytes()), step_stats=stats)
-
+    return Trajectory(rows=rows, step_stats=stats)

@@ -5,9 +5,11 @@ auto-scaled; no interactivity, no external plotting dependency.
 The chart is made as a sequence of text parts (``trajectory_svg_parts``),
 which ``simulate --svg`` writes to its file in turn, so the whole text is
 never held in memory.  A series' points are mapped to pixels a column at a
-time: as numpy arrays once numpy is loaded, else point by point into an
-``array('d')`` (``integrator._numpy_loaded``), so that ``simulate --svg``
-never imports numpy; the two give the same doubles.  A panel formats its
+time, the column read in place from the row buffer ``Trajectory.rows`` as a
+strided view, never copied: as numpy arrays once numpy is loaded, else
+point by point from a ``memoryview`` slice into an ``array('d')``
+(``integrator._numpy_loaded``), so that ``simulate --svg`` never imports
+numpy; the two give the same doubles.  A panel formats its
 time pixels once, in chunks of ``_DENSE_CHUNK`` rows, each chunk by one
 ``"%.2f %.2f ..." % values`` call into one string (``_x_text``), and its
 four polylines share that text: each chunk of a polyline is one
@@ -119,8 +121,9 @@ def _panel(x0: int, title: str, traj: Trajectory, series) -> Iterator[str]:
         def pixels(f, col):
             return f(col)
     else:
-        times = traj.rows[0::_WIDTH]
-        columns = [traj.rows[1 + ROW_LABELS.index(label)::_WIDTH] for label, _ in series]
+        rows = memoryview(traj.rows)  # its strided slices are views, not copies
+        times = rows[0::_WIDTH]
+        columns = [rows[1 + ROW_LABELS.index(label)::_WIDTH] for label, _ in series]
         top = max(map(max, columns))
 
         def pixels(f, col):

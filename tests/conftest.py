@@ -1,11 +1,13 @@
 """Shared fixtures: the Cape Verde 2009 baseline, random parameter draws,
-a fixed-step DP5(4) propagator, and a session-wide fixed-step RK4
-reference run."""
+a fixed-step DP5(4) propagator, a session-wide fixed-step RK4 reference
+run, and a subprocess runner that asserts no numpy was imported."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,3 +130,15 @@ def rk4_reference():
     100 days, recorded every half day.  The expensive ground truth shared
     by the integrator agreement, convergence and acceptance tests."""
     return integrate_fixed_rk4(CAPE_VERDE, 0.0, CAPE_VERDE_X0, 1e-3, 100.0)
+
+
+def run_without_numpy(*args):
+    """Run ``python -X importtime *args`` and assert that it imported the
+    package but no numpy module."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=60)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "dengue_control" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+    return proc

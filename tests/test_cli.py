@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import ADVERSARIAL_DOUBLES
+from conftest import ADVERSARIAL_DOUBLES, run_without_numpy
 
 import dengue_control
 from dengue_control import cli, integrator, svgplot
@@ -872,18 +872,6 @@ class TestExitCodeFuzz:
         assert code in (0, 2, 3, 4)
         assert all(line.startswith(("error: ", "warning: "))
                    for line in err.getvalue().splitlines())
-
-
-def run_without_numpy(*args):
-    """Run ``python -X importtime *args`` and assert that it imported the
-    package but no numpy module."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          capture_output=True, text=True, timeout=60)
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert "dengue_control" in imported
-    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
-    return proc
 
 
 class TestProcessInvocation:

@@ -5,14 +5,13 @@ import textwrap
 import time
 from array import array
 from struct import pack
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (CAPE_VERDE, CAPE_VERDE_X0, draw_omega_state, draw_params,
-                      integrate_fixed_dp54, params_with)
+                      integrate_fixed_dp54, params_with, run_without_numpy)
 from dengue_control.equilibria import brdfe, trivial_equilibrium
 from dengue_control.errors import NumericalFailure, ScenarioError
 from dengue_control import integrator
@@ -22,10 +21,11 @@ from dengue_control.integrator import (
     SolverConfig,
     integrate,
     integrate_fixed_rk4,
-    _dense_rows,
+    _dense_vectorized,
     _error_norm,
     _output_grid,
     _stages,
+    _step_rows,
 )
 from dengue_control.model import State7, component_scales, in_omega, rhs, _rhs_of
 
@@ -109,7 +109,8 @@ def _loop_error_norm(err, scales, y, y1, atol, rtol):
 
 def _loop_extension(y0, y1, k, h):
     """The continuous-extension coefficients in their per-component loop
-    form, the oracle for those ``integrator._dense_rows`` takes."""
+    form, the oracle for those ``integrator._step_rows`` and
+    ``_dense_vectorized`` take."""
     k1, _, k3, k4, k5, k6, k7 = k
     d1, _, d3, d4, d5, d6, d7 = integrator._D
     coef = []
@@ -123,8 +124,8 @@ def _loop_extension(y0, y1, k, h):
 
 
 def _loop_dense_rows(p, x0, grid, covering):
-    """``integrator._dense_rows`` evaluated one report time at a time on the
-    loop-form coefficients: theta = min(1, (t - t_step)/h), then per
+    """The report rows of dense output, evaluated one report time at a time
+    on the loop-form coefficients: theta = min(1, (t - t_step)/h), then per
     component y0 + theta*(ydiff + u*(bspl + theta*(r4 + u*r5))), u = 1 - theta,
     and R_h = N_h - S_h - E_h - I_h."""
     rows = [x0]
@@ -139,9 +140,9 @@ def _loop_dense_rows(p, x0, grid, covering):
 
 
 def _pack(covering):
-    """The (steps, counts) arguments of ``integrator._dense_rows`` from
-    (t, h, count, y, y1, k) tuples: per step the row of doubles t, h, y,
-    y1, k1, k3, ..., k7 and its report-time count."""
+    """The (steps, counts) arguments of ``integrator._dense_vectorized``
+    from (t, h, count, y, y1, k) tuples: per step the row of doubles t, h,
+    y, y1, k1, k3, ..., k7 and its report-time count."""
     steps, counts = bytearray(), []
     for t, h, count, y, y1, k in covering:
         steps += pack("58d", t, h, *y, *y1, *k[0], *k[2], *k[3], *k[4], *k[5], *k[6])
@@ -150,14 +151,25 @@ def _pack(covering):
 
 
 def _dense_states(p, x0, grid, covering):
-    """``integrator._dense_rows`` on the vectorized pass and on the per-row
-    loop: the report rows as a list of (n, 8) states, after checking that
-    both passes give the same doubles (a NaN's sign and payload aside) and
-    that their time column is the grid."""
+    """The report rows of the (t, h, count, y, y1, k) covering steps on the
+    vectorized pass (``integrator._dense_vectorized`` on their ``_pack``ed
+    rows) and on the per-row pass (``integrator._step_rows`` per step), x0's
+    row written first as ``integrate`` writes it: the rows as a list of
+    (n, 8) states, after checking that both passes give the same doubles (a
+    NaN's sign and payload aside) and that their time column is the grid."""
+    times = array("d", grid)
+    s_h, e_h, i_h, a_m, s_m, e_m, i_m = x0
+    first = [times[0], s_h, e_h, i_h, p.N_h - s_h - e_h - i_h, a_m, s_m, e_m, i_m]
     runs = []
     for vectorized in (True, False):
-        with mock.patch.object(integrator, "_numpy_loaded", lambda: vectorized):
-            out = _dense_rows(p, x0, array("d", grid), *_pack(covering))
+        out = array("d", first + [0.0] * (9 * len(times) - 9))
+        if vectorized:
+            _dense_vectorized(out, p.N_h, times, *_pack(covering))
+        else:
+            j = 1
+            for t, h, count, y, y1, k in covering:
+                _step_rows(out, p.N_h, times, j, j + count, t, h, y, y1, k)
+                j += count
         runs.append(np.frombuffer(out).reshape(-1, 9).tolist())
     assert _hex_rows(runs[0]) == _hex_rows(runs[1])
     assert [row[0] for row in runs[0]] == grid.tolist()
@@ -340,6 +352,39 @@ class TestFixedRk4:
         traj = integrate_fixed_rk4(CAPE_VERDE, 0.0, CAPE_VERDE_X0, h, h)
         assert len(traj.as_array()) == 2
         assert traj.as_array()[1, 1] == pytest.approx(expected_e_h, rel=1e-12)  # E_h
+
+    @pytest.mark.parametrize("c", (0.0, 0.05, 0.2))
+    @pytest.mark.parametrize("h", (0.1, 0.05, 0.02))
+    def test_rows_equal_array_form(self, h, c):
+        # the float loop keeps the operation order of the (7,) array form
+        f = _rhs_of(CAPE_VERDE, c)
+        y = np.array(CAPE_VERDE_X0)
+        expected = [[0.0, *y]]
+        for i in range(1, 201):
+            k1 = np.array(f(y.tolist()))
+            k2 = np.array(f((y + 0.5 * h * k1).tolist()))
+            k3 = np.array(f((y + 0.5 * h * k2).tolist()))
+            k4 = np.array(f((y + h * k3).tolist()))
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if i % round(0.5 / h) == 0 or i == 200:
+                expected.append([i * h, *y])
+        traj = integrate_fixed_rk4(CAPE_VERDE, c, CAPE_VERDE_X0, h, 200 * h)
+        assert traj.times.tolist() == [row[0] for row in expected]
+        assert _hex_rows(np.delete(traj.as_array(), 3, axis=1).tolist()) == \
+            _hex_rows([row[1:] for row in expected])
+
+    def test_runs_without_numpy(self):
+        code = textwrap.dedent("""\
+            from dengue_control.integrator import integrate_fixed_rk4
+            from dengue_control.scenario import builtin_capeverde2009
+            s = builtin_capeverde2009()
+            traj = integrate_fixed_rk4(s.params, 0.05, s.initial, 0.05, 20.0)
+            print(traj.rows.tobytes().hex(), traj.step_stats)
+        """)
+        proc = run_without_numpy("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        traj = integrate_fixed_rk4(CAPE_VERDE, 0.05, CAPE_VERDE_X0, 0.05, 20.0)
+        assert proc.stdout.split(" ", 1) == [traj.rows.tobytes().hex(), f"{traj.step_stats}\n"]
 
 
 class TestDp54Step:
@@ -588,10 +633,10 @@ class TestDenseOutput:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, Linux's unit")
     def test_one_row_steps_keep_peak_memory_small(self):
-        # 20,001 steps of 0.01 day, each covering one report time: the peak
-        # grows by the 1.4 MB row buffer and what each covering step keeps
-        # until the dense pass, 58 doubles, plus the vectorized pass's
-        # temporaries when numpy is imported first
+        # 20,001 steps of 0.01 day, each covering one report time: without
+        # numpy each step writes its row straight into the 1.4 MB row
+        # buffer; with numpy imported first, the vectorized pass also keeps
+        # 58 doubles per covering step until it runs, and its temporaries
         code = textwrap.dedent("""\
             import resource, sys
             from dengue_control.integrator import SolverConfig, integrate
@@ -605,13 +650,13 @@ class TestDenseOutput:
             print(run(200.0), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before,
                   "numpy" in sys.modules)
         """)
-        for preload in ("import numpy\n", ""):
+        for preload, bound_mib in (("import numpy\n", 35), ("", 5)):
             proc = subprocess.run([sys.executable, "-c", preload + code], capture_output=True,
                                   text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             steps, growth_kib, numpy_loaded = proc.stdout.split()
             assert int(steps) == 20001
-            assert int(growth_kib) < 35 * 1024
+            assert int(growth_kib) < bound_mib * 1024
             assert numpy_loaded == str(bool(preload))
 
 

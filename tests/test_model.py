@@ -13,7 +13,7 @@ from conftest import (
     params_with,
 )
 from dengue_control.equilibria import brdfe, metzler_matrix, trivial_equilibrium
-from dengue_control.integrator import SolverConfig, full_states, integrate
+from dengue_control.integrator import SolverConfig, integrate, _r_h
 from dengue_control.model import (
     ROW_LABELS,
     STATE_LABELS,
@@ -229,8 +229,9 @@ class TestRhs:
 
 def full_row(x):
     """x as the CSV-ordered row (S_h, E_h, I_h, R_h, A_m, S_m, E_m, I_m) that
-    trajectories report, R_h recovered from the human total."""
-    return full_states(CAPE_VERDE, np.array([x]))[0].tolist()
+    trajectories report, R_h recovered from the human total by ``_r_h``."""
+    s_h, e_h, i_h, a_m, s_m, e_m, i_m = x
+    return [s_h, e_h, i_h, _r_h(CAPE_VERDE.N_h, s_h, e_h, i_h), a_m, s_m, e_m, i_m]
 
 
 class TestReconstructRh:
