@@ -4,6 +4,10 @@ Library surface: model right-hand side and domain types, adaptive
 integration, equilibria with Newton refinement, next-generation-matrix
 reproduction number, stability classification, and the minimum-control
 threshold.  The ``dengue-control`` command wraps it all for scenario files.
+A spectrum is read where it is computed: ``r0_spectral`` and ``classify``
+each cost one analytic Jacobian and one ``np.linalg.eigvals`` and return
+one number (a spectral radius; a spectral abscissa with its label), so
+neither a spectrum nor the next-generation matrix is public.
 
 Every public name is listed once, under its module, in the table below and
 imported on first use (PEP 562), so ``import dengue_control`` loads no
@@ -29,10 +33,10 @@ _PUBLIC = {
     "integrator": ("StepStats", "Trajectory", "integrate", "integrate_fixed_rk4"),
     "model": ("ControlLevel", "ModelParams", "State7", "basic_offspring_number", "component_scales",
               "in_omega", "mosquito_viability", "r0_closed_form", "r0_factors", "rhs"),
-    "reproduction": ("NgmDecomposition", "build_ngm", "r0_spectral"),
+    "reproduction": ("r0_spectral",),
     "scenario": ("Scenario", "SolverConfig", "builtin_capeverde2009", "load_scenario",
                  "parse_scenario"),
-    "stability": ("Classification", "StabilityReport", "classify", "eigenvalues"),
+    "stability": ("Classification", "StabilityReport", "classify"),
     "threshold": ("NoControlNeeded", "ProfilePoint", "ThresholdResult",
                   "collapse_control_bound", "min_control", "r0_profile"),
 }

@@ -26,6 +26,8 @@ import os
 import sys
 import tempfile
 import warnings
+from itertools import compress, count
+from operator import indexOf
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -108,12 +110,13 @@ def _peak(values) -> tuple[int, float]:
     """Index and value of the largest of the floats ``values``, as numpy's
     argmax and max give them: the first NaN if there is one, else the first
     index of the largest value, the last of its copies giving the sign of a
-    zero (0.0 after an initial -0.0)."""
-    nan = list(map(math.isnan, values))
-    if True in nan:
-        return nan.index(True), math.nan
-    peak = max(values[::-1])
-    return values.index(peak), peak
+    zero (0.0 after an initial -0.0).  ``values`` is any sequence, a strided
+    ``memoryview`` included; each pass is a C-level iterator, so no copy of
+    it is made."""
+    for at in compress(count(), map(math.isnan, values)):
+        return at, math.nan
+    peak = max(reversed(values))
+    return indexOf(values, peak), peak
 
 
 def cmd_simulate(args) -> int:
@@ -132,7 +135,7 @@ def cmd_simulate(args) -> int:
         _write_atomic(svg_path, trajectory_svg_parts(traj, title=scenario.name))
         print(f"wrote {svg_path}")
     rows = traj.rows
-    i_h = rows[1 + ROW_LABELS.index("I_h")::_WIDTH]
+    i_h = memoryview(rows)[1 + ROW_LABELS.index("I_h")::_WIDTH]
     at, peak = _peak(i_h)
     print(f"rows: {len(i_h)}  steps: {traj.step_stats.accepted} accepted, "
           f"{traj.step_stats.rejected} rejected")

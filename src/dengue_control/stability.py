@@ -1,4 +1,4 @@
-"""Eigenvalues and local stability classification of equilibria.
+"""Local stability classification of equilibria from the Jacobian spectrum.
 
 The linearization target is the reduced 7-dimensional system (recovered
 humans eliminated); the eliminated direction contributes a known -mu_h
@@ -19,7 +19,10 @@ susceptible/vector block and an infected block whose stability flips
 exactly where the reproduction number crosses one).  ``sweep`` reads that
 stability from R0 < 1 by this theorem; ``classify`` stays its numerical check.
 
-A classification costs one ``np.linalg.eigvals`` plus its checks.
+A classification costs one analytic Jacobian and one ``np.linalg.eigvals``,
+read for two numbers (the largest real part and the largest modulus) and
+not kept: the spectrum is neither sorted nor returned.  ``r0_spectral``
+reads its next-generation spectrum through the same private ``_spectrum``.
 """
 
 from __future__ import annotations
@@ -50,32 +53,23 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    eigenvalues: tuple[complex, ...]        # sorted by descending real part
     spectral_abscissa: float
     classification: Classification
 
 
-def _descending(z: complex) -> tuple[float, float]:
-    return -z.real, -z.imag
+def _spectrum(a: np.ndarray) -> list[complex]:
+    """Eigenvalues of the small dense real matrix ``a``, in the order
+    ``np.linalg.eigvals`` gives them.
 
-
-def eigenvalues(matrix: np.ndarray) -> tuple[complex, ...]:
-    """Eigenvalues of a small dense real matrix, sorted by descending real
-    part (ties by descending imaginary part) for deterministic output.
-
-    Raises NumericalFailure if the underlying QR iteration fails to
-    converge.
+    Raises ValueError if an entry is not finite and NumericalFailure if the
+    QR iteration fails to converge.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     try:
-        vals = np.linalg.eigvals(a)
+        return np.linalg.eigvals(a).tolist()
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
-    return tuple(sorted(vals.astype(complex).tolist(), key=_descending))
 
 
 def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> StabilityReport:
@@ -93,13 +87,13 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
     try:
         if not eq.state.is_finite():
             raise ValueError("state contains non-finite components")
-        vals = eigenvalues(jacobian(p, cc, eq.state))
+        vals = _spectrum(jacobian(p, cc, eq.state))
     except ValueError as exc:
-        # the matrix is always 7x7, so only a non-finite state or entry gets here
+        # LinAlgError is mapped inside, so only a non-finite state or entry gets here
         raise NumericalFailure(
             f"cannot classify the {eq.kind.value} state: {exc} "
             "(overflow at these parameters)") from exc
-    abscissa = vals[0].real
+    abscissa = max(v.real for v in vals)
     margin = MARGIN_FACTOR * max(map(abs, vals))
     if abscissa < -margin:
         label = Classification.ASYMPTOTICALLY_STABLE
@@ -107,5 +101,4 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
         label = Classification.UNSTABLE
     else:
         label = Classification.MARGINAL
-    return StabilityReport(eigenvalues=vals, spectral_abscissa=float(abscissa),
-                           classification=label)
+    return StabilityReport(spectral_abscissa=abscissa, classification=label)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from array import array
@@ -147,10 +148,35 @@ class TestSimulate:
     @pytest.mark.parametrize("values", (
         [1.0, 3.0, 3.0, 2.0], [-0.0, 0.0, 0.0], [-0.0], [0.0] * 5, [1.0, math.nan, 5.0, math.nan]))
     def test_peak_is_numpy_max_and_argmax(self, values):
-        # repr tells NaN, -0.0 and 0.0 apart
-        at, peak = cli._peak(array("d", values))
+        # repr tells NaN, -0.0 and 0.0 apart; the summary reads a strided column
+        interleaved = array("d", [x for v in values for x in (-1.0, v, 7.0)])
         expected = np.array(values)
-        assert (at, repr(peak)) == (expected.argmax(), repr(float(expected.max())))
+        for column in (array("d", values), memoryview(interleaved)[1::3]):
+            at, peak = cli._peak(column)
+            assert (at, repr(peak)) == (expected.argmax(), repr(float(expected.max())))
+
+    def test_summary_reads_the_row_buffer_in_place(self, tmp_path, capsys, monkeypatch):
+        # as many rows as the built-in scenario at output_step 0.00010001, made
+        # up rather than integrated; the 72 MB buffer is not copied
+        n, width = 999_902, integrator._WIDTH
+        rows = array("d", [0.0]) * (n * width)
+        rows[width * 500_000] = 50.0
+        rows[width * 500_000 + 1 + cli.ROW_LABELS.index("I_h")] = 434.0
+        traj = Trajectory(rows, StepStats(1, 0, 7, 0.0001, 0.0001))
+        monkeypatch.setattr(integrator, "integrate", lambda *args: traj)
+        monkeypatch.setattr(cli, "_write_atomic", lambda path, parts: None)
+        argv = ("simulate", "--builtin", "capeverde2009", "--out", str(tmp_path))
+        run_cli(capsys, *argv)  # loads the modules the command imports on first use
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "rows: 999902  steps: 1 accepted, 0 rejected\n" in out
+        assert "peak infected humans: 434.0 at t = 50.0\n" in out
+        assert peak < 2 ** 20
 
     def test_csv_round_trip_byte_identical(self, tmp_path, capsys):
         run_cli(capsys, "simulate", "--builtin", "capeverde2009", "--out", str(tmp_path))
@@ -916,7 +942,7 @@ class TestProcessInvocation:
 
 class TestPublicNames:
     def test_each_name_resolves_to_its_defining_module(self):
-        assert len(dengue_control.__all__) == len(set(dengue_control.__all__)) == 46
+        assert len(dengue_control.__all__) == len(set(dengue_control.__all__)) == 43
         for name in dengue_control.__all__:
             obj = getattr(dengue_control, name)
             assert getattr(sys.modules[obj.__module__], name) is obj

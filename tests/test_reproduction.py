@@ -5,25 +5,40 @@ from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.equilibria import brdfe, jacobian, metzler_matrix
 from dengue_control.errors import MosquitoCollapseError, NumericalFailure
 from dengue_control.model import mosquito_viability, r0_closed_form, r0_factors
-from dengue_control.reproduction import build_ngm, r0_spectral
+from dengue_control.reproduction import r0_spectral
+
+_INFECTED = np.ix_((1, 2, 5, 6), (1, 2, 5, 6))
 
 
-class TestBuildNgm:
+def _f_and_v(p, c):
+    """F and V of the infected subsystem (E_h, I_h, E_m, I_m) at the
+    disease-free state, as the product-rule parts of J = M + (dM/dX)X:
+    F is the added term J - M and V is -M."""
+    dfe = brdfe(p, c).state
+    m_of_x = metzler_matrix(p, c, dfe)
+    return (jacobian(p, c, dfe) - m_of_x)[_INFECTED], -m_of_x[_INFECTED]
+
+
+def _ngm(p, c):
+    j_f, j_v = _f_and_v(p, c)
+    return j_f @ np.linalg.inv(j_v)
+
+
+class TestNextGenerationMatrix:
     def test_human_infection_entry(self):
-        ngm = build_ngm(CAPE_VERDE, 0.0)
+        j_f, _ = _f_and_v(CAPE_VERDE, 0.0)
         # B*beta_mh*S_h/N_h with S_h = N_h
-        assert ngm.j_f[0, 3] == pytest.approx(0.375, rel=1e-12)
+        assert j_f[0, 3] == pytest.approx(0.375, rel=1e-12)
 
     def test_infection_jacobian_has_two_entries(self):
-        ngm = build_ngm(CAPE_VERDE, 0.0)
-        nz = np.argwhere(ngm.j_f != 0.0)
+        j_f, _ = _f_and_v(CAPE_VERDE, 0.0)
+        nz = np.argwhere(j_f != 0.0)
         assert {tuple(ij) for ij in nz} == {(0, 3), (2, 1)}
 
     def test_transition_diagonal(self):
         # F and V typed out here, independently of the model's Jacobian
         p = CAPE_VERDE
         for c in (0.0, 0.07, 0.2):
-            ngm = build_ngm(p, c)
             s_m = p.K * mosquito_viability(p, c) / (p.mu_b * p.mu_m)
             j_f = np.zeros((4, 4))
             j_f[0, 3] = p.B * p.beta_mh * p.N_h / p.N_h
@@ -32,39 +47,46 @@ class TestBuildNgm:
                             (-p.nu_h, p.eta_h + p.mu_h, 0.0, 0.0),
                             (0.0, 0.0, p.mu_m + p.eta_m + c, 0.0),
                             (0.0, 0.0, -p.eta_m, p.mu_m + c)))
-            assert np.array_equal(ngm.j_f, j_f)
-            assert np.array_equal(ngm.j_v, j_v)
+            assert all(map(np.array_equal, _f_and_v(p, c), (j_f, j_v)))
 
-    def test_f_and_v_are_the_product_rule_parts(self):
-        # J = M + (dM/dX)X: on the infected block at the disease-free point
-        # V is -M and F is the added term J - M
-        infected = np.ix_((1, 2, 5, 6), (1, 2, 5, 6))
+    def test_f_is_the_two_new_infection_entries_of_the_jacobian_block(self):
+        # the split r0_spectral makes: F keeps two entries of the infected
+        # block of J, and V = F - block
         for c in (0.0, 0.07, 0.2):
-            dfe = brdfe(CAPE_VERDE, c).state
-            m_of_x = metzler_matrix(CAPE_VERDE, c, dfe)
-            ngm = build_ngm(CAPE_VERDE, c)
-            assert np.array_equal(ngm.j_v, -m_of_x[infected])
-            assert np.array_equal(ngm.j_f, (jacobian(CAPE_VERDE, c, dfe) - m_of_x)[infected])
+            j_f, j_v = _f_and_v(CAPE_VERDE, c)
+            block = jacobian(CAPE_VERDE, c, brdfe(CAPE_VERDE, c).state)[_INFECTED]
+            kept = np.zeros((4, 4))
+            kept[0, 3], kept[2, 1] = block[0, 3], block[2, 1]
+            assert np.array_equal(j_f, kept)
+            assert np.array_equal(j_v, kept - block)
 
     def test_transition_lower_triangular_positive_diagonal(self):
-        ngm = build_ngm(CAPE_VERDE, 0.1)
-        assert np.array_equal(np.triu(ngm.j_v, k=1), np.zeros((4, 4)))
-        assert np.all(np.diag(ngm.j_v) > 0.0)
+        _, j_v = _f_and_v(CAPE_VERDE, 0.1)
+        assert np.array_equal(np.triu(j_v, k=1), np.zeros((4, 4)))
+        assert np.all(np.diag(j_v) > 0.0)
 
     def test_no_transmission_gives_zero_matrix(self):
-        ngm = build_ngm(params_with(beta_mh=0.0, beta_hm=0.0), 0.0)
-        assert np.array_equal(ngm.ngm, np.zeros((4, 4)))
+        p = params_with(beta_mh=0.0, beta_hm=0.0)
+        assert np.array_equal(_ngm(p, 0.0), np.zeros((4, 4)))
+        assert r0_spectral(p, 0.0) == 0.0
 
     def test_entries_nonnegative_over_draws(self):
         rng = np.random.default_rng(53)
         for _ in range(200):
             p = draw_params(rng)
-            ngm = build_ngm(p, rng.uniform(0.0, 0.3))
-            assert np.all(ngm.ngm >= 0.0)
+            assert np.all(_ngm(p, rng.uniform(0.0, 0.3)) >= 0.0)
+
+    def test_spectral_r0_is_radius_of_test_built_ngm(self):
+        rng = np.random.default_rng(97)
+        for _ in range(200):
+            p = draw_params(rng)
+            c = float(rng.uniform(0.0, 0.3))
+            radius = max(abs(v) for v in np.linalg.eigvals(_ngm(p, c)).tolist())
+            assert repr(r0_spectral(p, c)) == repr(radius)
 
     def test_collapse_rejected(self):
         with pytest.raises(MosquitoCollapseError):
-            build_ngm(params_with(mu_b=0.1), 0.0)
+            r0_spectral(params_with(mu_b=0.1), 0.0)
 
 
 class TestR0Routes:
@@ -98,6 +120,12 @@ class TestR0Routes:
     def test_collapse_rejected(self):
         with pytest.raises(MosquitoCollapseError):
             r0_closed_form(params_with(mu_b=0.1), 0.0)
+
+    @pytest.mark.parametrize("c", (-0.1, float("nan")))
+    def test_invalid_control_is_refused_not_reported_as_overflow(self, c):
+        for route in (r0_spectral, r0_closed_form):
+            with pytest.raises(ValueError, match="^c must be"):
+                route(CAPE_VERDE, c)
 
     @pytest.mark.parametrize("overrides, value", [
         ({"eta_m": 1e300, "mu_b": 1.7e308}, "nan"),

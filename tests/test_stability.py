@@ -1,10 +1,9 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from conftest import CAPE_VERDE, draw_omega_state, draw_params, params_with
 from dengue_control.equilibria import brdfe, jacobian, refined_endemic, trivial_equilibrium
@@ -13,8 +12,9 @@ from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
     ControlLevel, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
 from dengue_control.report import build_report
+from dengue_control.reproduction import r0_spectral
 from dengue_control.scenario import builtin_capeverde2009
-from dengue_control.stability import Classification, classify, eigenvalues
+from dengue_control.stability import MARGIN_FACTOR, Classification, classify
 
 
 def _fd_jacobian(p, c, x):
@@ -108,7 +108,7 @@ class TestJacobian:
 
     def test_human_block_decouples_at_trivial_equilibrium(self):
         eq = trivial_equilibrium(CAPE_VERDE)
-        vals = eigenvalues(jacobian(CAPE_VERDE, 0.0, eq.state))
+        vals = np.linalg.eigvals(jacobian(CAPE_VERDE, 0.0, eq.state))
         assert min(abs(v - (-CAPE_VERDE.mu_h)) for v in vals) < 1e-12
 
     def test_incubation_passthrough_entry_constant(self):
@@ -125,104 +125,67 @@ class TestJacobian:
         assert jac[3, 4] == pytest.approx(expected, rel=1e-14)
 
 
-class TestEigenvalues:
-    def test_diagonal_matrix(self):
-        assert eigenvalues(np.diag([1.0, 2.0, 3.0])) == (3.0, 2.0, 1.0)
-
-    def test_rotation_gives_imaginary_pair(self):
-        vals = eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert vals[0] == pytest.approx(1j)
-        assert vals[1] == pytest.approx(-1j)
-
-    def test_sorted_by_descending_real_part(self):
-        rng = np.random.default_rng(73)
-        for _ in range(50):
-            vals = eigenvalues(rng.normal(size=(7, 7)))
-            reals = [v.real for v in vals]
-            assert reals == sorted(reals, reverse=True)
-
-    def test_trace_and_determinant(self):
-        rng = np.random.default_rng(79)
-        for _ in range(100):
-            a = rng.normal(size=(7, 7))
-            vals = np.array(eigenvalues(a))
-            assert np.sum(vals).real == pytest.approx(np.trace(a), rel=1e-8, abs=1e-8)
-            assert abs(np.prod(vals)) == pytest.approx(abs(np.linalg.det(a)), rel=1e-6)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            eigenvalues(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="finite"):
-            eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_failed_iteration_is_numerical_failure(self, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
-        with pytest.raises(NumericalFailure, match="eigenvalue iteration failed"):
-            eigenvalues(np.eye(3))
-
-
-def reference_eigenvalues(matrix):
-    """The former body of ``eigenvalues``, the oracle of its sort: each value
-    made complex one by one and sorted by a per-call key."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
-    ordered = sorted((complex(v) for v in vals), key=lambda z: (-z.real, -z.imag))
-    return tuple(ordered)
-
-
-def _block_diagonal(blocks):
-    out = np.zeros((sum(len(b) for b in blocks),) * 2)
-    i = 0
-    for b in blocks:
-        out[i:i + len(b), i:i + len(b)] = b
-        i += len(b)
-    return out
-
-
-_entry = st.floats(-10.0, 10.0)
-_small = st.sampled_from((-2.0, -1.0, -0.0, 0.0, 0.5, 1.0))   # repeats give ties
-# general 7x7 matrices carry both real values and complex pairs
-_dense = hnp.arrays(float, (7, 7), elements=_entry)
-# upper triangular with a tie-prone diagonal: a real spectrum with repeats
-_triangular = st.tuples(st.lists(_small, min_size=7, max_size=7),
-                        hnp.arrays(float, (7, 7), elements=_entry)).map(
-    lambda t: np.triu(t[1], 1) + np.diag(t[0]))
-# rotation-scaling blocks [[a, -b], [b, a]]: complex pairs a +- bi, whose real
-# parts tie within each pair and, drawn from few values, across pairs
-_pairs = st.lists(st.tuples(_small, st.one_of(_small, _entry)), min_size=1, max_size=3).map(
-    lambda ab: _block_diagonal([np.array([[a, -b], [b, a]]) for a, b in ab] + [np.eye(1)]))
-
-
-class TestEigenvaluesOracle:
-    @settings(max_examples=300, deadline=None)
-    @given(matrix=st.one_of(_dense, _triangular, _pairs))
-    def test_equals_reference_on_drawn_matrices(self, matrix):
-        assert (list(map(repr, eigenvalues(matrix)))
-                == list(map(repr, reference_eigenvalues(matrix))))
-
+class TestSpectrumOracle:
     @pytest.mark.parametrize("seed", range(12))
-    def test_equals_reference_on_model_jacobians(self, seed):
+    def test_classify_reads_the_jacobian_spectrum(self, seed):
+        # abscissa and label recomputed from numpy's eigenvalues of the Jacobian
         rng = np.random.default_rng(1000 + seed)
         p = draw_params(rng)
         for c in (0.0, 0.05, 0.12, 0.2, float(rng.uniform(0.0, 0.3))):
-            points = [trivial_equilibrium(p).state, brdfe(p, c).state]
+            points = [trivial_equilibrium(p), brdfe(p, c)]
             try:
-                points.append(refined_endemic(p, c).state)
+                points.append(refined_endemic(p, c))
             except NoEndemicEquilibrium:
                 pass
-            for x in points:
-                jac = jacobian(p, c, x)
-                assert (list(map(repr, eigenvalues(jac)))
-                        == list(map(repr, reference_eigenvalues(jac))))
+            for eq in points:
+                vals = np.linalg.eigvals(jacobian(p, c, eq.state))
+                abscissa = float(vals.real.max())
+                margin = MARGIN_FACTOR * float(np.abs(vals).max())
+                if abscissa < -margin:
+                    label = Classification.ASYMPTOTICALLY_STABLE
+                elif abscissa > margin:
+                    label = Classification.UNSTABLE
+                else:
+                    label = Classification.MARGINAL
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the brdfe state is inexact for c > 0
+                    report = classify(p, c, eq)
+                assert repr(report.spectral_abscissa) == repr(abscissa)
+                assert report.classification is label
+
+    @pytest.mark.parametrize("route", ("classify", "r0_spectral"))
+    def test_failed_iteration_is_numerical_failure(self, route, monkeypatch):
+        eq = brdfe(CAPE_VERDE, 0.0)
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericalFailure,
+                           match="^eigenvalue iteration failed: Eigenvalues did not converge$"):
+            if route == "classify":
+                classify(CAPE_VERDE, 0.0, eq)
+            else:
+                r0_spectral(CAPE_VERDE, 0.0)
+
+    @pytest.mark.parametrize("overrides, route, message", [
+        ({"nu_h": 1e308, "mu_h": 1e308}, "classify",
+         "cannot classify the trivial state: matrix contains non-finite entries"),
+        ({"mu_m": 1e308, "eta_A": 1.7e308, "mu_b": 1.7e308}, "r0_spectral",
+         "cannot compute the spectral R0 at the brdfe state: "
+         "next-generation matrix contains non-finite entries"),
+        ({"eta_h": 1e-320, "mu_h": 1e-320}, "r0_spectral",
+         "cannot compute the spectral R0 at the brdfe state: "
+         "next-generation matrix contains non-finite entries"),
+    ], ids=("classify-overflow", "r0_spectral-overflow", "r0_spectral-subnormal"))
+    def test_non_finite_matrix_is_numerical_failure(self, overrides, route, message):
+        # a finite state whose spectrum input overflows is refused, not solved
+        p = params_with(**overrides)
+        with pytest.raises(NumericalFailure,
+                           match=f"^{re.escape(message)} \\(overflow at these parameters\\)$"):
+            if route == "classify":
+                classify(p, 0.0, trivial_equilibrium(p))
+            else:
+                r0_spectral(p, 0.0)
 
 
 class TestClassify:
@@ -271,9 +234,11 @@ class TestClassify:
             assert classify(p, 0.0, eq).classification is Classification.UNSTABLE
 
     def test_report_fields_consistent(self):
-        report = classify(CAPE_VERDE, 0.0, brdfe(CAPE_VERDE, 0.0))
-        assert report.spectral_abscissa == max(v.real for v in report.eigenvalues)
-        assert len(report.eigenvalues) == 7
+        eq = brdfe(CAPE_VERDE, 0.0)
+        report = classify(CAPE_VERDE, 0.0, eq)
+        vals = np.linalg.eigvals(jacobian(CAPE_VERDE, 0.0, eq.state))
+        assert report.spectral_abscissa == max(vals.real) > 0.0
+        assert dataclasses.asdict(report).keys() == {"spectral_abscissa", "classification"}
 
 
 class TestSimulationConcordance:
