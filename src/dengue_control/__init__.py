@@ -1,18 +1,19 @@
 """Host-vector dengue transmission model with constant adulticide control.
 
 Library surface: model right-hand side and domain types, adaptive
-integration, equilibria with Newton refinement, next-generation-matrix
-reproduction number, stability classification, and the minimum-control
-threshold.  The ``dengue-control`` command wraps it all for scenario files.
-A spectrum is read where it is computed: ``r0_spectral`` and ``classify``
-each cost one analytic Jacobian and one ``np.linalg.eigvals`` and return
-one number (a spectral radius; a spectral abscissa with its label), so
-neither a spectrum nor the next-generation matrix is public.
+integration, equilibria with Newton refinement, and the minimum-control
+threshold, with ``stability`` reading the model's linearization twice:
+the next-generation-matrix reproduction number and the stability
+classification.  The ``dengue-control`` command wraps it all for scenario
+files.  A spectrum is read where it is computed: ``r0_spectral`` and
+``classify`` each cost one analytic Jacobian and one ``np.linalg.eigvals``
+and return one number (a spectral radius; a spectral abscissa with its
+label), so neither a spectrum nor the next-generation matrix is public.
 
 Every public name is listed once, under its module, in the table below and
 imported on first use (PEP 562), so ``import dengue_control`` loads no
-submodule.  numpy is needed only by the array modules (``equilibria``,
-``reproduction``, ``stability``) and by the array views of a trajectory
+submodule.  numpy is needed only by the analysis modules (``equilibria``,
+``stability``) and by the array views of a trajectory
 (``Trajectory.times``, ``as_array()``); ``model``, ``scenario``,
 ``threshold`` and ``integrate_fixed_rk4`` run on Python floats, and
 ``integrator`` and ``svgplot`` use numpy only once it is loaded, so the
@@ -33,10 +34,9 @@ _PUBLIC = {
     "integrator": ("StepStats", "Trajectory", "integrate", "integrate_fixed_rk4"),
     "model": ("ControlLevel", "ModelParams", "State7", "basic_offspring_number", "component_scales",
               "in_omega", "mosquito_viability", "r0_closed_form", "r0_factors", "rhs"),
-    "reproduction": ("r0_spectral",),
     "scenario": ("Scenario", "SolverConfig", "builtin_capeverde2009", "load_scenario",
                  "parse_scenario"),
-    "stability": ("Classification", "StabilityReport", "classify"),
+    "stability": ("Classification", "StabilityReport", "classify", "r0_spectral"),
     "threshold": ("NoControlNeeded", "ProfilePoint", "ThresholdResult",
                   "collapse_control_bound", "min_control", "r0_profile"),
 }

@@ -23,10 +23,11 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 import tempfile
 import warnings
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import indexOf
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -37,9 +38,9 @@ from .errors import (
     NumericalFailure,
     ScenarioError,
 )
-from .model import ROW_LABELS
-from .scenario import (MAX_GRID_POINTS, Scenario, _build_scenario, _values, get_builtin,
-                       load_scenario)
+from .model import ROW_LABELS, ModelParams
+from .scenario import (_DENSE_CHUNK, MAX_GRID_POINTS, Scenario, _build_scenario, _values,
+                       get_builtin, load_scenario)
 
 if TYPE_CHECKING:
     from .integrator import Trajectory
@@ -172,7 +173,8 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _sweep_grid(c_min: float, c_max: float, c_step: float) -> list[float]:
+def _sweep_grid(c_min: float, c_max: float, c_step: float) -> Iterator[float]:
+    """The sweep's control levels, checked at the call and produced lazily."""
     # the end slack admits a level that rounding puts just past c_max; at most
     # half a step of it, so no two levels are clamped to c_max
     stop = c_max + min(1e-12 * max(1.0, abs(c_max)), 0.5 * c_step)
@@ -187,27 +189,35 @@ def _sweep_grid(c_min: float, c_max: float, c_step: float) -> list[float]:
                             f"spacing of doubles at c-max ({math.ulp(c_max)!r})")
     grid = (c_min + c_step * i for i in range(math.floor((stop - c_min) / c_step) + 2))
     # min(c, c_max) per level: c itself on a tie, so c_max = -0.0 still gives 0.0
-    return [c_max if c > c_max else c for c in grid if c <= stop]
+    return (c_max if c > c_max else c for c in grid if c <= stop)
 
 
-def cmd_sweep(args) -> int:
-    scenario = _load(args)
+def _sweep_chunks(p: ModelParams, grid: Iterator[float]) -> Iterator[str]:
+    """The sweep table in parts: the header line, then the rows of each
+    ``_DENSE_CHUNK`` levels of ``grid``, each part ending in a line break."""
     from .threshold import r0_profile
 
     # At a disease-free point the Jacobian is block triangular: -mu_h and the
     # (A_m, S_m) block are always stable, and the infected block's abscissa
     # has the sign of R0 - 1, so the point is asymptotically stable exactly
     # when R0 < 1 (van den Driessche & Watmough 2002, Thm 2)
-    lines = ["c,R0,brdfe_stable,collapsed"]
-    for pt in r0_profile(scenario.params,
-                         _sweep_grid(args.c_min, args.c_max, args.c_step)):
-        lines.append(f"{pt.c!r},,,true" if pt.collapsed
-                     else f"{pt.c!r},{pt.r0!r},{str(pt.r0 < 1.0).lower()},false")
-    text = "\n".join(lines) + "\n"
+    yield "c,R0,brdfe_stable,collapsed\n"
+    while points := r0_profile(p, islice(grid, _DENSE_CHUNK)):
+        yield "".join(f"{pt.c!r},,,true\n" if pt.collapsed
+                      else f"{pt.c!r},{pt.r0!r},{str(pt.r0 < 1.0).lower()},false\n"
+                      for pt in points)
+
+
+def cmd_sweep(args) -> int:
+    scenario = _load(args)
+    grid = _sweep_grid(args.c_min, args.c_max, args.c_step)
     out_path = Path(args.out) / "sweep.csv"
-    _write_atomic(out_path, [text])
+    _write_atomic(out_path, _sweep_chunks(scenario.params, grid))
     print(f"wrote {out_path}")
-    sys.stdout.write(text)
+    # stdout gets the table from the renamed file, a buffer at a time, so no
+    # copy of the whole table is held
+    with open(out_path, encoding="utf-8", newline="") as fh:
+        shutil.copyfileobj(fh, sys.stdout)
     return EXIT_OK
 
 

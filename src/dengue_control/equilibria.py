@@ -11,7 +11,7 @@ Three equilibria matter:
 
 Both nontrivial equilibria have closed forms.  The disease-free point has
 one home, ``model._paper_dfe``, which ``brdfe`` here and the
-next-generation matrix in ``reproduction`` both read.  It uses the
+next-generation matrix of ``stability.r0_spectral`` both read.  It uses the
 zero-control adult balance (eta_A*A*/mu_m), so for c > 0 it is not an
 exact fixed point of the controlled flow; it is nevertheless the declared
 evaluation point of the reproduction-number machinery.  The endemic closed
@@ -190,10 +190,11 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
 
     each other component follows from one balance of the right-hand side.
     Exact for every control level; ``refine`` on this output is the
-    cross-check.  Raises NumericalFailure when mu_h*nu_h underflows or the
-    formula overflows to a non-finite state (bite rates near the float
-    range).  See the module docstring for the positivity window of the
-    result under control.
+    cross-check.  Raises NumericalFailure when mu_h*nu_h underflows, when
+    the denominator of I_h or of S_m reaches 0, or when the formula
+    overflows to a non-finite state (bite rates near the float range).  See
+    the module docstring for the positivity window of the result under
+    control.
     """
     cc = _rate(c)
     viability = mosquito_viability(p, cc)
@@ -213,10 +214,17 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
         raise NumericalFailure("endemic closed form undefined: mu_h*nu_h underflows to 0")
     # the S_h, E_h and I_h balances give N_h - S_h = L*I_h
     L = (p.mu_h + p.nu_h) * (p.mu_h + p.eta_h) / (p.mu_h * p.nu_h)
-    i_h = p.N_h * (rho - 1.0) / (rho * L + p.B * p.beta_hm / removal)
+    if (den := rho * L + p.B * p.beta_hm / removal) == 0.0:
+        raise NumericalFailure(
+            "endemic closed form undefined: rho*L + B*beta_hm/(mu_m + c) underflows to 0")
+    i_h = p.N_h * (rho - 1.0) / den
     a_m = _paper_dfe(p, cc).A_m
     foi_m = p.B * p.beta_hm * i_h / p.N_h
-    s_m = p.eta_A * a_m / (foi_m + removal)
+    # I_h < 0 where rho < 1 < R0, and there the adult outflow can cancel
+    if (outflow := foi_m + removal) == 0.0:
+        raise NumericalFailure(
+            "endemic closed form undefined: B*beta_hm*I_h/N_h + mu_m + c cancels to 0")
+    s_m = p.eta_A * a_m / outflow
     e_m = foi_m * s_m / (p.mu_m + p.eta_m + cc)
     state = State7(p.N_h - L * i_h, (p.mu_h + p.eta_h) / p.nu_h * i_h, i_h,
                    a_m, s_m, e_m, p.eta_m * e_m / removal)

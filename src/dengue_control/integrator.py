@@ -65,7 +65,7 @@ from .model import (
     _rate,
     _rhs_of,
 )
-from .scenario import MAX_GRID_POINTS, SolverConfig
+from .scenario import _DENSE_CHUNK, MAX_GRID_POINTS, SolverConfig
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,10 +104,6 @@ _MAX_FACTOR = 5.0
 # make a clamped last step repeat until MAX_STEPS.  At h_max = 1 day every
 # window within 2^23 days is accepted.
 _TIME_RESOLUTION = 1e-9
-# Rows per chunk in the vectorized dense-output pass and in the text
-# renderers: bounds their temporaries, so that memory at the grid cap stays
-# that of the row buffer and the output text.
-_DENSE_CHUNK = 4096
 # Doubles per report row, t and then the ROW_LABELS columns; the row format.
 _WIDTH = 1 + len(ROW_LABELS)
 _ROW = Struct(f"{_WIDTH}d")

@@ -260,7 +260,7 @@ def basic_offspring_number(p: ModelParams, c: ControlLevel | float = 0.0) -> flo
 
 def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     """Closed-form basic reproduction number at the paper's disease-free
-    point (the formula and its spectral cross-check are in ``reproduction``);
+    point (the formula and its spectral cross-check are in ``stability``);
     raises MosquitoCollapseError when the viability margin is <= 0, and
     NumericalFailure when the denominator's product of rates underflows or
     a product of rates overflows so that R0 is not finite."""

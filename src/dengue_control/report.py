@@ -17,9 +17,8 @@ from .equilibria import Equilibrium, brdfe, refined_endemic, trivial_equilibrium
 from .errors import NoEndemicEquilibrium, NumericalFailure
 from .model import (STATE_LABELS, basic_offspring_number, in_omega, mosquito_viability,
                     r0_closed_form, r0_factors)
-from .reproduction import r0_spectral
 from .scenario import Scenario
-from .stability import classify
+from .stability import classify, r0_spectral
 from .threshold import NoControlNeeded, min_control
 
 

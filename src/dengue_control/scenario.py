@@ -65,6 +65,10 @@ KNOWN_KEYS = frozenset(_PARAM_KEYS + ("c",) + _STATE_KEYS + ("R_h0",) + _SOLVER_
 MAX_SCENARIO_BYTES = 2**20
 #: Most points a reported grid (output times, sweep controls) may hold.
 MAX_GRID_POINTS = 10**6
+# Grid points per chunk in the vectorized dense-output pass and in the text
+# renderers: bounds their temporaries, so that memory at the grid cap stays
+# that of the row buffer and the output text.
+_DENSE_CHUNK = 4096
 
 
 @dataclass(frozen=True)

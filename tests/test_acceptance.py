@@ -23,7 +23,7 @@ from dengue_control.model import (
     r0_closed_form,
     r0_factors,
 )
-from dengue_control.reproduction import r0_spectral
+from dengue_control.stability import r0_spectral
 from dengue_control.stability import Classification, classify
 from dengue_control.threshold import min_control
 

@@ -22,7 +22,7 @@ from conftest import ADVERSARIAL_DOUBLES, run_without_numpy
 
 import dengue_control
 from dengue_control import cli, integrator, svgplot
-from dengue_control.errors import MosquitoCollapseError, ScenarioError
+from dengue_control.errors import MosquitoCollapseError, NumericalFailure, ScenarioError
 from dengue_control.integrator import _DENSE_CHUNK, StepStats, Trajectory, integrate
 from dengue_control.scenario import builtin_capeverde2009, render_scenario
 from dengue_control.svgplot import render_trajectory_svg
@@ -408,7 +408,7 @@ class TestSweep:
         c_max = c_min + width
         c_step = ulps * math.ulp(c_max)
         try:
-            grid = cli._sweep_grid(c_min, c_max, c_step)
+            grid = list(cli._sweep_grid(c_min, c_max, c_step))
         except ScenarioError:
             return
         assert grid and all(a < b for a, b in zip(grid, grid[1:]))
@@ -426,8 +426,9 @@ class TestSweep:
 
     def test_step_of_four_ulps_of_c_max_accepted(self):
         step = 4.0 * math.ulp(1.0)
-        assert cli._sweep_grid(1.0, 1.0, step) == [1.0]
-        assert cli._sweep_grid(1.0, 1.0 + 2 * step, step) == [1.0, 1.0 + step, 1.0 + 2 * step]
+        assert list(cli._sweep_grid(1.0, 1.0, step)) == [1.0]
+        assert (list(cli._sweep_grid(1.0, 1.0 + 2 * step, step))
+                == [1.0, 1.0 + step, 1.0 + 2 * step])
 
     def test_grid_rows_and_monotonicity(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--builtin", "capeverde2009",
@@ -497,6 +498,71 @@ class TestSweep:
                                "--out", str(tmp_path / "out"))
         assert (code, err) == (0, "")
         assert row in (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+
+    def test_table_is_written_in_chunks(self, tmp_path, capsys, monkeypatch):
+        # 101 levels past the collapse bound; in 7-level chunks they reach the
+        # file as 15 parts after the header, with the same bytes as in one
+        argv = ("sweep", "--builtin", "capeverde2009", "--c-max", "1.5", "--c-step", "0.015")
+        code, whole, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "whole"))
+        assert code == 0
+        monkeypatch.setattr(cli, "_DENSE_CHUNK", 7)
+        written = []
+        write = cli._write_atomic
+
+        def recording_write(path, parts):
+            parts = list(parts)
+            written.append(len(parts))
+            write(path, parts)
+
+        monkeypatch.setattr(cli, "_write_atomic", recording_write)
+        out_path = tmp_path / "chunked" / "sweep.csv"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_path.parent))
+        text = out_path.read_text()
+        assert code == 0 and written == [1 + 15]
+        assert text == (tmp_path / "whole" / "sweep.csv").read_text()
+        assert out == f"wrote {out_path}\n" + text
+        assert whole == f"wrote {tmp_path / 'whole' / 'sweep.csv'}\n" + text
+        assert text.count("\n") == 102 and text.endswith(",,,true\n")
+
+    def test_failure_mid_grid_leaves_no_table(self, tmp_path, capsys, monkeypatch):
+        # the third 7-level chunk fails after two were written to the temporary
+        # file: no sweep.csv and nothing on stdout, only the created directory
+        from dengue_control import threshold
+
+        r0_closed_form = threshold.r0_closed_form
+
+        def r0_refused_past_0_2(p, c):
+            if c > 0.2:
+                raise NumericalFailure("R0 refused")
+            return r0_closed_form(p, c)
+
+        monkeypatch.setattr(cli, "_DENSE_CHUNK", 7)
+        monkeypatch.setattr(threshold, "r0_closed_form", r0_refused_past_0_2)
+        code, out, err = run_cli(capsys, "sweep", "--builtin", "capeverde2009",
+                                 "--c-step", "0.015", "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (3, "", "error: R0 refused at c = 0.21\n")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_memory_stays_flat_over_ten_to_the_five_levels(self, tmp_path):
+        # 100,001 levels make a 3.9 MB table; the grid, the points, the lines
+        # and the text were each held whole (27 MB of growth), now one chunk is.
+        # Peak RSS (KiB on Linux) is measured in a grandchild: a process starts
+        # with its parent's peak, and the test runner's is above a sweep's
+        child = textwrap.dedent("""
+            import contextlib, os, resource, sys
+            from dengue_control import cli
+            argv = ["sweep", "--builtin", "capeverde2009", "--out", sys.argv[1]]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert cli.main(argv) == 0
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                assert cli.main([*argv, "--c-max", "1.5", "--c-step", "1.5e-5"]) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """)
+        launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]])"
+        proc = subprocess.run([sys.executable, "-c", launch, "-c", child, str(tmp_path)],
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert (tmp_path / "sweep.csv").stat().st_size > 3_800_000
+        assert int(proc.stdout) < 8 * 1024
 
     @pytest.mark.parametrize("grid", (
         ("--c-max", "inf"), ("--c-min", "nan"), ("--c-step", "nan"), ("--c-step", "1e-300"),
@@ -762,6 +828,10 @@ class TestExitCodes:
         ("analyze", {"mu_b": "5e-324"}, 0, "basic offspring ratio = n/a"),
         ("analyze", {"mu_h": "1e-200", "nu_h": "1e-200"}, 0,
          "endemic: endemic closed form undefined: mu_h*nu_h underflows"),
+        # rho < 1 < R0, and the endemic closed form's S_m denominator
+        # B*beta_hm*I_h/N_h + mu_m + c cancels to 0: a ZeroDivisionError once
+        ("analyze", {"mu_m": "1e-155", "eta_m": "1e-117", "c": "0.05"}, 3,
+         "basic reproduction number undefined"),
     ])
     def test_underflowing_rate_product(self, command, values, code, expected, tmp_path,
                                        capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dengue_control.model import (
     r0_closed_form,
     _rhs_of,
 )
-from dengue_control.reproduction import r0_spectral
+from dengue_control.stability import r0_spectral
 from dengue_control.threshold import min_control
 
 
@@ -116,6 +117,44 @@ class TestEndemicClosedForm:
         # R0**2 overflows, R0 does not
         with pytest.raises(NumericalFailure, match="not finite"):
             endemic_closed_form(params_with(B=1e160), 0.0)
+
+    @pytest.mark.parametrize("c, overrides, message", [
+        # rho < 1 < R0, so I_h < 0, and B*beta_hm*I_h/N_h rounds to -(mu_m + c)
+        (0.05, {"mu_m": 1e-155, "eta_m": 1e-117},
+         "B*beta_hm*I_h/N_h + mu_m + c cancels to 0"),
+        # under a control far above mu_m both terms of the sum underflow
+        (5.1335707262570364e+23,
+         {"mu_m": 1.5e-323, "mu_b": 2.8431427459866402e+290, "eta_A": 169477269024.86108,
+          "B": 3.796938811717206e-120, "beta_hm": 1.7581591354438667e-199,
+          "K": 2.2927603694941114e+206, "N_h": 8.474825526553334e-52,
+          "eta_m": 7.541409674859549e-90},
+         "rho*L + B*beta_hm/(mu_m + c) underflows to 0"),
+    ], ids=("adult-outflow", "infected-human-denominator"))
+    def test_vanishing_denominator_is_numerical_failure(self, c, overrides, message):
+        with pytest.raises(NumericalFailure,
+                           match=f"^endemic closed form undefined: {re.escape(message)}$"):
+            endemic_closed_form(params_with(**overrides), c)
+
+    def test_extreme_rates_end_in_documented_errors(self):
+        # 1-4 rates set to 10^(-320...308), the control a usual level or as
+        # extreme; about 0.3% of such draws reach a vanishing denominator
+        rng = np.random.default_rng(37)
+        names = ("N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m", "mu_b", "mu_A",
+                 "eta_A", "eta_m", "nu_h", "K")
+        vanishing = ("B*beta_hm*I_h/N_h + mu_m + c cancels to 0",
+                     "rho*L + B*beta_hm/(mu_m + c) underflows to 0")
+        vanished = 0
+        for _ in range(10000):
+            overrides = {name: float(10.0 ** rng.uniform(-320.0, 0.0 if "beta" in name else 308.0))
+                         for name in rng.choice(names, size=rng.integers(1, 5), replace=False)}
+            c = float(rng.choice([0.0, 0.05, 0.12, 0.2, 10.0 ** rng.uniform(-320.0, 308.0)]))
+            try:
+                endemic_closed_form(params_with(**overrides), c)
+            except NoEndemicEquilibrium:
+                pass
+            except NumericalFailure as exc:
+                vanished += str(exc).endswith(vanishing)
+        assert vanished > 0
 
     def test_error_when_r0_below_one(self):
         with pytest.raises(NoEndemicEquilibrium, match="reproduction"):

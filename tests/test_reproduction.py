@@ -5,7 +5,7 @@ from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.equilibria import brdfe, jacobian, metzler_matrix
 from dengue_control.errors import MosquitoCollapseError, NumericalFailure
 from dengue_control.model import mosquito_viability, r0_closed_form, r0_factors
-from dengue_control.reproduction import r0_spectral
+from dengue_control.stability import r0_spectral
 
 _INFECTED = np.ix_((1, 2, 5, 6), (1, 2, 5, 6))
 

@@ -12,7 +12,7 @@ from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
     ControlLevel, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
 from dengue_control.report import build_report
-from dengue_control.reproduction import r0_spectral
+from dengue_control.stability import r0_spectral
 from dengue_control.scenario import builtin_capeverde2009
 from dengue_control.stability import MARGIN_FACTOR, Classification, classify
 

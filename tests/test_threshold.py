@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.errors import MosquitoCollapseError, NumericalFailure, ScenarioError
 from dengue_control.model import r0_closed_form, r0_factors
-from dengue_control.reproduction import r0_spectral
+from dengue_control.stability import r0_spectral
 from dengue_control.threshold import (
     NoControlNeeded,
     ThresholdResult,
