@@ -5,20 +5,19 @@ integration, equilibria with Newton refinement, and the minimum-control
 threshold, with ``stability`` reading the model's linearization twice:
 the next-generation-matrix reproduction number and the stability
 classification.  The ``dengue-control`` command wraps it all for scenario
-files.  A spectrum is read where it is computed: ``r0_spectral`` and
-``classify`` each cost one analytic Jacobian and one ``np.linalg.eigvals``
-and return one number (a spectral radius; a spectral abscissa with its
-label), so neither a spectrum nor the next-generation matrix is public.
+files.  A spectrum is read where it is computed, and exactly, with no
+eigensolver: ``r0_spectral`` returns the correctly rounded spectral radius
+of the next-generation matrix and ``classify`` the exact sign of the
+Jacobian's spectral abscissa as a label (MARGINAL where it is exactly 0),
+so neither a spectrum nor the next-generation matrix is public.
 
 Every public name is listed once, under its module, in the table below and
 imported on first use (PEP 562), so ``import dengue_control`` loads no
-submodule.  numpy is needed only by the analysis modules (``equilibria``,
-``stability``) and by the array views of a trajectory
-(``Trajectory.times``, ``as_array()``); ``model``, ``scenario``,
-``threshold`` and ``integrate_fixed_rk4`` run on Python floats, and
-``integrator`` and ``svgplot`` use numpy only once it is loaded, so the
-minimum control level, scenario parsing and a simulation with its CSV and
-SVG start without it.
+submodule.  numpy is not a dependency: it is needed only by the array
+views of a trajectory (``Trajectory.times``, ``as_array()``).  Everything
+else runs on Python floats and integers; ``integrator`` and ``svgplot`` use
+numpy only once it is loaded, so every subcommand of the ``dengue-control``
+command starts without it.
 """
 
 from importlib import import_module

@@ -13,9 +13,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 All file writes are whole-file atomic (temp file + rename).
 
 Each subcommand loads its scenario before importing the modules it needs,
-so configuration errors, ``simulate``, ``threshold`` and ``sweep`` finish
-without loading numpy; ``simulate`` formats its CSV and reads its summary
-straight from the trajectory's flat row buffer.
+and none of them loads numpy: ``analyze`` decides each stability label and
+the spectral R0 in exact arithmetic, and ``simulate`` formats its CSV and
+reads its summary straight from the trajectory's flat row buffer.
 """
 
 from __future__ import annotations

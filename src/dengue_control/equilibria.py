@@ -31,14 +31,16 @@ component and sits outside the admissible region.  Callers that need a
 biologically meaningful endemic state should check region membership on
 the result.
 
-This module also holds the model's array forms, used by Newton refinement
-and the stability analysis: the Metzler form dX/dt = M(X)X + F, with
-F = (mu_h*N_h, 0, ..., 0) constant and M(X) (``metzler_matrix``) having
-nonnegative off-diagonal entries on the admissible region, which keeps
-trajectories in the nonnegative orthant.  The analytic ``jacobian`` is
-derived from M by the product rule, J(X) = M(X) + (dM/dX)X; at the
-disease-free point the infected blocks of the two parts are -V and F of
-the next-generation split.
+This module also holds the model's array forms, as seven row tuples of
+floats, used by Newton refinement and the stability analysis: the Metzler
+form dX/dt = M(X)X + F, with F = (mu_h*N_h, 0, ..., 0) constant and M(X)
+(``metzler_matrix``) having nonnegative off-diagonal entries on the
+admissible region, which keeps trajectories in the nonnegative orthant.
+The analytic ``jacobian`` is derived from M by the product rule,
+J(X) = M(X) + (dM/dX)X; at the disease-free point the infected blocks of
+the two parts are -V and F of the next-generation split.  Newton's linear
+systems are solved on Python floats (``_solve``), so nothing here needs
+numpy.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NoEndemicEquilibrium, NumericalFailure
 from .model import (
@@ -70,47 +70,47 @@ _MAX_NEWTON_ITERATIONS = 100
 _MAX_DAMPING_HALVINGS = 30
 
 
-def metzler_matrix(p: ModelParams, c: ControlLevel | float, x) -> np.ndarray:
+def _metzler_rows(p: ModelParams, c: float, x) -> list[list[float]]:
+    """M(X) at x as seven row lists (see ``metzler_matrix``)."""
+    foi_h = p.B * p.beta_mh * x[6] / p.N_h
+    foi_m = p.B * p.beta_hm * x[2] / p.N_h
+    adults = x[4] + x[5] + x[6]
+    mu_b = p.mu_b
+    return [
+        [-foi_h - p.mu_h, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [foi_h, -(p.nu_h + p.mu_h), 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, p.nu_h, -(p.eta_h + p.mu_h), 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -mu_b * adults / p.K - (p.eta_A + p.mu_A), mu_b, mu_b, mu_b],
+        [0.0, 0.0, 0.0, p.eta_A, -foi_m - p.mu_m - c, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, foi_m, -(p.mu_m + p.eta_m + c), 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, p.eta_m, -(p.mu_m + c)],
+    ]
+
+
+def metzler_matrix(p: ModelParams, c: ControlLevel | float, x) -> tuple[tuple[float, ...], ...]:
     """M(X) of the Metzler form dX/dt = M(X)X + F at x, any sequence of 7
-    floats (a ``State7`` included), where F = (mu_h*N_h, 0, ..., 0) is the
-    constant recruitment.
+    floats (a ``State7`` included), as seven row tuples, where
+    F = (mu_h*N_h, 0, ..., 0) is the constant recruitment.
 
     The state-dependence sits on the diagonal (force-of-infection and
     logistic-crowding terms), so every off-diagonal entry is nonnegative
     whenever the state is admissible.
     """
-    c = _rate(c)
-    foi_h = p.B * p.beta_mh * x[6] / p.N_h
-    foi_m = p.B * p.beta_hm * x[2] / p.N_h
-    adults = x[4] + x[5] + x[6]
-    mat = np.zeros((7, 7), dtype=float)
-    mat[0, 0] = -foi_h - p.mu_h
-    mat[1, 0] = foi_h
-    mat[1, 1] = -(p.nu_h + p.mu_h)
-    mat[2, 1] = p.nu_h
-    mat[2, 2] = -(p.eta_h + p.mu_h)
-    mat[3, 3] = -p.mu_b * adults / p.K - (p.eta_A + p.mu_A)
-    mat[3, 4] = mat[3, 5] = mat[3, 6] = p.mu_b
-    mat[4, 3] = p.eta_A
-    mat[4, 4] = -foi_m - p.mu_m - c
-    mat[5, 4] = foi_m
-    mat[5, 5] = -(p.mu_m + p.eta_m + c)
-    mat[6, 5] = p.eta_m
-    mat[6, 6] = -(p.mu_m + c)
-    return mat
+    return tuple(map(tuple, _metzler_rows(p, _rate(c), x)))
 
 
-def jacobian(p: ModelParams, c: ControlLevel | float, x) -> np.ndarray:
+def jacobian(p: ModelParams, c: ControlLevel | float, x) -> tuple[tuple[float, ...], ...]:
     """Analytic 7x7 Jacobian of the right-hand side at x, any sequence of 7
-    floats (a ``State7`` included): J(X) = M(X) + (dM/dX)X."""
-    jac = metzler_matrix(p, c, x)
+    floats (a ``State7`` included), as seven row tuples:
+    J(X) = M(X) + (dM/dX)X."""
+    jac = _metzler_rows(p, _rate(c), x)
     # (dM/dX)X: crowded recruitment and the cross-infection derivatives
-    jac[3, 4] = jac[3, 5] = jac[3, 6] = p.mu_b * (1.0 - x[3] / p.K)
-    jac[1, 6] = p.B * p.beta_mh * x[0] / p.N_h
-    jac[0, 6] = -jac[1, 6]
-    jac[5, 2] = p.B * p.beta_hm * x[4] / p.N_h
-    jac[4, 2] = -jac[5, 2]
-    return jac
+    jac[3][4] = jac[3][5] = jac[3][6] = p.mu_b * (1.0 - x[3] / p.K)
+    jac[1][6] = p.B * p.beta_mh * x[0] / p.N_h
+    jac[0][6] = -jac[1][6]
+    jac[5][2] = p.B * p.beta_hm * x[4] / p.N_h
+    jac[4][2] = -jac[5][2]
+    return tuple(map(tuple, jac))
 
 
 class EquilibriumKind(enum.Enum):
@@ -234,7 +234,7 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
                        residual_norm=residual(p, cc, state), refined=False)
 
 
-def _classify_root(p: ModelParams, x: np.ndarray) -> EquilibriumKind:
+def _classify_root(p: ModelParams, x) -> EquilibriumKind:
     scales = component_scales(p)
     infected = max(abs(x[1]) / scales[1], abs(x[2]) / scales[2],
                    abs(x[5]) / scales[5], abs(x[6]) / scales[6])
@@ -245,35 +245,67 @@ def _classify_root(p: ModelParams, x: np.ndarray) -> EquilibriumKind:
     return EquilibriumKind.TRIVIAL
 
 
+def _solve(a, b) -> list[float]:
+    """x with a x = b, for a a square sequence of row sequences and b a
+    sequence, by Gaussian elimination with partial pivoting: in each column
+    the first entry of largest magnitude is the pivot, the row LAPACK's
+    getrf picks.  Only the pivot choice follows LAPACK; the multipliers
+    (divided by the pivot) and the order of the updates round on their own,
+    so on an ill-conditioned matrix the solution can differ from LAPACK's.
+    Raises ZeroDivisionError on an exactly zero pivot, where LAPACK reports
+    the matrix singular."""
+    n = len(b)
+    rows = [[*row, rhs] for row, rhs in zip(a, b)]
+    for k in range(n):
+        col = [abs(row[k]) for row in rows[k:]]
+        at = k + col.index(max(col))
+        rows[k], rows[at] = rows[at], rows[k]
+        pivot = rows[k]
+        if pivot[k] == 0.0:
+            raise ZeroDivisionError("zero pivot")
+        for row in rows[k + 1:]:
+            if (factor := row[k] / pivot[k]) != 0.0:
+                for j in range(k + 1, n + 1):
+                    row[j] -= factor * pivot[j]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        total = row[n]
+        for j in range(i + 1, n):
+            total -= row[j] * x[j]
+        x[i] = total / row[i]
+    return x
+
+
 def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibrium:
     """Damped Newton iteration on rhs = 0 starting from ``guess``.
 
+    Each step solves J(x) step = -rhs(x) by ``_solve`` on Python floats.
     The step is halved (up to 30 times) until the scaled residual
     decreases; convergence is declared below REFINE_TOL.  Raises
     NumericalFailure, carrying the last residual, after 100 iterations
-    without convergence or on a singular Jacobian.
+    without convergence or on a singular Jacobian (an exactly zero pivot).
     """
     if not guess.is_finite():
         raise ValueError("refinement guess contains non-finite components")
     cc = _rate(c)
     f = _rhs_of(p, cc)
-    x = np.array(guess, dtype=float)
+    x = guess
     r, res = _scaled_rhs(p, f, guess)
     for _ in range(_MAX_NEWTON_ITERATIONS):
         if res < REFINE_TOL:
             return Equilibrium(kind=_classify_root(p, x), state=State7.from_array(x),
                                residual_norm=res, refined=True)
-        jac = jacobian(p, cc, x.tolist())
         try:
-            step = np.linalg.solve(jac, -np.array(r))
-        except np.linalg.LinAlgError as exc:
+            step = _solve(jacobian(p, cc, x), [-v for v in r])
+        except ZeroDivisionError:
             raise NumericalFailure(
                 f"singular Jacobian during refinement (residual {res:.3e})",
-                residual=res) from exc
+                residual=res) from None
         lam = 1.0
         for _ in range(_MAX_DAMPING_HALVINGS):
-            x_new = x + lam * step
-            r_new, res_new = _scaled_rhs(p, f, x_new.tolist())
+            x_new = [xi + lam * si for xi, si in zip(x, step)]
+            r_new, res_new = _scaled_rhs(p, f, x_new)
             if all(map(math.isfinite, r_new)) and res_new < res:
                 break
             lam *= 0.5

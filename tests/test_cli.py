@@ -273,14 +273,16 @@ class TestGoldenOutput:
 
     # SHA-256 of the analyze stdout (text, --json) on the built-in scenario and
     # of the default sweep.csv, computed before classify, brdfe and render_json
-    # read the control rate as a float and render_json stopped calling asdict
+    # read the control rate as a float and render_json stopped calling asdict.
+    # 0.05 and 0.12 were re-pinned when r0_spectral became correctly rounded:
+    # their spectral R0 moved one ulp, to 1.6728983144582583 and 1.1660081170613767
     ANALYZE_DIGESTS = {
         0.0: ("dbf5af17ef09707e9cf68d47a0b8d17d838c9b2432be4c070529fdbb0749a2c1",
               "e12e7faecce9d0e92c0e973bc0f65f9840d9be9c9b0282a1083790d82177876f"),
-        0.05: ("2effe53805d659fae000f5e3882594a9cae44ecf211fef964fb0a1eaf5ca0e61",
-               "9cd6bac64dc5dc6e63416ff9daf315e2b0ad9e1e5f375811bac7185f22e714cc"),
-        0.12: ("1a7b5a908a5f1f8138e151c5176f47f15d4d93ad9f65dbed555da4721110a818",
-               "67c93dbbda173a065596c6d9352fff62e7992eaa4f13c4ff3ba29c4691435b6e"),
+        0.05: ("37a0a7f03ed13989fed5c8694b328e80d571fddd35a60fcc1534843988c42768",
+               "b05f747e38f032017a48d4f3aa8bd14bc50bf5308df0b183c6d6bb3ad132d621"),
+        0.12: ("d8d70258c658ac2890cb042ae1027333f5db05fb2738e136c8fbbc2873228fe4",
+               "1081a220f341ee2e303d14816bceb71c6c9c1a470f19837830bbea9c67967bce"),
         0.2: ("dfac1cd4f3f2851b183af37474ea3de70d6b89ecfae065b1810f3e8ab80c8f54",
               "0e921d7a5034e09cdb6fae10952fd521822844a5d365de6cbc6ccebea5802bd1"),
     }
@@ -955,6 +957,10 @@ class TestExitCodeFuzz:
     @example(run=("analyze", {"mu_h": "1e-200", "nu_h": "1e-200"}, ["--control", "0"]))
     @example(run=("analyze", {"B": "1e-100", "beta_mh": "1e-100", "eta_m": "1e-130",
                               "mu_m": "1e-200", "mu_b": "1e300"}, []))
+    # exact stability and the correctly rounded spectral R0 at extreme rates
+    @example(run=("analyze", {"B": "1e100"}, []))
+    @example(run=("analyze", {"eta_h": "1e-320", "mu_h": "1e-320"}, []))
+    @example(run=("analyze", {"mu_m": "1e-162"}, []))
     def test_every_input_ends_in_a_documented_exit_code(self, run, tmp_path, monkeypatch):
         command, values, flags = run
         # a stiff variant would otherwise run up to 10**7 step attempts
@@ -985,6 +991,8 @@ class TestProcessInvocation:
         ("simulate", "0.0,479350.0,216.0,434.0,0.0,1440000.0,2880000.0,0.0,0.0"),
         ("simulate --svg", '<svg xmlns="http://www.w3.org/2000/svg" width="920" height="340" '
                            'viewBox="0 0 920 340" font-family="Helvetica, Arial, sans-serif">'),
+        ("analyze", "scenario: capeverde2009"),
+        ("analyze --json", "{"),
     ])
     def test_command_without_numpy(self, command, first_line, tmp_path):
         # the second line of the output file, or else the first line of stdout
@@ -997,6 +1005,9 @@ class TestProcessInvocation:
         lines = ((tmp_path / output).read_text().splitlines()[1:] if output
                  else proc.stdout.splitlines())
         assert lines[0] == first_line
+        if command.startswith("analyze"):   # the whole report, byte for byte
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() \
+                == TestGoldenOutput.ANALYZE_DIGESTS[0.0][command.endswith("--json")]
 
     @pytest.mark.parametrize("command", ["simulate", "analyze", "threshold", "sweep"])
     def test_configuration_error_without_numpy(self, command, tmp_path):

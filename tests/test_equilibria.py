@@ -28,6 +28,27 @@ from dengue_control.stability import r0_spectral
 from dengue_control.threshold import min_control
 
 
+def _numpy_newton(p, c, guess):
+    """State and residual of refine's damped Newton iteration with each step
+    from np.linalg.solve, the oracle of its elimination."""
+    f = _rhs_of(p, c)
+    x = np.array(guess, dtype=float)
+    r, res = eq_mod._scaled_rhs(p, f, guess)
+    for _ in range(eq_mod._MAX_NEWTON_ITERATIONS):
+        if res < eq_mod.REFINE_TOL:
+            return State7.from_array(x), res
+        step = np.linalg.solve(np.array(eq_mod.jacobian(p, c, x.tolist())), -np.array(r))
+        lam = 1.0
+        for _ in range(eq_mod._MAX_DAMPING_HALVINGS):
+            x_new = x + lam * step
+            r_new, res_new = eq_mod._scaled_rhs(p, f, x_new.tolist())
+            if all(map(math.isfinite, r_new)) and res_new < res:
+                break
+            lam *= 0.5
+        x, r, res = x_new, r_new, res_new
+    return None
+
+
 class TestTrivialEquilibrium:
     def test_cape_verde_state(self):
         eq = trivial_equilibrium(CAPE_VERDE)
@@ -239,12 +260,48 @@ class TestRefine:
         assert exc_info.value.residual == residual(CAPE_VERDE, 0.0, guess)
 
     def test_singular_jacobian_is_numerical_failure(self, monkeypatch):
-        def singular(*_):
-            raise np.linalg.LinAlgError("Singular matrix")
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        # the S_h column zeroed: the elimination meets an exactly zero pivot
+        jacobian = eq_mod.jacobian
+        monkeypatch.setattr(eq_mod, "jacobian", lambda p, c, x: tuple(
+            (0.0, *row[1:]) for row in jacobian(p, c, x)))
         with pytest.raises(NumericalFailure, match="singular Jacobian") as exc_info:
             refine(CAPE_VERDE, 0.0, State7(1e5, 1e5, 1e5, 1e5, 1e5, 1e5, 1e5))
         assert exc_info.value.residual > 0.0
+
+    def test_elimination_pivots_and_refuses_a_zero_pivot(self):
+        assert eq_mod._solve(((0.0, 1.0), (2.0, 0.0)), (3.0, 4.0)) == [2.0, 3.0]
+        with pytest.raises(ZeroDivisionError):
+            eq_mod._solve(((1.0, 2.0), (2.0, 4.0)), (1.0, 1.0))
+
+    def test_matches_a_newton_on_numpy_solve(self):
+        # refine's iterates come from its own elimination; the refined states
+        # and residuals equal those of the same Newton on np.linalg.solve
+        rng = np.random.default_rng(300)
+        checked = 0
+        for _ in range(300):
+            p = draw_params(rng)
+            for c in (0.0, 0.05, 0.12, float(rng.uniform(0.0, 0.3))):
+                try:
+                    guess = endemic_closed_form(p, c).state
+                except NoEndemicEquilibrium:
+                    continue
+                eq = refine(p, c, guess)
+                assert (eq.state, eq.residual_norm) == _numpy_newton(p, c, guess)
+                checked += eq.kind is EquilibriumKind.ENDEMIC
+        assert checked >= 700
+
+    def test_stalls_where_the_jacobian_is_too_ill_conditioned_to_step(self):
+        # the Jacobian's condition number here is about 5e114: the I_h and
+        # S_m components of a Newton step are rounding noise in any
+        # elimination (a Newton on np.linalg.solve's noise happened to land
+        # on a root); refine's stalls and reports it
+        p = params_with(B=9.352478863310842e44, K=8.12056863434795e75)
+        guess = endemic_closed_form(p, 0.12).state
+        jac = np.array(eq_mod.jacobian(p, 0.12, guess))
+        assert np.linalg.cond(jac) > 1e100
+        with pytest.raises(NumericalFailure, match="refinement stalled") as exc_info:
+            refine(p, 0.12, guess)
+        assert exc_info.value.residual == residual(p, 0.12, guess)
 
     def test_finds_true_controlled_balance_from_reference_state(self):
         # the exact disease-free fixed point under control solves

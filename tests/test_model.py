@@ -367,9 +367,9 @@ class TestMetzlerDecomposition:
         x = State7(480000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
         m = metzler_matrix(CAPE_VERDE, 0.0, x)
         expected = CAPE_VERDE.B * CAPE_VERDE.beta_mh * 1000.0 / CAPE_VERDE.N_h
-        assert m[1, 0] == pytest.approx(expected, rel=1e-12)
-        assert m[1, 0] == pytest.approx(0.375 * 1000.0 / 480000.0, rel=1e-12)
-        assert m[1, 0] >= 0.0
+        assert m[1][0] == pytest.approx(expected, rel=1e-12)
+        assert m[1][0] == pytest.approx(0.375 * 1000.0 / 480000.0, rel=1e-12)
+        assert m[1][0] >= 0.0
 
 
 class TestFixedPointIdentity:

@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -15,13 +19,40 @@ def _f_and_v(p, c):
     disease-free state, as the product-rule parts of J = M + (dM/dX)X:
     F is the added term J - M and V is -M."""
     dfe = brdfe(p, c).state
-    m_of_x = metzler_matrix(p, c, dfe)
-    return (jacobian(p, c, dfe) - m_of_x)[_INFECTED], -m_of_x[_INFECTED]
+    m_of_x = np.array(metzler_matrix(p, c, dfe))
+    with np.errstate(invalid="ignore"):  # inf - inf outside the block at extreme rates
+        return (np.array(jacobian(p, c, dfe)) - m_of_x)[_INFECTED], -m_of_x[_INFECTED]
 
 
 def _ngm(p, c):
     j_f, j_v = _f_and_v(p, c)
     return j_f @ np.linalg.inv(j_v)
+
+
+def _det(rows):
+    """Determinant of a square matrix by the Leibniz formula, exact on Fractions."""
+    n, total = len(rows), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def assert_correctly_rounded(p, c):
+    """r0_spectral(p, c) is the double nearest the exact spectral radius of
+    the F*V^-1 built from the float F and V, ties to even."""
+    j_f, j_v = (np.vectorize(Fraction, otypes=[object])(m) for m in _f_and_v(p, c))
+    r0 = r0_spectral(p, c)
+
+    def sign_at(lam):
+        d = _det((lam * j_v - j_f).tolist())
+        return (d > 0) - (d < 0)
+    up = math.nextafter(r0, math.inf)
+    below = sign_at((Fraction(r0) + Fraction(math.nextafter(r0, 0.0))) / 2) if r0 else -1
+    above = sign_at((Fraction(r0) + (Fraction(up) if up < math.inf else 2 ** 1024)) / 2)
+    assert below <= 0 <= above
+    if 0 in (below, above):   # a tie: the even mantissa wins
+        assert r0.hex().split("p")[0][-1] in "02468ace"
 
 
 class TestNextGenerationMatrix:
@@ -54,7 +85,7 @@ class TestNextGenerationMatrix:
         # block of J, and V = F - block
         for c in (0.0, 0.07, 0.2):
             j_f, j_v = _f_and_v(CAPE_VERDE, c)
-            block = jacobian(CAPE_VERDE, c, brdfe(CAPE_VERDE, c).state)[_INFECTED]
+            block = np.array(jacobian(CAPE_VERDE, c, brdfe(CAPE_VERDE, c).state))[_INFECTED]
             kept = np.zeros((4, 4))
             kept[0, 3], kept[2, 1] = block[0, 3], block[2, 1]
             assert np.array_equal(j_f, kept)
@@ -77,12 +108,17 @@ class TestNextGenerationMatrix:
             assert np.all(_ngm(p, rng.uniform(0.0, 0.3)) >= 0.0)
 
     def test_spectral_r0_is_radius_of_test_built_ngm(self):
+        # the exact radius lies between the midpoints around the returned
+        # double: det(lambda*V - F), by the Leibniz formula in Fractions, is
+        # <= 0 below and >= 0 above; numpy's radius is within 4 ulps
         rng = np.random.default_rng(97)
         for _ in range(200):
             p = draw_params(rng)
             c = float(rng.uniform(0.0, 0.3))
+            assert_correctly_rounded(p, c)
             radius = max(abs(v) for v in np.linalg.eigvals(_ngm(p, c)).tolist())
-            assert repr(r0_spectral(p, c)) == repr(radius)
+            r0 = r0_spectral(p, c)
+            assert abs(r0 - radius) <= 4 * math.ulp(r0)
 
     def test_collapse_rejected(self):
         with pytest.raises(MosquitoCollapseError):
@@ -108,6 +144,18 @@ class TestR0Routes:
         base_sq = r0_closed_form(CAPE_VERDE, 0.0) ** 2
         doubled_sq = r0_closed_form(params_with(B=2.0), 0.0) ** 2
         assert doubled_sq == pytest.approx(4.0 * base_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("overrides", [
+        {"eta_h": 1e-320, "mu_h": 1e-320},   # V has a subnormal diagonal entry
+        {"B": 1e100},
+        {"B": 1e-150, "beta_mh": 1e-10},
+        {"mu_m": 1e-160, "beta_hm": 1.0, "N_h": 7.8e162},   # R0 near 1.29e81
+        {"mu_h": 1e236},                     # R0 near 1e-236, where eigvals gave 0.0
+        # the largest double; halving eta_h and mu_h rounds the radius past it
+        {"B": 1e300, "eta_h": 2.961688047890298e-17, "mu_h": 2.961688047890298e-17},
+    ])
+    def test_correctly_rounded_at_extreme_rates(self, overrides):
+        assert_correctly_rounded(params_with(**overrides), 0.0)
 
     def test_routes_agree_over_draws(self):
         rng = np.random.default_rng(59)
