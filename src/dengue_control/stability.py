@@ -37,10 +37,12 @@ radius of the matrix that the float entries of F and V define, ties to
 even.  F - V is the infected block of the Jacobian at the disease-free
 point S_h = N_h, S_m = K*M/(mu_b*mu_m) (``model._paper_dfe``, the point
 ``equilibria.brdfe`` returns); F keeps the block's two new-infection
-entries, so V is lower triangular with a positive diagonal and
-det(lambda*V - F) = det(lambda*I - F*V^-1) * det V has the sign of the
-characteristic polynomial of F*V^-1, with no inverse formed.  Its
-independent cross-check is ``model.r0_closed_form``,
+entries, so V is lower triangular with a positive diagonal.  F*V^-1 is a
+two-cycle with spectrum {rho, -rho, 0, 0}, so rho^2 = trace((F*V^-1)^2)/2,
+a rational number taken exactly from the integer form of F and V by back
+substitution, and rho is its correctly rounded square root
+(``_sqrt_ratio``).  Its independent cross-check is
+``model.r0_closed_form``,
 
     R0^2 = B^2 (K/N_h) beta_hm beta_mh eta_m nu_h M
            / (mu_b (eta_h+mu_h) mu_m (c+mu_m) (c+eta_m+mu_m) (mu_h+nu_h))
@@ -58,8 +60,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
-import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain, zip_longest
@@ -75,12 +75,6 @@ RESIDUAL_WARN = 1e-6
 
 #: Rows and columns of the infected subsystem (E_h, I_h, E_m, I_m) in the state.
 _INFECTED = (1, 2, 5, 6)
-
-#: Steps, in ulps, of r0_spectral's search outward from its candidate.
-_GALLOP = (1, 2, 4, 8, 16, 32)
-
-#: Column pairs of a 4x4 matrix, in the order of ``_det4``'s minors.
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class Classification(enum.Enum):
@@ -290,52 +284,40 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
     return StabilityReport(classification=_LABEL[sign])
 
 
-def _det4(rows) -> int:
-    """Determinant of a 4x4 integer matrix, by its Laplace expansion along
-    the first two rows: products of complementary 2x2 minors."""
-    a, b, c, d = rows
-    s = [a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS]
-    t = [c[i] * d[j] - c[j] * d[i] for i, j in _PAIRS]
-    return s[0] * t[5] - s[1] * t[4] + s[2] * t[3] + s[3] * t[2] - s[4] * t[1] + s[5] * t[0]
-
-
-def _bits(x: float) -> int:
-    """The bit pattern of the double ``x``; doubles >= 0 order as their patterns."""
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-_MAX_BITS = _bits(sys.float_info.max)
-
-
-def _upper_mid(bits: int) -> tuple[int, int]:
-    """The midpoint of the double with pattern ``bits`` >= 0 and the next one
-    up (2^1024 above the largest double) as an integer ratio n/d, d > 0."""
-    n1, d1 = _double(bits).as_integer_ratio()
-    n2, d2 = (_double(bits + 1).as_integer_ratio() if bits < _MAX_BITS else (2 ** 1024, 1))
-    d = max(d1, d2)                       # both are powers of 2
-    return n1 * (d // d1) + n2 * (d // d2), 2 * d
+def _sqrt_ratio(n: int, d: int) -> float:
+    """The double nearest sqrt(n/d) for integers n >= 0 and d > 0, ties to
+    even.  With e the exponent that puts the root's leading bit at 2^(e+52)
+    (-1074 at least, the subnormal grid) and q = n/d scaled by 2^-2e,
+    r = isqrt(floor(q)) is floor(sqrt(q)), and the root rounds up to r + 1
+    iff sqrt(q) > r + 1/2, that is iff 4q > (2r+1)^2.  Raises OverflowError
+    where the root rounds beyond the largest double."""
+    t = n.bit_length() - d.bit_length()
+    log2 = t if (n >> t if t >= 0 else n << -t) >= d else t - 1    # floor(log2(n/d))
+    e = max(log2 // 2 - 52, -1074)
+    num, den = (n << -2 * e, d) if e < 0 else (n, d << 2 * e)
+    r = math.isqrt(num // den)
+    excess = 4 * num - (2 * r + 1) ** 2 * den
+    if excess > 0 or (excess == 0 and r % 2):     # above r + 1/2, or a tie to even
+        r += 1
+    return math.ldexp(r, e)
 
 
 def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
-    """Spectral radius of the next-generation matrix F*V^-1, correctly
+    """Spectral radius of the next-generation matrix K = F*V^-1, correctly
     rounded (ties to even).
 
     F - V is the infected block of the model's Jacobian at the disease-free
     point; F keeps the block's two new-infection entries, so V is lower
-    triangular with a positive diagonal.  The NGM has a two-cycle structure
+    triangular with a positive diagonal.  K has a two-cycle structure
     (humans infect mosquitoes infect humans), so its spectrum is
-    {rho, -rho, 0, 0} and, for lambda > 0, det(lambda*V - F) is negative
-    below rho and positive above it.  That sign is taken exactly, from the
-    full 4x4 matrices rather than from the cycle's shortcut, so the route
-    cross-checks the closed form: at the two midpoints around a float
-    candidate sqrt(trace(K^2)/2), K = F*V^-1 in floats, and, where the
-    candidate fails, by a search over the ordered doubles.  Raises
-    NumericalFailure when F or V is not finite or the radius rounds beyond
-    the largest double.
+    {rho, -rho, 0, 0} and rho^2 = trace(K^2)/2.  That trace is taken
+    exactly, from the full 4x4 matrices rather than from the cycle's
+    shortcut, so the route cross-checks the closed form: with F and V as
+    integers and D the product of V's diagonal, the rows y of D*K solve
+    y*V = D*f by back substitution, every division exact as D*V^-1 is V's
+    adjugate, and rho^2 = sum(y_ij*y_ji)/(2*D^2) has one correctly rounded
+    square root (``_sqrt_ratio``).  Raises NumericalFailure when F or V is
+    not finite or the radius rounds beyond the largest double.
     """
     cc = _rate(c)
     jac = jacobian(p, cc, _paper_dfe(p, cc))
@@ -348,53 +330,16 @@ def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     j_v = [[f - b for f, b in zip(rf, rb)] for rf, rb in zip(j_f, block)]
     ints = _integer_rows(j_f + j_v)
     int_f, int_v = ints[:4], ints[4:]
-    signs = {}
-
-    def sign_above(bits: int) -> int:
-        """Sign of det(lambda*V - F) at the midpoint above double ``bits``."""
-        if bits not in signs:
-            n, d = _upper_mid(bits)
-            signs[bits] = _sign(_det4([[n * v - d * f for f, v in zip(rf, rv)]
-                                       for rf, rv in zip(int_f, int_v)]))
-        return signs[bits]
-
-    # the rows k of K = F*V^-1 solve k*V = f, by back substitution as V is
-    # lower triangular; the trace of K^2 is 2*rho^2
-    k = [[0.0] * 4 for _ in range(4)]
-    for row, f in zip(k, j_f):
-        if any(f):
+    det = math.prod(int_v[j][j] for j in range(4))
+    y = [[0] * 4 for _ in range(4)]
+    for row, f in zip(y, int_f):
+        if any(f):                        # a zero row of F is a zero row of D*K
             for j in reversed(range(4)):
-                row[j] = (f[j] - sum(row[m] * j_v[m][j] for m in range(j + 1, 4))) / j_v[j][j]
-    trace = sum(k[i][j] * k[j][i] for i in range(4) for j in range(4))
-    # the least pattern whose upper midpoint is not below rho lies in
-    # (lo, hi]: gallop up to 63 ulps from the candidate's pattern for a
-    # bracket, then bisect (over all doubles where the candidate is far off)
-    lo, hi = -1, _MAX_BITS + 1
-    if 0.0 <= trace <= sys.float_info.max:
-        at = _bits(abs(math.sqrt(trace / 2.0)))
-        if sign_above(at) >= 0:
-            hi = at
-            for step in _GALLOP:
-                if hi - step < 0 or sign_above(hi - step) < 0:
-                    lo = max(hi - step, -1)
-                    break
-                hi -= step
-        else:
-            lo = at
-            for step in _GALLOP:
-                if lo + step > _MAX_BITS or sign_above(lo + step) >= 0:
-                    hi = min(lo + step, _MAX_BITS + 1)
-                    break
-                lo += step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sign_above(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    if hi <= _MAX_BITS and sign_above(hi) == 0 and hi % 2:
-        hi += 1                           # rho is the midpoint: round to even
-    if hi > _MAX_BITS:
+                lower = sum(row[m] * int_v[m][j] for m in range(j + 1, 4))
+                row[j] = (det * f[j] - lower) // int_v[j][j]
+    trace = sum(y[i][j] * y[j][i] for i in range(4) for j in range(4))   # D^2*trace(K^2)
+    try:
+        return _sqrt_ratio(trace, 2 * det * det)
+    except OverflowError:
         raise NumericalFailure(f"{what}: the radius rounds beyond the largest double "
-                               "(overflow at these parameters)")
-    return _double(hi)
+                               "(overflow at these parameters)") from None

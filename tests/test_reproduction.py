@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -153,9 +154,34 @@ class TestR0Routes:
         {"mu_h": 1e236},                     # R0 near 1e-236, where eigvals gave 0.0
         # the largest double; halving eta_h and mu_h rounds the radius past it
         {"B": 1e300, "eta_h": 2.961688047890298e-17, "mu_h": 2.961688047890298e-17},
+        {"B": 1e-310},                       # R0 = 2.39608483808097e-310, subnormal
+        {"B": 1e-300, "beta_mh": 1e-20},     # a subnormal radius from normal entries
     ])
     def test_correctly_rounded_at_extreme_rates(self, overrides):
         assert_correctly_rounded(params_with(**overrides), 0.0)
+
+    def test_correctly_rounded_over_extreme_rate_fuzz(self):
+        # 1-3 rates at 10^(-310...308.2), transmission probabilities from 0 to
+        # 1: each variant is refused with one of the route's errors or has
+        # the correctly rounded radius
+        rnd = random.Random(7)
+        keys = ("N_h", "B", "mu_h", "eta_h", "mu_m", "mu_b", "mu_A", "eta_A", "eta_m",
+                "nu_h", "m", "k", "K")
+        rounded = 0
+        for _ in range(200):
+            overrides = {key: 10.0 ** rnd.uniform(-310.0, 308.2)
+                         for key in rnd.sample(keys, rnd.randint(1, 3))}
+            for key in ("beta_mh", "beta_hm"):
+                overrides[key] = rnd.choice((0.0, 1e-300, 1e-100, 1.0, rnd.random()))
+            c = rnd.choice((0.0, 0.05, 0.12, rnd.uniform(0.0, 0.3)))
+            p = params_with(**overrides)
+            try:
+                r0_spectral(p, c)
+            except (NumericalFailure, MosquitoCollapseError):
+                continue
+            assert_correctly_rounded(p, c)
+            rounded += 1
+        assert rounded >= 100, rounded
 
     def test_routes_agree_over_draws(self):
         rng = np.random.default_rng(59)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from dengue_control.report import build_report
 from dengue_control.scenario import builtin_capeverde2009
 from dengue_control.stability import (Classification, classify, r0_spectral, _charpoly,
                                       _diff_sign, _disease_free_sign, _integer_rows,
-                                      _root_abscissa_sign)
+                                      _root_abscissa_sign, _sqrt_ratio)
 
 
 def _fd_jacobian(p, c, x):
@@ -284,6 +285,80 @@ class TestProductPredicate:
             ))()
             diff = math.prod(map(Fraction, left)) - math.prod(map(Fraction, right))
             assert _diff_sign(left, right) == (diff > 0) - (diff < 0)
+
+
+#: The least real that rounds to infinity: halfway from the largest double to
+#: 2^1024, a tie that rounds up, as the largest double is odd.
+_OVERFLOW_EDGE = 2 ** 1024 - 2 ** 970
+
+
+def _upper_midpoint(x: float) -> Fraction:
+    up = math.nextafter(x, math.inf)
+    return (Fraction(x) + (Fraction(up) if up < math.inf else Fraction(2 ** 1024))) / 2
+
+
+def assert_nearest_sqrt(x: float, q: Fraction) -> None:
+    """x is the double nearest sqrt(q), ties to even: q lies between the
+    squares of the midpoints around x, and on one of them only if x is even."""
+    below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2 if x else Fraction(0)
+    above = _upper_midpoint(x)
+    assert below ** 2 <= q <= above ** 2
+    if q in (below ** 2, above ** 2):
+        assert x.hex().split("p")[0][-1] in "02468ace"
+
+
+class TestSqrtRatio:
+    # each case against Fractions and math.nextafter only
+
+    DOUBLES = (5e-324, 1.5e-323, 2.5e-322, 1e-310, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1e-200, 0.1, 1.0, 2.0, 2.396084838081026, 3.0,
+               1e100, 1.3407807929942596e154, 1e300, sys.float_info.max)
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 2 ** 2000))
+    def test_zero(self, d):
+        assert _sqrt_ratio(0, d) == 0.0
+
+    def test_exact_squares_of_doubles(self):
+        rnd = random.Random(31)
+        doubles = [*self.DOUBLES, *(2.0 ** rnd.uniform(-1074.0, 1024.0) for _ in range(300)),
+                   *(5e-324 * rnd.randint(1, 2 ** 52) for _ in range(100))]
+        for x in doubles:
+            q = Fraction(x) ** 2
+            assert _sqrt_ratio(q.numerator, q.denominator) == x
+            assert _sqrt_ratio(3 * q.numerator, 3 * q.denominator) == x
+
+    def test_squared_midpoints_round_to_even(self):
+        rnd = random.Random(37)
+        doubles = [0.0, *self.DOUBLES[:-1],
+                   *(2.0 ** rnd.uniform(-1074.0, 1023.0) for _ in range(300))]
+        for x in doubles:
+            q = _upper_midpoint(x) ** 2
+            r = _sqrt_ratio(q.numerator, q.denominator)
+            assert r in (x, math.nextafter(x, math.inf))
+            assert_nearest_sqrt(r, q)
+        assert _sqrt_ratio(1, 2 ** 2150) == 0.0              # (2^-1075)^2: a tie, to 0
+        assert _sqrt_ratio(9, 2 ** 2150) == 1e-323           # (3*2^-1075)^2: to 2*2^-1074
+
+    def test_random_ratios(self):
+        rnd = random.Random(41)
+        for _ in range(2000):
+            n = rnd.getrandbits(rnd.randint(1, 2200))
+            d = rnd.getrandbits(rnd.randint(1, 2200)) + 1
+            q = Fraction(n, d)
+            try:
+                r = _sqrt_ratio(n, d)
+            except OverflowError:
+                assert q >= _OVERFLOW_EDGE ** 2
+            else:
+                assert q < _OVERFLOW_EDGE ** 2
+                assert_nearest_sqrt(r, q)
+
+    def test_overflow_edge(self):
+        with pytest.raises(OverflowError):
+            _sqrt_ratio(_OVERFLOW_EDGE ** 2, 1)
+        assert _sqrt_ratio(_OVERFLOW_EDGE ** 2 - 1, 1) == sys.float_info.max
+        with pytest.raises(OverflowError):
+            _sqrt_ratio(2 ** 5000, 3)
 
 
 class TestClassify:
