@@ -30,18 +30,16 @@ real part of an eigenvalue), and MARGINAL means an abscissa of exactly 0.
   the roots on the imaginary axis are among the common roots of the even
   and odd parts of that polynomial (``_root_abscissa_sign``).
 
-``r0_spectral`` returns the spectral radius of the next-generation matrix
-F*V^-1 of the infected subsystem (E_h, I_h, E_m, I_m), as in van den
-Driessche and Watmough, correctly rounded: the double nearest the exact
-radius of the matrix that the float entries of F and V define, ties to
-even.  F - V is the infected block of the Jacobian at the disease-free
-point S_h = N_h, S_m = K*M/(mu_b*mu_m) (``model._paper_dfe``, the point
-``equilibria.brdfe`` returns); F keeps the block's two new-infection
-entries, so V is lower triangular with a positive diagonal.  F*V^-1 is a
-two-cycle with spectrum {rho, -rho, 0, 0}, so rho^2 = trace((F*V^-1)^2)/2,
-a rational number taken exactly from the integer form of F and V by back
-substitution, and rho is its correctly rounded square root
-(``_sqrt_ratio``).  Its independent cross-check is
+``r0_spectral`` returns the spectral radius rho of the next-generation
+matrix F*V^-1 of the infected subsystem (E_h, I_h, E_m, I_m), as in van
+den Driessche and Watmough, correctly rounded (ties to even).  F - V is the
+4-cycle above at the disease-free point S_h = N_h, S_m = K*M/(mu_b*mu_m)
+(``model._paper_dfe``, the point ``equilibria.brdfe`` returns): F keeps the
+cycle's two new-infection entries, so rho^2 = P/prod(a_i) exactly, the
+ratio of the two products ``classify`` compares there, and rho is its
+correctly rounded square root (``_sqrt_ratio``).  Its cross-checks are the
+radius of F*V^-1 from a determinant of lambda*V - F that assumes no cycle
+(``assert_correctly_rounded`` in ``tests/test_reproduction.py``) and
 ``model.r0_closed_form``,
 
     R0^2 = B^2 (K/N_h) beta_hm beta_mh eta_m nu_h M
@@ -109,28 +107,38 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _ratio(factors) -> tuple[int, int]:
+    """The product of float ``factors`` as integers (num, den), den > 0."""
+    num = den = 1
+    for f in factors:
+        n, d = f.as_integer_ratio()
+        num, den = num * n, den * d
+    return num, den
+
+
 def _diff_sign(left, right) -> int:
     """The exact sign of prod(left) - prod(right) for float factors, from
-    their integer ratios: prod(n_l)/prod(d_l) - prod(n_r)/prod(d_r) has the
-    sign of prod(n_l)*prod(d_r) - prod(n_r)*prod(d_l), as every d > 0."""
-    n = d = 1
-    for f in left:
-        num, den = f.as_integer_ratio()
-        n, d = n * num, d * den
-    m = e = 1
-    for f in right:
-        num, den = f.as_integer_ratio()
-        m, e = m * num, e * den
+    their integer ratios: n_l/d_l - n_r/d_r has the sign of
+    n_l*d_r - n_r*d_l, as every d > 0."""
+    (n, d), (m, e) = _ratio(left), _ratio(right)
     return _sign(n * e - m * d)
+
+
+def _infected_cycle(jac) -> tuple[list[float], tuple[float, ...]]:
+    """The infected 4-cycle of a Jacobian at a disease-free state: the decay
+    rates a_i = -J_ii of (E_h, I_h, E_m, I_m) and the cycle's entries
+    I_m -> E_h -> I_h -> E_m -> I_m, whose product is P.  The block's other
+    entries are 0."""
+    return [-jac[i][i] for i in _INFECTED], (jac[1][6], jac[2][1], jac[5][2], jac[6][5])
 
 
 def _disease_free_sign(jac) -> int | None:
     """Sign of the spectral abscissa of a Jacobian at a disease-free state,
     by its three diagonal blocks; None where the infected cycle is not a
-    Metzler block with a positive decay diagonal (negative S_h or S_m)."""
-    a = [-jac[i][i] for i in _INFECTED]
-    cycle = (jac[1][6], jac[2][1], jac[5][2], jac[6][5])
-    if min(a) <= 0.0 or min(cycle) < 0.0:
+    Metzler block (negative S_h or S_m).  Each a_i is a sum of positive
+    rates."""
+    a, cycle = _infected_cycle(jac)
+    if min(cycle) < 0.0:
         return None
     (p, q), (r, s) = (jac[3][3], jac[3][4]), (jac[4][3], jac[4][4])
     det = _diff_sign((p, s), (q, r))
@@ -304,42 +312,19 @@ def _sqrt_ratio(n: int, d: int) -> float:
 
 def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     """Spectral radius of the next-generation matrix K = F*V^-1, correctly
-    rounded (ties to even).
-
-    F - V is the infected block of the model's Jacobian at the disease-free
-    point; F keeps the block's two new-infection entries, so V is lower
-    triangular with a positive diagonal.  K has a two-cycle structure
-    (humans infect mosquitoes infect humans), so its spectrum is
-    {rho, -rho, 0, 0} and rho^2 = trace(K^2)/2.  That trace is taken
-    exactly, from the full 4x4 matrices rather than from the cycle's
-    shortcut, so the route cross-checks the closed form: with F and V as
-    integers and D the product of V's diagonal, the rows y of D*K solve
-    y*V = D*f by back substitution, every division exact as D*V^-1 is V's
-    adjugate, and rho^2 = sum(y_ij*y_ji)/(2*D^2) has one correctly rounded
-    square root (``_sqrt_ratio``).  Raises NumericalFailure when F or V is
-    not finite or the radius rounds beyond the largest double.
+    rounded (ties to even).  K is a two-cycle (humans infect mosquitoes
+    infect humans), so its spectrum is {rho, -rho, 0, 0} and
+    rho^2 = trace(K^2)/2 = P/prod(a_i), the infected cycle's ratio.  Raises
+    NumericalFailure when the cycle is not finite or the radius rounds
+    beyond the largest double.
     """
     cc = _rate(c)
-    jac = jacobian(p, cc, _paper_dfe(p, cc))
-    block = [[jac[i][j] for j in _INFECTED] for i in _INFECTED]
+    a, cycle = _infected_cycle(jacobian(p, cc, _paper_dfe(p, cc)))
     what = "cannot compute the spectral R0 at the brdfe state"
-    _require_finite(block, f"{what}: next-generation matrix")
-    j_f = [[0.0] * 4 for _ in range(4)]
-    j_f[0][3] = block[0][3]   # mosquito -> human: E_h gains from I_m
-    j_f[2][1] = block[2][1]   # human -> mosquito: E_m gains from I_h
-    j_v = [[f - b for f, b in zip(rf, rb)] for rf, rb in zip(j_f, block)]
-    ints = _integer_rows(j_f + j_v)
-    int_f, int_v = ints[:4], ints[4:]
-    det = math.prod(int_v[j][j] for j in range(4))
-    y = [[0] * 4 for _ in range(4)]
-    for row, f in zip(y, int_f):
-        if any(f):                        # a zero row of F is a zero row of D*K
-            for j in reversed(range(4)):
-                lower = sum(row[m] * int_v[m][j] for m in range(j + 1, 4))
-                row[j] = (det * f[j] - lower) // int_v[j][j]
-    trace = sum(y[i][j] * y[j][i] for i in range(4) for j in range(4))   # D^2*trace(K^2)
+    _require_finite((a, cycle), f"{what}: next-generation matrix")
+    (num, den), (a_num, a_den) = _ratio(cycle), _ratio(a)
     try:
-        return _sqrt_ratio(trace, 2 * det * det)
+        return _sqrt_ratio(num * a_den, den * a_num)
     except OverflowError:
         raise NumericalFailure(f"{what}: the radius rounds beyond the largest double "
                                "(overflow at these parameters)") from None

@@ -28,6 +28,7 @@ from dengue_control.integrator import (
     _step_rows,
 )
 from dengue_control.model import State7, component_scales, in_omega, rhs, _rhs_of
+from dengue_control.scenario import builtin_capeverde2009
 
 # The Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2): stage matrix, 5th-order weights b, 4th-order weights b-hat,
@@ -630,6 +631,28 @@ class TestDenseOutput:
         rows = _dense_states(CAPE_VERDE, y, grid, covering)
         assert rows[2] == rows[1]
         assert _hex_rows(rows) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y, grid, covering))
+
+    def test_per_row_pass_is_bit_identical_to_the_vectorized_pass(self, monkeypatch):
+        # with numpy loaded, integrate fills the rows in one vectorized pass
+        # after stepping; without it, each covering step writes its own rows
+        # (_step_rows).  Grids: 100 days at 0.05, one row per 0.01-day step,
+        # and seeded draws of parameters, control, start and grid
+        s = builtin_capeverde2009()
+        runs = [(s.params, 0.05, s.initial, SolverConfig(t_end=100.0, output_step=0.05)),
+                (s.params, 0.05, s.initial,
+                 SolverConfig(t_end=20.0, h_init=0.01, h_max=0.01, output_step=0.01))]
+        rng = np.random.default_rng(4177)
+        for _ in range(20):
+            p = draw_params(rng)
+            runs.append((p, float(rng.uniform(0.0, 0.3)), draw_omega_state(rng, p),
+                         SolverConfig(t_end=50.0, output_step=float(rng.uniform(0.01, 2.0)))))
+        assert integrator._numpy_loaded()
+        vectorized = [integrate(*run) for run in runs]
+        monkeypatch.setattr(integrator, "_numpy_loaded", lambda: False)
+        for run, expected in zip(runs, vectorized):
+            traj = integrate(*run)
+            assert traj.rows.tobytes() == expected.rows.tobytes()
+            assert traj.step_stats == expected.step_stats
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, Linux's unit")
     def test_one_row_steps_keep_peak_memory_small(self):

@@ -15,7 +15,7 @@ from dengue_control.equilibria import (Equilibrium, EquilibriumKind, brdfe, jaco
 from dengue_control.errors import NoEndemicEquilibrium, NumericalFailure
 from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
-    ControlLevel, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
+    ControlLevel, ModelParams, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
 from dengue_control.report import build_report
 from dengue_control.scenario import builtin_capeverde2009
 from dengue_control.stability import (Classification, classify, r0_spectral, _charpoly,
@@ -403,6 +403,46 @@ class TestClassify:
         vals = np.linalg.eigvals(np.array(jac))
         assert abs(vals.real.max()) < 1e-12
 
+    @staticmethod
+    def singular_mosquito_block():
+        """Parameters and a disease-free state (S_m = 1.25) whose (A_m, S_m)
+        block has entries -4, 2, 1 and -0.5: determinant exactly 0, trace
+        < 0, and a stable infected cycle."""
+        p = ModelParams(N_h=1000.0, B=1.0, beta_mh=0.25, beta_hm=0.25, mu_h=0.5, eta_h=0.5,
+                        mu_m=0.5, mu_b=2.0, mu_A=0.5, eta_A=1.0, eta_m=0.5, nu_h=0.5,
+                        m=1.0, k=1.0, K=1.0)
+        return p, State7(1000.0, 0.0, 0.0, 0.0, 1.25, 0.0, 0.0)
+
+    def test_marginal_where_the_mosquito_determinant_is_zero(self):
+        p, x = self.singular_mosquito_block()
+        jac = jacobian(p, 0.0, x)
+        assert jac[3][3] * jac[4][4] == jac[3][4] * jac[4][3] == 2.0
+        eq = Equilibrium(EquilibriumKind.BRDFE, x, residual_norm=0.0)
+        assert classify(p, 0.0, eq).classification is Classification.MARGINAL
+        assert _root_abscissa_sign(_charpoly(_integer_rows(jac))) == 0
+        assert abs(np.linalg.eigvals(np.array(jac)).real.max()) < 1e-12
+
+    def test_negative_mosquito_state_takes_the_general_route(self):
+        # S_m < 0 turns the cycle's E_m entry negative, so the cycle is not
+        # a Metzler block and the disease-free blocks do not decide; the
+        # (A_m, S_m) block then has eigenvalues -1.5 and 1.5
+        p, x = self.singular_mosquito_block()
+        x = x._replace(S_m=-1.0)
+        jac = jacobian(p, 0.0, x)
+        assert _disease_free_sign(jac) is None
+        eq = Equilibrium(EquilibriumKind.BRDFE, x, residual_norm=0.0)
+        assert classify(p, 0.0, eq).classification is Classification.UNSTABLE
+        assert np.linalg.eigvals(np.array(jac)).real.max() == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+    def test_non_finite_state_is_refused(self, bad):
+        x = State7(CAPE_VERDE.N_h, 0.0, bad, 0.0, 1.0, 0.0, 0.0)
+        eq = Equilibrium(EquilibriumKind.ENDEMIC, x, residual_norm=0.0)
+        message = ("cannot classify the endemic state: state contains non-finite "
+                   "components (overflow at these parameters)")
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+            classify(CAPE_VERDE, 0.0, eq)
+
     def test_label_flips_between_adjacent_doubles_of_c(self):
         # bisect the doubles of c to the crossing of the brdfe label: no band
         # absorbs it, so two adjacent levels carry opposite labels, and the
@@ -491,6 +531,42 @@ class TestTheorem2Concordance:
                 else:
                     assert report.classification is Classification.ASYMPTOTICALLY_STABLE
                 checked += 1
+
+    def test_classification_matches_spectral_r0_with_no_band(self):
+        # both read the infected cycle's P and prod(a_i) at the brdfe state,
+        # where the (A_m, S_m) determinant M*(mu_m + c)/mu_m is positive, so
+        # they agree at every c: at a drawn level and at the two adjacent
+        # doubles where the label flips (where R0 often rounds to 1.0 exactly,
+        # which says nothing of the sign of P - prod(a_i))
+        def label(p, c):
+            return classify(p, c, brdfe(p, c)).classification
+
+        rng = np.random.default_rng(2031)
+        checked = flips = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the brdfe state is inexact for c > 0
+            for _ in range(200):
+                p = draw_params(rng)
+                levels = [float(rng.uniform(0.0, 0.3))]
+                lo, hi = 0.0, 0.3
+                if label(p, lo) is Classification.UNSTABLE \
+                        and label(p, hi) is not Classification.UNSTABLE:
+                    while math.nextafter(lo, 1.0) < hi:
+                        mid = 0.5 * (lo + hi)
+                        if label(p, mid) is Classification.UNSTABLE:
+                            lo = mid
+                        else:
+                            hi = mid
+                    levels += [lo, hi]
+                    flips += 1
+                for c in levels:
+                    r0 = r0_spectral(p, c)
+                    if r0 == 1.0:
+                        continue
+                    assert label(p, c) is (Classification.UNSTABLE if r0 > 1.0
+                                           else Classification.ASYMPTOTICALLY_STABLE)
+                    checked += 1
+        assert flips >= 100 and checked >= 250, (flips, checked)
 
     def test_endemic_root_classified_stable_uncontrolled(self):
         report = classify(CAPE_VERDE, 0.0, refined_endemic(CAPE_VERDE, 0.0))
