@@ -55,9 +55,9 @@ from .model import (
     ModelParams,
     State7,
     component_scales,
-    mosquito_viability,
-    r0_closed_form,
+    _margin,
     _paper_dfe,
+    _r0,
     _rate,
     _rhs_of,
 )
@@ -103,14 +103,19 @@ def jacobian(p: ModelParams, c: ControlLevel | float, x) -> tuple[tuple[float, .
     """Analytic 7x7 Jacobian of the right-hand side at x, any sequence of 7
     floats (a ``State7`` included), as seven row tuples:
     J(X) = M(X) + (dM/dX)X."""
-    jac = _metzler_rows(p, _rate(c), x)
+    return tuple(map(tuple, _jacobian_rows(p, _rate(c), x)))
+
+
+def _jacobian_rows(p: ModelParams, c: float, x) -> list[list[float]]:
+    """``jacobian`` as seven row lists, at a control rate already checked by ``_rate``."""
+    jac = _metzler_rows(p, c, x)
     # (dM/dX)X: crowded recruitment and the cross-infection derivatives
     jac[3][4] = jac[3][5] = jac[3][6] = p.mu_b * (1.0 - x[3] / p.K)
     jac[1][6] = p.B * p.beta_mh * x[0] / p.N_h
     jac[0][6] = -jac[1][6]
     jac[5][2] = p.B * p.beta_hm * x[4] / p.N_h
     jac[4][2] = -jac[5][2]
-    return tuple(map(tuple, jac))
+    return jac
 
 
 class EquilibriumKind(enum.Enum):
@@ -175,7 +180,7 @@ def brdfe(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
     cc = _rate(c)
     state = _paper_dfe(p, cc)
     return Equilibrium(kind=EquilibriumKind.BRDFE, state=state,
-                       residual_norm=residual(p, cc, state))
+                       residual_norm=_scaled_rhs(p, _rhs_of(p, cc), state)[1])
 
 
 def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
@@ -197,12 +202,12 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     control.
     """
     cc = _rate(c)
-    viability = mosquito_viability(p, cc)
+    viability = _margin(p, cc)
     if viability <= 0.0:
         raise NoEndemicEquilibrium(
             "no endemic equilibrium in the admissible region: mosquito "
             f"population collapses (viability margin = {viability:.6g})")
-    r0 = r0_closed_form(p, cc)
+    r0 = _r0(p, cc)
     if r0 <= 1.0:
         raise NoEndemicEquilibrium(
             "no endemic equilibrium in the admissible region: basic "
@@ -231,7 +236,7 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     if not state.is_finite():
         raise NumericalFailure("endemic closed form is not finite at these parameters")
     return Equilibrium(kind=EquilibriumKind.ENDEMIC, state=state,
-                       residual_norm=residual(p, cc, state), refined=False)
+                       residual_norm=_scaled_rhs(p, _rhs_of(p, cc), state)[1], refined=False)
 
 
 def _classify_root(p: ModelParams, x) -> EquilibriumKind:

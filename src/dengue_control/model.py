@@ -23,9 +23,9 @@ The formula has one home, ``_rhs_of(p, c)``, which takes the rate products
 and sums that do not depend on the state once and returns the derivative
 as a function of the state, any sequence of 7 floats (a ``State7``
 included); the integrator binds it once per run.  The rule "c finite and
->= 0" has one home too, ``_rate(c)``, which gives every routine its float
-rate.  Everything here works on Python floats; the array forms of the model
-live in ``equilibria``, so importing this module does not load numpy.
+>= 0" has one home too, ``_rate(c)``, run once per public call; the private
+helpers take its float.  Everything here works on Python floats; the array
+forms live in ``equilibria``, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -211,13 +211,17 @@ def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     at or below zero the population collapses and only the mosquito-free
     equilibrium remains.
     """
-    cc = _rate(c)
-    return p.eta_A * p.mu_b - cc * (p.eta_A + p.mu_A) - p.mu_m * (p.mu_A + p.eta_A)
+    return _margin(p, _rate(c))
+
+
+def _margin(p: ModelParams, c: float) -> float:
+    """``mosquito_viability`` at a control rate already checked by ``_rate``."""
+    return p.eta_A * p.mu_b - c * (p.eta_A + p.mu_A) - p.mu_m * (p.mu_A + p.eta_A)
 
 
 def _viability(p: ModelParams, c: float, what: str) -> float:
     """The viability margin at c; MosquitoCollapseError ("``what`` undefined") if <= 0."""
-    viability = mosquito_viability(p, c)
+    viability = _margin(p, c)
     if viability <= 0.0:
         raise MosquitoCollapseError(f"{what} undefined: mosquito population collapses "
                                     f"(viability margin = {viability:.6g})")
@@ -264,10 +268,14 @@ def r0_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     raises MosquitoCollapseError when the viability margin is <= 0, and
     NumericalFailure when the denominator's product of rates underflows or
     a product of rates overflows so that R0 is not finite."""
-    cc = _rate(c)
-    viability = _viability(p, cc, "basic reproduction number")
-    denominator = (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (cc + p.mu_m)
-                   * (cc + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))
+    return _r0(p, _rate(c))
+
+
+def _r0(p: ModelParams, c: float) -> float:
+    """``r0_closed_form`` at a control rate already checked by ``_rate``."""
+    viability = _viability(p, c, "basic reproduction number")
+    denominator = (p.mu_b * (p.eta_h + p.mu_h) * p.mu_m * (c + p.mu_m)
+                   * (c + p.eta_m + p.mu_m) * (p.mu_h + p.nu_h))
     if denominator == 0.0:
         raise NumericalFailure("basic reproduction number undefined: the product "
                                "of rates in its denominator underflows to 0")

@@ -4,8 +4,8 @@ and the next-generation route to the basic reproduction number.
 The linearization target is the reduced 7-dimensional system (recovered
 humans eliminated); the eliminated direction contributes a known -mu_h
 eigenvalue that is documented here rather than computed.  The analytic
-Jacobian is ``equilibria.jacobian``, which takes the state as any sequence
-of 7 floats (a ``State7`` included) and returns seven row tuples.  No
+Jacobian is ``equilibria.jacobian``, read here as its seven row lists
+(``_jacobian_rows``), with c checked once per public call.  No
 eigensolver is used, and every answer is exact in the float entries of that
 Jacobian: ``classify`` reads the sign of its spectral abscissa (the largest
 real part of an eigenvalue), and MARGINAL means an abscissa of exactly 0.
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from itertools import chain, zip_longest
 from operator import mul
 
-from .equilibria import Equilibrium, jacobian
+from .equilibria import Equilibrium, _jacobian_rows
 from .errors import NumericalFailure
 from .model import ControlLevel, ModelParams, _paper_dfe, _rate
 
@@ -81,11 +81,6 @@ class Classification(enum.Enum):
     MARGINAL = "marginal"
 
 
-#: Label of each sign of the spectral abscissa.
-_LABEL = {-1: Classification.ASYMPTOTICALLY_STABLE, 0: Classification.MARGINAL,
-          1: Classification.UNSTABLE}
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """What ``classify`` returns.  A record of one field, kept so that the
@@ -95,12 +90,14 @@ class StabilityReport:
     classification: Classification
 
 
-def _require_finite(rows, what: str) -> None:
-    """NumericalFailure, its message opening with ``what``, if an entry of
-    ``rows`` is not finite."""
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        raise NumericalFailure(
-            f"{what} contains non-finite entries (overflow at these parameters)")
+#: One shared (frozen) report per sign of the spectral abscissa.
+_REPORT = {-1: StabilityReport(Classification.ASYMPTOTICALLY_STABLE),
+           0: StabilityReport(Classification.MARGINAL),
+           1: StabilityReport(Classification.UNSTABLE)}
+
+
+def _finite(rows) -> bool:
+    return all(map(math.isfinite, chain.from_iterable(rows)))
 
 
 def _sign(x) -> int:
@@ -279,17 +276,16 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
             "it is not an exact fixed point of this flow",
             stacklevel=2)
 
-    what = f"cannot classify the {eq.kind.value} state"
     x = eq.state
-    if not x.is_finite():
-        raise NumericalFailure(
-            f"{what}: state contains non-finite components (overflow at these parameters)")
-    jac = jacobian(p, cc, x)
-    _require_finite(jac, f"{what}: matrix")
-    sign = _disease_free_sign(jac) if x[1] == x[2] == x[5] == x[6] == 0.0 else None
-    if sign is None:
-        sign = _root_abscissa_sign(_charpoly(_integer_rows(jac)))
-    return StabilityReport(classification=_LABEL[sign])
+    if x.is_finite() and _finite(jac := _jacobian_rows(p, cc, x)):
+        sign = _disease_free_sign(jac) if x[1] == x[2] == x[5] == x[6] == 0.0 else None
+        if sign is None:
+            sign = _root_abscissa_sign(_charpoly(_integer_rows(jac)))
+        return _REPORT[sign]
+    what = ("matrix contains non-finite entries" if x.is_finite()
+            else "state contains non-finite components")
+    raise NumericalFailure(
+        f"cannot classify the {eq.kind.value} state: {what} (overflow at these parameters)")
 
 
 def _sqrt_ratio(n: int, d: int) -> float:
@@ -316,12 +312,17 @@ def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     infect humans), so its spectrum is {rho, -rho, 0, 0} and
     rho^2 = trace(K^2)/2 = P/prod(a_i), the infected cycle's ratio.  Raises
     NumericalFailure when the cycle is not finite or the radius rounds
-    beyond the largest double.
+    beyond the largest double.  Correctly rounded for the float F and V,
+    whose entries are already rounded, not for the rates: an entry can
+    underflow, so with B = 2.78e-189, N_h = 3.85e-281 and c = 0.12 on the
+    built-in scenario this is 0.0, where R0 is 3.6194003461192025e-46.
     """
     cc = _rate(c)
-    a, cycle = _infected_cycle(jacobian(p, cc, _paper_dfe(p, cc)))
+    a, cycle = _infected_cycle(_jacobian_rows(p, cc, _paper_dfe(p, cc)))
     what = "cannot compute the spectral R0 at the brdfe state"
-    _require_finite((a, cycle), f"{what}: next-generation matrix")
+    if not _finite((a, cycle)):
+        raise NumericalFailure(f"{what}: next-generation matrix contains non-finite "
+                               "entries (overflow at these parameters)")
     (num, den), (a_num, a_den) = _ratio(cycle), _ratio(a)
     try:
         return _sqrt_ratio(num * a_den, den * a_num)

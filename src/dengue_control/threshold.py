@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MosquitoCollapseError, NumericalFailure, ScenarioError
-from .model import ModelParams, mosquito_viability, r0_closed_form, r0_factors, _rate
+from .model import ModelParams, r0_factors, _margin, _r0, _rate
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,12 @@ def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoContro
         raise ScenarioError(f"tolerance must be > 0, got {tol}")
 
     c_collapse = collapse_control_bound(p)
-    if (m_zero := mosquito_viability(p, 0.0)) <= 0.0:
+    if (m_zero := _margin(p, 0.0)) <= 0.0:
         return NoControlNeeded(r0_at_zero=None, collapse_bound=c_collapse)
 
     def r0(c: float) -> float:
         try:
-            return r0_closed_form(p, c)
+            return _r0(p, c)        # c is 0 or a finite level inside the bracket
         except MosquitoCollapseError:
             # rounding can leave the margin <= 0 a few ulps below
             # c_collapse, where the closed form gives R0 = 0
@@ -128,7 +128,7 @@ def r0_profile(p: ModelParams, grid) -> list[ProfilePoint]:
     for c in grid:
         c = _rate(c)
         try:
-            r0 = r0_closed_form(p, c)
+            r0 = _r0(p, c)
         except MosquitoCollapseError:
             r0 = None
         except NumericalFailure as exc:

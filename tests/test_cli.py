@@ -531,15 +531,15 @@ class TestSweep:
         # file: no sweep.csv and nothing on stdout, only the created directory
         from dengue_control import threshold
 
-        r0_closed_form = threshold.r0_closed_form
+        r0 = threshold._r0     # r0_profile's R0 at its checked level
 
         def r0_refused_past_0_2(p, c):
             if c > 0.2:
                 raise NumericalFailure("R0 refused")
-            return r0_closed_form(p, c)
+            return r0(p, c)
 
         monkeypatch.setattr(cli, "_DENSE_CHUNK", 7)
-        monkeypatch.setattr(threshold, "r0_closed_form", r0_refused_past_0_2)
+        monkeypatch.setattr(threshold, "_r0", r0_refused_past_0_2)
         code, out, err = run_cli(capsys, "sweep", "--builtin", "capeverde2009",
                                  "--c-step", "0.015", "--out", str(tmp_path / "out"))
         assert (code, out, err) == (3, "", "error: R0 refused at c = 0.21\n")

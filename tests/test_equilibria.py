@@ -24,6 +24,7 @@ from dengue_control.model import (
     r0_closed_form,
     _rhs_of,
 )
+from dengue_control.scenario import builtin_capeverde2009
 from dengue_control.stability import r0_spectral
 from dengue_control.threshold import min_control
 
@@ -400,6 +401,18 @@ class TestResidual:
                 expected = np.max(np.abs(_rhs_of(p, 0.1)(x.tolist())) / component_scales(p))
             got = residual(p, 0.1, State7.from_array(x))
             assert type(got) is float and repr(got) == repr(float(expected))
+
+    def test_brdfe_records_the_residual_of_its_state(self):
+        # brdfe takes its residual from the bound right-hand side, not
+        # through residual(); the two agree to the bit on the built-in grid
+        # c = 0 ... 0.33 (step 1e-4) and on 300 draws with c in U[0, 0.3]
+        p = builtin_capeverde2009().params
+        cases = [(p, i * 1e-4) for i in range(3301)]
+        rng = np.random.default_rng(2037)
+        cases += [(draw_params(rng), float(rng.uniform(0.0, 0.3))) for _ in range(300)]
+        for p, c in cases:
+            eq = brdfe(p, c)
+            assert eq.residual_norm.hex() == residual(p, c, eq.state).hex(), (p, c)
 
 
 class TestCarryingCapacity:

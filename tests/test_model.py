@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from conftest import (
     draw_params_wide,
     params_with,
 )
-from dengue_control.equilibria import brdfe, metzler_matrix, trivial_equilibrium
+from dengue_control.equilibria import (
+    brdfe,
+    endemic_closed_form,
+    jacobian,
+    metzler_matrix,
+    trivial_equilibrium,
+)
 from dengue_control.integrator import SolverConfig, integrate, _r_h
 from dengue_control.model import (
     ROW_LABELS,
@@ -24,11 +32,12 @@ from dengue_control.model import (
     in_omega,
     mosquito_viability,
     r0_closed_form,
+    r0_factors,
     rhs,
     _rate,
     _rhs_of,
 )
-from dengue_control.stability import classify
+from dengue_control.stability import classify, r0_spectral
 from dengue_control.threshold import r0_profile
 
 
@@ -158,6 +167,72 @@ class TestBadControlLevel:
     @pytest.mark.parametrize("c", (0.0, 5e-324, 0.05, 1e308))
     def test_rate_of_a_level_is_the_rate_of_its_float(self, c):
         assert _rate(ControlLevel(c)) == _rate(c) == ControlLevel(c).c == c
+
+
+@pytest.fixture
+def rate_calls(monkeypatch):
+    """The control levels passed to ``_rate``, counted in every package
+    module that imported it."""
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return _rate(c)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("dengue_control.") and vars(m).get("_rate") is _rate]
+    assert {m.__name__ for m in modules} >= {"dengue_control.model", "dengue_control.equilibria",
+                                             "dengue_control.stability", "dengue_control.threshold"}
+    for m in modules:
+        monkeypatch.setattr(m, "_rate", counted)
+    return calls
+
+
+class TestControlCheckedOnce:
+    """Each public call checks its control level once; the private helpers
+    it calls take the checked float."""
+
+    @pytest.mark.parametrize("c", (0.0, 0.05, 0.12, 0.2))
+    def test_brdfe_and_classify_check_c_once_each(self, rate_calls, c):
+        trivial = trivial_equilibrium(CAPE_VERDE)
+        rate_calls.clear()
+        eq = brdfe(CAPE_VERDE, c)
+        assert rate_calls == [c]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # the paper's state is not a fixed point for c > 0
+            classify(CAPE_VERDE, c, eq)
+            assert rate_calls == [c, c]
+            classify(CAPE_VERDE, c, trivial)
+        assert rate_calls == [c, c, c]
+
+    @pytest.mark.parametrize("name, call", (
+        ("mosquito_viability", lambda c: mosquito_viability(CAPE_VERDE, c)),
+        ("r0_closed_form", lambda c: r0_closed_form(CAPE_VERDE, c)),
+        ("r0_factors", lambda c: r0_factors(CAPE_VERDE, c)),
+        ("r0_spectral", lambda c: r0_spectral(CAPE_VERDE, c)),
+        ("endemic_closed_form", lambda c: endemic_closed_form(CAPE_VERDE, c)),
+        ("jacobian", lambda c: jacobian(CAPE_VERDE, c, CAPE_VERDE_X0)),
+    ))
+    def test_other_public_calls_check_c_once(self, rate_calls, name, call):
+        call(0.05)
+        assert rate_calls == [0.05], name
+
+    def test_r0_profile_checks_each_level_once(self, rate_calls):
+        grid = [i * 0.005 for i in range(61)] + [5.0]       # 5.0 collapses
+        points = r0_profile(CAPE_VERDE, grid)
+        assert rate_calls == grid and points[-1].collapsed
+
+    def test_classify_shares_one_report_per_label(self):
+        rng = np.random.default_rng(2041)
+        by_label = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(40):
+                p, c = draw_params(rng), float(rng.uniform(0.0, 0.3))
+                for eq in (trivial_equilibrium(p), brdfe(p, c)):
+                    rep = classify(p, c, eq)
+                    assert by_label.setdefault(rep.classification, rep) is rep
+        assert len(by_label) == 2     # stable and unstable both drawn
 
 
 class TestState7:
