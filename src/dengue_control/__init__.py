@@ -1,7 +1,8 @@
 """Host-vector dengue transmission model with constant adulticide control.
 
 Library surface: model right-hand side and domain types, adaptive
-integration, equilibria with Newton refinement, and the minimum-control
+integration, equilibria in closed form (each endemic component the
+double nearest its exact rational value), and the minimum-control
 threshold, with ``stability`` reading the model's linearization twice:
 the next-generation-matrix reproduction number and the stability
 classification.  The ``dengue-control`` command wraps it all for scenario
@@ -26,7 +27,7 @@ __version__ = "0.1.0"
 
 _PUBLIC = {
     "equilibria": ("Equilibrium", "EquilibriumKind", "brdfe", "endemic_closed_form",
-                   "jacobian", "metzler_matrix", "refine", "refined_endemic", "residual",
+                   "jacobian", "metzler_matrix", "refined_endemic", "residual",
                    "trivial_equilibrium"),
     "errors": ("MosquitoCollapseError", "NoEndemicEquilibrium", "NumericalFailure",
                "ScenarioError"),

@@ -1,4 +1,4 @@
-"""Fixed points of the host-vector system: closed forms and Newton refinement.
+"""Fixed points of the host-vector system, in closed form.
 
 Three equilibria matter:
 
@@ -15,10 +15,11 @@ next-generation matrix of ``stability.r0_spectral`` both read.  It uses the
 zero-control adult balance (eta_A*A*/mu_m), so for c > 0 it is not an
 exact fixed point of the controlled flow; it is nevertheless the declared
 evaluation point of the reproduction-number machinery.  The endemic closed
-form is built from R0 and the right-hand side's own steady-state balances
-and is exact for every control level.  Nothing is silently "fixed": every
-constructed equilibrium records its honest relative residual, and Newton
-refinement of the endemic closed form cross-checks it.
+form is built from R0 and the right-hand side's own steady-state balances,
+is rational in the rates and c, and is a root for every control level;
+``endemic_closed_form`` evaluates it exactly, in integers, and rounds each
+component once.  Nothing is silently "fixed": every constructed
+equilibrium records its honest relative residual.
 
 A practical consequence of the zero-control balance: the existence window
 "R0 > 1" for the endemic equilibrium is wider than the window where the
@@ -32,15 +33,14 @@ biologically meaningful endemic state should check region membership on
 the result.
 
 This module also holds the model's array forms, as seven row tuples of
-floats, used by Newton refinement and the stability analysis: the Metzler
+floats, used by the stability analysis: the Metzler
 form dX/dt = M(X)X + F, with F = (mu_h*N_h, 0, ..., 0) constant and M(X)
 (``metzler_matrix``) having nonnegative off-diagonal entries on the
 admissible region, which keeps trajectories in the nonnegative orthant.
 The analytic ``jacobian`` is derived from M by the product rule,
 J(X) = M(X) + (dM/dX)X; at the disease-free point the infected blocks of
-the two parts are -V and F of the next-generation split.  Newton's linear
-systems are solved on Python floats (``_solve``), so nothing here needs
-numpy.
+the two parts are -V and F of the next-generation split.  Nothing here
+needs numpy.
 """
 
 from __future__ import annotations
@@ -49,12 +49,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NoEndemicEquilibrium, NumericalFailure
+from .errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
 from .model import (
     ControlLevel,
     ModelParams,
     State7,
     component_scales,
+    _integer_rows,
     _margin,
     _paper_dfe,
     _r0,
@@ -62,12 +63,9 @@ from .model import (
     _rhs_of,
 )
 
-#: Relative residual (max over components, scaled by the natural
-#: compartment magnitudes) below which Newton refinement declares a root.
+#: Bound on the relative residual (max over components, scaled by the
+#: natural compartment magnitudes) of a rounded endemic root.
 REFINE_TOL = 1e-10
-
-_MAX_NEWTON_ITERATIONS = 100
-_MAX_DAMPING_HALVINGS = 30
 
 
 def _metzler_rows(p: ModelParams, c: float, x) -> list[list[float]]:
@@ -131,7 +129,6 @@ class Equilibrium:
     kind: EquilibriumKind
     state: State7
     residual_norm: float
-    refined: bool = False
 
 
 def _scaled_rhs(p: ModelParams, f, y) -> tuple[tuple[float, ...], float]:
@@ -184,155 +181,82 @@ def brdfe(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
 
 
 def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
-    """Closed-form endemic equilibrium, flagged unrefined.
+    """Endemic equilibrium, each component the double nearest the exact
+    value of its closed form.
 
     Requires a positive viability margin and basic reproduction number
-    above one.  The infected-human level solves an equation linear in
-    rho = R0^2*mu_m/(mu_m + c):
+    above one, both read in floats.  The infected-human level solves an
+    equation linear in rho = R0^2*mu_m/(mu_m + c):
 
         I_h = N_h*(rho - 1) / (rho*L + B*beta_hm/(mu_m + c)),
         L = (mu_h + nu_h)*(mu_h + eta_h)/(mu_h*nu_h);
 
     each other component follows from one balance of the right-hand side.
-    Exact for every control level; ``refine`` on this output is the
-    cross-check.  Raises NumericalFailure when mu_h*nu_h underflows, when
-    the denominator of I_h or of S_m reaches 0, or when the formula
-    overflows to a non-finite state (bite rates near the float range).  See
-    the module docstring for the positivity window of the result under
-    control.
+    Cleared of fractions, with r = mu_m + c, a = mu_h + nu_h,
+    b = mu_h + eta_h, q = r + eta_m, M the viability margin and
+
+        G = B*beta_hm*B*beta_mh*K*eta_m*M,   H = N_h*mu_b*r^2*q,
+        D = G*r + B*beta_hm*H*mu_h,   E = B*beta_hm*mu_h*nu_h + a*b*r,
+        Z = G*nu_h - H*a*b   (the sign of rho - 1),
+
+    the state is
+
+        S_h = N_h*H*E/(nu_h*D),     E_h = N_h*mu_h*r*Z/(a*nu_h*D),
+        I_h = N_h*mu_h*r*Z/(a*b*D), A_m = K*M/(eta_A*mu_b),
+        S_m = a*b*D/(mu_b*r*B*beta_hm*B*beta_mh*eta_m*E),
+        E_m = mu_h*Z/(mu_b*B*beta_mh*eta_m*q*E),
+        I_m = mu_h*Z/(mu_b*B*beta_mh*r*q*E).
+
+    Each numerator and denominator is taken exactly, in integers, from the
+    inputs put over one power of two, and each quotient rounds once, so the
+    state is the double nearest a root with exactly zero right-hand side.
+    D and E are positive wherever the exact M is, so no denominator
+    vanishes by rounding.  Besides R0's own NumericalFailure, raises
+    NumericalFailure where a component lies beyond the largest double (or
+    where D is exactly 0, which needs an exact margin of at most 0 under a
+    positive float one).  See the module docstring for the positivity
+    window of the result under control.
     """
     cc = _rate(c)
-    viability = _margin(p, cc)
-    if viability <= 0.0:
+    try:
+        r0 = _r0(p, cc)
+    except MosquitoCollapseError:
         raise NoEndemicEquilibrium(
             "no endemic equilibrium in the admissible region: mosquito "
-            f"population collapses (viability margin = {viability:.6g})")
-    r0 = _r0(p, cc)
+            f"population collapses (viability margin = {_margin(p, cc):.6g})") from None
     if r0 <= 1.0:
         raise NoEndemicEquilibrium(
             "no endemic equilibrium in the admissible region: basic "
             f"reproduction number {r0:.6g} <= 1")
 
-    removal = p.mu_m + cc                  # adult death plus adulticide
-    rho = r0 * r0 * p.mu_m / removal       # R0^2 at the flow's disease-free state
-    if p.mu_h * p.nu_h == 0.0:
-        raise NumericalFailure("endemic closed form undefined: mu_h*nu_h underflows to 0")
-    # the S_h, E_h and I_h balances give N_h - S_h = L*I_h
-    L = (p.mu_h + p.nu_h) * (p.mu_h + p.eta_h) / (p.mu_h * p.nu_h)
-    if (den := rho * L + p.B * p.beta_hm / removal) == 0.0:
-        raise NumericalFailure(
-            "endemic closed form undefined: rho*L + B*beta_hm/(mu_m + c) underflows to 0")
-    i_h = p.N_h * (rho - 1.0) / den
-    a_m = _paper_dfe(p, cc).A_m
-    foi_m = p.B * p.beta_hm * i_h / p.N_h
-    # I_h < 0 where rho < 1 < R0, and there the adult outflow can cancel
-    if (outflow := foi_m + removal) == 0.0:
-        raise NumericalFailure(
-            "endemic closed form undefined: B*beta_hm*I_h/N_h + mu_m + c cancels to 0")
-    s_m = p.eta_A * a_m / outflow
-    e_m = foi_m * s_m / (p.mu_m + p.eta_m + cc)
-    state = State7(p.N_h - L * i_h, (p.mu_h + p.eta_h) / p.nu_h * i_h, i_h,
-                   a_m, s_m, e_m, p.eta_m * e_m / removal)
-    if not state.is_finite():
-        raise NumericalFailure("endemic closed form is not finite at these parameters")
+    # counts times 2^s and, through one = 2^s, rates (B*beta included) times
+    # 2^2s: the state is unchanged by a common factor on the rates and scales
+    # with the counts, so each quotient below is a component times 2^s
+    n_h, cap, bite, beta_mh, beta_hm, one, *rates = _integer_rows([[
+        p.N_h, p.K, p.B, p.beta_mh, p.beta_hm, 1.0,
+        p.mu_h, p.eta_h, p.mu_m, p.mu_b, p.mu_A, p.eta_A, p.eta_m, p.nu_h, cc]])[0]
+    mu_h, eta_h, mu_m, mu_b, mu_A, eta_A, eta_m, nu_h, c2 = (v * one for v in rates)
+    bite_hm, bite_mh = bite * beta_hm, bite * beta_mh
+    r, a, b = mu_m + c2, mu_h + nu_h, mu_h + eta_h
+    q = r + eta_m
+    m = eta_A * mu_b - c2 * (eta_A + mu_A) - mu_m * (mu_A + eta_A)
+    g = bite_hm * bite_mh * cap * eta_m * m
+    h = n_h * mu_b * r * r * q
+    d = g * r + bite_hm * h * mu_h
+    e = bite_hm * mu_h * nu_h + a * b * r
+    z = g * nu_h - h * a * b
+    infected = n_h * mu_h * r * z
+    quotients = ((n_h * h * e, nu_h * d), (infected, a * nu_h * d), (infected, a * b * d),
+                 (cap * m, eta_A * mu_b), (a * b * d, mu_b * r * bite_hm * bite_mh * eta_m * e),
+                 (mu_h * z, mu_b * bite_mh * eta_m * q * e), (mu_h * z, mu_b * bite_mh * r * q * e))
+    try:
+        state = State7(*(num / (den * one) for num, den in quotients))
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalFailure("endemic closed form is not finite at these parameters") from None
     return Equilibrium(kind=EquilibriumKind.ENDEMIC, state=state,
-                       residual_norm=_scaled_rhs(p, _rhs_of(p, cc), state)[1], refined=False)
+                       residual_norm=_scaled_rhs(p, _rhs_of(p, cc), state)[1])
 
 
-def _classify_root(p: ModelParams, x) -> EquilibriumKind:
-    scales = component_scales(p)
-    infected = max(abs(x[1]) / scales[1], abs(x[2]) / scales[2],
-                   abs(x[5]) / scales[5], abs(x[6]) / scales[6])
-    if infected > 1e-8:
-        return EquilibriumKind.ENDEMIC
-    if abs(x[3]) / scales[3] > 1e-8 or abs(x[4]) / scales[4] > 1e-8:
-        return EquilibriumKind.BRDFE
-    return EquilibriumKind.TRIVIAL
-
-
-def _solve(a, b) -> list[float]:
-    """x with a x = b, for a a square sequence of row sequences and b a
-    sequence, by Gaussian elimination with partial pivoting: in each column
-    the first entry of largest magnitude is the pivot, the row LAPACK's
-    getrf picks.  Only the pivot choice follows LAPACK; the multipliers
-    (divided by the pivot) and the order of the updates round on their own,
-    so on an ill-conditioned matrix the solution can differ from LAPACK's.
-    Raises ZeroDivisionError on an exactly zero pivot, where LAPACK reports
-    the matrix singular."""
-    n = len(b)
-    rows = [[*row, rhs] for row, rhs in zip(a, b)]
-    for k in range(n):
-        col = [abs(row[k]) for row in rows[k:]]
-        at = k + col.index(max(col))
-        rows[k], rows[at] = rows[at], rows[k]
-        pivot = rows[k]
-        if pivot[k] == 0.0:
-            raise ZeroDivisionError("zero pivot")
-        for row in rows[k + 1:]:
-            if (factor := row[k] / pivot[k]) != 0.0:
-                for j in range(k + 1, n + 1):
-                    row[j] -= factor * pivot[j]
-    x = [0.0] * n
-    for i in reversed(range(n)):
-        row = rows[i]
-        total = row[n]
-        for j in range(i + 1, n):
-            total -= row[j] * x[j]
-        x[i] = total / row[i]
-    return x
-
-
-def refine(p: ModelParams, c: ControlLevel | float, guess: State7) -> Equilibrium:
-    """Damped Newton iteration on rhs = 0 starting from ``guess``.
-
-    Each step solves J(x) step = -rhs(x) by ``_solve`` on Python floats.
-    The step is halved (up to 30 times) until the scaled residual
-    decreases; convergence is declared below REFINE_TOL.  Raises
-    NumericalFailure, carrying the last residual, after 100 iterations
-    without convergence or on a singular Jacobian (an exactly zero pivot).
-    """
-    if not guess.is_finite():
-        raise ValueError("refinement guess contains non-finite components")
-    cc = _rate(c)
-    f = _rhs_of(p, cc)
-    x = guess
-    r, res = _scaled_rhs(p, f, guess)
-    for _ in range(_MAX_NEWTON_ITERATIONS):
-        if res < REFINE_TOL:
-            return Equilibrium(kind=_classify_root(p, x), state=State7.from_array(x),
-                               residual_norm=res, refined=True)
-        try:
-            step = _solve(jacobian(p, cc, x), [-v for v in r])
-        except ZeroDivisionError:
-            raise NumericalFailure(
-                f"singular Jacobian during refinement (residual {res:.3e})",
-                residual=res) from None
-        lam = 1.0
-        for _ in range(_MAX_DAMPING_HALVINGS):
-            x_new = [xi + lam * si for xi, si in zip(x, step)]
-            r_new, res_new = _scaled_rhs(p, f, x_new)
-            if all(map(math.isfinite, r_new)) and res_new < res:
-                break
-            lam *= 0.5
-        else:
-            raise NumericalFailure(
-                f"refinement stalled: damping exhausted at residual {res:.3e}",
-                residual=res)
-        x, r, res = x_new, r_new, res_new
-    raise NumericalFailure(
-        f"refinement did not converge in {_MAX_NEWTON_ITERATIONS} iterations "
-        f"(last residual {res:.3e})", residual=res)
-
-
-def refined_endemic(p: ModelParams, c: ControlLevel | float = 0.0) -> Equilibrium:
-    """Endemic equilibrium with the closed form as guess and Newton polish.
-
-    The refined root is the authoritative value; the closed form is kept
-    as the starting point and cross-check.
-    """
-    eq = refine(p, c, endemic_closed_form(p, c).state)
-    if eq.kind is not EquilibriumKind.ENDEMIC:
-        raise NoEndemicEquilibrium(
-            "refinement of the endemic closed form collapsed to a "
-            f"disease-free state ({eq.kind.value})")
-    return eq
+#: The name the benchmark harness in perfbench/ imports; the closed form is
+#: the one endemic routine.
+refined_endemic = endemic_closed_form

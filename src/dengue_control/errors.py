@@ -16,15 +16,12 @@ class ScenarioError(ValueError):
 class NumericalFailure(RuntimeError):
     """A numerical procedure failed to converge or broke down.
 
-    ``time`` is set by the integrator (day of breakdown); ``residual`` by
-    the equilibrium refiner (last residual before giving up).
+    ``time`` is set by the integrator (day of breakdown).
     """
 
-    def __init__(self, message: str, *, time: float | None = None,
-                 residual: float | None = None):
+    def __init__(self, message: str, *, time: float | None = None):
         super().__init__(message)
         self.time = time
-        self.residual = residual
 
 
 class MosquitoCollapseError(RuntimeError):

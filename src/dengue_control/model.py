@@ -24,8 +24,10 @@ and sums that do not depend on the state once and returns the derivative
 as a function of the state, any sequence of 7 floats (a ``State7``
 included); the integrator binds it once per run.  The rule "c finite and
 >= 0" has one home too, ``_rate(c)``, run once per public call; the private
-helpers take its float.  Everything here works on Python floats; the array
-forms live in ``equilibria``, so importing this module does not load numpy.
+helpers take its float.  Everything here works on Python floats, and
+``_integer_rows`` puts floats over one power of two as integers for the
+exact routes of ``equilibria`` and ``stability``; the array forms live in
+``equilibria``, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -115,6 +117,14 @@ def _rate(c: ControlLevel | float) -> float:
     if c < 0.0:
         raise ValueError(f"c must be >= 0, got {c}")
     return c
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    """``rows`` of floats times 2^s as integers, for the least s that makes
+    every entry one."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    scale = max(d for row in ratios for _, d in row)     # each d is a power of 2
+    return [[n * (scale // d) for n, d in row] for row in ratios]
 
 
 class State7(NamedTuple):

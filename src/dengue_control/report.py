@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, is_dataclass, replace
 
-from .equilibria import Equilibrium, brdfe, refined_endemic, trivial_equilibrium
+from .equilibria import Equilibrium, brdfe, endemic_closed_form, trivial_equilibrium
 from .errors import NoEndemicEquilibrium, NumericalFailure
 from .model import (STATE_LABELS, basic_offspring_number, in_omega, mosquito_viability,
                     r0_closed_form, r0_factors)
@@ -28,7 +28,6 @@ class EquilibriumEntry:
     state: tuple[float, ...]
     residual: float
     inside_region: bool
-    refined: bool
     classification: str
     r0_at_point: float | None
 
@@ -58,7 +57,6 @@ def _entry(scenario: Scenario, eq: Equilibrium, r0: float | None = None) -> Equi
         state=eq.state,
         residual=eq.residual_norm,
         inside_region=in_omega(scenario.params, eq.state),
-        refined=eq.refined,
         classification=rep.classification.value,
         r0_at_point=r0,
     )
@@ -92,7 +90,7 @@ def build_report(scenario: Scenario) -> AnalysisReport:
         r_hm, r_mh = r0_factors(p, ctrl)
         entries.append(_entry(scenario, brdfe(p, ctrl), r0c))
         try:
-            entries.append(_entry(scenario, refined_endemic(p, ctrl)))
+            entries.append(_entry(scenario, endemic_closed_form(p, ctrl)))
         except (NoEndemicEquilibrium, NumericalFailure) as exc:
             endemic_note = str(exc)
 
@@ -135,7 +133,6 @@ def render_text(report: AnalysisReport) -> str:
     ]
     for eq in report.equilibria:
         lines.append(f"  [{eq.kind}] residual = {_num(eq.residual)}"
-                     f"  refined = {str(eq.refined).lower()}"
                      f"  in_region = {str(eq.inside_region).lower()}")
         lines.append("    " + "  ".join(
             f"{name} = {_num(v)}" for name, v in zip(STATE_LABELS, eq.state)))

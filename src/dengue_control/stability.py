@@ -65,7 +65,7 @@ from operator import mul
 
 from .equilibria import Equilibrium, _jacobian_rows
 from .errors import NumericalFailure
-from .model import ControlLevel, ModelParams, _paper_dfe, _rate
+from .model import ControlLevel, ModelParams, _integer_rows, _paper_dfe, _rate
 
 #: Residual above which classify() warns that the input is not close
 #: enough to a fixed point for its linearization to mean much.
@@ -147,14 +147,6 @@ def _disease_free_sign(jac) -> int | None:
         mosquito = _sign(p + s)
     # the Perron root lambda* of prod(lambda + a_i) = P has the sign of P - prod(a_i)
     return max(_sign(jac[0][0]), mosquito, _diff_sign(cycle, a))
-
-
-def _integer_rows(rows) -> list[list[int]]:
-    """``rows`` of floats times 2^s as integers, for the least s that makes
-    every entry one."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
-    scale = max(d for row in ratios for _, d in row)     # each d is a power of 2
-    return [[n * (scale // d) for n, d in row] for row in ratios]
 
 
 def _charpoly(a) -> list[int]:

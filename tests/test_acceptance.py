@@ -14,7 +14,7 @@ from conftest import (
     draw_params_wide,
     integrate_fixed_dp54,
 )
-from dengue_control.equilibria import brdfe, refined_endemic, trivial_equilibrium
+from dengue_control.equilibria import brdfe, endemic_closed_form, trivial_equilibrium
 from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
     basic_offspring_number,
@@ -86,7 +86,7 @@ def test_criterion_4_equilibrium_residuals():
     start = time.perf_counter()
     trivial = trivial_equilibrium(CAPE_VERDE)
     disease_free = brdfe(CAPE_VERDE, 0.0)
-    endemic = refined_endemic(CAPE_VERDE, 0.0)
+    endemic = endemic_closed_form(CAPE_VERDE, 0.0)
     elapsed = time.perf_counter() - start
     ok = (trivial.residual_norm < 1e-12
           and disease_free.residual_norm < 1e-9
@@ -95,7 +95,7 @@ def test_criterion_4_equilibrium_residuals():
     _report(4, "equilibrium-residuals", ok,
             f"trivial {trivial.residual_norm:.2e} < 1e-12, "
             f"disease-free {disease_free.residual_norm:.2e} < 1e-9, "
-            f"refined endemic {endemic.residual_norm:.2e} < 1e-10, "
+            f"endemic {endemic.residual_norm:.2e} < 1e-10, "
             f"runtime {elapsed * 1e3:.1f} ms < 100 ms")
 
 

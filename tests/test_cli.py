@@ -275,16 +275,19 @@ class TestGoldenOutput:
     # of the default sweep.csv, computed before classify, brdfe and render_json
     # read the control rate as a float and render_json stopped calling asdict.
     # 0.05 and 0.12 were re-pinned when r0_spectral became correctly rounded:
-    # their spectral R0 moved one ulp, to 1.6728983144582583 and 1.1660081170613767
+    # their spectral R0 moved one ulp, to 1.6728983144582583 and 1.1660081170613767.
+    # All four were re-pinned when the endemic state became the correctly
+    # rounded closed form: the "refined" token left every entry, and the
+    # endemic entries (c = 0, 0.05, 0.12) changed in state digits and residual
     ANALYZE_DIGESTS = {
-        0.0: ("dbf5af17ef09707e9cf68d47a0b8d17d838c9b2432be4c070529fdbb0749a2c1",
-              "e12e7faecce9d0e92c0e973bc0f65f9840d9be9c9b0282a1083790d82177876f"),
-        0.05: ("37a0a7f03ed13989fed5c8694b328e80d571fddd35a60fcc1534843988c42768",
-               "b05f747e38f032017a48d4f3aa8bd14bc50bf5308df0b183c6d6bb3ad132d621"),
-        0.12: ("d8d70258c658ac2890cb042ae1027333f5db05fb2738e136c8fbbc2873228fe4",
-               "1081a220f341ee2e303d14816bceb71c6c9c1a470f19837830bbea9c67967bce"),
-        0.2: ("dfac1cd4f3f2851b183af37474ea3de70d6b89ecfae065b1810f3e8ab80c8f54",
-              "0e921d7a5034e09cdb6fae10952fd521822844a5d365de6cbc6ccebea5802bd1"),
+        0.0: ("d8f4444e0344becdba125ba1226e9da9d61cb4a8c36594c9e2da3f393d1c6bce",
+              "f1691ed40c190fd3054bd2228b5e7d136e939bf469dd578d18b6ad404d310969"),
+        0.05: ("b94a8c764a15a44ccdfbad5f8cb9102043f0c4f843d24535beab53eebe614916",
+               "31b2eef78411266e32b3a81b0eb8b1d7154b598c2b509f42335127d0ddb76ffb"),
+        0.12: ("e17d855f494862ca8eeda855ec056b008b34f88ff73f69b9f1b2930b1c660ee2",
+               "1d4f5826b92eb18116fc2789d21478dd51e7df1bd81b00a7269e26593c7b32f8"),
+        0.2: ("eb971491e67aa238c5f46f98d402ecd824a167454a1bb4dd794a1ffa96c4df16",
+              "60704f1cb50bd9fd8f5b57abbc47d0ce37a9459e33de2587d8a6eda65510ccf5"),
     }
     SWEEP_DIGEST = "ac7302269f84df3e14e20f52ea52f84aab3e0b539bdc56c395995b249b01c5e0"
 
@@ -651,6 +654,17 @@ class TestAnalyze:
         strip = lambda s: "\n".join(s.splitlines()[1:])   # scenario name differs
         assert strip(out_file) == strip(out_builtin)
 
+    def test_ill_conditioned_endemic_root(self, tmp_path, capsys):
+        # the Jacobian at this root has a condition number of about 5e114,
+        # where a damped Newton on float solves stalls; the rounded exact
+        # root has a zero float residual
+        path = tmp_path / "variant.txt"
+        path.write_text(builtin_text_with({"B": "9.352478863310842e44",
+                                           "K": "8.12056863434795e75"}))
+        code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path), "--control", "0.12")
+        assert code == 0
+        assert "\n  [endemic] residual = 0.0 " in out and "endemic:" not in out
+
 
 class TestHugeBiteRate:
     """B = 1e160: B**2 overflows a double, R0 itself does not."""
@@ -666,7 +680,8 @@ class TestHugeBiteRate:
         assert doc["r0_closed_form"] == pytest.approx(doc["r0_spectral"], rel=1e-10)
         code, out, _ = run_cli(capsys, "analyze", "--scenario", str(path))
         assert code == 0
-        assert "endemic: endemic closed form is not finite" in out
+        # R0**2 overflows in floats; the exact closed form is finite
+        assert "[endemic]" in out and "endemic:" not in out
 
     def test_threshold_and_sweep(self, path, tmp_path, capsys):
         assert run_cli(capsys, "threshold", "--scenario", str(path))[0] == 0
@@ -828,10 +843,10 @@ class TestExitCodes:
         ("analyze", {"mu_b": "1e-160", "eta_A": "1e-160", "mu_m": "1e-300", "mu_A": "1e-300"},
          3, "disease-free state undefined: mu_b*mu_m underflows"),
         ("analyze", {"mu_b": "5e-324"}, 0, "basic offspring ratio = n/a"),
-        ("analyze", {"mu_h": "1e-200", "nu_h": "1e-200"}, 0,
-         "endemic: endemic closed form undefined: mu_h*nu_h underflows"),
-        # rho < 1 < R0, and the endemic closed form's S_m denominator
-        # B*beta_hm*I_h/N_h + mu_m + c cancels to 0: a ZeroDivisionError once
+        # mu_h*nu_h underflows in floats; the exact closed form has a root
+        ("analyze", {"mu_h": "1e-200", "nu_h": "1e-200"}, 0, "[endemic]"),
+        # rho < 1 < R0 at c = 0.05, where the adult outflow rounds to 0 in
+        # floats; the threshold search then fails on R0 at c = 0
         ("analyze", {"mu_m": "1e-155", "eta_m": "1e-117", "c": "0.05"}, 3,
          "basic reproduction number undefined"),
     ])
@@ -1023,7 +1038,7 @@ class TestProcessInvocation:
 
 class TestPublicNames:
     def test_each_name_resolves_to_its_defining_module(self):
-        assert len(dengue_control.__all__) == len(set(dengue_control.__all__)) == 43
+        assert len(dengue_control.__all__) == len(set(dengue_control.__all__)) == 42
         for name in dengue_control.__all__:
             obj = getattr(dengue_control, name)
             assert getattr(sys.modules[obj.__module__], name) is obj

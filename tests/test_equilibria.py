@@ -1,5 +1,6 @@
 import math
-import re
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,16 +8,18 @@ import pytest
 import dengue_control.equilibria as eq_mod
 from conftest import CAPE_VERDE, draw_params, params_with
 from dengue_control.equilibria import (
+    REFINE_TOL,
     EquilibriumKind,
     brdfe,
     endemic_closed_form,
-    refine,
+    jacobian,
     refined_endemic,
     residual,
     trivial_equilibrium,
 )
 from dengue_control.errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
 from dengue_control.model import (
+    ModelParams,
     State7,
     component_scales,
     in_omega,
@@ -28,26 +31,83 @@ from dengue_control.scenario import builtin_capeverde2009
 from dengue_control.stability import r0_spectral
 from dengue_control.threshold import min_control
 
+#: At c = 0.12 the Jacobian at this endemic root has a condition number of
+#: about 5e114, and a damped Newton on float solves stalls near it
+STALL = params_with(B=9.352478863310842e44, K=8.12056863434795e75)
+
+
+def _exact(p, c):
+    """The rates of p and the control c as Fractions, by field name."""
+    return SimpleNamespace(c=Fraction(c), **{name: Fraction(getattr(p, name))
+                                             for name in ModelParams.__dataclass_fields__})
+
+
+def _exact_rhs(p, c, x):
+    """The model's right-hand side at x in exact rational arithmetic."""
+    q = _exact(p, c)
+    s_h, e_h, i_h, a_m, s_m, e_m, i_m = x
+    foi_h = q.B * q.beta_mh * i_m / q.N_h
+    foi_m = q.B * q.beta_hm * i_h / q.N_h
+    return (q.mu_h * q.N_h - (foi_h + q.mu_h) * s_h,
+            foi_h * s_h - (q.nu_h + q.mu_h) * e_h,
+            q.nu_h * e_h - (q.eta_h + q.mu_h) * i_h,
+            q.mu_b * (1 - a_m / q.K) * (s_m + e_m + i_m) - (q.eta_A + q.mu_A) * a_m,
+            -(foi_m + q.mu_m + q.c) * s_m + q.eta_A * a_m,
+            foi_m * s_m - (q.mu_m + q.eta_m + q.c) * e_m,
+            q.eta_m * e_m - (q.mu_m + q.c) * i_m)
+
+
+def _exact_endemic(p, c):
+    """The endemic root in Fractions, step by step as the paper builds it:
+    rho = R0^2*mu_m/(mu_m + c), I_h from the equation linear in rho, A_m
+    from the aquatic balance and each other component from its own
+    balance."""
+    q = _exact(p, c)
+    removal = q.mu_m + q.c
+    margin = q.eta_A * q.mu_b - q.c * (q.eta_A + q.mu_A) - q.mu_m * (q.mu_A + q.eta_A)
+    r0_sq = (q.B ** 2 * q.K / q.N_h * q.beta_hm * q.beta_mh * q.eta_m * q.nu_h * margin
+             / (q.mu_b * (q.eta_h + q.mu_h) * q.mu_m * removal * (removal + q.eta_m)
+                * (q.mu_h + q.nu_h)))
+    rho = r0_sq * q.mu_m / removal
+    big_l = (q.mu_h + q.nu_h) * (q.mu_h + q.eta_h) / (q.mu_h * q.nu_h)
+    i_h = q.N_h * (rho - 1) / (rho * big_l + q.B * q.beta_hm / removal)
+    a_m = q.K * margin / (q.eta_A * q.mu_b)
+    foi_m = q.B * q.beta_hm * i_h / q.N_h
+    s_m = q.eta_A * a_m / (foi_m + removal)
+    e_m = foi_m * s_m / (removal + q.eta_m)
+    return (q.N_h - big_l * i_h, (q.mu_h + q.eta_h) / q.nu_h * i_h, i_h,
+            a_m, s_m, e_m, q.eta_m * e_m / removal)
+
 
 def _numpy_newton(p, c, guess):
-    """State and residual of refine's damped Newton iteration with each step
-    from np.linalg.solve, the oracle of its elimination."""
+    """State and residual of a damped Newton iteration on rhs = 0 from
+    ``guess``, each step from np.linalg.solve: the step is halved (up to 30
+    times) until the scaled residual falls, and a root is declared below
+    REFINE_TOL; None after 100 iterations or where damping is exhausted."""
     f = _rhs_of(p, c)
     x = np.array(guess, dtype=float)
     r, res = eq_mod._scaled_rhs(p, f, guess)
-    for _ in range(eq_mod._MAX_NEWTON_ITERATIONS):
-        if res < eq_mod.REFINE_TOL:
+    for _ in range(100):
+        if res < REFINE_TOL:
             return State7.from_array(x), res
-        step = np.linalg.solve(np.array(eq_mod.jacobian(p, c, x.tolist())), -np.array(r))
+        step = np.linalg.solve(np.array(jacobian(p, c, x.tolist())), -np.array(r))
         lam = 1.0
-        for _ in range(eq_mod._MAX_DAMPING_HALVINGS):
+        for _ in range(30):
             x_new = x + lam * step
             r_new, res_new = eq_mod._scaled_rhs(p, f, x_new.tolist())
             if all(map(math.isfinite, r_new)) and res_new < res:
                 break
             lam *= 0.5
+        else:
+            return None
         x, r, res = x_new, r_new, res_new
     return None
+
+
+def _infected_level(p, x) -> float:
+    """The largest infected component of x relative to its compartment scale."""
+    scales = component_scales(p)
+    return max(abs(x[i]) / scales[i] for i in (1, 2, 5, 6))
 
 
 class TestTrivialEquilibrium:
@@ -113,7 +173,7 @@ class TestEndemicClosedForm:
         eq = endemic_closed_form(CAPE_VERDE, 0.0)
         assert all(v > 0.0 for v in eq.state)
         assert in_omega(CAPE_VERDE, eq.state)
-        assert eq.refined is False
+        assert eq.kind is EquilibriumKind.ENDEMIC
 
     def test_exact_fixed_point_without_control(self):
         assert endemic_closed_form(CAPE_VERDE, 0.0).residual_norm < 1e-12
@@ -136,47 +196,37 @@ class TestEndemicClosedForm:
         assert returned > 50
 
     def test_overflow_is_numerical_failure(self):
-        # R0**2 overflows, R0 does not
-        with pytest.raises(NumericalFailure, match="not finite"):
-            endemic_closed_form(params_with(B=1e160), 0.0)
-
-    @pytest.mark.parametrize("c, overrides, message", [
-        # rho < 1 < R0, so I_h < 0, and B*beta_hm*I_h/N_h rounds to -(mu_m + c)
-        (0.05, {"mu_m": 1e-155, "eta_m": 1e-117},
-         "B*beta_hm*I_h/N_h + mu_m + c cancels to 0"),
-        # under a control far above mu_m both terms of the sum underflow
-        (5.1335707262570364e+23,
-         {"mu_m": 1.5e-323, "mu_b": 2.8431427459866402e+290, "eta_A": 169477269024.86108,
-          "B": 3.796938811717206e-120, "beta_hm": 1.7581591354438667e-199,
-          "K": 2.2927603694941114e+206, "N_h": 8.474825526553334e-52,
-          "eta_m": 7.541409674859549e-90},
-         "rho*L + B*beta_hm/(mu_m + c) underflows to 0"),
-    ], ids=("adult-outflow", "infected-human-denominator"))
-    def test_vanishing_denominator_is_numerical_failure(self, c, overrides, message):
+        # S_m of the exact root lies beyond the largest double
+        p = params_with(beta_hm=5.25254638158142e-159, eta_A=2.4597204498718987e+307)
         with pytest.raises(NumericalFailure,
-                           match=f"^endemic closed form undefined: {re.escape(message)}$"):
-            endemic_closed_form(params_with(**overrides), c)
+                           match="^endemic closed form is not finite at these parameters$"):
+            endemic_closed_form(p, 0.12)
+        with pytest.raises(OverflowError):
+            [float(v) for v in _exact_endemic(p, 0.12)]
 
     def test_extreme_rates_end_in_documented_errors(self):
         # 1-4 rates set to 10^(-320...308), the control a usual level or as
-        # extreme; about 0.3% of such draws reach a vanishing denominator
+        # extreme: "not finite" is raised only where a component of the
+        # exact root lies beyond the largest double
         rng = np.random.default_rng(37)
         names = ("N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m", "mu_b", "mu_A",
                  "eta_A", "eta_m", "nu_h", "K")
-        vanishing = ("B*beta_hm*I_h/N_h + mu_m + c cancels to 0",
-                     "rho*L + B*beta_hm/(mu_m + c) underflows to 0")
-        vanished = 0
+        overflowed = 0
         for _ in range(10000):
             overrides = {name: float(10.0 ** rng.uniform(-320.0, 0.0 if "beta" in name else 308.0))
                          for name in rng.choice(names, size=rng.integers(1, 5), replace=False)}
             c = float(rng.choice([0.0, 0.05, 0.12, 0.2, 10.0 ** rng.uniform(-320.0, 308.0)]))
+            p = params_with(**overrides)
             try:
-                endemic_closed_form(params_with(**overrides), c)
+                endemic_closed_form(p, c)
             except NoEndemicEquilibrium:
                 pass
             except NumericalFailure as exc:
-                vanished += str(exc).endswith(vanishing)
-        assert vanished > 0
+                if "endemic" in str(exc):
+                    with pytest.raises(OverflowError):
+                        [float(v) for v in _exact_endemic(p, c)]
+                    overflowed += 1
+        assert overflowed > 0
 
     def test_error_when_r0_below_one(self):
         with pytest.raises(NoEndemicEquilibrium, match="reproduction"):
@@ -192,146 +242,107 @@ class TestEndemicClosedForm:
             expected = (CAPE_VERDE.mu_m + c) / CAPE_VERDE.eta_m
             assert eq.state.E_m / eq.state.I_m == pytest.approx(expected, rel=1e-12)
 
+    def test_refined_endemic_is_the_closed_form(self):
+        assert refined_endemic is endemic_closed_form
 
-class TestRefine:
-    def test_already_a_root_returns_immediately(self):
-        guess = brdfe(CAPE_VERDE, 0.0)
-        eq = refine(CAPE_VERDE, 0.0, guess.state)
-        assert eq.state == guess.state
-        assert eq.refined is True
-        assert eq.kind is EquilibriumKind.BRDFE
 
-    def test_polishes_endemic_closed_form(self):
-        eq = refine(CAPE_VERDE, 0.0, endemic_closed_form(CAPE_VERDE, 0.0).state)
-        assert eq.kind is EquilibriumKind.ENDEMIC
-        assert eq.residual_norm < 1e-10
-
-    def test_recovers_root_from_perturbed_guess(self):
-        root = refined_endemic(CAPE_VERDE, 0.0)
-        bumped = State7(
-            root.state.S_h, root.state.E_h, root.state.I_h * 1.01,
-            root.state.A_m, root.state.S_m, root.state.E_m, root.state.I_m)
-        eq = refine(CAPE_VERDE, 0.0, bumped)
-        rel = max(abs(a - b) / max(abs(b), 1e-30)
-                  for a, b in zip(eq.state, root.state))
-        assert rel < 1e-8
-
-    def test_nonfinite_guess_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            refine(CAPE_VERDE, 0.0, State7(float("nan"), 0, 0, 0, 0, 0, 0))
-
-    def test_nonconvergence_carries_last_residual(self, monkeypatch):
-        monkeypatch.setattr(eq_mod, "_MAX_NEWTON_ITERATIONS", 1)
-        far = State7(1e5, 1e5, 1e5, 1e5, 1e5, 1e5, 1e5)
-        with pytest.raises(NumericalFailure) as exc_info:
-            refine(CAPE_VERDE, 0.0, far)
-        assert exc_info.value.residual is not None
-        assert exc_info.value.residual > 0.0
-
-    def test_trivial_state_refines_to_trivial_kind(self):
-        eq = refine(CAPE_VERDE, 0.0, trivial_equilibrium(CAPE_VERDE).state)
-        assert eq.kind is EquilibriumKind.TRIVIAL
-        assert eq.residual_norm == 0.0
+class TestExactRoot:
+    """Each endemic component is the double nearest the exact rational root,
+    whose right-hand side is exactly zero."""
 
     @staticmethod
-    def overshooting_guess():
-        """A seeded guess inside the region whose full first Newton step
-        raises the scaled residual (2.51 to about 1.3e3)."""
-        rng = np.random.default_rng(0)
-        x = State7.from_array(rng.uniform(0.0, 1.0, (2, 7))[1]
-                              * component_scales(CAPE_VERDE) / 3.0)
-        assert in_omega(CAPE_VERDE, x)
-        f = _rhs_of(CAPE_VERDE, 0.0)
-        r, res = eq_mod._scaled_rhs(CAPE_VERDE, f, x)
-        step = np.linalg.solve(eq_mod.jacobian(CAPE_VERDE, 0.0, x), -np.array(r))
-        assert eq_mod._scaled_rhs(CAPE_VERDE, f, (np.array(x) + step).tolist())[1] > res
-        return x
+    def assert_nearest_to_exact_root(p, c):
+        eq = endemic_closed_form(p, c)
+        root = _exact_endemic(p, c)
+        assert not any(_exact_rhs(p, c, root))
+        assert eq.state == tuple(map(float, root)), (p, c)
+        return eq
 
-    def test_damping_recovers_from_an_overshooting_step(self):
-        eq = refine(CAPE_VERDE, 0.0, self.overshooting_guess())
-        assert eq.kind is EquilibriumKind.ENDEMIC
-        assert eq.residual_norm < 1e-10
-
-    def test_exhausted_damping_stalls_with_last_residual(self, monkeypatch):
-        guess = self.overshooting_guess()
-        # one trial, the full step, which raises the residual
-        monkeypatch.setattr(eq_mod, "_MAX_DAMPING_HALVINGS", 1)
-        with pytest.raises(NumericalFailure, match="refinement stalled") as exc_info:
-            refine(CAPE_VERDE, 0.0, guess)
-        assert exc_info.value.residual == residual(CAPE_VERDE, 0.0, guess)
-
-    def test_singular_jacobian_is_numerical_failure(self, monkeypatch):
-        # the S_h column zeroed: the elimination meets an exactly zero pivot
-        jacobian = eq_mod.jacobian
-        monkeypatch.setattr(eq_mod, "jacobian", lambda p, c, x: tuple(
-            (0.0, *row[1:]) for row in jacobian(p, c, x)))
-        with pytest.raises(NumericalFailure, match="singular Jacobian") as exc_info:
-            refine(CAPE_VERDE, 0.0, State7(1e5, 1e5, 1e5, 1e5, 1e5, 1e5, 1e5))
-        assert exc_info.value.residual > 0.0
-
-    def test_elimination_pivots_and_refuses_a_zero_pivot(self):
-        assert eq_mod._solve(((0.0, 1.0), (2.0, 0.0)), (3.0, 4.0)) == [2.0, 3.0]
-        with pytest.raises(ZeroDivisionError):
-            eq_mod._solve(((1.0, 2.0), (2.0, 4.0)), (1.0, 1.0))
-
-    def test_matches_a_newton_on_numpy_solve(self):
-        # refine's iterates come from its own elimination; the refined states
-        # and residuals equal those of the same Newton on np.linalg.solve
-        rng = np.random.default_rng(300)
+    def test_over_draws(self):
+        rng = np.random.default_rng(2029)
         checked = 0
         for _ in range(300):
             p = draw_params(rng)
-            for c in (0.0, 0.05, 0.12, float(rng.uniform(0.0, 0.3))):
+            for c in (0.0, 0.02, 0.05):
                 try:
-                    guess = endemic_closed_form(p, c).state
+                    eq = self.assert_nearest_to_exact_root(p, c)
                 except NoEndemicEquilibrium:
                     continue
-                eq = refine(p, c, guess)
-                assert (eq.state, eq.residual_norm) == _numpy_newton(p, c, guess)
-                checked += eq.kind is EquilibriumKind.ENDEMIC
+                assert eq.residual_norm < REFINE_TOL
+                checked += 1
         assert checked >= 700
 
-    def test_stalls_where_the_jacobian_is_too_ill_conditioned_to_step(self):
-        # the Jacobian's condition number here is about 5e114: the I_h and
-        # S_m components of a Newton step are rounding noise in any
-        # elimination (a Newton on np.linalg.solve's noise happened to land
-        # on a root); refine's stalls and reports it
-        p = params_with(B=9.352478863310842e44, K=8.12056863434795e75)
-        guess = endemic_closed_form(p, 0.12).state
-        jac = np.array(eq_mod.jacobian(p, 0.12, guess))
-        assert np.linalg.cond(jac) > 1e100
-        with pytest.raises(NumericalFailure, match="refinement stalled") as exc_info:
-            refine(p, 0.12, guess)
-        assert exc_info.value.residual == residual(p, 0.12, guess)
+    @pytest.mark.parametrize("p, c", [
+        (STALL, 0.12),
+        # mu_h*nu_h underflows in floats
+        (params_with(mu_h=1e-200, nu_h=1e-200), 0.0),
+        (params_with(mu_h=1e-200, nu_h=1e-200), 0.05),
+        # R0^2 overflows in floats
+        (params_with(B=1e160), 0.0),
+        (params_with(B=1e160), 0.05),
+        # rho < 1 < R0, where the adult outflow rounds to 0 in floats
+        (params_with(mu_m=1e-155, eta_m=1e-117), 0.05),
+        # under a control far above mu_m, rho*L + B*beta_hm/(mu_m + c)
+        # underflows to 0 in floats
+        (params_with(mu_m=1.5e-323, mu_b=2.8431427459866402e+290, eta_A=169477269024.86108,
+                     B=3.796938811717206e-120, beta_hm=1.7581591354438667e-199,
+                     K=2.2927603694941114e+206, N_h=8.474825526553334e-52,
+                     eta_m=7.541409674859549e-90), 5.1335707262570364e+23),
+    ], ids=("stall", "mu_h-nu_h-underflow", "mu_h-nu_h-underflow-controlled",
+            "huge-bite-rate", "huge-bite-rate-controlled", "adult-outflow",
+            "infected-human-denominator"))
+    def test_at_extreme_rates(self, p, c):
+        self.assert_nearest_to_exact_root(p, c)
+
+    @pytest.mark.parametrize("c", (0.0, 0.05, 0.0837170033, 0.12))
+    def test_on_the_builtin_scenario(self, c):
+        # 0.0837170033 is next to the sign change of I_h, where the closed
+        # form sits on the disease-free state
+        self.assert_nearest_to_exact_root(builtin_capeverde2009().params, c)
+
+    def test_stall_case_is_a_root(self):
+        assert endemic_closed_form(STALL, 0.12).residual_norm == 0.0
+
+
+class TestNewtonCrossCheck:
+    """A damped Newton iteration on numpy's solver finds the roots the
+    closed forms give."""
+
+    @pytest.mark.parametrize("c", (0.0, 0.05))
+    def test_recovers_the_closed_form_from_a_perturbed_guess(self, c):
+        root = endemic_closed_form(CAPE_VERDE, c).state
+        assert _numpy_newton(CAPE_VERDE, c, root) == (
+            root, endemic_closed_form(CAPE_VERDE, c).residual_norm)
+        state, res = _numpy_newton(CAPE_VERDE, c, root._replace(I_h=root.I_h * 1.01))
+        assert res < REFINE_TOL
+        assert max(abs(a - b) / abs(b) for a, b in zip(state, root)) < 1e-8
 
     def test_finds_true_controlled_balance_from_reference_state(self):
         # the exact disease-free fixed point under control solves
-        # eta_A*A = (mu_m + c)*S; refining the reference state must land
+        # eta_A*A = (mu_m + c)*S; Newton from the reference state must land
         # there, not on the zero-control balance it started from
         c = 0.2
-        eq = refine(CAPE_VERDE, c, brdfe(CAPE_VERDE, c).state)
-        assert eq.kind is EquilibriumKind.BRDFE
+        state, _ = _numpy_newton(CAPE_VERDE, c, brdfe(CAPE_VERDE, c).state)
+        assert _infected_level(CAPE_VERDE, state) < 1e-8
         viability = mosquito_viability(CAPE_VERDE, c)
         kn = CAPE_VERDE.k * CAPE_VERDE.N_h
         a_expected = kn * viability / (CAPE_VERDE.eta_A * CAPE_VERDE.mu_b)
         s_expected = CAPE_VERDE.eta_A * a_expected / (CAPE_VERDE.mu_m + c)
-        assert eq.state.A_m == pytest.approx(a_expected, rel=1e-9)
-        assert eq.state.S_m == pytest.approx(s_expected, rel=1e-9)
+        assert state.A_m == pytest.approx(a_expected, rel=1e-9)
+        assert state.S_m == pytest.approx(s_expected, rel=1e-9)
 
 
 class TestEndemicExistenceWindow:
-    def test_refined_root_exists_below_threshold(self):
-        # the closed-form guess refines to a residual-certified root for
-        # every control level below the declared threshold; its components
-        # stay positive only below the lower level where the actual flow's
-        # disease-free state turns stable (the zero-control-balance gap)
+    def test_root_exists_below_threshold(self):
+        # the closed form is a residual-certified root for every control
+        # level below the declared threshold; its components stay positive
+        # only below the lower level where the actual flow's disease-free
+        # state turns stable (the zero-control-balance gap)
         c_star = min_control(CAPE_VERDE).c_star
         for c in np.linspace(0.0, c_star * 0.95, 8):
-            eq = refine(CAPE_VERDE, c, endemic_closed_form(CAPE_VERDE, c).state)
-            assert eq.residual_norm < 1e-10
+            assert endemic_closed_form(CAPE_VERDE, c).residual_norm < REFINE_TOL
         for c in (0.0, 0.05, 0.08):
-            eq = refine(CAPE_VERDE, c, endemic_closed_form(CAPE_VERDE, c).state)
-            assert all(v > 0.0 for v in eq.state)
+            assert all(v > 0.0 for v in endemic_closed_form(CAPE_VERDE, c).state)
 
     def test_no_interior_endemic_root_above_threshold(self):
         c_star = min_control(CAPE_VERDE).c_star
@@ -339,12 +350,15 @@ class TestEndemicExistenceWindow:
             State7(400000.0, 500.0, 500.0, 1e6, 5e5, 300.0, 300.0),
             State7(470000.0, 50.0, 50.0, 1.2e6, 8e5, 20.0, 20.0),
         )
+        found = 0
         for c in (c_star * 1.2, 0.3):
             for guess in guesses:
-                eq = refine(CAPE_VERDE, c, guess)
-                positive_interior = (eq.kind is EquilibriumKind.ENDEMIC
-                                     and all(v > 0.0 for v in eq.state))
-                assert not positive_interior
+                if (root := _numpy_newton(CAPE_VERDE, c, guess)) is not None:
+                    state = root[0]
+                    found += 1
+                    assert not (_infected_level(CAPE_VERDE, state) > 1e-8
+                                and all(v > 0.0 for v in state))
+        assert found > 0
 
     def test_infected_humans_change_sign_below_paper_threshold(self):
         # I_h of the closed form turns negative where R0 at the controlled
@@ -360,16 +374,6 @@ class TestEndemicExistenceWindow:
                 hi = mid
         assert lo == pytest.approx(0.0837170033, abs=1e-9)
         assert r0_closed_form(CAPE_VERDE, hi) > 1.0
-
-    def test_refined_endemic_guard(self):
-        with pytest.raises(NoEndemicEquilibrium):
-            refined_endemic(CAPE_VERDE, 0.2)
-
-    def test_refined_endemic_refuses_a_disease_free_root(self):
-        # at the sign change of I_h the closed form sits on the disease-free
-        # state, and Newton refinement lands there
-        with pytest.raises(NoEndemicEquilibrium, match="collapsed to a disease-free state"):
-            refined_endemic(CAPE_VERDE, 0.0837170033)
 
 
 class TestResidual:

@@ -449,10 +449,10 @@ class TestMetzlerDecomposition:
 
 class TestFixedPointIdentity:
     def test_equilibria_have_small_absolute_residuals(self):
-        from dengue_control.equilibria import brdfe, refined_endemic, trivial_equilibrium
+        from dengue_control.equilibria import brdfe, endemic_closed_form, trivial_equilibrium
 
         p = CAPE_VERDE
         bound = 1e-9 * max(p.N_h, p.m * p.N_h)
-        for eq in (trivial_equilibrium(p), brdfe(p, 0.0), refined_endemic(p, 0.0)):
+        for eq in (trivial_equilibrium(p), brdfe(p, 0.0), endemic_closed_form(p, 0.0)):
             d = np.array(rhs(p, 0.0, eq.state))
             assert np.max(np.abs(d)) < bound

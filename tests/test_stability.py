@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import CAPE_VERDE, draw_omega_state, draw_params, params_with
-from dengue_control.equilibria import (Equilibrium, EquilibriumKind, brdfe, jacobian,
-                                       refined_endemic, trivial_equilibrium)
+from dengue_control.equilibria import (Equilibrium, EquilibriumKind, brdfe,
+                                       endemic_closed_form, jacobian, trivial_equilibrium)
 from dengue_control.errors import NoEndemicEquilibrium, NumericalFailure
 from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
@@ -147,7 +147,7 @@ class TestSpectrumOracle:
             for c in (0.0, 0.05, 0.12, 0.2, float(rng.uniform(0.0, 0.3))):
                 points = [trivial_equilibrium(p), brdfe(p, c)]
                 try:
-                    points.append(refined_endemic(p, c))
+                    points.append(endemic_closed_form(p, c))
                 except NoEndemicEquilibrium:
                     pass
                 for eq in points:
@@ -569,5 +569,5 @@ class TestTheorem2Concordance:
         assert flips >= 100 and checked >= 250, (flips, checked)
 
     def test_endemic_root_classified_stable_uncontrolled(self):
-        report = classify(CAPE_VERDE, 0.0, refined_endemic(CAPE_VERDE, 0.0))
+        report = classify(CAPE_VERDE, 0.0, endemic_closed_form(CAPE_VERDE, 0.0))
         assert report.classification is Classification.ASYMPTOTICALLY_STABLE
