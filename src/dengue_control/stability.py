@@ -10,7 +10,7 @@ eigensolver is used, and every answer is exact in the float entries of that
 Jacobian: ``classify`` reads the sign of its spectral abscissa (the largest
 real part of an eigenvalue), and MARGINAL means an abscissa of exactly 0.
 
-``classify`` takes one of two routes, both decided in exact arithmetic:
+``classify`` takes one of two routes, both with exact signs:
 
 * At a disease-free state (E_h, I_h, E_m and I_m exactly 0) with
   nonnegative S_h and S_m, the Jacobian splits into three blocks: -mu_h,
@@ -19,8 +19,10 @@ real part of an eigenvalue), and MARGINAL means an abscissa of exactly 0.
   prod(lambda + a_i) = P.  The 2x2 block is stable iff its trace < 0 and
   its determinant > 0; the cycle iff prod(a_i) > P (its Perron root is
   real, van den Driessche and Watmough, Math. Biosci. 180, 2002, Thm 2).
-  Each sign is that of a difference of two products of entries, taken
-  exactly from the entries' integer ratios (``_diff_sign``).
+  Each sign is that of a difference of two products of entries
+  (``_diff_sign``): the float difference where an a-priori rounding bound
+  proves its sign (Shewchuk, Discrete Comput. Geom. 18, 1997), otherwise
+  the exact one from the entries' integer ratios, so every sign is exact.
 * Every other state goes through the Routh-Hurwitz criterion (Gantmacher,
   The Theory of Matrices II, ch. XV) on integers: each entry is an integer
   times 2^-s for one s, Berkowitz's division-free algorithm gives the
@@ -97,7 +99,13 @@ _REPORT = {-1: StabilityReport(Classification.ASYMPTOTICALLY_STABLE),
 
 
 def _finite(rows) -> bool:
-    return all(map(math.isfinite, chain.from_iterable(rows)))
+    """Whether every entry of ``rows`` is finite.  A finite float sum proves
+    it: once a running sum is infinite or NaN no finite term brings it back
+    (Python 3.12's compensated ``sum`` adds its correction only where that
+    is finite), so only a sum that is not finite, from a non-finite entry or
+    an overflow, takes the pass over each entry."""
+    return (math.isfinite(sum(chain.from_iterable(rows)))
+            or all(map(math.isfinite, chain.from_iterable(rows))))
 
 
 def _sign(x) -> int:
@@ -113,10 +121,30 @@ def _ratio(factors) -> tuple[int, int]:
     return num, den
 
 
+#: Limits of ``_diff_sign``'s float filter: the largest factor, the least
+#: product, and the relative gap that proves the sign of the difference.
+_FILTER_MAX, _FILTER_MIN, _FILTER_GAP = 2.0 ** 250, 2.0 ** -250, 2.0 ** -50
+
+
 def _diff_sign(left, right) -> int:
-    """The exact sign of prod(left) - prod(right) for float factors, from
-    their integer ratios: n_l/d_l - n_r/d_r has the sign of
-    n_l*d_r - n_r*d_l, as every d > 0."""
+    """The exact sign of prod(left) - prod(right) for at most four float
+    factors a side.
+
+    The float products l and r decide it where every factor is at most
+    2^250 in magnitude, |l| and |r| are at least 2^-250, and
+    |l - r| > 2^-50 (|l| + |r|).  Under those limits no partial product
+    overflows (it stays below 2^1000) or is subnormal (one that were would
+    leave the product below 2^-272), so l and r each have a relative error
+    of at most gamma_3 = 3u/(1 - 3u), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.1), and 2^-50 covers both
+    errors and those of the subtraction and the bound.  Elsewhere (zeros,
+    near-ties, extreme factors) the sign comes from the integer ratios:
+    n_l/d_l - n_r/d_r has the sign of n_l*d_r - n_r*d_l, as every d > 0."""
+    l, r = math.prod(left), math.prod(right)
+    al, ar = abs(l), abs(r)
+    if (al >= _FILTER_MIN and ar >= _FILTER_MIN and abs(l - r) > _FILTER_GAP * (al + ar)
+            and max(map(abs, (*left, *right))) <= _FILTER_MAX):
+        return _sign(l - r)
     (n, d), (m, e) = _ratio(left), _ratio(right)
     return _sign(n * e - m * d)
 

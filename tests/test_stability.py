@@ -18,8 +18,9 @@ from dengue_control.model import (
     ControlLevel, ModelParams, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
 from dengue_control.report import build_report
 from dengue_control.scenario import builtin_capeverde2009
+from dengue_control import stability
 from dengue_control.stability import (Classification, classify, r0_spectral, _charpoly,
-                                      _diff_sign, _disease_free_sign, _integer_rows,
+                                      _diff_sign, _disease_free_sign, _finite, _integer_rows,
                                       _root_abscissa_sign, _sqrt_ratio)
 
 
@@ -285,6 +286,166 @@ class TestProductPredicate:
             ))()
             diff = math.prod(map(Fraction, left)) - math.prod(map(Fraction, right))
             assert _diff_sign(left, right) == (diff > 0) - (diff < 0)
+
+
+def _exact_diff_sign(left, right) -> int:
+    """The sign of prod(left) - prod(right) in Fractions: the oracle."""
+    diff = math.prod(map(Fraction, left)) - math.prod(map(Fraction, right))
+    return (diff > 0) - (diff < 0)
+
+
+_UP, _DOWN = math.inf, 0.0
+_BIG, _TINY = 2.0 ** 250, 2.0 ** -250
+
+
+class TestFilteredProductPredicate:
+    """``_diff_sign`` answers from the float products only where its rounding
+    bound proves the sign, and from the integer ratios (``_ratio``)
+    everywhere else."""
+
+    @pytest.mark.parametrize("left, right, exact_route", [
+        # well separated: the float filter decides
+        ((2.0, 3.0), (5.0,), False),
+        ((0.1, 0.2, 0.3, 0.4), (0.003,), False),
+        ((-2.0, 3.0), (5.0,), False),
+        ((-2.0, -3.0), (-5.0, 1.0), False),
+        # exact ties and one-ulp neighbours: the integer ratios decide
+        ((2.0, 3.0), (6.0,), True),
+        ((0.1, 0.7, 1e-3, 3e5), (3e5, 1e-3, 0.7, 0.1), True),
+        ((0.1, 0.2, 0.3), (0.1, 0.2, math.nextafter(0.3, _UP)), True),
+        ((0.1, 0.2, 0.3), (0.1, 0.2, math.nextafter(0.3, _DOWN)), True),
+        ((1.0,), (math.nextafter(1.0, _UP),), True),
+        ((-1.0, -1.0), (1.0,), True),
+        # zeros, -0.0 among them
+        ((-0.0, 1.0), (0.0,), True),
+        ((-0.0, -5.0), (3.0,), True),
+        ((0.0, 2.0), (-0.0, 7.0, -1.0), True),
+        # factors at 2^250 and one ulp either side
+        ((_BIG,), (1.0,), False),
+        ((math.nextafter(_BIG, _DOWN),), (1.0,), False),
+        ((math.nextafter(_BIG, _UP),), (1.0,), True),
+        ((-_BIG, _BIG, _BIG, _BIG), (1.0,), False),
+        ((1.0,), (-math.nextafter(_BIG, _UP),), True),
+        # factors and products at 2^-250 and one ulp either side
+        ((_TINY,), (1.0,), False),
+        ((math.nextafter(_TINY, _UP),), (1.0,), False),
+        ((math.nextafter(_TINY, _DOWN),), (1.0,), True),
+        ((2.0 ** -125, 2.0 ** -125), (3.0,), False),
+        ((2.0 ** -125, math.nextafter(2.0 ** -125, _DOWN)), (3.0,), True),
+        ((2.0 ** -600, 2.0 ** 200, 2.0 ** 150), (1.0,), False),
+        ((2.0 ** -600, 2.0 ** 200, 2.0 ** 150), (_TINY, 0.5), True),
+        # a subnormal partial product: doubles near 2^-1060 carry 15 bits, so
+        # (1 + 2^-20) 2^-1060 rounds to 2^-1060 and the float product is
+        # 2^-250, below the right side, while the exact one is above it; the
+        # factors beyond 2^250 send it to the exact route
+        (((1.0 + 2.0 ** -20) * 2.0 ** -1000, 2.0 ** -60, 2.0 ** 405, 2.0 ** 405),
+         ((1.0 + 2.0 ** -21) * _TINY,), True),
+        # the same within the factor limit: the product falls below 2^-250
+        (((1.0 + 2.0 ** -20) * 2.0 ** -1000, 2.0 ** -60, _BIG, _BIG),
+         ((1.0 + 2.0 ** -21) * 2.0 ** -560,), True),
+        # a partial product that underflows to 0
+        ((2.0 ** -1000, 2.0 ** -100, 2.0 ** 250, 2.0 ** 250), (2.0 ** -601,), True),
+        # subnormal factors
+        ((5e-324, 2.0), (1e-323,), True),
+        ((5e-324,), (-5e-324,), True),
+    ])
+    def test_edges_match_fractions_and_take_the_expected_route(
+            self, left, right, exact_route, monkeypatch):
+        calls = []
+        ratio = stability._ratio
+        monkeypatch.setattr(stability, "_ratio", lambda f: calls.append(f) or ratio(f))
+        for a, b in ((left, right), (right, left)):
+            calls.clear()
+            assert _diff_sign(a, b) == _exact_diff_sign(a, b)
+            assert bool(calls) is exact_route
+
+    def test_random_factors_near_the_limits_match_fractions(self):
+        # factors and products around 2^250, 2^-250 and the subnormal range,
+        # compared with their neighbours and with products an ulp apart
+        rnd = random.Random(33)
+
+        def draw():
+            e = rnd.choice((250, -250, -1022, -1074, 0, rnd.randint(-1074, 1019)))
+            x = math.ldexp(rnd.uniform(0.5, 2.0), e + rnd.randint(-3, 3))
+            return rnd.choice((-1.0, 1.0)) * min(x, 1.7e308)
+
+        for _ in range(3000):
+            left = [draw() for _ in range(rnd.randint(1, 4))]
+            right = rnd.choice((
+                lambda: [draw() for _ in range(rnd.randint(1, 4))],
+                lambda: [math.nextafter(left[0], rnd.choice((0.0, math.inf))), *left[1:]],
+                lambda: [math.prod(left)],
+                lambda: [rnd.choice((-1.0, 1.0)) * _TINY],
+            ))()
+            if not math.isfinite(math.prod(right)):
+                continue
+            assert _diff_sign(left, right) == _exact_diff_sign(left, right)
+
+
+class TestFinite:
+    def test_finite_entries_whose_sum_overflows(self):
+        assert _finite([[1e308] * 7] * 7)
+        assert _finite([[1e308] * 24 + [-1e308] * 25])
+        assert _finite([[-1.7e308] * 7 for _ in range(7)])
+
+    @pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf],
+                                     [math.inf, -math.inf]])
+    @pytest.mark.parametrize("fill", [0.0, 1.0, 1e308])
+    def test_a_non_finite_entry_is_found(self, bad, fill):
+        # the bad entries first, last and apart, among finite ones that may
+        # overflow the sum on their own
+        for where in ((0, 1), (47, 48), (3, 40)):
+            rows = [fill] * 49
+            for i, v in zip(where, bad):
+                rows[i] = v
+            assert not _finite([rows[i:i + 7] for i in range(0, 49, 7)])
+
+
+class TestFilteredLabels:
+    """``classify`` gives the same label with ``_diff_sign`` replaced by an
+    exact-only sign in Fractions."""
+
+    @staticmethod
+    def _labels(cases, monkeypatch, exact_only):
+        with monkeypatch.context() as m:
+            if exact_only:
+                m.setattr(stability, "_diff_sign", _exact_diff_sign)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # the brdfe state is inexact for c > 0
+                return [classify(p, c, state(p, c)).classification for p, c, state in cases]
+
+    def test_at_the_theorem_2_flip_neighbours(self, monkeypatch):
+        # the draws and bisection of TestTheorem2Concordance's spectral test
+        def label(p, c):
+            return classify(p, c, brdfe(p, c)).classification
+
+        rng = np.random.default_rng(2031)
+        cases = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(200):
+                p = draw_params(rng)
+                cases.append((p, float(rng.uniform(0.0, 0.3)), brdfe))
+                lo, hi = 0.0, 0.3
+                if label(p, lo) is Classification.UNSTABLE \
+                        and label(p, hi) is not Classification.UNSTABLE:
+                    while math.nextafter(lo, 1.0) < hi:
+                        mid = 0.5 * (lo + hi)
+                        if label(p, mid) is Classification.UNSTABLE:
+                            lo = mid
+                        else:
+                            hi = mid
+                    cases += [(p, lo, brdfe), (p, hi, brdfe)]
+        assert len(cases) >= 400
+        assert self._labels(cases, monkeypatch, False) == self._labels(cases, monkeypatch, True)
+
+    def test_on_the_builtin_grid(self, monkeypatch):
+        p = builtin_capeverde2009().params
+        cases = [(p, i * 1e-4, state) for i in range(3301)
+                 for state in (brdfe, lambda p, c: trivial_equilibrium(p))]
+        labels = self._labels(cases, monkeypatch, False)
+        assert labels == self._labels(cases, monkeypatch, True)
+        assert {Classification.UNSTABLE, Classification.ASYMPTOTICALLY_STABLE} <= set(labels)
 
 
 #: The least real that rounds to infinity: halfway from the largest double to
