@@ -33,14 +33,17 @@ biologically meaningful endemic state should check region membership on
 the result.
 
 This module also holds the model's array forms, as seven row tuples of
-floats, used by the stability analysis: the Metzler
-form dX/dt = M(X)X + F, with F = (mu_h*N_h, 0, ..., 0) constant and M(X)
-(``metzler_matrix``) having nonnegative off-diagonal entries on the
-admissible region, which keeps trajectories in the nonnegative orthant.
-The analytic ``jacobian`` is derived from M by the product rule,
-J(X) = M(X) + (dM/dX)X; at the disease-free point the infected blocks of
-the two parts are -V and F of the next-generation split.  Nothing here
-needs numpy.
+floats: the Metzler form dX/dt = M(X)X + F, with F = (mu_h*N_h, 0, ..., 0)
+constant and M(X) (``metzler_matrix``) having nonnegative off-diagonal
+entries on the admissible region, which keeps trajectories in the
+nonnegative orthant, and the analytic ``jacobian``, placed from its one
+home, the 19 structurally nonzero entries of ``_jacobian_entries`` that
+``stability`` reads.  These follow the product rule J(X) = M(X) + (dM/dX)X:
+J keeps M's diagonal and transfers, and (dM/dX)X adds the cross-infection
+entries J_06, J_16, J_42, J_52 and the crowding -mu_b*A_m/K in J_34..J_36,
+which ``metzler_matrix`` takes back out.  At the disease-free point the
+infected blocks of the two parts are -V and F of the next-generation split.
+Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -68,21 +71,33 @@ from .model import (
 REFINE_TOL = 1e-10
 
 
-def _metzler_rows(p: ModelParams, c: float, x) -> list[list[float]]:
-    """M(X) at x as seven row lists (see ``metzler_matrix``)."""
-    foi_h = p.B * p.beta_mh * x[6] / p.N_h
-    foi_m = p.B * p.beta_hm * x[2] / p.N_h
-    adults = x[4] + x[5] + x[6]
-    mu_b = p.mu_b
-    return [
-        [-foi_h - p.mu_h, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [foi_h, -(p.nu_h + p.mu_h), 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, p.nu_h, -(p.eta_h + p.mu_h), 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, -mu_b * adults / p.K - (p.eta_A + p.mu_A), mu_b, mu_b, mu_b],
-        [0.0, 0.0, 0.0, p.eta_A, -foi_m - p.mu_m - c, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, foi_m, -(p.mu_m + p.eta_m + c), 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, p.eta_m, -(p.mu_m + c)],
-    ]
+#: (row, column) of each entry that ``_jacobian_entries`` returns.
+_ENTRY_AT = (*((i, i) for i in range(7)), (0, 6), (1, 0), (1, 6), (2, 1), (3, 4), (3, 5),
+             (3, 6), (4, 2), (4, 3), (5, 2), (5, 4), (6, 5))
+
+
+def _jacobian_entries(p: ModelParams, c: float, x) -> tuple[float, ...]:
+    """The 19 structurally nonzero entries of the Jacobian at x, at a control
+    rate already checked by ``_rate``: the diagonal d_0..d_6, then J_06,
+    J_10, J_16, J_21, J_34, J_35, J_36, J_42, J_43, J_52, J_54 and J_65."""
+    bite_mh, bite_hm, mu_b, mu_m = p.B * p.beta_mh, p.B * p.beta_hm, p.mu_b, p.mu_m
+    foi_h, foi_m = bite_mh * x[6] / p.N_h, bite_hm * x[2] / p.N_h
+    # (dM/dX)X: the cross-infection derivatives and the crowded recruitment
+    cross_h, cross_m = bite_mh * x[0] / p.N_h, bite_hm * x[4] / p.N_h
+    crowded = mu_b * (1.0 - x[3] / p.K)
+    return (-foi_h - p.mu_h, -(p.nu_h + p.mu_h), -(p.eta_h + p.mu_h),
+            -mu_b * (x[4] + x[5] + x[6]) / p.K - (p.eta_A + p.mu_A),
+            -foi_m - mu_m - c, -(mu_m + p.eta_m + c), -(mu_m + c),
+            -cross_h, foi_h, cross_h, p.nu_h, crowded, crowded, crowded,
+            -cross_m, p.eta_A, cross_m, foi_m, p.eta_m)
+
+
+def _place(entries) -> tuple[tuple[float, ...], ...]:
+    """The 19 entries at ``_ENTRY_AT`` in seven row tuples of 0.0."""
+    rows = [[0.0] * 7 for _ in range(7)]
+    for (i, j), v in zip(_ENTRY_AT, entries):
+        rows[i][j] = v
+    return tuple(map(tuple, rows))
 
 
 def metzler_matrix(p: ModelParams, c: ControlLevel | float, x) -> tuple[tuple[float, ...], ...]:
@@ -94,26 +109,17 @@ def metzler_matrix(p: ModelParams, c: ControlLevel | float, x) -> tuple[tuple[fl
     logistic-crowding terms), so every off-diagonal entry is nonnegative
     whenever the state is admissible.
     """
-    return tuple(map(tuple, _metzler_rows(p, _rate(c), x)))
+    m = list(_jacobian_entries(p, _rate(c), x))
+    m[7] = m[9] = m[14] = m[16] = 0.0            # J less (dM/dX)X
+    m[11:14] = (p.mu_b,) * 3
+    return _place(m)
 
 
 def jacobian(p: ModelParams, c: ControlLevel | float, x) -> tuple[tuple[float, ...], ...]:
     """Analytic 7x7 Jacobian of the right-hand side at x, any sequence of 7
     floats (a ``State7`` included), as seven row tuples:
     J(X) = M(X) + (dM/dX)X."""
-    return tuple(map(tuple, _jacobian_rows(p, _rate(c), x)))
-
-
-def _jacobian_rows(p: ModelParams, c: float, x) -> list[list[float]]:
-    """``jacobian`` as seven row lists, at a control rate already checked by ``_rate``."""
-    jac = _metzler_rows(p, c, x)
-    # (dM/dX)X: crowded recruitment and the cross-infection derivatives
-    jac[3][4] = jac[3][5] = jac[3][6] = p.mu_b * (1.0 - x[3] / p.K)
-    jac[1][6] = p.B * p.beta_mh * x[0] / p.N_h
-    jac[0][6] = -jac[1][6]
-    jac[5][2] = p.B * p.beta_hm * x[4] / p.N_h
-    jac[4][2] = -jac[5][2]
-    return jac
+    return _place(_jacobian_entries(p, _rate(c), x))
 
 
 class EquilibriumKind(enum.Enum):

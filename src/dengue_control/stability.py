@@ -4,11 +4,11 @@ and the next-generation route to the basic reproduction number.
 The linearization target is the reduced 7-dimensional system (recovered
 humans eliminated); the eliminated direction contributes a known -mu_h
 eigenvalue that is documented here rather than computed.  The analytic
-Jacobian is ``equilibria.jacobian``, read here as its seven row lists
-(``_jacobian_rows``), with c checked once per public call.  No
-eigensolver is used, and every answer is exact in the float entries of that
-Jacobian: ``classify`` reads the sign of its spectral abscissa (the largest
-real part of an eigenvalue), and MARGINAL means an abscissa of exactly 0.
+Jacobian J is read as its 19 structurally nonzero entries, d_i = J_ii and
+the J_ij (``equilibria._jacobian_entries``), with c checked once per public
+call.  No eigensolver is used, and every answer is exact in the float
+entries of J: ``classify`` reads the sign of its spectral abscissa (the
+largest real part of an eigenvalue); MARGINAL means an abscissa of exactly 0.
 
 ``classify`` takes one of two routes, both with exact signs:
 
@@ -25,12 +25,25 @@ real part of an eigenvalue), and MARGINAL means an abscissa of exactly 0.
   the exact one from the entries' integer ratios, so every sign is exact.
 * Every other state goes through the Routh-Hurwitz criterion (Gantmacher,
   The Theory of Matrices II, ch. XV) on integers: each entry is an integer
-  times 2^-s for one s, Berkowitz's division-free algorithm gives the
-  characteristic polynomial of the integer matrix (its roots are those of
-  the Jacobian times 2^s, so the signs of their real parts are unchanged),
-  and the state is stable iff every Hurwitz minor is positive.  Otherwise
-  the roots on the imaginary axis are among the common roots of the even
-  and odd parts of that polynomial (``_root_abscissa_sign``).
+  times 2^-s for one s, and the integer polynomial, whose roots are those
+  of J times 2^s, is the expansion of the determinant over J's seven
+  cycles (Harary, SIAM Rev. 4, 1962; ``_cycle_charpoly``),
+
+      det(lambda*I - J) = H*Q - X*Y - Z*(lambda - d_3),
+      H = (lambda - d_0)(lambda - d_1)(lambda - d_2),
+      Y = (lambda - d_3)(lambda - d_4) - w_1,
+      Q = Y*(lambda - d_5)(lambda - d_6) - w_2*(lambda - d_6) - w_3,
+      X = w_4 + w_6*(lambda - d_0),   Z = w_5 + w_7*(lambda - d_0),
+
+  with the cycle products w_1 = J_34 J_43, w_2 = J_35 J_54 J_43,
+  w_3 = J_36 J_65 J_54 J_43, w_4 = J_06 J_65 J_52 J_21 J_10,
+  w_5 = J_06 J_65 J_54 J_42 J_21 J_10, w_6 = J_16 J_65 J_52 J_21 and
+  w_7 = J_16 J_65 J_54 J_42 J_21.  The state is stable iff every Hurwitz
+  minor is positive.  Otherwise a negative coefficient proves a root with
+  positive real part (with none, the monic polynomial is a product of
+  factors lambda + a and lambda^2 + 2b*lambda + b^2 + omega^2, a, b >= 0),
+  and else the roots on the imaginary axis are among the common roots of
+  the even and odd parts of the polynomial (``_root_abscissa_sign``).
 
 ``r0_spectral`` returns the spectral radius rho of the next-generation
 matrix F*V^-1 of the infected subsystem (E_h, I_h, E_m, I_m), as in van
@@ -63,18 +76,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from operator import mul
 
-from .equilibria import Equilibrium, _jacobian_rows
+from .equilibria import Equilibrium, _jacobian_entries
 from .errors import NumericalFailure
 from .model import ControlLevel, ModelParams, _integer_rows, _paper_dfe, _rate
 
 #: Residual above which classify() warns that the input is not close
 #: enough to a fixed point for its linearization to mean much.
 RESIDUAL_WARN = 1e-6
-
-#: Rows and columns of the infected subsystem (E_h, I_h, E_m, I_m) in the state.
-_INFECTED = (1, 2, 5, 6)
 
 
 class Classification(enum.Enum):
@@ -149,23 +158,23 @@ def _diff_sign(left, right) -> int:
     return _sign(n * e - m * d)
 
 
-def _infected_cycle(jac) -> tuple[list[float], tuple[float, ...]]:
-    """The infected 4-cycle of a Jacobian at a disease-free state: the decay
-    rates a_i = -J_ii of (E_h, I_h, E_m, I_m) and the cycle's entries
-    I_m -> E_h -> I_h -> E_m -> I_m, whose product is P.  The block's other
-    entries are 0."""
-    return [-jac[i][i] for i in _INFECTED], (jac[1][6], jac[2][1], jac[5][2], jac[6][5])
+def _infected_cycle(e) -> tuple[list[float], tuple[float, ...]]:
+    """The infected 4-cycle of a Jacobian at a disease-free state, from its
+    entries ``e``: the decay rates a_i = -J_ii of (E_h, I_h, E_m, I_m) and
+    the cycle's entries I_m -> E_h -> I_h -> E_m -> I_m, whose product is P.
+    The block's other entries are 0."""
+    return [-e[1], -e[2], -e[5], -e[6]], (e[9], e[10], e[16], e[18])
 
 
-def _disease_free_sign(jac) -> int | None:
+def _disease_free_sign(e) -> int | None:
     """Sign of the spectral abscissa of a Jacobian at a disease-free state,
     by its three diagonal blocks; None where the infected cycle is not a
     Metzler block (negative S_h or S_m).  Each a_i is a sum of positive
     rates."""
-    a, cycle = _infected_cycle(jac)
+    a, cycle = _infected_cycle(e)
     if min(cycle) < 0.0:
         return None
-    (p, q), (r, s) = (jac[3][3], jac[3][4]), (jac[4][3], jac[4][4])
+    (p, q), (r, s) = (e[3], e[11]), (e[15], e[4])
     det = _diff_sign((p, s), (q, r))
     if det < 0:
         mosquito = 1                                # a real root > 0
@@ -174,28 +183,31 @@ def _disease_free_sign(jac) -> int | None:
     else:
         mosquito = _sign(p + s)
     # the Perron root lambda* of prod(lambda + a_i) = P has the sign of P - prod(a_i)
-    return max(_sign(jac[0][0]), mosquito, _diff_sign(cycle, a))
+    return max(_sign(e[0]), mosquito, _diff_sign(cycle, a))
 
 
-def _charpoly(a) -> list[int]:
-    """Coefficients of det(lambda*I - a), highest degree first, for a square
-    integer matrix ``a``, by Berkowitz's division-free algorithm (Inf.
-    Process. Lett. 18, 1984): the trailing principal submatrices, largest
-    last, each multiply the polynomial by a Toeplitz matrix."""
-    n = len(a)
-    poly = [1]
-    for k in reversed(range(n)):
-        row, col = a[k][k + 1:], [a[i][k] for i in range(k + 1, n)]
-        sub = [r[k + 1:] for r in a[k + 1:]]
-        toeplitz = [1, -a[k][k]]
-        for last in reversed(range(n - k - 1)):
-            toeplitz.append(-sum(map(mul, row, col)))
-            if last:
-                col = [sum(map(mul, r, col)) for r in sub]
-        # the Toeplitz product: entry i is sum over j of poly[j]*toeplitz[i - j]
-        poly = [sum(map(mul, poly[:i + 1], toeplitz[i::-1]))
-                for i in range(len(poly) + 1)]
-    return poly
+def _times(poly, d) -> list[int]:
+    """The integer polynomial ``poly`` (highest degree first) times lambda - d."""
+    return [u - d * v for u, v in zip([*poly, 0], [0, *poly])]
+
+
+def _cycle_charpoly(e) -> list[int]:
+    """Coefficients of det(lambda*I - J), highest degree first, from J's 19
+    entries ``e`` as integers, in the order of ``_jacobian_entries``: the
+    expansion over J's seven cycles in the module docstring."""
+    d0, d1, d2, d3, d4, d5, d6, j06, j10, j16, j21, j34, j35, j36, j42, j43, j52, j54, j65 = e
+    back, direct, via_s = j54 * j43, j65 * j21 * j52, j65 * j21 * j54 * j42
+    w4, w5, w6, w7 = j06 * j10 * direct, j06 * j10 * via_s, j16 * direct, j16 * via_s
+    y = [1, -d3 - d4, d3 * d4 - j34 * j43]
+    q = _times(y, d5)
+    q[-1] -= j35 * back
+    q = _times(q, d6)
+    q[-1] -= j36 * j65 * back
+    hq = _times(_times(_times(q, d0), d1), d2)
+    # X*Y + Z*(lambda - d3) with X = w6*lambda + x and Z = w7*lambda + z
+    x, z = w4 - w6 * d0, w5 - w7 * d0
+    tail = (w6, w6 * y[1] + x + w7, w6 * y[2] + x * y[1] + z - w7 * d3, x * y[2] - z * d3)
+    return [*hq[:4], *(h - t for h, t in zip(hq[4:], tail))]
 
 
 def _hurwitz_stable(poly) -> bool:
@@ -271,6 +283,8 @@ def _root_abscissa_sign(poly) -> int:
     """
     if _hurwitz_stable(poly):
         return -1
+    if min(poly) < 0:
+        return 1                         # a stable or marginal p has no negative coefficient
     n = len(poly) - 1
     even = [c if (n - i) % 2 == 0 else 0 for i, c in enumerate(poly)]
     odd = [c if (n - i) % 2 else 0 for i, c in enumerate(poly)]
@@ -297,10 +311,10 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
             stacklevel=2)
 
     x = eq.state
-    if x.is_finite() and _finite(jac := _jacobian_rows(p, cc, x)):
-        sign = _disease_free_sign(jac) if x[1] == x[2] == x[5] == x[6] == 0.0 else None
+    if x.is_finite() and _finite([e := _jacobian_entries(p, cc, x)]):
+        sign = _disease_free_sign(e) if x[1] == x[2] == x[5] == x[6] == 0.0 else None
         if sign is None:
-            sign = _root_abscissa_sign(_charpoly(_integer_rows(jac)))
+            sign = _root_abscissa_sign(_cycle_charpoly(_integer_rows([e])[0]))
         return _REPORT[sign]
     what = ("matrix contains non-finite entries" if x.is_finite()
             else "state contains non-finite components")
@@ -338,7 +352,7 @@ def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     built-in scenario this is 0.0, where R0 is 3.6194003461192025e-46.
     """
     cc = _rate(c)
-    a, cycle = _infected_cycle(_jacobian_rows(p, cc, _paper_dfe(p, cc)))
+    a, cycle = _infected_cycle(_jacobian_entries(p, cc, _paper_dfe(p, cc)))
     what = "cannot compute the spectral R0 at the brdfe state"
     if not _finite((a, cycle)):
         raise NumericalFailure(f"{what}: next-generation matrix contains non-finite "

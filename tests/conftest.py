@@ -1,11 +1,13 @@
-"""Shared fixtures: the Cape Verde 2009 baseline, random parameter draws,
-a fixed-step DP5(4) propagator, a session-wide fixed-step RK4 reference
-run, and a subprocess runner that asserts no numpy was imported."""
+"""Shared fixtures: the Cape Verde 2009 baseline, random parameter draws
+(extreme ones included), a fixed-step DP5(4) propagator, a session-wide
+fixed-step RK4 reference run, and a subprocess runner that asserts no numpy
+was imported."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import random
 import subprocess
 import sys
 
@@ -84,6 +86,22 @@ def draw_params_wide(rng: np.random.Generator) -> tuple[ModelParams, ControlLeve
     p = dataclasses.replace(
         p, mu_b=p.mu_b * math.exp(rng.uniform(math.log(0.02), math.log(1.0))))
     return p, ControlLevel(rng.uniform(0.0, 2.0))
+
+
+#: The rates that ``draw_extreme`` takes to extremes.
+_EXTREME_KEYS = ("N_h", "B", "mu_h", "eta_h", "mu_m", "mu_b", "mu_A", "eta_A", "eta_m",
+                 "nu_h", "m", "k", "K")
+
+
+def draw_extreme(rnd: random.Random) -> tuple[ModelParams, float]:
+    """The built-in parameters with 1-3 rates at 10^(-310...308.2) and the
+    transmission probabilities from 0 to 1, and a control level."""
+    overrides = {key: 10.0 ** rnd.uniform(-310.0, 308.2)
+                 for key in rnd.sample(_EXTREME_KEYS, rnd.randint(1, 3))}
+    for key in ("beta_mh", "beta_hm"):
+        overrides[key] = rnd.choice((0.0, 1e-300, 1e-100, 1.0, rnd.random()))
+    c = rnd.choice((0.0, 0.05, 0.12, rnd.uniform(0.0, 0.3)))
+    return params_with(**overrides), c
 
 
 def draw_omega_state(rng: np.random.Generator, p: ModelParams) -> State7:

@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import CAPE_VERDE, draw_params, params_with
+from conftest import CAPE_VERDE, draw_extreme, draw_params, params_with
 from dengue_control.equilibria import brdfe, jacobian, metzler_matrix
 from dengue_control.errors import MosquitoCollapseError, NumericalFailure
 from dengue_control.model import mosquito_viability, r0_closed_form, r0_factors
@@ -165,16 +165,9 @@ class TestR0Routes:
         # 1: each variant is refused with one of the route's errors or has
         # the correctly rounded radius
         rnd = random.Random(7)
-        keys = ("N_h", "B", "mu_h", "eta_h", "mu_m", "mu_b", "mu_A", "eta_A", "eta_m",
-                "nu_h", "m", "k", "K")
         rounded = 0
         for _ in range(200):
-            overrides = {key: 10.0 ** rnd.uniform(-310.0, 308.2)
-                         for key in rnd.sample(keys, rnd.randint(1, 3))}
-            for key in ("beta_mh", "beta_hm"):
-                overrides[key] = rnd.choice((0.0, 1e-300, 1e-100, 1.0, rnd.random()))
-            c = rnd.choice((0.0, 0.05, 0.12, rnd.uniform(0.0, 0.3)))
-            p = params_with(**overrides)
+            p, c = draw_extreme(rnd)
             try:
                 r0_spectral(p, c)
             except (NumericalFailure, MosquitoCollapseError):

@@ -5,21 +5,23 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
 
-from conftest import CAPE_VERDE, draw_omega_state, draw_params, params_with
+from conftest import CAPE_VERDE, draw_extreme, draw_omega_state, draw_params, params_with
 from dengue_control.equilibria import (Equilibrium, EquilibriumKind, brdfe,
-                                       endemic_closed_form, jacobian, trivial_equilibrium)
-from dengue_control.errors import NoEndemicEquilibrium, NumericalFailure
+                                       endemic_closed_form, jacobian, trivial_equilibrium,
+                                       _ENTRY_AT, _jacobian_entries)
+from dengue_control.errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
 from dengue_control.integrator import SolverConfig, integrate
 from dengue_control.model import (
     ControlLevel, ModelParams, State7, component_scales, in_omega, r0_closed_form, _rhs_of)
 from dengue_control.report import build_report
 from dengue_control.scenario import builtin_capeverde2009
 from dengue_control import stability
-from dengue_control.stability import (Classification, classify, r0_spectral, _charpoly,
+from dengue_control.stability import (Classification, classify, r0_spectral, _cycle_charpoly,
                                       _diff_sign, _disease_free_sign, _finite, _integer_rows,
                                       _root_abscissa_sign, _sqrt_ratio)
 
@@ -173,9 +175,9 @@ class TestSpectrumOracle:
                   for eq in (trivial_equilibrium(p), brdfe(p, c))]
         states.append(TestClassify.cycle_at_balance())
         for p, c, x in states:
-            jac = jacobian(p, c, x)
-            assert _disease_free_sign(jac) == _root_abscissa_sign(
-                _charpoly(_integer_rows(jac)))
+            e = _jacobian_entries(p, c, x)
+            assert _disease_free_sign(e) == _root_abscissa_sign(
+                _cycle_charpoly(_integer_rows([e])[0]))
 
     @pytest.mark.parametrize("overrides, route, message", [
         ({"nu_h": 1e308, "mu_h": 1e308}, "classify",
@@ -213,8 +215,38 @@ def _expand(*factors):
     return poly
 
 
+def berkowitz(a) -> list[int]:
+    """Coefficients of det(lambda*I - a), highest degree first, for a square
+    integer matrix ``a``, by Berkowitz's division-free algorithm (Inf.
+    Process. Lett. 18, 1984): the trailing principal submatrices, largest
+    last, each multiply the polynomial by a Toeplitz matrix.  The oracle of
+    ``_cycle_charpoly``."""
+    n = len(a)
+    poly = [1]
+    for k in reversed(range(n)):
+        row, col = a[k][k + 1:], [a[i][k] for i in range(k + 1, n)]
+        sub = [r[k + 1:] for r in a[k + 1:]]
+        toeplitz = [1, -a[k][k]]
+        for last in reversed(range(n - k - 1)):
+            toeplitz.append(-sum(map(mul, row, col)))
+            if last:
+                col = [sum(map(mul, r, col)) for r in sub]
+        # the Toeplitz product: entry i is sum over j of poly[j]*toeplitz[i - j]
+        poly = [sum(map(mul, poly[:i + 1], toeplitz[i::-1]))
+                for i in range(len(poly) + 1)]
+    return poly
+
+
+def _integer_matrix(ints) -> list[list[int]]:
+    """The 19 integer entries of ``_cycle_charpoly`` placed in a 7x7 matrix."""
+    rows = [[0] * 7 for _ in range(7)]
+    for (i, j), v in zip(_ENTRY_AT, ints):
+        rows[i][j] = v
+    return rows
+
+
 class TestRootAbscissaSign:
-    @pytest.mark.parametrize("poly, sign", [
+    KNOWN = [
         (_expand(*[[1, 1]] * 7), -1),                    # (l+1)^7
         (_expand([1, 0, 1], [1, 1]), 0),                 # (l^2+1)(l+1)
         ([1, 1, 2, 2, 3], 1),                            # a zero in Routh's first column
@@ -227,9 +259,51 @@ class TestRootAbscissaSign:
         ([1, 0, 0], 0),                                  # a double root at 0
         ([1, 5, 6, 0], 0),                               # a simple root at 0
         ([3], -1),                                       # no roots
-    ])
+    ]
+
+    @pytest.mark.parametrize("poly, sign", KNOWN)
     def test_known_polynomials(self, poly, sign):
         assert _root_abscissa_sign(poly) == sign
+
+    @staticmethod
+    def _no_gcd(monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("reached the gcd route")
+        monkeypatch.setattr(stability, "_poly_gcd", refuse)
+
+    def test_a_negative_coefficient_settles_the_sign(self, monkeypatch):
+        # a polynomial whose roots all have real parts <= 0 is a product of
+        # (l + a) and (l^2 + 2bl + b^2 + w^2) with a, b >= 0, so none of its
+        # coefficients is negative
+        self._no_gcd(monkeypatch)
+        rnd = random.Random(43)
+        checked = 0
+        for _ in range(2000):
+            factors, parts = [], []
+            for _ in range(rnd.randint(1, 4)):
+                part = rnd.randint(-3, 3)
+                factors.append([1, -part] if rnd.random() < 0.5
+                               else [1, -2 * part, part * part + rnd.randint(1, 3) ** 2])
+                parts.append(part)
+            poly = _expand(*factors)
+            if min(poly) < 0:
+                assert _root_abscissa_sign(poly) == 1 and max(parts) > 0
+                checked += 1
+        assert checked >= 500, checked
+
+    @pytest.mark.parametrize("poly, sign", KNOWN)
+    def test_only_a_negative_coefficient_skips_the_gcd_route(self, poly, sign, monkeypatch):
+        # (l^2+1)(l-1) and (l+1)(l-1) take the exit; every other row that
+        # fails the Hurwitz test, (l^2+1)(l+1) and l^4 + 1 among them, still
+        # reaches the gcd
+        self._no_gcd(monkeypatch)
+        if min(poly) < 0:
+            assert _root_abscissa_sign(poly) == sign == 1
+        elif sign == -1:
+            assert _root_abscissa_sign(poly) == -1
+        else:
+            with pytest.raises(AssertionError, match="^reached the gcd route$"):
+                _root_abscissa_sign(poly)
 
     def test_products_of_known_factors(self):
         # real roots and conjugate pairs with small integer parts, so the
@@ -251,7 +325,7 @@ class TestRootAbscissaSign:
         for _ in range(200):
             n = int(rng.integers(1, 8))
             a = rng.integers(-20, 21, size=(n, n))
-            assert _charpoly(a.tolist()) == np.round(np.poly(a)).astype(np.int64).tolist()
+            assert berkowitz(a.tolist()) == np.round(np.poly(a)).astype(np.int64).tolist()
 
     def test_integer_form_keeps_every_bit(self):
         # each entry is an integer times 2^-s for one s, the least that works
@@ -261,6 +335,72 @@ class TestRootAbscissaSign:
         assert [[Fraction(v, 2 ** s) for v in r] for r in ints] \
             == [list(map(Fraction, r)) for r in rows]
         assert any(v % 2 for r in ints for v in r)
+
+
+class TestCycleCharpoly:
+    """``_cycle_charpoly`` gives Berkowitz's polynomial of the whole integer
+    Jacobian, coefficient for coefficient."""
+
+    @staticmethod
+    def _assert_matches(p, c, x) -> bool:
+        """Compare the two where the Jacobian is finite; at a disease-free
+        state, also check the product of its three blocks,
+        (l - d_0) * Y * (prod(l + a_i) - P).  Whether it compared."""
+        e = _jacobian_entries(p, c, x)
+        if not all(map(math.isfinite, e)):
+            return False
+        ints = _integer_rows([e])[0]
+        poly = _cycle_charpoly(ints)
+        assert poly == berkowitz(_integer_rows(jacobian(p, c, x)))
+        if x[1] == x[2] == x[5] == x[6] == 0.0:
+            d, (j34, j43) = ints[:7], (ints[11], ints[15])
+            y = [1, -d[3] - d[4], d[3] * d[4] - j34 * j43]
+            cycle = _expand(*([1, -d[i]] for i in (1, 2, 5, 6)))
+            cycle[-1] -= math.prod(ints[i] for i in (9, 10, 16, 18))
+            assert poly == _expand([1, -d[0]], y, cycle)
+        return True
+
+    def test_at_the_equilibria_of_draws(self):
+        rng = np.random.default_rng(3407)
+        compared = 0
+        for _ in range(300):
+            p = draw_params(rng)
+            for c in (0.0, 0.05, float(rng.uniform(0.0, 0.3))):
+                points = [trivial_equilibrium(p), brdfe(p, c)]
+                try:
+                    points.append(endemic_closed_form(p, c))
+                except NoEndemicEquilibrium:
+                    pass
+                compared += sum(self._assert_matches(p, c, eq.state) for eq in points)
+        assert compared >= 2400, compared
+
+    def test_at_the_stall_case(self):
+        # entries of about 680 bits at the endemic state
+        p, c = params_with(B=9.352478863310842e44, K=8.12056863434795e75), 0.12
+        x = endemic_closed_form(p, c).state
+        assert self._assert_matches(p, c, x)
+        assert max(map(abs, _integer_rows([_jacobian_entries(p, c, x)])[0])).bit_length() > 600
+
+    def test_at_random_states(self):
+        # signed zeros, negative, subnormal and 2^(+-1000) components, a third
+        # of the states disease-free
+        rng = np.random.default_rng(3413)
+        rnd = random.Random(3413)
+
+        def component(scale):
+            return rnd.choice((0.0, -0.0, 5e-324 * rnd.randint(1, 1000),
+                               -5e-324 * rnd.randint(1, 1000), 2.0 ** 1000, -2.0 ** -1000,
+                               2.0 ** rnd.uniform(-1000.0, 1000.0),
+                               scale * rnd.uniform(-1.5, 1.5), scale * rnd.uniform(0.0, 1.0)))
+
+        compared = 0
+        for i in range(3000):
+            p = draw_params(rng)
+            x = [component(s) for s in component_scales(p)]
+            if i % 3 == 0:
+                x[1] = x[2] = x[5] = x[6] = 0.0
+            compared += self._assert_matches(p, rnd.uniform(0.0, 0.3), State7(*x))
+        assert compared >= 2000, compared
 
 
 class TestProductPredicate:
@@ -448,6 +588,95 @@ class TestFilteredLabels:
         assert {Classification.UNSTABLE, Classification.ASYMPTOTICALLY_STABLE} <= set(labels)
 
 
+def _parent_abscissa_sign(poly) -> int:
+    """``_root_abscissa_sign`` without the negative-coefficient exit: every
+    polynomial that fails the Hurwitz test takes the gcd route."""
+    if stability._hurwitz_stable(poly):
+        return -1
+    n = len(poly) - 1
+    even = [c if (n - i) % 2 == 0 else 0 for i, c in enumerate(poly)]
+    odd = [c if (n - i) % 2 else 0 for i, c in enumerate(poly)]
+    g = stability._poly_gcd(even, odd)
+    if len(g) == 1 or not stability._hurwitz_stable(
+            stability._primitive(stability._divmod(poly, g)[0])):
+        return 1
+    square_free = stability._divmod(g, stability._poly_gcd(g, stability._derivative(g)))[0]
+    rising = [a + b for a, b in zip(square_free, [0, *stability._derivative(square_free)])]
+    return 0 if stability._hurwitz_stable(stability._primitive(rising)) else 1
+
+
+class TestCycleLabels:
+    """``classify`` and ``r0_spectral`` answer as they do with the entries
+    read from the typed Jacobian, Berkowitz's polynomial of its integer
+    form and no negative-coefficient exit, the route they replaced."""
+
+    @staticmethod
+    def _answers(cases, monkeypatch, oracle):
+        def typed_entries(p, c, x):
+            jac = _typed_jacobian(p, c, x)
+            return tuple(jac[i, j].item() for i, j in _ENTRY_AT)
+
+        def answer(route, *args):
+            try:
+                return repr(route(*args))
+            except (NumericalFailure, MosquitoCollapseError) as exc:
+                return type(exc).__name__, str(exc)
+
+        answers = []
+        with monkeypatch.context() as m:
+            if oracle:
+                m.setattr(stability, "_jacobian_entries", typed_entries)
+                m.setattr(stability, "_cycle_charpoly",
+                          lambda ints: berkowitz(_integer_matrix(ints)))
+                m.setattr(stability, "_root_abscissa_sign", _parent_abscissa_sign)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # the brdfe state is inexact for c > 0
+                for p, c, states in cases:
+                    answers.append(answer(r0_spectral, p, c))
+                    answers += [answer(classify, p, c, eq) for eq in states]
+        return answers
+
+    @staticmethod
+    def _cases(draws):
+        """Each (p, c) with the states that the equilibria give there."""
+        cases = []
+        for p, c in draws:
+            states = [trivial_equilibrium(p)]
+            for build in (brdfe, endemic_closed_form):
+                try:
+                    states.append(build(p, c))
+                except (NoEndemicEquilibrium, MosquitoCollapseError, NumericalFailure):
+                    pass
+            cases.append((p, c, states))
+        return cases
+
+    def _assert_identical(self, cases, monkeypatch):
+        answers = self._answers(cases, monkeypatch, False)
+        assert answers == self._answers(cases, monkeypatch, True)
+        return answers
+
+    def test_at_the_equilibria_of_draws(self, monkeypatch):
+        rng = np.random.default_rng(3301)
+        cases = self._cases((draw_params(rng), float(rng.uniform(0.0, 0.3)))
+                            for _ in range(3000))
+        answers = self._assert_identical(cases, monkeypatch)
+        labels = {repr(stability._REPORT[s]) for s in (-1, 1)}
+        assert labels <= set(answers)
+        assert sum(len(states) for _, _, states in cases) >= 7000
+
+    def test_at_extreme_rates(self, monkeypatch):
+        # the variants of test_correctly_rounded_over_extreme_rate_fuzz
+        rnd = random.Random(7)
+        draws = []
+        for _ in range(6000):
+            try:
+                draws.append(draw_extreme(rnd))
+            except ValueError:
+                continue
+        answers = self._assert_identical(self._cases(draws), monkeypatch)
+        assert sum(isinstance(a, tuple) for a in answers) >= 100
+
+
 #: The least real that rounds to infinity: halfway from the largest double to
 #: 2^1024, a tie that rounds up, as the largest double is odd.
 _OVERFLOW_EDGE = 2 ** 1024 - 2 ** 970
@@ -580,7 +809,8 @@ class TestClassify:
         assert jac[3][3] * jac[4][4] == jac[3][4] * jac[4][3] == 2.0
         eq = Equilibrium(EquilibriumKind.BRDFE, x, residual_norm=0.0)
         assert classify(p, 0.0, eq).classification is Classification.MARGINAL
-        assert _root_abscissa_sign(_charpoly(_integer_rows(jac))) == 0
+        e = _jacobian_entries(p, 0.0, x)
+        assert _root_abscissa_sign(_cycle_charpoly(_integer_rows([e])[0])) == 0
         assert abs(np.linalg.eigvals(np.array(jac)).real.max()) < 1e-12
 
     def test_negative_mosquito_state_takes_the_general_route(self):
@@ -590,7 +820,7 @@ class TestClassify:
         p, x = self.singular_mosquito_block()
         x = x._replace(S_m=-1.0)
         jac = jacobian(p, 0.0, x)
-        assert _disease_free_sign(jac) is None
+        assert _disease_free_sign(_jacobian_entries(p, 0.0, x)) is None
         eq = Equilibrium(EquilibriumKind.BRDFE, x, residual_norm=0.0)
         assert classify(p, 0.0, eq).classification is Classification.UNSTABLE
         assert np.linalg.eigvals(np.array(jac)).real.max() == pytest.approx(1.5)
