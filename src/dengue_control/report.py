@@ -5,12 +5,19 @@ The text and JSON renderings are built from the same report object and
 format every number with ``repr``, so the two carry identical digits.  The
 report holds None for a number that is not finite: ``n/a`` in text, ``null``
 in JSON.
+
+``build_report`` warns where the brdfe entry's relative residual exceeds
+``RESIDUAL_WARN``: the paper's evaluation point of R0 is not a fixed point of
+the controlled flow for c > 0.  The trivial and endemic entries are exact
+roots rounded once, whose residual measures rounding, not distance from a
+fixed point, so they carry no notice.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, is_dataclass, replace
 
 from .equilibria import Equilibrium, brdfe, endemic_closed_form, trivial_equilibrium
@@ -20,6 +27,9 @@ from .model import (STATE_LABELS, basic_offspring_number, in_omega, mosquito_via
 from .scenario import Scenario
 from .stability import classify, r0_spectral
 from .threshold import NoControlNeeded, min_control
+
+#: Relative residual of the brdfe entry above which ``build_report`` warns.
+RESIDUAL_WARN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,10 @@ def build_report(scenario: Scenario) -> AnalysisReport:
         r0s = r0_spectral(p, ctrl)
         r0c = r0_closed_form(p, ctrl)
         r_hm, r_mh = r0_factors(p, ctrl)
-        entries.append(_entry(scenario, brdfe(p, ctrl), r0c))
+        if (dfe := brdfe(p, ctrl)).residual_norm > RESIDUAL_WARN:
+            warnings.warn(f"classifying a state with relative residual {dfe.residual_norm:.3e}; "
+                          "it is not an exact fixed point of this flow", stacklevel=2)
+        entries.append(_entry(scenario, dfe, r0c))
         try:
             entries.append(_entry(scenario, endemic_closed_form(p, ctrl)))
         except (NoEndemicEquilibrium, NumericalFailure) as exc:

@@ -73,17 +73,12 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import zip_longest
 
 from .equilibria import Equilibrium, _jacobian_entries
 from .errors import NumericalFailure
 from .model import ControlLevel, ModelParams, _integer_rows, _paper_dfe, _rate
-
-#: Residual above which classify() warns that the input is not close
-#: enough to a fixed point for its linearization to mean much.
-RESIDUAL_WARN = 1e-6
 
 
 class Classification(enum.Enum):
@@ -107,14 +102,8 @@ _REPORT = {-1: StabilityReport(Classification.ASYMPTOTICALLY_STABLE),
            1: StabilityReport(Classification.UNSTABLE)}
 
 
-def _finite(rows) -> bool:
-    """Whether every entry of ``rows`` is finite.  A finite float sum proves
-    it: once a running sum is infinite or NaN no finite term brings it back
-    (Python 3.12's compensated ``sum`` adds its correction only where that
-    is finite), so only a sum that is not finite, from a non-finite entry or
-    an overflow, takes the pass over each entry."""
-    return (math.isfinite(sum(chain.from_iterable(rows)))
-            or all(map(math.isfinite, chain.from_iterable(rows))))
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
 
 
 def _sign(x) -> int:
@@ -299,19 +288,15 @@ def _root_abscissa_sign(poly) -> int:
 def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> StabilityReport:
     """Local stability of an equilibrium: the exact sign of the spectral
     abscissa of the float Jacobian at the state (the routes are in the
-    module docstring); MARGINAL where it is exactly 0.
+    module docstring); MARGINAL where it is exactly 0.  Whether the state is
+    a fixed point of the flow is for the caller to judge from
+    ``eq.residual_norm``.
 
     Raises NumericalFailure when the state or its Jacobian is not finite.
     """
     cc = _rate(c)
-    if eq.residual_norm > RESIDUAL_WARN:
-        warnings.warn(
-            f"classifying a state with relative residual {eq.residual_norm:.3e}; "
-            "it is not an exact fixed point of this flow",
-            stacklevel=2)
-
     x = eq.state
-    if x.is_finite() and _finite([e := _jacobian_entries(p, cc, x)]):
+    if x.is_finite() and _finite(e := _jacobian_entries(p, cc, x)):
         sign = _disease_free_sign(e) if x[1] == x[2] == x[5] == x[6] == 0.0 else None
         if sign is None:
             sign = _root_abscissa_sign(_cycle_charpoly(_integer_rows([e])[0]))
@@ -354,7 +339,7 @@ def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     cc = _rate(c)
     a, cycle = _infected_cycle(_jacobian_entries(p, cc, _paper_dfe(p, cc)))
     what = "cannot compute the spectral R0 at the brdfe state"
-    if not _finite((a, cycle)):
+    if not _finite((*a, *cycle)):
         raise NumericalFailure(f"{what}: next-generation matrix contains non-finite "
                                "entries (overflow at these parameters)")
     (num, den), (a_num, a_den) = _ratio(cycle), _ratio(a)

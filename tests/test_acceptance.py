@@ -3,7 +3,6 @@ tolerance, one printed pass/fail line per criterion (run with -s to see
 them on success)."""
 
 import time
-import warnings
 
 import numpy as np
 
@@ -104,19 +103,17 @@ def test_criterion_5_stability_concordance():
     start = time.perf_counter()
     checked = 0
     mismatches = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        while checked < 200:
-            p = draw_params(rng)
-            c = rng.uniform(0.0, 0.3)
-            r0 = r0_closed_form(p, c)
-            if abs(r0 - 1.0) <= 1e-3:
-                continue
-            label = classify(p, c, brdfe(p, c)).classification
-            expected = (Classification.UNSTABLE if r0 > 1.0
-                        else Classification.ASYMPTOTICALLY_STABLE)
-            mismatches += label is not expected
-            checked += 1
+    while checked < 200:
+        p = draw_params(rng)
+        c = rng.uniform(0.0, 0.3)
+        r0 = r0_closed_form(p, c)
+        if abs(r0 - 1.0) <= 1e-3:
+            continue
+        label = classify(p, c, brdfe(p, c)).classification
+        expected = (Classification.UNSTABLE if r0 > 1.0
+                    else Classification.ASYMPTOTICALLY_STABLE)
+        mismatches += label is not expected
+        checked += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 5.0
     _report(5, "stability-concordance", ok,

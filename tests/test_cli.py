@@ -605,14 +605,28 @@ class TestAnalyze:
         assert "[endemic]" not in out
         assert "endemic: no endemic equilibrium" in out
 
-    def test_warning_is_one_line(self, capsys):
+    @pytest.mark.parametrize("c, residual", [
+        ("0.05", "1.639e-01"), ("0.12", "3.724e-01"), ("0.2", "5.808e-01")])
+    def test_warning_is_one_line(self, c, residual, capsys):
         code, _, err = run_cli(capsys, "analyze", "--builtin", "capeverde2009",
-                               "--control", "0.05")
+                               "--control", c)
         assert code == 0
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("warning: ")
-        assert "not an exact fixed point" in err
-        assert ".py" not in err
+        assert err == (f"warning: classifying a state with relative residual {residual}; "
+                       "it is not an exact fixed point of this flow\n")
+
+    def test_only_the_brdfe_entry_warns_at_extreme_rates(self, tmp_path, capsys):
+        # the adult outflow rounds to 0 in floats: the endemic entry, each
+        # component the double nearest an exact root, has a float residual of
+        # 3.187e-01 from rounding alone, and only the brdfe entry is noted
+        path = tmp_path / "variant.txt"
+        path.write_text(builtin_text_with({"mu_m": "1e-155", "eta_m": "1e-117"}))
+        code, _, err = run_cli(capsys, "analyze", "--scenario", str(path), "--control", "0.05")
+        assert code == 3
+        assert err.splitlines() == [
+            "warning: classifying a state with relative residual 1.593e+153; "
+            "it is not an exact fixed point of this flow",
+            "error: basic reproduction number undefined: the product of rates in its "
+            "denominator underflows to 0"]
 
     def test_collapse_variant(self, tmp_path, capsys):
         path = write_variant(tmp_path, {"mu_b = 6.0": "mu_b = 0.0"})

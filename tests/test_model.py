@@ -1,6 +1,5 @@
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -198,11 +197,9 @@ class TestControlCheckedOnce:
         rate_calls.clear()
         eq = brdfe(CAPE_VERDE, c)
         assert rate_calls == [c]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")      # the paper's state is not a fixed point for c > 0
-            classify(CAPE_VERDE, c, eq)
-            assert rate_calls == [c, c]
-            classify(CAPE_VERDE, c, trivial)
+        classify(CAPE_VERDE, c, eq)
+        assert rate_calls == [c, c]
+        classify(CAPE_VERDE, c, trivial)
         assert rate_calls == [c, c, c]
 
     @pytest.mark.parametrize("name, call", (
@@ -225,13 +222,11 @@ class TestControlCheckedOnce:
     def test_classify_shares_one_report_per_label(self):
         rng = np.random.default_rng(2041)
         by_label = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for _ in range(40):
-                p, c = draw_params(rng), float(rng.uniform(0.0, 0.3))
-                for eq in (trivial_equilibrium(p), brdfe(p, c)):
-                    rep = classify(p, c, eq)
-                    assert by_label.setdefault(rep.classification, rep) is rep
+        for _ in range(40):
+            p, c = draw_params(rng), float(rng.uniform(0.0, 0.3))
+            for eq in (trivial_equilibrium(p), brdfe(p, c)):
+                rep = classify(p, c, eq)
+                assert by_label.setdefault(rep.classification, rep) is rep
         assert len(by_label) == 2     # stable and unstable both drawn
 
 
