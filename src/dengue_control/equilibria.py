@@ -58,7 +58,7 @@ from .model import (
     ModelParams,
     State7,
     component_scales,
-    _integer_rows,
+    _integer_form,
     _margin,
     _paper_dfe,
     _r0,
@@ -235,14 +235,10 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
             "no endemic equilibrium in the admissible region: basic "
             f"reproduction number {r0:.6g} <= 1")
 
-    # counts times 2^s and, through one = 2^s, rates (B*beta included) times
-    # 2^2s: the state is unchanged by a common factor on the rates and scales
-    # with the counts, so each quotient below is a component times 2^s
-    n_h, cap, bite, beta_mh, beta_hm, one, *rates = _integer_rows([[
-        p.N_h, p.K, p.B, p.beta_mh, p.beta_hm, 1.0,
-        p.mu_h, p.eta_h, p.mu_m, p.mu_b, p.mu_A, p.eta_A, p.eta_m, p.nu_h, cc]])[0]
-    mu_h, eta_h, mu_m, mu_b, mu_A, eta_A, eta_m, nu_h, c2 = (v * one for v in rates)
-    bite_hm, bite_mh = bite * beta_hm, bite * beta_mh
+    # the state is unchanged by a common factor on the rates and scales with
+    # the counts, so each quotient below is a component times one = 2^s
+    one, n_h, cap, bite_mh, bite_hm, mu_h, eta_h, mu_m, mu_b, mu_A, eta_A, eta_m, nu_h, c2 = \
+        _integer_form(p, cc)
     r, a, b = mu_m + c2, mu_h + nu_h, mu_h + eta_h
     q = r + eta_m
     m = eta_A * mu_b - c2 * (eta_A + mu_A) - mu_m * (mu_A + eta_A)

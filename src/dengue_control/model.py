@@ -24,10 +24,10 @@ and sums that do not depend on the state once and returns the derivative
 as a function of the state, any sequence of 7 floats (a ``State7``
 included); the integrator binds it once per run.  The rule "c finite and
 >= 0" has one home too, ``_rate(c)``, run once per public call; the private
-helpers take its float.  Everything here works on Python floats, and
-``_integer_rows`` puts floats over one power of two as integers for the
-exact routes of ``equilibria`` and ``stability``; the array forms live in
-``equilibria``, so importing this module does not load numpy.
+helpers take its float.  Everything here works on Python floats; the exact
+routes of ``equilibria``, ``stability`` and ``threshold`` read integers over one
+power of two (``_integer_rows``, ``_integer_form``) and ``_sqrt_ratio``.  The
+array forms live in ``equilibria``, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -125,6 +125,33 @@ def _integer_rows(rows) -> list[list[int]]:
     ratios = [[v.as_integer_ratio() for v in row] for row in rows]
     scale = max(d for row in ratios for _, d in row)     # each d is a power of 2
     return [[n * (scale // d) for n, d in row] for row in ratios]
+
+
+def _integer_form(p: ModelParams, c: float) -> tuple[int, ...]:
+    """(one, N_h, K, B*beta_mh, B*beta_hm, mu_h, eta_h, mu_m, mu_b, mu_A, eta_A,
+    eta_m, nu_h, c) as integers: one = 2^s for the least s that puts every input
+    over 2^s, the counts times 2^s, the rates (B*beta too) times 2^2s."""
+    n_h, cap, bite, beta_mh, beta_hm, one, *rates = _integer_rows([[
+        p.N_h, p.K, p.B, p.beta_mh, p.beta_hm, 1.0,
+        p.mu_h, p.eta_h, p.mu_m, p.mu_b, p.mu_A, p.eta_A, p.eta_m, p.nu_h, c]])[0]
+    return (one, n_h, cap, bite * beta_mh, bite * beta_hm, *(v * one for v in rates))
+
+
+def _sqrt_ratio(n: int, d: int) -> float:
+    """The double nearest sqrt(n/d) for integers n >= 0 and d > 0, ties to even.
+    With e the exponent that puts the root's leading bit at 2^(e+52) (-1074 at
+    least, the subnormal grid) and q = n/d scaled by 2^-2e, r = isqrt(floor(q))
+    is floor(sqrt(q)), and the root rounds up to r + 1 iff sqrt(q) > r + 1/2, that
+    is iff 4q > (2r+1)^2.  Raises OverflowError where it rounds beyond the largest double."""
+    t = n.bit_length() - d.bit_length()
+    log2 = t if (n >> t if t >= 0 else n << -t) >= d else t - 1    # floor(log2(n/d))
+    e = max(log2 // 2 - 52, -1074)
+    num, den = (n << -2 * e, d) if e < 0 else (n, d << 2 * e)
+    r = math.isqrt(num // den)
+    excess = 4 * num - (2 * r + 1) ** 2 * den
+    if excess > 0 or (excess == 0 and r % 2):     # above r + 1/2, or a tie to even
+        r += 1
+    return math.ldexp(r, e)
 
 
 class State7(NamedTuple):

@@ -78,7 +78,7 @@ from itertools import zip_longest
 
 from .equilibria import Equilibrium, _jacobian_entries
 from .errors import NumericalFailure
-from .model import ControlLevel, ModelParams, _integer_rows, _paper_dfe, _rate
+from .model import ControlLevel, ModelParams, _integer_rows, _paper_dfe, _rate, _sqrt_ratio
 
 
 class Classification(enum.Enum):
@@ -305,24 +305,6 @@ def classify(p: ModelParams, c: ControlLevel | float, eq: Equilibrium) -> Stabil
             else "state contains non-finite components")
     raise NumericalFailure(
         f"cannot classify the {eq.kind.value} state: {what} (overflow at these parameters)")
-
-
-def _sqrt_ratio(n: int, d: int) -> float:
-    """The double nearest sqrt(n/d) for integers n >= 0 and d > 0, ties to
-    even.  With e the exponent that puts the root's leading bit at 2^(e+52)
-    (-1074 at least, the subnormal grid) and q = n/d scaled by 2^-2e,
-    r = isqrt(floor(q)) is floor(sqrt(q)), and the root rounds up to r + 1
-    iff sqrt(q) > r + 1/2, that is iff 4q > (2r+1)^2.  Raises OverflowError
-    where the root rounds beyond the largest double."""
-    t = n.bit_length() - d.bit_length()
-    log2 = t if (n >> t if t >= 0 else n << -t) >= d else t - 1    # floor(log2(n/d))
-    e = max(log2 // 2 - 52, -1074)
-    num, den = (n << -2 * e, d) if e < 0 else (n, d << 2 * e)
-    r = math.isqrt(num // den)
-    excess = 4 * num - (2 * r + 1) ** 2 * den
-    if excess > 0 or (excess == 0 and r % 2):     # above r + 1/2, or a tie to even
-        r += 1
-    return math.ldexp(r, e)
 
 
 def r0_spectral(p: ModelParams, c: ControlLevel | float = 0.0) -> float:

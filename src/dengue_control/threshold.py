@@ -1,35 +1,30 @@
 """Minimum constant adulticide level keeping the reproduction number below one.
 
-The reproduction number is strictly decreasing in the control rate and
-drops to zero at the collapse bound
-
-    c_collapse = eta_A*mu_b/(eta_A + mu_A) - mu_m
-
-beyond which the mosquito population itself is not viable and no
-reproduction number is defined.  R0^2 is a constant times the viability
-margin, linear in c, over (c+mu_m)(c+eta_m+mu_m), so ``min_control``
-solves the quadratic R0(c)^2 = 1 in closed form and certifies the root
-with two R0 evaluations at the ends of a bracket no wider than the
-tolerance; R0 = 0 at the collapse bound, so that end needs no evaluation.
-The quadratic's leading coefficient is taken from R0's human -> mosquito
-factor at c = 0, which keeps its digits where R0(0)'s own denominator is
-subnormal.
-The collapse bound is reported alongside the threshold since it caps how
-much control is meaningful at all.
+R0 falls strictly with the control rate c, to zero at the collapse bound:
+the least c with viability margin M(c) = eta_A*mu_b - (c+mu_m)*(eta_A+mu_A) <= 0,
+past which the mosquito population is not viable and no R0 is defined.  With
+A = B^2*beta_hm*beta_mh*K*eta_m*nu_h and D = N_h*mu_b*(eta_h+mu_h)*mu_m*(mu_h+nu_h),
+R0(c)^2 = A*M(c)/(D*(c+mu_m)*(c+eta_m+mu_m)), so R0 > 1 iff the quadratic
+f(c) = A*M(c) - D*(c+mu_m)*(c+eta_m+mu_m) is positive; f falls for c >= 0.  On
+the rates as integers over one power of two (``model._integer_form``), f*d^2 at a
+double c = n/d is an integer.  ``min_control`` takes the root from an integer
+square root in its cancellation-free form (Higham, Accuracy and Stability of
+Numerical Algorithms, section 1.8) and steps to the largest double with f > 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import gt
 
 from .errors import MosquitoCollapseError, NumericalFailure, ScenarioError
-from .model import ModelParams, r0_factors, _margin, _r0, _rate
+from .model import ModelParams, _integer_form, _r0, _rate, _sqrt_ratio
 
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Certified root of R0(c) = 1."""
+    """Exact threshold: ``c_star`` is the largest double with R0 > 1."""
 
     c_star: float
     r0_at_c_star: float
@@ -40,8 +35,7 @@ class ThresholdResult:
 
 @dataclass(frozen=True)
 class NoControlNeeded:
-    """R0 is already below one with zero control (or the mosquito
-    population collapses on its own, leaving nothing to transmit)."""
+    """R0(0) <= 1, or ``r0_at_zero`` None: the mosquito population collapses uncontrolled."""
 
     r0_at_zero: float | None
     collapse_bound: float
@@ -49,74 +43,75 @@ class NoControlNeeded:
 
 @dataclass(frozen=True)
 class ProfilePoint:
-    """One sweep entry; ``r0`` is None when the control level collapses
-    the mosquito population."""
+    """One sweep entry; ``r0`` is None at a level that collapses the mosquito population."""
 
     c: float
     r0: float | None
     collapsed: bool
 
 
+def _least_collapsed(scale: int, mu_m: int, recruit: int, alpha: int) -> float:
+    """The least double c with recruit - (c*scale + mu_m)*alpha <= 0."""
+    c = (recruit - mu_m * alpha) / (alpha * scale)      # the exact root, correctly rounded
+    n, d = c.as_integer_ratio()
+    return c if recruit * d <= (n * scale + mu_m * d) * alpha else math.nextafter(c, math.inf)
+
+
 def collapse_control_bound(p: ModelParams) -> float:
-    """Control level at which the mosquito viability margin hits zero."""
-    return p.eta_A * p.mu_b / (p.eta_A + p.mu_A) - p.mu_m
+    """Least control level at which the exact mosquito viability margin is <= 0."""
+    one, _, _, _, _, _, _, mu_m, mu_b, mu_A, eta_A, *_ = _integer_form(p, 0.0)
+    return _least_collapsed(one * one, mu_m, eta_A * mu_b, eta_A + mu_A)
 
 
 def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoControlNeeded:
     """Minimum constant control with R0 < 1, to within ``tol`` per day.
 
     Returns NoControlNeeded when R0(0) <= 1.  Otherwise ``c_star`` is the
-    closed-form root of R0(c)^2 = 1 below the collapse bound, inside a
-    bracket at most ``tol`` wide with R0 > 1 at its low end and R0 <= 1 at
-    its high end; ``iterations`` counts those two R0 evaluations.  Raises
-    ScenarioError when no such bracket exists, as when ``tol`` is finer
-    than R0 can resolve.
+    largest double with R0 > 1; the bracket (c* - tol/4, c* + tol/4), widened
+    to the doubles next to c* and capped at 0 and the collapse bound, has
+    R0 > 1 at its low end and R0 <= 1 at its high end; ``iterations`` counts
+    the exact sign tests that placed c*.  Raises ScenarioError when the bracket
+    is wider than ``tol``, NumericalFailure when R0(c*) overflows a double.
     """
     if not tol > 0.0:
         raise ScenarioError(f"tolerance must be > 0, got {tol}")
+    one, n_h, cap, bite_mh, bite_hm, mu_h, eta_h, mu_m, mu_b, mu_A, eta_A, eta_m, nu_h, _ = \
+        _integer_form(p, 0.0)
+    scale, recruit, alpha = one * one, eta_A * mu_b, eta_A + mu_A
+    bound = _least_collapsed(scale, mu_m, recruit, alpha)
+    a = bite_hm * bite_mh * cap * eta_m * nu_h
+    dd = n_h * mu_b * (eta_h + mu_h) * mu_m * (mu_h + nu_h)
+    tested = []                 # c = 0, then the sign tests that place c*, then c*
 
-    c_collapse = collapse_control_bound(p)
-    if (m_zero := _margin(p, 0.0)) <= 0.0:
-        return NoControlNeeded(r0_at_zero=None, collapse_bound=c_collapse)
+    def sides(c: float) -> tuple[int, int]:
+        """A*M(c) and D*(c + mu_m)*(c + eta_m + mu_m), times d^2 for c = n/d."""
+        tested.append(c)
+        n, d = c.as_integer_ratio()
+        u = n * scale + mu_m * d
+        return a * (recruit * d - u * alpha) * d, dd * u * (u + eta_m * d)
 
-    def r0(c: float) -> float:
-        try:
-            return _r0(p, c)        # c is 0 or a finite level inside the bracket
-        except MosquitoCollapseError:
-            # rounding can leave the margin <= 0 a few ulps below
-            # c_collapse, where the closed form gives R0 = 0
-            return 0.0
-
-    if (r0_zero := r0(0.0)) <= 1.0:
-        return NoControlNeeded(r0_at_zero=r0_zero, collapse_bound=c_collapse)
-
-    # With q = mu_m*(mu_m+eta_m), R0(c)^2 = 1 is g*c^2 + b*c - n = 0 for
-    # g = M(0)/R0(0)^2/q, b = g*(2*mu_m+eta_m) + eta_A+mu_A, n = M(0)*(1 - 1/R0(0)^2).
-    # The next-generation matrix is a two-cycle, R0^2 = R_hm*R_mh, and R_mh(0)*q =
-    # B*beta_mh*eta_m, so g = M(0)/R_hm(0)/(B*beta_mh*eta_m): neither factor holds mu_m^2,
-    # which goes subnormal for mu_m below about 1e-154 and costs R0(0) digits.  Where
-    # mu_b*mu_m underflows, R_hm(0) is +inf in exact arithmetic and g its limit 0.  As R0(0)
-    # grows g underflows and the root tends to c_collapse.  The root 2n/(b + sqrt(b^2 + 4gn))
-    # has no cancellation (Higham, Accuracy and Stability of Numerical Algorithms, section
-    # 1.8); it is taken through n/b and g/b since b^2 overflows for large M(0).  Should g
-    # overflow, or a product of rates in it underflow to 0, c* is nan and the certificate fails.
+    num, den = sides(0.0)
+    if num <= den:          # no control needed, or none possible where M(0) <= 0
+        return NoControlNeeded(_sqrt_ratio(num, den) if bound > 0.0 else None, bound)
+    # f = f0 - b*x - D*x^2 at x = c*scale; its root 2*f0/(b + sqrt(b^2 + 4*D*f0)), 64 bits finer
+    f0, b = num - den, a * alpha + dd * (2 * mu_m + eta_m)
+    c = (f0 << 65) / (((b << 64) + math.isqrt((b * b + 4 * dd * f0) << 128)) * scale)
+    up = gt(*sides(c))          # walk towards the root while the sign holds
+    while gt(*sides(step := math.nextafter(c, math.inf if up else 0.0))) == up:
+        c = step
+    c = c if up else step
+    lo = max(0.0, min(c - tol / 4, math.nextafter(c, 0.0)))
+    hi = min(bound, max(c + tol / 4, math.nextafter(c, math.inf)))
+    if not hi - lo <= tol:
+        raise ScenarioError(f"cannot certify c* = {c!r} to within tolerance {tol:g}: the "
+                            f"narrowest bracket of doubles around it is {hi - lo:.3g} wide")
     try:
-        g = m_zero / r0_factors(p, 0.0)[0] / (p.B * p.beta_mh * p.eta_m)
-    except (NumericalFailure, ZeroDivisionError):
-        g = 0.0 if p.mu_b * p.mu_m == 0.0 else math.nan
-    n = m_zero * (1.0 - 1.0 / r0_zero / r0_zero)
-    b = g * (2.0 * p.mu_m + p.eta_m) + p.eta_A + p.mu_A
-    n_b = n / b
-    c_star = min(2.0 * n_b / (1.0 + math.sqrt(1.0 + 4.0 * (g / b) * n_b)),
-                 math.nextafter(c_collapse, 0.0))
-    lo = max(0.0, min(c_star - tol / 4, math.nextafter(c_star, 0.0)))
-    hi = min(c_collapse, max(c_star + tol / 4, math.nextafter(c_star, math.inf)))
-    if not (lo <= c_star < hi and hi - lo <= tol and r0(lo) > 1.0
-            and (hi == c_collapse or r0(hi) <= 1.0)):
-        raise ScenarioError(f"cannot certify c* = {c_star!r} to within tolerance {tol:g}: no "
-                            "bracket that narrow has R0 > 1 and R0 <= 1 at its ends")
-    return ThresholdResult(c_star=c_star, r0_at_c_star=r0(c_star), bracket=(lo, hi),
-                           iterations=2, collapse_bound=c_collapse)
+        r0 = _sqrt_ratio(*sides(c))
+    except OverflowError:
+        raise NumericalFailure(f"basic reproduction number at c* = {c!r} rounds beyond "
+                               "the largest double") from None
+    return ThresholdResult(c_star=c, r0_at_c_star=r0, bracket=(lo, hi),
+                           iterations=len(tested) - 2, collapse_bound=bound)
 
 
 def r0_profile(p: ModelParams, grid) -> list[ProfilePoint]:

@@ -278,16 +278,20 @@ class TestGoldenOutput:
     # their spectral R0 moved one ulp, to 1.6728983144582583 and 1.1660081170613767.
     # All four were re-pinned when the endemic state became the correctly
     # rounded closed form: the "refined" token left every entry, and the
-    # endemic entries (c = 0, 0.05, 0.12) changed in state digits and residual
+    # endemic entries (c = 0, 0.05, 0.12) changed in state digits and residual.
+    # All four were re-pinned when the threshold became exact: c* moved from
+    # 0.1569610113717911 to 0.15696101137179116 (the largest double with R0 > 1),
+    # the bracket with it, and the collapse bound from 1.3636363636363635 to
+    # 1.3636363636363638 (the least double with a viability margin <= 0)
     ANALYZE_DIGESTS = {
-        0.0: ("d8f4444e0344becdba125ba1226e9da9d61cb4a8c36594c9e2da3f393d1c6bce",
-              "f1691ed40c190fd3054bd2228b5e7d136e939bf469dd578d18b6ad404d310969"),
-        0.05: ("b94a8c764a15a44ccdfbad5f8cb9102043f0c4f843d24535beab53eebe614916",
-               "31b2eef78411266e32b3a81b0eb8b1d7154b598c2b509f42335127d0ddb76ffb"),
-        0.12: ("e17d855f494862ca8eeda855ec056b008b34f88ff73f69b9f1b2930b1c660ee2",
-               "1d4f5826b92eb18116fc2789d21478dd51e7df1bd81b00a7269e26593c7b32f8"),
-        0.2: ("eb971491e67aa238c5f46f98d402ecd824a167454a1bb4dd794a1ffa96c4df16",
-              "60704f1cb50bd9fd8f5b57abbc47d0ce37a9459e33de2587d8a6eda65510ccf5"),
+        0.0: ("20488a5c8c87ffa8d94a0828e6c9ef7a17778d904c3c300da6335fb0561bed97",
+              "4e5159d5ba96c5dc760d494ffc79583f70705346387f5ef4c1e16edf7b742593"),
+        0.05: ("6cee0c86f51af4d2372ba8fe85d81d5feb2d332e1e17c5a2d60582c2c7d7259f",
+               "c7adb52cf7904da2dc27fc485ea8216e48d475f037b53445e4b3a903467b2a25"),
+        0.12: ("9f42987eed21088dfa130f8edccb8e5566a8d6aee5b1cf3cdf3a05d2ecaa3887",
+               "e3e80a88a703ca8d72cdbc87eec5855814286afc3e058cfd5e9b481c0f4ca7bc"),
+        0.2: ("4d3690c695eb01e2c6c9008f7f6886658869cd9c774100ccfed40601fea80eef",
+              "abefefbaf44972f60c07669fe58c16440dce05bacdf735a266c0c2cc99e55c86"),
     }
     SWEEP_DIGEST = "ac7302269f84df3e14e20f52ea52f84aab3e0b539bdc56c395995b249b01c5e0"
 
@@ -361,6 +365,22 @@ class TestThreshold:
         code, out, _ = run_cli(capsys, "threshold", "--scenario", str(path))
         assert code == 0
         assert "no control needed" in out
+
+    # the built-in scenario with one key changed: the float quadratic refused the
+    # first two (exit 2), lost R0's denominator to underflow in the third (exit 3)
+    # and put c* one double low in the fourth, where R0 drops from 1e294 to collapse
+    @pytest.mark.parametrize("values, bracket", [
+        ({"nu_h": "1e303"}, "[0.1569805113609391, 0.15698101136093912]  (width 5e-07"),
+        ({"mu_b": "1e304"}, "[0.1850218199986781, 0.1850223199986781]  (width 5e-07"),
+        ({"mu_m": "1e-162"}, "[1.4545452045454543, 1.4545454545454546]  (width 2.5e-07"),
+        ({"B": "1e303"}, "[1.3636361136363635, 1.3636363636363638]  (width 2.5e-07"),
+    ])
+    def test_exact_threshold_at_extreme_rates(self, values, bracket, tmp_path, capsys):
+        path = tmp_path / "variant.txt"
+        path.write_text(builtin_text_with(values))
+        code, out, err = run_cli(capsys, "threshold", "--scenario", str(path))
+        assert (code, err) == (0, "")
+        assert f"\nbracket = {bracket} <= tol 1e-06)\n" in out
 
     def test_tolerance_below_float_resolution_is_config_error(self):
         proc = subprocess.run(
@@ -620,13 +640,14 @@ class TestAnalyze:
         # 3.187e-01 from rounding alone, and only the brdfe entry is noted
         path = tmp_path / "variant.txt"
         path.write_text(builtin_text_with({"mu_m": "1e-155", "eta_m": "1e-117"}))
-        code, _, err = run_cli(capsys, "analyze", "--scenario", str(path), "--control", "0.05")
-        assert code == 3
+        code, out, err = run_cli(capsys, "analyze", "--scenario", str(path), "--control", "0.05")
+        assert code == 0
         assert err.splitlines() == [
             "warning: classifying a state with relative residual 1.593e+153; "
-            "it is not an exact fixed point of this flow",
-            "error: basic reproduction number undefined: the product of rates in its "
-            "denominator underflows to 0"]
+            "it is not an exact fixed point of this flow"]
+        # the threshold search takes R0(0) from the exact sides of R0^2, where the
+        # float denominator underflows
+        assert "minimum control c* = 1.4545454545454544  (R0 at c* = " in out
 
     def test_collapse_variant(self, tmp_path, capsys):
         path = write_variant(tmp_path, {"mu_b = 6.0": "mu_b = 0.0"})
@@ -849,7 +870,8 @@ class TestExitCodes:
             cli._load(args)
 
     @pytest.mark.parametrize("command, values, code, expected", [
-        ("threshold", {"mu_m": "1e-320"}, 3, "basic reproduction number undefined"),
+        # R0's float denominator underflows; the threshold's integer quadratic does not
+        ("threshold", {"mu_m": "1e-320"}, 0, "c* = 1.454545\n"),
         ("sweep", {"mu_h": "1e-320", "mu_m": "1e-300"}, 3,
          "basic reproduction number undefined"),
         ("analyze", {"beta_hm": "0", "mu_m": "1e-300"}, 3,
@@ -860,9 +882,9 @@ class TestExitCodes:
         # mu_h*nu_h underflows in floats; the exact closed form has a root
         ("analyze", {"mu_h": "1e-200", "nu_h": "1e-200"}, 0, "[endemic]"),
         # rho < 1 < R0 at c = 0.05, where the adult outflow rounds to 0 in
-        # floats; the threshold search then fails on R0 at c = 0
-        ("analyze", {"mu_m": "1e-155", "eta_m": "1e-117", "c": "0.05"}, 3,
-         "basic reproduction number undefined"),
+        # floats; the threshold search reads R0 at c = 0 exactly
+        ("analyze", {"mu_m": "1e-155", "eta_m": "1e-117", "c": "0.05"}, 0,
+         "minimum control c* = 1.4545454545454544 "),
     ])
     def test_underflowing_rate_product(self, command, values, code, expected, tmp_path,
                                        capsys):
@@ -879,7 +901,8 @@ class TestExitCodes:
             assert errors == [] and expected in out
 
     # R0(0) = nan (both products of R0 overflow), and R0(0) = inf with R0
-    # finite near the collapse bound (K stays k*N_h as N_h grows)
+    # finite near the collapse bound (K stays k*N_h as N_h grows); the
+    # threshold is exact on integers and certifies both
     @pytest.mark.parametrize("values", [
         {"eta_m": "1e300", "mu_b": "1.7e308"},
         {"mu_m": "1e-160", "beta_hm": "1", "N_h": "7.8e162", "K": "2.34e163"},
@@ -890,11 +913,12 @@ class TestExitCodes:
         path.write_text(builtin_text_with(values))
         out_dir = ["--out", str(tmp_path / "out")] if command == "sweep" else []
         code, out, err = run_cli(capsys, command, "--scenario", str(path), *out_dir)
+        if command == "threshold":
+            assert code == 0 and err == "" and out.startswith("c* = ")
+            return
         assert code == 3
         assert all(line.startswith(("error: ", "warning: ")) for line in err.splitlines())
         assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1
-        if command == "threshold":
-            assert out == "" and err.startswith("error: basic reproduction number is not finite")
 
     def test_sweep_names_the_control_level_of_a_non_finite_r0(self, tmp_path, capsys):
         path = tmp_path / "variant.txt"
@@ -1034,6 +1058,8 @@ class TestProcessInvocation:
         lines = ((tmp_path / output).read_text().splitlines()[1:] if output
                  else proc.stdout.splitlines())
         assert lines[0] == first_line
+        if command == "threshold":          # the exact threshold reads model only
+            assert "dengue_control.stability" not in proc.stderr
         if command.startswith("analyze"):   # the whole report, byte for byte
             assert hashlib.sha256(proc.stdout.encode()).hexdigest() \
                 == TestGoldenOutput.ANALYZE_DIGESTS[0.0][command.endswith("--json")]

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CAPE_VERDE, draw_params, params_with
+from conftest import CAPE_VERDE, draw_extreme, draw_params, params_with
 from dengue_control.errors import MosquitoCollapseError, NumericalFailure, ScenarioError
 from dengue_control.model import r0_closed_form, r0_factors
 from dengue_control.stability import r0_spectral
@@ -127,9 +130,14 @@ class TestSteepReproductionNumber:
     """Large bite rates push the threshold to within a few ulps of the
     collapse bound, where R0 is steeper than float resolution."""
 
-    @pytest.mark.parametrize("bites", [1e7, 1e12])
-    def test_threshold_below_collapse_bound(self, bites):
-        p = params_with(B=bites)
+    @pytest.mark.parametrize("p", [
+        params_with(B=1e7), params_with(B=1e12),
+        # the correctly rounded collapse bound, 1.6769632346526067, is c* itself,
+        # where the exact margin is still positive; the least double with a
+        # margin <= 0 is the next one up
+        dataclasses.replace(draw_params(np.random.default_rng(1)), B=1e9),
+    ], ids=["B=1e7", "B=1e12", "draw1-B=1e9"])
+    def test_threshold_below_collapse_bound(self, p):
         result = min_control(p)
         assert isinstance(result, ThresholdResult)
         lo, hi = result.bracket
@@ -175,18 +183,22 @@ class TestClosedFormRoot:
         assert result.iterations == 2
 
     @pytest.mark.parametrize("tol", [1e-6, 1e308])
-    def test_underflowing_rate_product_is_refused(self, tol):
-        # mu_m*(mu_m+eta_m) underflows to 0 while R0(0) stays finite; with a
-        # tolerance wider than [0, c_collapse] only c* itself shows the fault
+    def test_underflowing_rate_product_is_exact(self, tol):
+        # mu_m*(mu_m+eta_m) underflows to 0 in floats, not in the integer form;
+        # a tolerance wider than [0, c_collapse] brackets all of it
         p = params_with(mu_b=1e300, mu_m=1e-162, eta_m=1e-162, K=1e-14)
-        with pytest.raises(ScenarioError, match="c\\* = nan"):
-            min_control(p, tol=tol)
+        result = min_control(p, tol=tol)
+        assert result.c_star == 2.6512923545719024e-11
+        assert result.bracket[1] == (2.500265129235457e-07 if tol == 1e-6
+                                     else result.collapse_bound)
+        assert_exact(p, result, tol)
 
-    def test_underflowing_bite_product_is_refused(self):
-        # B*beta_mh*eta_m = 1e-330 underflows to 0 while R0(0) stays finite
+    def test_underflowing_bite_product_is_exact(self):
+        # B*beta_mh*eta_m = 1e-330 underflows to 0 in floats, not in the integer form
         p = params_with(B=1e-100, beta_mh=1e-100, eta_m=1e-130, mu_m=1e-200, mu_b=1e300)
-        with pytest.raises(ScenarioError, match="c\\* = nan"):
-            min_control(p)
+        result = min_control(p)
+        assert result.c_star == 5.195450742114664e-116
+        assert_exact(p, result)
 
     def test_subnormal_denominator_of_r0_at_zero_control_certifies(self):
         # R0(0)'s denominator holds mu_m^2 = 1e-320, a subnormal, so a
@@ -218,9 +230,10 @@ class TestClosedFormRoot:
         o = bisect_to_one_ulp(p)
         assert abs(result.c_star - o) <= 1e-12 * o
 
-    def test_underflowing_dfe_product_takes_the_limit_of_g(self):
+    def test_underflowing_dfe_product_is_exact(self):
         # mu_b*mu_m = 1e-350 underflows, so R0's two-factor split is refused
-        # while R0(0) itself is finite; the root sits at the collapse bound
+        # while R0(0) itself is finite; the root sits one double below the
+        # collapse bound
         p = params_with(mu_b=1e-100, eta_h=1e300, mu_m=1e-250)
         with pytest.raises(NumericalFailure):
             r0_factors(p, 0.0)
@@ -229,30 +242,39 @@ class TestClosedFormRoot:
         bound = collapse_control_bound(p)
         assert result.c_star == math.nextafter(bound, 0.0) == 2.4242424242424243e-101
         assert result.bracket == (0.0, bound)
+        assert_exact(p, result)
 
-    # at B = 1e12 R0 falls through one between neighbouring floats, so only
-    # the bracket width fails the certificate
-    @pytest.mark.parametrize("bites, tol", [(1.0, 1e-16), (1.0, 1e-300), (1e12, 1e-300)])
+    def test_r0_beyond_the_largest_double_at_c_star(self):
+        # R0 falls from about 1e325 at c = 0 to collapse, and is still about 1e315 at c*
+        p = params_with(K=1.7e308, N_h=1e-300, B=1e20, beta_hm=1.0, beta_mh=1.0)
+        with pytest.raises(NumericalFailure, match="at c\\* = 1.3636363636363635 rounds beyond"):
+            min_control(p)
+        assert exact_r0_squared(p, 1.3636363636363635) > Fraction(2 ** 1024) ** 2
+
+    # the narrowest bracket is the two doubles around c*, 5.55e-17 apart on the
+    # built-in scenario; at B = 1e12 R0 falls through one between neighbouring
+    # floats, so again only the bracket width fails the certificate
+    @pytest.mark.parametrize("bites, tol", [(1.0, 5e-17), (1.0, 1e-300), (1e12, 1e-300)])
     def test_tolerance_below_float_resolution_is_refused(self, bites, tol):
         with pytest.raises(ScenarioError, match=f"tolerance {tol:g}"):
             min_control(params_with(B=bites), tol=tol)
 
     def test_upper_end_is_checked(self):
-        # on some draws R0 still rounds above one at the float just past c*:
-        # a bracket of one float each side of c* must then be refused
+        # on some draws the float R0 still rounds above one at the double just
+        # past c*; the exact sign does not, so the bracket of the two doubles
+        # around c* certifies
         rng = np.random.default_rng(0)
-        refused = 0
+        float_above = 0
         for p in (draw_params(rng) for _ in range(200)):
             result = min_control(p)
             if not isinstance(result, ThresholdResult):
                 continue
             c = result.c_star
-            if (r0_closed_form(p, math.nextafter(c, 0.0)) > 1.0
-                    and r0_closed_form(p, math.nextafter(c, math.inf)) > 1.0):
-                with pytest.raises(ScenarioError):
-                    min_control(p, tol=3.0 * math.ulp(c))
-                refused += 1
-        assert refused > 0
+            tight = min_control(p, tol=3.0 * math.ulp(c))
+            assert tight.bracket == (math.nextafter(c, 0.0), math.nextafter(c, math.inf))
+            assert_exact(p, tight, 3.0 * math.ulp(c))
+            float_above += r0_closed_form(p, math.nextafter(c, math.inf)) > 1.0
+        assert float_above > 0
 
     def test_finest_resolvable_tolerance_certifies(self):
         lo, hi = min_control(CAPE_VERDE, tol=1e-15).bracket
@@ -275,3 +297,105 @@ class TestClosedFormRoot:
             # near c = 0 the oracle is only as sharp as R0's rounding, a few
             # 1e-17 per day, hence the absolute floor
             assert result.c_star == pytest.approx(bisect_to_one_ulp(p), rel=1e-12, abs=1e-15)
+
+
+# A Fraction oracle of the threshold, from the model's closed form of R0^2 and
+# nothing of the package: R0 > 1 at c iff exactly_above_one(p, c).
+
+def exact_margin(p, c) -> Fraction:
+    """The viability margin eta_A*mu_b - (c + mu_m)*(eta_A + mu_A), exactly."""
+    f = Fraction
+    return f(p.eta_A) * f(p.mu_b) - (f(c) + f(p.mu_m)) * (f(p.eta_A) + f(p.mu_A))
+
+
+def exact_r0_squared(p, c) -> Fraction | None:
+    """R0(c)^2 of the rates, exactly; None where the margin is <= 0."""
+    f = Fraction
+    if (m := exact_margin(p, c)) <= 0:
+        return None
+    return (f(p.B) ** 2 * f(p.beta_hm) * f(p.beta_mh) * f(p.K) * f(p.eta_m) * f(p.nu_h) * m
+            / (f(p.N_h) * f(p.mu_b) * (f(p.eta_h) + f(p.mu_h)) * f(p.mu_m) * (f(p.mu_h) + f(p.nu_h))
+               * (f(c) + f(p.mu_m)) * (f(c) + f(p.eta_m) + f(p.mu_m))))
+
+
+def exactly_above_one(p, c) -> bool:
+    q = exact_r0_squared(p, c)
+    return q is not None and q > 1
+
+
+def is_nearest_sqrt(x: float, q: Fraction) -> bool:
+    """Whether q lies between the squares of the midpoints around the double x."""
+    up = math.nextafter(x, math.inf)
+    below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2 if x else Fraction(0)
+    above = (Fraction(x) + (Fraction(up) if up < math.inf else Fraction(2 ** 1024))) / 2
+    return below ** 2 <= q <= above ** 2
+
+
+def assert_exact(p, result, tol=1e-6):
+    """``result`` is ``min_control(p, tol)`` by the oracle: the collapse bound is
+    the least double with margin <= 0; R0 > 1 at lo and at c* and R0 <= 1 at hi
+    and at the double after c*, so c* is the largest double with R0 > 1; and
+    each R0 is the double nearest its exact value."""
+    bound = result.collapse_bound
+    assert exact_margin(p, bound) <= 0 < exact_margin(p, math.nextafter(bound, -math.inf))
+    if isinstance(result, NoControlNeeded):
+        if result.r0_at_zero is None:
+            assert exact_margin(p, 0.0) <= 0
+        else:
+            assert not exactly_above_one(p, 0.0)
+            assert is_nearest_sqrt(result.r0_at_zero, exact_r0_squared(p, 0.0))
+        return
+    c, (lo, hi) = result.c_star, result.bracket
+    assert 0.0 <= lo <= c < hi <= bound and hi - lo <= tol
+    assert exactly_above_one(p, lo) and exactly_above_one(p, c)
+    assert not exactly_above_one(p, hi)
+    assert not exactly_above_one(p, math.nextafter(c, math.inf))
+    assert is_nearest_sqrt(result.r0_at_c_star, exact_r0_squared(p, c))
+
+
+class TestExactOracle:
+    # the built-in scenario with one key changed: the exact c* and collapse bound
+    @pytest.mark.parametrize("overrides, c_star, bound", [
+        ({}, 0.15696101137179116, 1.3636363636363638),
+        ({"nu_h": 1e303}, 0.1569807613609391, 1.3636363636363638),
+        ({"mu_b": 1e304}, 0.1850220699986781, 2.4242424242424243e303),
+        ({"mu_m": 1e-162}, 1.4545454545454544, 1.4545454545454546),
+        ({"B": 1e303}, 1.3636363636363635, 1.3636363636363638),
+    ])
+    def test_scenarios_at_extreme_rates(self, overrides, c_star, bound):
+        p = params_with(**overrides)
+        result = min_control(p)
+        assert (result.c_star, result.collapse_bound) == (c_star, bound)
+        assert_exact(p, result)
+
+    def test_draws(self):
+        rng = np.random.default_rng(2)
+        certified = 0
+        for p in (draw_params(rng) for _ in range(2000)):
+            result = min_control(p)
+            assert_exact(p, result)
+            certified += isinstance(result, ThresholdResult)
+        assert 1000 < certified < 2000
+
+    def test_extreme_draws(self):
+        # 1-3 rates at 10^(-310...308.2); c* is exact wherever min_control
+        # answers, and a refusal names it
+        rnd = random.Random(7)
+        outcomes = {"certified": 0, "refused": 0}
+        for _ in range(2000):
+            p, _ = draw_extreme(rnd)
+            try:
+                result = min_control(p)
+            except ScenarioError as exc:
+                # the two doubles around c* are farther apart than the tolerance
+                c = float(re.search(r"c\* = (\S+) to within", str(exc))[1])
+                assert exactly_above_one(p, c)
+                assert not exactly_above_one(p, math.nextafter(c, math.inf))
+                lo = max(0.0, math.nextafter(c, 0.0))
+                hi = min(collapse_control_bound(p), math.nextafter(c, math.inf))
+                assert hi - lo > 1e-6
+                outcomes["refused"] += 1
+                continue
+            assert_exact(p, result)
+            outcomes["certified"] += isinstance(result, ThresholdResult)
+        assert outcomes["certified"] > 100 and outcomes["refused"] > 0
