@@ -123,7 +123,6 @@ def _peak(values) -> tuple[int, float]:
 def cmd_simulate(args) -> int:
     scenario = _load(args)
     from .integrator import _WIDTH, integrate
-    from .svgplot import trajectory_svg_parts
 
     traj = integrate(scenario.params, scenario.control, scenario.initial,
                      scenario.solver)
@@ -132,6 +131,8 @@ def cmd_simulate(args) -> int:
     _write_atomic(csv_path, _csv_chunks(traj))
     print(f"wrote {csv_path}")
     if args.svg:
+        from .svgplot import trajectory_svg_parts
+
         svg_path = out_dir / "compartments.svg"
         _write_atomic(svg_path, trajectory_svg_parts(traj, title=scenario.name))
         print(f"wrote {svg_path}")

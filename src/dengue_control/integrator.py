@@ -12,14 +12,17 @@ A step attempt runs on plain Python floats: with seven components, numpy's
 per-call cost would exceed the arithmetic.  It calls the model's derivative
 bound once per run (``model._rhs_of``), so the rate products and sums that
 do not depend on the state are taken once, not on each of an attempt's six
-evaluations.  The attempt is straight-line code, generated once at import
-from the tableau, because a comprehension over ``zip`` per stage cost more
-than the stage's arithmetic.  It keeps the loop form's operation order, so
-every result is bit for bit the same, and it stays duck-typed, so (L,)
-arrays step L lanes at once.  The model formula itself is not pasted into
-the generated code: that would be a second copy of it, and a prototype that
-did so made an attempt only about 6% faster.  The error norm is generated
-the same way, bit for bit its loop form.  The report rows, t and the
+evaluations.  The attempt, its error norm included, is one function of
+straight-line code (``_attempt``), generated once at import from the
+tableau, because a comprehension over ``zip`` per stage cost more than the
+stage's arithmetic, and a separate norm cost a call and an error tuple per
+attempt.  It keeps the loop forms' operation order, so every result is bit
+for bit the same, and its stage lines stay duck-typed, so (L,) arrays step
+L lanes at once.  The model formula itself is called, not pasted into the
+generated code: that would be a second copy of it, and a prototype that did
+so made an attempt only about 6% faster.  The step loop only keeps the
+books: an attempt budget, and a search of the report grid only for a step
+that reaches the next report time.  The report rows, t and the
 eight ``ROW_LABELS`` columns per report time, R_h included, go into one
 flat ``array('d')``, allocated once, x0's row first.  Without numpy, an
 accepted step that covers report times writes their rows there at once,
@@ -198,64 +201,60 @@ def _tuple(items) -> str:
 
 
 def _stages_source() -> str:
-    """Source of ``_stages``, written out from ``_A`` and ``_E``."""
-    src = "def _stages(f, y, h, k1):\n" + _unpack("y") + _unpack("k1")
+    """The stage lines of ``_attempt``, written out from ``_A`` and ``_E``:
+    from f, y, h and k1, the stages k2..k7, y1 and the components of each,
+    and the error's components err_i."""
+    src = _unpack("y") + _unpack("k1")
     for s, weights in enumerate(_A[:-1], 2):
         src += f"    k{s} = f({_tuple(_weighted(weights, 'y_{i} + h * '))})\n" + _unpack(f"k{s}")
-    src += f"    y1 = {_tuple(_weighted(_A[-1], 'y_{i} + h * '))}\n"
+    src += f"    y1 = {_tuple(_weighted(_A[-1], 'y_{i} + h * '))}\n" + _unpack("y1")
     src += "    k7 = f(y1)\n" + _unpack("k7")  # first-same-as-last: the next step's k1
-    src += f"    err = {_tuple(_weighted(_E, 'h * '))}\n"
-    return src + "    return (k1, k2, k3, k4, k5, k6, k7), y1, err\n"
+    return src + "".join(f"    {line}\n" for line in _weighted(_E, "err_{i} = h * "))
 
 
-def _error_norm_source() -> str:
-    """Source of ``_error_norm``: per component, ``a if a >= 0.0 else -a``
-    for abs(a) and ``b if b > a else a`` for max(a, b), which is how
-    ``max`` picks (a NaN b gives a); the squares summed left to right."""
-    src = "def _error_norm(err, y, y1, w, rtol):\n"
-    src += "".join(map(_unpack, ("err", "y", "y1", "w")))
+def _attempt_source() -> str:
+    """Source of ``_attempt``: the stage lines, then the error norm, per
+    component ``a if a >= 0.0 else -a`` for abs(a) and ``b if b > a else
+    a`` for max(a, b), which is how ``max`` picks (a NaN b gives a); the
+    squares summed left to right."""
+    src = "def _attempt(f, y, h, k1, w, rtol):\n" + _stages_source() + _unpack("w")
     for i in range(7):
         src += (f"    a = y_{i} if y_{i} >= 0.0 else -y_{i}\n"
                 f"    b = y1_{i} if y1_{i} >= 0.0 else -y1_{i}\n"
                 f"    q{i} = err_{i} / (w_{i} + rtol * (b if b > a else a))\n")
     src += f"    sq = {' + '.join(f'q{i} * q{i}' for i in range(7))}\n"
-    finite = " and ".join(["math.isfinite(sq)"] + [f"math.isfinite(y1_{i})" for i in range(7)])
-    return src + f"    return math.sqrt(sq / 7.0) if {finite} else math.inf\n"
+    finite = " and ".join(["isfinite(sq)"] + [f"isfinite(y1_{i})" for i in range(7)])
+    return src + (f"    return (k1, k2, k3, k4, k5, k6, k7), y1, "
+                  f"sqrt(sq / 7.0) if {finite} else inf\n")
 
 
 def _compile(name: str, source: str, filename: str, doc: str):
     namespace = {}
-    # globals() makes the function's module this one, as a def here would
-    exec(compile(source, filename, "exec"), globals(), namespace)
+    # __name__ makes the function's module this one, as a def here would;
+    # the math names are bound once, as globals of the generated code
+    scope = {"__name__": __name__, "inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), scope, namespace)
     fn = namespace[name]
     fn.__doc__ = doc
     return fn
 
 
-_stages = _compile("_stages", _stages_source(), "<dp54 stages>", """\
+_attempt = _compile("_attempt", _attempt_source(), "<dp54 attempt>", """\
 One DP54 attempt on 7-sequences, with f the bound derivative
-    ``model._rhs_of(p, c)``: returns (the seven stages k1..k7, the 5th-order
-    y1, the error vector), y1 and the error as tuples.
+    ``model._rhs_of(p, c)`` and w the per-component ``atol*scale``: returns
+    (the seven stages k1..k7, the 5th-order y1 as a tuple, the weighted RMS
+    norm of the error with weights ``w_i + rtol*max(|y_i|, |y1_i|)``, inf
+    when the sum of squares or y1 is not finite).
 
-    The body is straight-line code generated once from ``_A`` and ``_E``
-    (``_stages_source``): with seven components, a comprehension over
-    ``zip`` per stage costs more than the stage's arithmetic, so each
-    state and stage is unpacked once into locals.  Every component keeps
+    Straight-line code generated once from ``_A`` and ``_E``
+    (``_attempt_source``), each state and stage unpacked once into locals,
+    y1 and the error kept as locals for the norm.  Every component keeps
     the operation order ``x + h * (a_s1*k1 + ...)``, with b2 and e2
-    skipped, so the results are bit for bit those of that loop form.  The
-    body calls no float(), math function, max or abs: given seven (L,)
-    arrays, a per-lane h and f bound to a per-lane c, it steps L lanes at
-    once, each lane equal to its scalar attempt.""")
-
-_error_norm = _compile("_error_norm", _error_norm_source(), "<dp54 error norm>", """\
-The weighted RMS norm of one attempt's error, with per-component
-    weights ``w_i + rtol*max(|y_i|, |y1_i|)`` for w the precomputed
-    ``atol*scale``; inf when the sum of squares or y1 is not finite.
-
-    Straight-line code generated once (``_error_norm_source``), bit for bit
-    the norm of the loop ``sq += (e / (w + rtol * max(abs(a), abs(b))))**2``
-    over the components, without its 21 calls of max and abs.  Unlike
-    ``_stages`` it works on floats only.""")
+    skipped, and the norm that of ``sq += (e / (w + rtol * max(abs(a),
+    abs(b))))**2``, so the results are bit for bit the loop forms'.  The
+    stage lines (``_stages_source``) call no float(), math function, max or
+    abs: given seven (L,) arrays, a per-lane h and f bound to a per-lane c,
+    they step L lanes at once, each lane equal to its scalar attempt.""")
 
 
 def _numpy_loaded() -> bool:
@@ -353,11 +352,12 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     t0, t_end, h_max, atol, rtol = cfg.t0, cfg.t_end, cfg.h_max, cfg.atol, cfg.rtol
 
     grid = _output_grid(t0, t_end, cfg.output_step)
+    budget = max_steps = MAX_STEPS  # attempts left
     steps_needed = (t_end - t0) / h_max
-    if steps_needed > MAX_STEPS:
+    if steps_needed > max_steps:
         raise ScenarioError(
             f"the window needs at least {steps_needed:.4g} steps at h_max = {h_max:g} day, "
-            f"more than the cap of {MAX_STEPS}; raise h_max or shorten the window")
+            f"more than the cap of {max_steps}; raise h_max or shorten the window")
     spacing = math.ulp(max(abs(t0), abs(t_end)))
     if spacing > _TIME_RESOLUTION * h_max:
         raise ScenarioError(
@@ -371,6 +371,7 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
             raise ScenarioError(f"the error weight atol*scale of {label} underflows to 0 "
                                 f"(atol = {atol:g}, scale = {s:g})")
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    attempt, bisect_right, inf = _attempt, bisect.bisect_right, math.inf
     f = _rhs_of(p, cc)
     y = x0
     t = t0
@@ -380,22 +381,24 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
     # the row buffer, allocated once by repeating a one-double array (no
     # full-size temporary), and x0's row
     n_h = p.N_h
-    out = array("d", [0.0]) * (_WIDTH * len(grid))
+    n_grid = len(grid)
+    out = array("d", [0.0]) * (_WIDTH * n_grid)
     _ROW.pack_into(out, 0, grid[0], *x0[:3], _r_h(n_h, *x0[:3]), *x0[3:])
     vectorized = _numpy_loaded()
     # for the vectorized pass alone: per covering step t, h, y, y1, k1, k3,
     # ..., k7 (58 doubles) and its report-time count
     steps, counts = bytearray(), []
-    j = 1  # next grid index to fill
+    j = 1  # next grid index to fill, and its report time
+    next_report = grid[1] if n_grid > 1 else inf
     accepted = 0
-    rejected = 0
-    smallest = math.inf
+    smallest = inf
     largest = 0.0
 
     while t < t_end:
-        if accepted + rejected >= MAX_STEPS:
+        if not budget:
             raise NumericalFailure(
-                f"step limit ({MAX_STEPS} attempts) reached at t = {t:.6f} day", time=t)
+                f"step limit ({max_steps} attempts) reached at t = {t:.6f} day", time=t)
+        budget -= 1
         clamped = t + h >= t_end
         if clamped:
             h = t_end - t
@@ -403,35 +406,38 @@ def integrate(p: ModelParams, c: ControlLevel | float, x0: State7,
             raise NumericalFailure(
                 f"step size underflow ({h:.3e} day) at t = {t:.6f} day", time=t)
 
-        k, y1, err = _stages(f, y, h, k1)
-        err_norm = _error_norm(err, y, y1, w, rtol)
+        k, y1, err_norm = attempt(f, y, h, k1, w, rtol)
 
         if err_norm <= 1.0:
             t_new = t_end if clamped else t + h
-            reach = t_new + 1e-12 * max(1.0, abs(t_new))
-            j_end = bisect.bisect_right(grid, reach, j)
-            if j_end > j:
+            # t_new + 1e-12 * max(1.0, abs(t_new)); most steps end before the next report time
+            reach = t_new + 1e-12 * (t_new if t_new > 1.0 else -t_new if t_new < -1.0 else 1.0)
+            if reach >= next_report:
+                j_end = bisect_right(grid, reach, j)
                 if vectorized:
                     steps += pack("58d", t, h, *y, *y1, *k[0], *k[2], *k[3], *k[4], *k[5], *k[6])
                     counts.append(j_end - j)
                 else:
                     _step_rows(out, n_h, grid, j, j_end, t, h, y, y1, k)
                 j = j_end
+                next_report = grid[j] if j < n_grid else inf
             t, y, k1 = t_new, y1, k[6]  # first-same-as-last
             accepted += 1
             if h < smallest:
                 smallest = h
             if h > largest:
                 largest = h
-        else:
-            rejected += 1
-        # a rejected attempt has err_norm > 1 (or inf), where max_factor never binds
-        factor = max_factor if err_norm == 0.0 else min(
-            max_factor, max(min_factor, safety * err_norm ** -0.2))
-        h = min(h * factor, h_max)
+        # min(max_factor, max(min_factor, factor)) and min(h, h_max) as
+        # comparisons, the same doubles: err_norm is never NaN, and inf ** -0.2
+        # is 0.0; a rejected attempt has err_norm > 1 (or inf), where
+        # max_factor never binds
+        factor = max_factor if err_norm == 0.0 else safety * err_norm ** -0.2
+        h *= max_factor if factor >= max_factor else factor if factor > min_factor else min_factor
+        if h > h_max:
+            h = h_max
 
-    stats = StepStats(accepted=accepted, rejected=rejected,
-                      rhs_evals=6 * (accepted + rejected) + 1,
+    attempts = max_steps - budget
+    stats = StepStats(accepted=accepted, rejected=attempts - accepted, rhs_evals=6 * attempts + 1,
                       smallest_step=smallest if accepted else 0.0, largest_step=largest)
     if vectorized:
         _dense_vectorized(out, n_h, grid, steps, counts)

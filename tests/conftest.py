@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from dengue_control.integrator import integrate_fixed_rk4, _stages
+from dengue_control.integrator import integrate_fixed_rk4, _attempt
 from dengue_control.model import ControlLevel, ModelParams, State7, _rate, _rhs_of
 
 N_H = 480000.0
@@ -127,7 +127,7 @@ def integrate_fixed_dp54(p: ModelParams, c: ControlLevel | float, x0: State7,
     y = x0
     k1 = f(y)
     for _ in range(max(0, int(round(t_end / h)))):
-        k, y, _err = _stages(f, y, h, k1)
+        k, y, _norm = _attempt(f, y, h, k1, (1.0,) * 7, 0.0)
         k1 = k[6]
     return State7.from_array(y)
 

@@ -1060,6 +1060,8 @@ class TestProcessInvocation:
         assert lines[0] == first_line
         if command == "threshold":          # the exact threshold reads model only
             assert "dengue_control.stability" not in proc.stderr
+        if command.startswith("simulate"):  # the SVG renderer loads under --svg only
+            assert ("dengue_control.svgplot" in proc.stderr) == command.endswith("--svg")
         if command.startswith("analyze"):   # the whole report, byte for byte
             assert hashlib.sha256(proc.stdout.encode()).hexdigest() \
                 == TestGoldenOutput.ANALYZE_DIGESTS[0.0][command.endswith("--json")]

@@ -1,3 +1,4 @@
+import bisect
 import math
 import subprocess
 import sys
@@ -19,15 +20,16 @@ from dengue_control.integrator import (
     MAX_GRID_POINTS,
     MAX_STEPS,
     SolverConfig,
+    StepStats,
+    Trajectory,
     integrate,
     integrate_fixed_rk4,
+    _attempt,
     _dense_vectorized,
-    _error_norm,
     _output_grid,
-    _stages,
     _step_rows,
 )
-from dengue_control.model import State7, component_scales, in_omega, rhs, _rhs_of
+from dengue_control.model import State7, component_scales, in_omega, rhs, _rate, _rhs_of
 from dengue_control.scenario import builtin_capeverde2009
 
 # The Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -72,10 +74,19 @@ def _hand_rhs(x):
     ])
 
 
+# The attempt's stage lines alone, returning (k, y1, err): the error vector
+# is not a result of ``integrator._attempt``, and these lines step (L,) arrays
+_stages = integrator._compile(
+    "_stages", "def _stages(f, y, h, k1):\n" + integrator._stages_source()
+    + f"    return (k1, k2, k3, k4, k5, k6, k7), y1, ({', '.join(f'err_{i}' for i in range(7))})\n",
+    "<dp54 stages>", "The stage lines of integrator._attempt, the error vector returned.")
+
+
 def _loop_stages(f, y, h, k1):
     """One DP54 attempt in its per-component loop form, the oracle for the
-    straight-line ``integrator._stages``: the same tableau, operation order
-    and skipped zero weights, written as one comprehension per stage."""
+    stage lines of the straight-line ``integrator._attempt``: the same
+    tableau, operation order and skipped zero weights, written as one
+    comprehension per stage."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = integrator._A
     e1, _, e3, e4, e5, e6, e7 = integrator._E
@@ -98,7 +109,7 @@ def _loop_stages(f, y, h, k1):
 
 def _loop_error_norm(err, scales, y, y1, atol, rtol):
     """The weighted RMS error norm in its per-component loop form, the
-    oracle for the straight-line ``integrator._error_norm``."""
+    oracle for the norm of the straight-line ``integrator._attempt``."""
     sq = 0.0
     for e, s, a, b in zip(err, scales, y, y1):
         q = e / (atol * s + rtol * max(abs(a), abs(b)))
@@ -138,6 +149,62 @@ def _loop_dense_rows(p, x0, grid, covering):
             u = 1.0 - th
             rows.append([a + th * (d + u * (b + th * (r4 + u * r5))) for a, d, b, r4, r5 in coef])
     return [row[:3] + [p.N_h - row[0] - row[1] - row[2]] + row[3:] for row in map(list, rows)]
+
+
+def _loop_integrate(p, c, x0, cfg):
+    """``integrate`` in the loop form it had before the attempt and its
+    error norm became one generated function: the loop-form attempt and
+    norm, ``bisect_right`` on every accepted step, the attempt limit
+    checked as accepted + rejected, and the controller as nested min and
+    max.  The rows come from the dense pass ``integrator._numpy_loaded``
+    picks, as in ``integrate``."""
+    t_end, h_max = cfg.t_end, cfg.h_max
+    f = _rhs_of(p, _rate(c))
+    grid = _output_grid(cfg.t0, t_end, cfg.output_step)
+    scales = component_scales(p)
+    out = array("d", [0.0]) * (9 * len(grid))
+    out[:9] = array("d", [grid[0], *x0[:3], p.N_h - x0[0] - x0[1] - x0[2], *x0[3:]])
+    vectorized = integrator._numpy_loaded()
+    steps, counts = bytearray(), []
+    t, y, k1, h = cfg.t0, x0, f(x0), min(cfg.h_init, h_max, t_end - cfg.t0)
+    j = 1
+    accepted = rejected = 0
+    smallest, largest = math.inf, 0.0
+    while t < t_end:
+        if accepted + rejected >= integrator.MAX_STEPS:
+            raise NumericalFailure(f"step limit ({integrator.MAX_STEPS} attempts) reached at "
+                                   f"t = {t:.6f} day", time=t)
+        clamped = t + h >= t_end
+        if clamped:
+            h = t_end - t
+        elif h < integrator._MIN_STEP:
+            raise NumericalFailure(f"step size underflow ({h:.3e} day) at t = {t:.6f} day", time=t)
+        k, y1, err = _loop_stages(f, y, h, k1)
+        err_norm = _loop_error_norm(err, scales, y, y1, cfg.atol, cfg.rtol)
+        if err_norm <= 1.0:
+            t_new = t_end if clamped else t + h
+            j_end = bisect.bisect_right(grid, t_new + 1e-12 * max(1.0, abs(t_new)), j)
+            if j_end > j:
+                if vectorized:
+                    steps += pack("58d", t, h, *y, *y1, *k[0], *k[2], *k[3], *k[4], *k[5], *k[6])
+                    counts.append(j_end - j)
+                else:
+                    _step_rows(out, p.N_h, grid, j, j_end, t, h, y, y1, k)
+                j = j_end
+            t, y, k1 = t_new, y1, k[6]
+            accepted += 1
+            smallest, largest = min(smallest, h), max(largest, h)
+        else:
+            rejected += 1
+        factor = integrator._MAX_FACTOR if err_norm == 0.0 else min(
+            integrator._MAX_FACTOR,
+            max(integrator._MIN_FACTOR, integrator._SAFETY * err_norm ** -0.2))
+        h = min(h * factor, h_max)
+    if vectorized:
+        _dense_vectorized(out, p.N_h, grid, steps, counts)
+    return Trajectory(rows=out, step_stats=StepStats(
+        accepted, rejected, 6 * (accepted + rejected) + 1,
+        smallest if accepted else 0.0, largest))
 
 
 def _pack(covering):
@@ -422,6 +489,8 @@ class TestDp54Step:
         f = _rhs_of(p, c)
         k1 = f(y)
         assert _bits(_stages(f, y, h, k1)) == _bits(_loop_stages(f, y, h, k1))
+        k, y1, _ = _attempt(f, y, h, k1, (1.0,) * 7, 1.0)
+        assert _bits((k, y1, ())) == _bits(_loop_stages(f, y, h, k1)[:2] + ((),))
 
     def test_lanes_equal_scalar_attempts(self):
         # seven (L,) arrays with a per-lane h and c step L lanes at once
@@ -449,10 +518,9 @@ class TestDp54Step:
         p = draw_params(rng)
         y = draw_omega_state(rng, p)
         f = _rhs_of(p, c)
-        k, y1, err = _stages(f, y, h, f(y))
         scales = component_scales(p)
-        w = tuple(tol * s for s in scales)
-        norm = _error_norm(err, y, y1, w, tol)
+        k, y1, norm = _attempt(f, y, h, f(y), tuple(tol * s for s in scales), tol)
+        _, _, err = _loop_stages(f, y, h, f(y))
         assert norm.hex() == _loop_error_norm(err, scales, y, y1, tol, tol).hex()
         # dense output over two steps, each with report times inside it, at
         # its end and inside the reach slack past it (theta clamped to 1)
@@ -468,15 +536,24 @@ class TestDp54Step:
     @settings(max_examples=500, deadline=None)
     @given(values=st.lists(st.one_of(st.floats(), st.sampled_from(
                (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7e308))),
-               min_size=21, max_size=21),
+               min_size=56, max_size=56),
+           h=st.one_of(st.floats(0.0, 1e300), st.sampled_from((0.0, 5e-324, math.inf))),
            atol=st.floats(1e-300, 1.0), rtol=st.floats(1e-300, 1.0))
-    def test_error_norm_equals_loop_on_any_doubles(self, values, atol, rtol):
-        # NaN, +-inf and -0.0 in y, y1 and the error: the same bits of the
-        # norm, and so the same accept decision, as the loop form
-        err, y, y1 = values[:7], values[7:14], values[14:]
+    def test_error_norm_equals_loop_on_any_doubles(self, values, h, atol, rtol):
+        # NaN, +-inf and -0.0 in y and the stages, so in y1 and the error:
+        # the same bits of the norm, and so the same accept decision, as the
+        # loop forms; f returns the drawn stages k2..k7 in turn
+        y, stages = values[:7], [values[i:i + 7] for i in range(7, 56, 7)]
+
+        def drawn():
+            rest = iter(stages[1:])
+            return lambda x: next(rest)
+
         scales = component_scales(CAPE_VERDE)
-        norm = _error_norm(err, y, y1, tuple(atol * s for s in scales), rtol)
-        expected = _loop_error_norm(err, scales, y, y1, atol, rtol)
+        k, y1, norm = _attempt(drawn(), y, h, stages[0], tuple(atol * s for s in scales), rtol)
+        loop_k, loop_y1, err = _loop_stages(drawn(), y, h, stages[0])
+        expected = _loop_error_norm(err, scales, y, loop_y1, atol, rtol)
+        assert _bits((k, y1, ())) == _bits((loop_k, loop_y1, ()))
         assert norm.hex() == expected.hex()
         assert (norm <= 1.0) == (expected <= 1.0)
 
@@ -496,17 +573,32 @@ class TestDp54Step:
         assert _hex_rows(rows) == _hex_rows(_loop_dense_rows(CAPE_VERDE, y0, grid, covering))
 
     def test_generated_sources_name_their_files(self):
-        # the attempt and its error norm are the only generated functions
-        assert _error_norm.__code__.co_filename == "<dp54 error norm>"
-        assert not hasattr(integrator, "_extension")
-        assert not hasattr(integrator, "_extension_source")
-        source = integrator._error_norm_source()
-        assert "zip" not in source and "max(" not in source and "abs(" not in source
+        # the attempt, its error norm inside, is the only generated function
+        assert _attempt.__code__.co_filename == "<dp54 attempt>"
+        assert _attempt.__module__ == "dengue_control.integrator"
+        for name in ("_stages", "_error_norm", "_extension", "_extension_source"):
+            assert not hasattr(integrator, name)
+        source = integrator._attempt_source()
+        for call in ("zip", "max(", "abs(", "math."):
+            assert call not in source
 
-    def test_stages_source_names_its_file(self):
-        assert _stages.__code__.co_filename == "<dp54 stages>"
-        assert _stages.__module__ == "dengue_control.integrator"
-        assert "zip" not in integrator._stages_source()
+    def test_import_compiles_one_generated_function(self):
+        # a CLI start compiles the attempt alone, whether or not a bytecode
+        # cache exists; the stage-only body is compiled by the tests
+        code = textwrap.dedent("""\
+            import builtins
+            real, names = builtins.compile, []
+            def counting(source, filename, *args, **kwargs):
+                names.append(str(filename))
+                return real(source, filename, *args, **kwargs)
+            builtins.compile = counting
+            import dengue_control.integrator
+            print([name for name in names if name.startswith("<dp54")])
+        """)
+        proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['<dp54 attempt>']\n"
 
     def test_rhs_matches_hand_formula_bit_for_bit(self):
         eq = brdfe(CAPE_VERDE, 0.0).state
@@ -600,6 +692,71 @@ class TestStepBudget:
         with pytest.raises(NumericalFailure, match="step limit") as exc_info:
             integrate(params_with(K=1e-6), 0.0, CAPE_VERDE_X0, SolverConfig(t_end=1.0))
         assert exc_info.value.time == 0.0
+
+
+class TestLoopForm:
+    # integrate against _loop_integrate, its loop form with a search of the
+    # report grid on every accepted step: the same rows and step counts, bit
+    # for bit, on both dense passes
+    @pytest.fixture(params=(True, False), ids=("vectorized", "per-row"))
+    def dense_pass(self, request, monkeypatch):
+        monkeypatch.setattr(integrator, "_numpy_loaded", lambda: request.param)
+
+    @staticmethod
+    def _assert_same(p, c, x0, cfg):
+        traj, expected = integrate(p, c, x0, cfg), _loop_integrate(p, c, x0, cfg)
+        assert bytes(traj.rows) == bytes(expected.rows)
+        assert traj.step_stats == expected.step_stats
+
+    @pytest.mark.parametrize("c", (0.0, 0.05, 0.2))
+    def test_seeded_draws(self, c, dense_pass):
+        # windows on both sides of t = 0, so reach takes both signs of t
+        self._assert_same(CAPE_VERDE, c, CAPE_VERDE_X0, SolverConfig(t_end=730.0, output_step=7.0))
+        rng = np.random.default_rng(3701)
+        for _ in range(8):
+            p = draw_params(rng)
+            t0 = float(rng.uniform(-150.0, 50.0))
+            cfg = SolverConfig(t0=t0, t_end=t0 + float(rng.uniform(20.0, 200.0)),
+                               output_step=float(rng.uniform(0.05, 10.0)),
+                               rtol=float(10.0 ** rng.uniform(-10.0, -4.0)),
+                               atol=float(10.0 ** rng.uniform(-10.0, -4.0)))
+            self._assert_same(p, c, draw_omega_state(rng, p), cfg)
+
+    def test_report_times_in_the_reach_slack(self, dense_pass):
+        # from the disease-free state, steps of exactly h_max = 0.5 day end
+        # at 5 and 10 days; the report time 5 + 1e-12 and t_end = 10 + 2e-12
+        # lie inside the reach slack (1e-12 relative) of those step ends, so
+        # they take the step ends' states, and the last, clamped step of
+        # 2e-12 day covers no report time
+        x0 = brdfe(CAPE_VERDE, 0.05).state
+        solver = dict(h_init=0.5, h_max=0.5, rtol=1e-2, atol=1e-2)
+        cfg = SolverConfig(t_end=10.0 + 2e-12, output_step=1.0 + 2e-13, **solver)
+        self._assert_same(CAPE_VERDE, 0.05, x0, cfg)
+        traj = integrate(CAPE_VERDE, 0.05, x0, cfg)
+        assert traj.step_stats.accepted == 21 and traj.step_stats.smallest_step < 1e-11
+        at_ends = integrate(CAPE_VERDE, 0.05, x0, SolverConfig(t_end=10.0, output_step=1.0, **solver))
+        assert traj.times.tolist()[5] == 5.0 + 1e-12
+        assert traj.as_array()[[5, 10]].tolist() == at_ends.as_array()[[5, 10]].tolist()
+
+    def test_attempt_limit_boundary(self, monkeypatch):
+        # a limit of exactly the n attempts a run takes lets it finish; one
+        # less stops it before its last attempt, as the loop form does
+        cfg = SolverConfig(t_end=40.0, output_step=7.0)
+        full = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, cfg)
+        n = full.step_stats.accepted + full.step_stats.rejected
+        assert full.step_stats.rejected == 1
+        monkeypatch.setattr(integrator, "MAX_STEPS", n)
+        traj = integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, cfg)
+        assert traj.step_stats.accepted + traj.step_stats.rejected == n
+        assert bytes(traj.rows) == bytes(full.rows) and traj.step_stats == full.step_stats
+        monkeypatch.setattr(integrator, "MAX_STEPS", n - 1)
+        with pytest.raises(NumericalFailure, match=rf"^step limit \({n - 1} attempts\) reached at "
+                                                   r"t = 3\d\.\d{6} day$") as got:
+            integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, cfg)
+        with pytest.raises(NumericalFailure) as expected:
+            _loop_integrate(CAPE_VERDE, 0.0, CAPE_VERDE_X0, cfg)
+        assert str(got.value) == str(expected.value)
+        assert got.value.time == expected.value.time < 40.0
 
 
 class TestGridIndependence:

@@ -201,9 +201,10 @@ class TestClosedFormRoot:
         assert_exact(p, result)
 
     def test_subnormal_denominator_of_r0_at_zero_control_certifies(self):
-        # R0(0)'s denominator holds mu_m^2 = 1e-320, a subnormal, so a
-        # quadratic taken from R0(0) would miss the root by about 4e-5; the
-        # one taken from R0's human -> mosquito factor keeps its digits
+        # R0(0)'s float denominator holds mu_m^2 = 1e-320, a subnormal, so a
+        # root taken from R0(0) in floats would miss by about 4e-5; the
+        # quadratic of min_control has integer coefficients in the rates
+        # (model._integer_form), where mu_m^2 is exact, so c* keeps its digits
         p = params_with(mu_m=1e-160, beta_hm=1.0, N_h=7.8e162)
         result = min_control(p)
         assert isinstance(result, ThresholdResult)
@@ -219,8 +220,10 @@ class TestClosedFormRoot:
         dict(mu_m=1e-160, beta_hm=1.0, N_h=1e195),
     ])
     def test_root_matches_bisection_where_r0_at_zero_loses_digits(self, overrides):
-        # R0(0) rounds through a subnormal mu_m^2 yet the root still
-        # certifies, so only the oracle shows whether g kept its digits
+        # R0(0) in floats rounds through a subnormal mu_m^2; the integer
+        # quadratic has no such rounding, and the bisection oracle on the
+        # float closed form, which never reads c = 0, shows that its root
+        # kept its digits
         p = params_with(**overrides)
         result = min_control(p)
         assert isinstance(result, ThresholdResult)
