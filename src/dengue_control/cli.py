@@ -75,7 +75,7 @@ def _csv_chunks(traj: Trajectory) -> Iterator[str]:
     """The CSV text of ``trajectory_to_csv`` in parts: the header line,
     then the rows of each chunk of ``_DENSE_CHUNK``, each part ending in a
     line break, so a writer holds one chunk's text at a time."""
-    from .integrator import _DENSE_CHUNK, _WIDTH
+    from .integrator import _WIDTH
 
     rows, size = traj.rows, _DENSE_CHUNK * _WIDTH
     yield CSV_HEADER + "\n"

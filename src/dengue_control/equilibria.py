@@ -6,8 +6,8 @@ Three equilibria matter:
   for every control level;
 * the mosquito-bearing disease-free equilibrium, which exists when the
   vector viability margin is positive;
-* an endemic interior equilibrium, which exists when additionally the
-  basic reproduction number exceeds one.
+* an endemic interior equilibrium, which exists when additionally
+  rho = R0^2*mu_m/(mu_m + c) exceeds one.
 
 Both nontrivial equilibria have closed forms.  The disease-free point has
 one home, ``model._paper_dfe``, which ``brdfe`` here and the
@@ -21,16 +21,14 @@ is rational in the rates and c, and is a root for every control level;
 component once.  Nothing is silently "fixed": every constructed
 equilibrium records its honest relative residual.
 
-A practical consequence of the zero-control balance: the existence window
-"R0 > 1" for the endemic equilibrium is wider than the window where the
-interior root actually has positive components.  The infected-human level
-is positive exactly when rho = R0^2*mu_m/(mu_m + c) > 1; rho is R0 squared
-at the controlled flow's disease-free state.  On the built-in case study
-that holds for c < 0.0837 per day, while R0 crosses one near 0.157;
-between the two the interior root carries a negative infected-human
-component and sits outside the admissible region.  Callers that need a
-biologically meaningful endemic state should check region membership on
-the result.
+A practical consequence of the zero-control balance: the paper's
+existence window "R0 > 1" for the endemic equilibrium is wider than the
+true one.  The root's infected components are positive exactly when the
+viability margin is positive and rho = R0^2*mu_m/(mu_m + c) > 1; rho is R0
+squared at the controlled flow's disease-free state.
+``endemic_closed_form`` decides both exactly and returns a state, every
+component >= 0, only there.  On the built-in case study that holds for
+c < 0.0837 per day, while R0 crosses one near 0.157.
 
 This module also holds the model's array forms, as seven row tuples of
 floats: the Metzler form dX/dt = M(X)X + F, with F = (mu_h*N_h, 0, ..., 0)
@@ -52,16 +50,14 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
+from .errors import NoEndemicEquilibrium, NumericalFailure
 from .model import (
     ControlLevel,
     ModelParams,
     State7,
     component_scales,
     _integer_form,
-    _margin,
     _paper_dfe,
-    _r0,
     _rate,
     _rhs_of,
 )
@@ -190,20 +186,22 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     """Endemic equilibrium, each component the double nearest the exact
     value of its closed form.
 
-    Requires a positive viability margin and basic reproduction number
-    above one, both read in floats.  The infected-human level solves an
-    equation linear in rho = R0^2*mu_m/(mu_m + c):
+    Exists exactly where the viability margin M is positive and
+    rho = R0^2*mu_m/(mu_m + c), R0 squared at the controlled flow's own
+    disease-free state, exceeds one; both are decided exactly, and
+    NoEndemicEquilibrium is raised elsewhere.  The infected-human level
+    solves an equation linear in rho:
 
         I_h = N_h*(rho - 1) / (rho*L + B*beta_hm/(mu_m + c)),
         L = (mu_h + nu_h)*(mu_h + eta_h)/(mu_h*nu_h);
 
     each other component follows from one balance of the right-hand side.
     Cleared of fractions, with r = mu_m + c, a = mu_h + nu_h,
-    b = mu_h + eta_h, q = r + eta_m, M the viability margin and
+    b = mu_h + eta_h, q = r + eta_m and
 
         G = B*beta_hm*B*beta_mh*K*eta_m*M,   H = N_h*mu_b*r^2*q,
         D = G*r + B*beta_hm*H*mu_h,   E = B*beta_hm*mu_h*nu_h + a*b*r,
-        Z = G*nu_h - H*a*b   (the sign of rho - 1),
+        Z = G*nu_h - H*a*b   (the sign of rho - 1, rho = G*nu_h/(H*a*b)),
 
     the state is
 
@@ -216,44 +214,41 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     Each numerator and denominator is taken exactly, in integers, from the
     inputs put over one power of two, and each quotient rounds once, so the
     state is the double nearest a root with exactly zero right-hand side.
-    D and E are positive wherever the exact M is, so no denominator
-    vanishes by rounding.  Besides R0's own NumericalFailure, raises
-    NumericalFailure where a component lies beyond the largest double (or
-    where D is exactly 0, which needs an exact margin of at most 0 under a
-    positive float one).  See the module docstring for the positivity
-    window of the result under control.
+    With M > 0 and Z > 0 every numerator and denominator is positive, so
+    every component is >= 0.  Raises NumericalFailure where a component
+    lies beyond the largest double.
     """
     cc = _rate(c)
-    try:
-        r0 = _r0(p, cc)
-    except MosquitoCollapseError:
-        raise NoEndemicEquilibrium(
-            "no endemic equilibrium in the admissible region: mosquito "
-            f"population collapses (viability margin = {_margin(p, cc):.6g})") from None
-    if r0 <= 1.0:
-        raise NoEndemicEquilibrium(
-            "no endemic equilibrium in the admissible region: basic "
-            f"reproduction number {r0:.6g} <= 1")
-
     # the state is unchanged by a common factor on the rates and scales with
     # the counts, so each quotient below is a component times one = 2^s
     one, n_h, cap, bite_mh, bite_hm, mu_h, eta_h, mu_m, mu_b, mu_A, eta_A, eta_m, nu_h, c2 = \
         _integer_form(p, cc)
+    m = eta_A * mu_b - c2 * (eta_A + mu_A) - mu_m * (mu_A + eta_A)
+    if m <= 0:
+        try:
+            margin = m / one**4
+        except OverflowError:
+            margin = -math.inf
+        raise NoEndemicEquilibrium("no endemic equilibrium in the admissible region: mosquito "
+                                   f"population collapses (viability margin = {margin:.6g})")
     r, a, b = mu_m + c2, mu_h + nu_h, mu_h + eta_h
     q = r + eta_m
-    m = eta_A * mu_b - c2 * (eta_A + mu_A) - mu_m * (mu_A + eta_A)
     g = bite_hm * bite_mh * cap * eta_m * m
     h = n_h * mu_b * r * r * q
+    z = g * nu_h - h * a * b
+    if z <= 0:
+        raise NoEndemicEquilibrium(
+            "no endemic equilibrium in the admissible region: "
+            f"rho = R0^2*mu_m/(mu_m + c) = {g * nu_h / (h * a * b):.6g} <= 1")
     d = g * r + bite_hm * h * mu_h
     e = bite_hm * mu_h * nu_h + a * b * r
-    z = g * nu_h - h * a * b
     infected = n_h * mu_h * r * z
     quotients = ((n_h * h * e, nu_h * d), (infected, a * nu_h * d), (infected, a * b * d),
                  (cap * m, eta_A * mu_b), (a * b * d, mu_b * r * bite_hm * bite_mh * eta_m * e),
                  (mu_h * z, mu_b * bite_mh * eta_m * q * e), (mu_h * z, mu_b * bite_mh * r * q * e))
     try:
         state = State7(*(num / (den * one) for num, den in quotients))
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         raise NumericalFailure("endemic closed form is not finite at these parameters") from None
     return Equilibrium(kind=EquilibriumKind.ENDEMIC, state=state,
                        residual_norm=_scaled_rhs(p, _rhs_of(p, cc), state)[1])

@@ -31,4 +31,4 @@ class MosquitoCollapseError(RuntimeError):
 
 class NoEndemicEquilibrium(RuntimeError):
     """The endemic-equilibrium hypotheses (viability margin > 0 and
-    reproduction number > 1) do not hold."""
+    rho = R0^2*mu_m/(mu_m + c) > 1) do not hold."""

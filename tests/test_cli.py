@@ -191,8 +191,8 @@ class TestSimulate:
     def test_csv_is_written_in_chunks(self, tmp_path, capsys, monkeypatch):
         # 7-row chunks: the 201 rows reach the CSV file as 29 parts after the
         # header, and each of the 8 SVG series as 29 parts of its points
-        monkeypatch.setattr(integrator, "_DENSE_CHUNK", 7)
-        monkeypatch.setattr(svgplot, "_DENSE_CHUNK", 7)
+        for module in (integrator, svgplot, cli):
+            monkeypatch.setattr(module, "_DENSE_CHUNK", 7)
         written = []
         write = cli._write_atomic
 
@@ -282,16 +282,19 @@ class TestGoldenOutput:
     # All four were re-pinned when the threshold became exact: c* moved from
     # 0.1569610113717911 to 0.15696101137179116 (the largest double with R0 > 1),
     # the bracket with it, and the collapse bound from 1.3636363636363635 to
-    # 1.3636363636363638 (the least double with a viability margin <= 0)
+    # 1.3636363636363638 (the least double with a viability margin <= 0).
+    # 0.12 and 0.2 were re-pinned when endemic existence became the exact
+    # rho > 1: at 0.12 (rho = 0.586 < 1 < R0) the out-of-region root with
+    # I_h = -39.2 gave way to the endemic: note, and at 0.2 the note names rho
     ANALYZE_DIGESTS = {
         0.0: ("20488a5c8c87ffa8d94a0828e6c9ef7a17778d904c3c300da6335fb0561bed97",
               "4e5159d5ba96c5dc760d494ffc79583f70705346387f5ef4c1e16edf7b742593"),
         0.05: ("6cee0c86f51af4d2372ba8fe85d81d5feb2d332e1e17c5a2d60582c2c7d7259f",
                "c7adb52cf7904da2dc27fc485ea8216e48d475f037b53445e4b3a903467b2a25"),
-        0.12: ("9f42987eed21088dfa130f8edccb8e5566a8d6aee5b1cf3cdf3a05d2ecaa3887",
-               "e3e80a88a703ca8d72cdbc87eec5855814286afc3e058cfd5e9b481c0f4ca7bc"),
-        0.2: ("4d3690c695eb01e2c6c9008f7f6886658869cd9c774100ccfed40601fea80eef",
-              "abefefbaf44972f60c07669fe58c16440dce05bacdf735a266c0c2cc99e55c86"),
+        0.12: ("9e7583fc3b64053f8019051267944874012e0c07ecd022ad4753c763671d95b9",
+               "9044b663f13872c546da11688978b0341c88ae61e644b2a0494d71a68484e31e"),
+        0.2: ("a1e66d2bf9f5588e86632d9b8f963359f966d450ff039299ae62d019c27a8b17",
+              "4751dc1ad553a1196ebf7bb703112d31c611e6b468cb390001a955dcfc2fa193"),
     }
     SWEEP_DIGEST = "ac7302269f84df3e14e20f52ea52f84aab3e0b539bdc56c395995b249b01c5e0"
 
@@ -334,7 +337,7 @@ class TestCsvFormatting:
     @given(rows=st.lists(st.lists(st.floats(), min_size=9, max_size=9), min_size=1, max_size=30))
     def test_any_doubles_match_per_value_repr(self, rows, monkeypatch):
         # a 7-row chunk, so that the drawn rows span several chunks
-        monkeypatch.setattr(integrator, "_DENSE_CHUNK", 7)
+        monkeypatch.setattr(cli, "_DENSE_CHUNK", 7)
         traj = hand_built(rows)
         assert cli.trajectory_to_csv(traj) == per_value_csv(traj)
 
@@ -635,9 +638,8 @@ class TestAnalyze:
                        "it is not an exact fixed point of this flow\n")
 
     def test_only_the_brdfe_entry_warns_at_extreme_rates(self, tmp_path, capsys):
-        # the adult outflow rounds to 0 in floats: the endemic entry, each
-        # component the double nearest an exact root, has a float residual of
-        # 3.187e-01 from rounding alone, and only the brdfe entry is noted
+        # the adult outflow rounds to 0 in floats and rho < 1 < R0: there is
+        # no endemic entry, its note names rho, and only the brdfe entry warns
         path = tmp_path / "variant.txt"
         path.write_text(builtin_text_with({"mu_m": "1e-155", "eta_m": "1e-117"}))
         code, out, err = run_cli(capsys, "analyze", "--scenario", str(path), "--control", "0.05")
@@ -645,6 +647,8 @@ class TestAnalyze:
         assert err.splitlines() == [
             "warning: classifying a state with relative residual 1.593e+153; "
             "it is not an exact fixed point of this flow"]
+        assert "[endemic]" not in out
+        assert "\n  endemic: no endemic equilibrium in the admissible region: rho = " in out
         # the threshold search takes R0(0) from the exact sides of R0^2, where the
         # float denominator underflows
         assert "minimum control c* = 1.4545454545454544  (R0 at c* = " in out

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 import dengue_control.equilibria as eq_mod
-from conftest import CAPE_VERDE, draw_params, params_with
+from conftest import CAPE_VERDE, draw_extreme, draw_params, params_with
 from dengue_control.equilibria import (
     REFINE_TOL,
     EquilibriumKind,
@@ -57,18 +59,29 @@ def _exact_rhs(p, c, x):
             q.eta_m * e_m - (q.mu_m + q.c) * i_m)
 
 
+def _exact_existence(p, c):
+    """The viability margin and rho = R0^2*mu_m/(mu_m + c), R0 squared at the
+    controlled flow's disease-free state, in Fractions; rho is None where the
+    margin is <= 0 and R0 is not defined."""
+    q = _exact(p, c)
+    removal = q.mu_m + q.c
+    margin = q.eta_A * q.mu_b - q.c * (q.eta_A + q.mu_A) - q.mu_m * (q.mu_A + q.eta_A)
+    if margin <= 0:
+        return margin, None
+    r0_sq = (q.B ** 2 * q.K / q.N_h * q.beta_hm * q.beta_mh * q.eta_m * q.nu_h * margin
+             / (q.mu_b * (q.eta_h + q.mu_h) * q.mu_m * removal * (removal + q.eta_m)
+                * (q.mu_h + q.nu_h)))
+    return margin, r0_sq * q.mu_m / removal
+
+
 def _exact_endemic(p, c):
     """The endemic root in Fractions, step by step as the paper builds it:
-    rho = R0^2*mu_m/(mu_m + c), I_h from the equation linear in rho, A_m
+    rho from ``_exact_existence``, I_h from the equation linear in rho, A_m
     from the aquatic balance and each other component from its own
     balance."""
     q = _exact(p, c)
     removal = q.mu_m + q.c
-    margin = q.eta_A * q.mu_b - q.c * (q.eta_A + q.mu_A) - q.mu_m * (q.mu_A + q.eta_A)
-    r0_sq = (q.B ** 2 * q.K / q.N_h * q.beta_hm * q.beta_mh * q.eta_m * q.nu_h * margin
-             / (q.mu_b * (q.eta_h + q.mu_h) * q.mu_m * removal * (removal + q.eta_m)
-                * (q.mu_h + q.nu_h)))
-    rho = r0_sq * q.mu_m / removal
+    margin, rho = _exact_existence(p, c)
     big_l = (q.mu_h + q.nu_h) * (q.mu_h + q.eta_h) / (q.mu_h * q.nu_h)
     i_h = q.N_h * (rho - 1) / (rho * big_l + q.B * q.beta_hm / removal)
     a_m = q.K * margin / (q.eta_A * q.mu_b)
@@ -178,14 +191,14 @@ class TestEndemicClosedForm:
     def test_exact_fixed_point_without_control(self):
         assert endemic_closed_form(CAPE_VERDE, 0.0).residual_norm < 1e-12
 
-    @pytest.mark.parametrize("c", (0.02, 0.05, 0.08, 0.12))
+    @pytest.mark.parametrize("c", (0.02, 0.05, 0.08, 0.0837170032746723))
     def test_exact_fixed_point_under_control(self, c):
         assert endemic_closed_form(CAPE_VERDE, c).residual_norm < 1e-12
 
     def test_exact_fixed_point_over_draws(self):
         rng = np.random.default_rng(71)
         returned = 0
-        for _ in range(200):
+        for _ in range(250):
             p = draw_params(rng)
             try:
                 eq = endemic_closed_form(p, rng.uniform(0.0, 0.3))
@@ -229,12 +242,16 @@ class TestEndemicClosedForm:
         assert overflowed > 0
 
     def test_error_when_r0_below_one(self):
-        with pytest.raises(NoEndemicEquilibrium, match="reproduction"):
+        with pytest.raises(NoEndemicEquilibrium, match=r"^no endemic equilibrium in the "
+                           r"admissible region: rho = R0\^2\*mu_m/\(mu_m \+ c\) = 0\.227826 <= 1$"):
             endemic_closed_form(CAPE_VERDE, 0.2)
 
     def test_error_on_collapse(self):
         with pytest.raises(NoEndemicEquilibrium, match="collaps"):
             endemic_closed_form(params_with(mu_b=0.1), 0.0)
+        # the exact margin, about -1e600, rounds beyond the largest double
+        with pytest.raises(NoEndemicEquilibrium, match=r"\(viability margin = -inf\)$"):
+            endemic_closed_form(params_with(mu_m=1e300, eta_A=1e300), 0.0)
 
     def test_exposed_infected_mosquito_ratio(self):
         for c in (0.0, 0.05):
@@ -261,7 +278,7 @@ class TestExactRoot:
     def test_over_draws(self):
         rng = np.random.default_rng(2029)
         checked = 0
-        for _ in range(300):
+        for _ in range(320):
             p = draw_params(rng)
             for c in (0.0, 0.02, 0.05):
                 try:
@@ -272,36 +289,89 @@ class TestExactRoot:
                 checked += 1
         assert checked >= 700
 
-    @pytest.mark.parametrize("p, c", [
-        (STALL, 0.12),
+    @pytest.mark.parametrize("p, c, exists", [
+        (STALL, 0.12, True),
         # mu_h*nu_h underflows in floats
-        (params_with(mu_h=1e-200, nu_h=1e-200), 0.0),
-        (params_with(mu_h=1e-200, nu_h=1e-200), 0.05),
+        (params_with(mu_h=1e-200, nu_h=1e-200), 0.0, True),
+        (params_with(mu_h=1e-200, nu_h=1e-200), 0.05, False),
         # R0^2 overflows in floats
-        (params_with(B=1e160), 0.0),
-        (params_with(B=1e160), 0.05),
-        # rho < 1 < R0, where the adult outflow rounds to 0 in floats
-        (params_with(mu_m=1e-155, eta_m=1e-117), 0.05),
+        (params_with(B=1e160), 0.0, True),
+        (params_with(B=1e160), 0.05, True),
+        # the adult outflow rounds to 0 in floats
+        (params_with(mu_m=1e-155, eta_m=1e-117), 0.05, False),
         # under a control far above mu_m, rho*L + B*beta_hm/(mu_m + c)
         # underflows to 0 in floats
         (params_with(mu_m=1.5e-323, mu_b=2.8431427459866402e+290, eta_A=169477269024.86108,
                      B=3.796938811717206e-120, beta_hm=1.7581591354438667e-199,
                      K=2.2927603694941114e+206, N_h=8.474825526553334e-52,
-                     eta_m=7.541409674859549e-90), 5.1335707262570364e+23),
+                     eta_m=7.541409674859549e-90), 5.1335707262570364e+23, False),
     ], ids=("stall", "mu_h-nu_h-underflow", "mu_h-nu_h-underflow-controlled",
             "huge-bite-rate", "huge-bite-rate-controlled", "adult-outflow",
             "infected-human-denominator"))
-    def test_at_extreme_rates(self, p, c):
-        self.assert_nearest_to_exact_root(p, c)
+    def test_at_extreme_rates(self, p, c, exists):
+        if exists:
+            self.assert_nearest_to_exact_root(p, c)
+            return
+        # rho <= 1 < R0: the exact root has I_h <= 0, outside the region
+        _, rho = _exact_existence(p, c)
+        assert rho <= 1 < rho * (Fraction(p.mu_m) + Fraction(c)) / Fraction(p.mu_m)
+        assert _exact_endemic(p, c)[2] <= 0
+        with pytest.raises(NoEndemicEquilibrium, match="rho = "):
+            endemic_closed_form(p, c)
 
-    @pytest.mark.parametrize("c", (0.0, 0.05, 0.0837170033, 0.12))
+    @pytest.mark.parametrize("c", (0.0, 0.05, 0.08, 0.0837170032746723))
     def test_on_the_builtin_scenario(self, c):
-        # 0.0837170033 is next to the sign change of I_h, where the closed
-        # form sits on the disease-free state
+        # 0.0837170032746723 is the largest double with rho > 1, where the
+        # closed form sits next to the disease-free state
         self.assert_nearest_to_exact_root(builtin_capeverde2009().params, c)
 
     def test_stall_case_is_a_root(self):
         assert endemic_closed_form(STALL, 0.12).residual_norm == 0.0
+
+
+class TestExistenceOracle:
+    """A state comes back exactly where the exact viability margin is positive
+    and the exact rho exceeds one, every component >= 0 and the double nearest
+    the Fraction root; elsewhere NoEndemicEquilibrium, or NumericalFailure
+    only where a component of the Fraction root lies beyond the largest
+    double."""
+
+    @staticmethod
+    def outcome(p, c):
+        """The outcome at (p, c), checked against the oracle: "state",
+        "none" or "overflow"."""
+        margin, rho = _exact_existence(p, c)
+        if margin <= 0 or rho <= 1:
+            with pytest.raises(NoEndemicEquilibrium,
+                               match="collapses" if margin <= 0 else "rho = "):
+                endemic_closed_form(p, c)
+            return "none"
+        try:
+            expected = tuple(map(float, _exact_endemic(p, c)))
+        except OverflowError:
+            with pytest.raises(NumericalFailure, match="not finite"):
+                endemic_closed_form(p, c)
+            return "overflow"
+        state = endemic_closed_form(p, c).state
+        assert state == expected and min(state) >= 0.0, (p, c)
+        return "state"
+
+    def test_over_draws(self):
+        rng = np.random.default_rng(3803)
+        outcomes = Counter(self.outcome(draw_params(rng), c)
+                           for _ in range(200) for c in (0.0, 0.05, 0.1))
+        assert outcomes["state"] >= 300 and outcomes["none"] >= 100, outcomes
+
+    def test_over_extreme_rates(self):
+        rnd = random.Random(7)
+        outcomes = Counter()
+        for _ in range(6000):
+            try:
+                p, c = draw_extreme(rnd)
+            except ValueError:
+                continue
+            outcomes[self.outcome(p, c)] += 1
+        assert outcomes["state"] >= 500 and 0 < outcomes["overflow"] <= 11, outcomes
 
 
 class TestNewtonCrossCheck:
@@ -334,15 +404,17 @@ class TestNewtonCrossCheck:
 
 class TestEndemicExistenceWindow:
     def test_root_exists_below_threshold(self):
-        # the closed form is a residual-certified root for every control
-        # level below the declared threshold; its components stay positive
-        # only below the lower level where the actual flow's disease-free
-        # state turns stable (the zero-control-balance gap)
+        # a positive, residual-certified root below the level where the
+        # controlled flow's own disease-free state turns stable (rho = 1 near
+        # c = 0.0837); above it, up to the paper's c* (R0 = 1) and past it,
+        # NoEndemicEquilibrium
         c_star = min_control(CAPE_VERDE).c_star
-        for c in np.linspace(0.0, c_star * 0.95, 8):
-            assert endemic_closed_form(CAPE_VERDE, c).residual_norm < REFINE_TOL
-        for c in (0.0, 0.05, 0.08):
-            assert all(v > 0.0 for v in endemic_closed_form(CAPE_VERDE, c).state)
+        for c in np.linspace(0.0, 0.0837170032, 8):
+            eq = endemic_closed_form(CAPE_VERDE, c)
+            assert eq.residual_norm < REFINE_TOL and all(v > 0.0 for v in eq.state)
+        for c in np.linspace(0.0837170034, c_star * 1.2, 8):
+            with pytest.raises(NoEndemicEquilibrium, match="rho = "):
+                endemic_closed_form(CAPE_VERDE, c)
 
     def test_no_interior_endemic_root_above_threshold(self):
         c_star = min_control(CAPE_VERDE).c_star
@@ -361,18 +433,24 @@ class TestEndemicExistenceWindow:
         assert found > 0
 
     def test_infected_humans_change_sign_below_paper_threshold(self):
-        # I_h of the closed form turns negative where R0 at the controlled
-        # flow's disease-free state crosses one, while the paper's R0 > 1
+        # the root's I_h turns negative where R0 at the controlled flow's
+        # disease-free state crosses one, while the paper's R0 > 1; from there
+        # on NoEndemicEquilibrium is raised.  Bisected on the exception down to
+        # two adjacent doubles
+        def exists(c):
+            try:
+                endemic_closed_form(CAPE_VERDE, c)
+            except NoEndemicEquilibrium:
+                return False
+            return True
+
         lo, hi = 0.08, 0.09
-        assert endemic_closed_form(CAPE_VERDE, lo).state.I_h > 0.0
-        assert endemic_closed_form(CAPE_VERDE, hi).state.I_h < 0.0
-        while hi - lo > 1e-13:
+        assert exists(lo) and not exists(hi)
+        while math.nextafter(lo, hi) < hi:
             mid = 0.5 * (lo + hi)
-            if endemic_closed_form(CAPE_VERDE, mid).state.I_h > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        assert lo == pytest.approx(0.0837170033, abs=1e-9)
+            lo, hi = (mid, hi) if exists(mid) else (lo, mid)
+        assert lo == 0.0837170032746723 == pytest.approx(0.0837170033, abs=1e-9)
+        assert _exact_endemic(CAPE_VERDE, lo)[2] > 0 >= _exact_endemic(CAPE_VERDE, hi)[2]
         assert r0_closed_form(CAPE_VERDE, hi) > 1.0
 
 

@@ -361,7 +361,7 @@ class TestCycleCharpoly:
     def test_at_the_equilibria_of_draws(self):
         rng = np.random.default_rng(3407)
         compared = 0
-        for _ in range(300):
+        for _ in range(330):
             p = draw_params(rng)
             for c in (0.0, 0.05, float(rng.uniform(0.0, 0.3))):
                 points = [trivial_equilibrium(p), brdfe(p, c)]
@@ -650,7 +650,7 @@ class TestCycleLabels:
     def test_at_the_equilibria_of_draws(self, monkeypatch):
         rng = np.random.default_rng(3301)
         cases = self._cases((draw_params(rng), float(rng.uniform(0.0, 0.3)))
-                            for _ in range(3000))
+                            for _ in range(3200))
         answers = self._assert_identical(cases, monkeypatch)
         labels = {repr(stability._REPORT[s]) for s in (-1, 1)}
         assert labels <= set(answers)
