@@ -57,6 +57,7 @@ from .model import (
     State7,
     component_scales,
     _integer_form,
+    _margin,
     _paper_dfe,
     _rate,
     _rhs_of,
@@ -186,10 +187,10 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     """Endemic equilibrium, each component the double nearest the exact
     value of its closed form.
 
-    Exists exactly where the viability margin M is positive and
-    rho = R0^2*mu_m/(mu_m + c), R0 squared at the controlled flow's own
-    disease-free state, exceeds one; both are decided exactly, and
-    NoEndemicEquilibrium is raised elsewhere.  The infected-human level
+    Exists exactly where the viability margin M is positive (c below the
+    collapse bound) and rho = R0^2*mu_m/(mu_m + c), R0 squared at the
+    controlled flow's own disease-free state, exceeds one; both are decided
+    exactly, and NoEndemicEquilibrium is raised elsewhere.  The infected-human level
     solves an equation linear in rho:
 
         I_h = N_h*(rho - 1) / (rho*L + B*beta_hm/(mu_m + c)),
@@ -219,18 +220,15 @@ def endemic_closed_form(p: ModelParams, c: ControlLevel | float = 0.0) -> Equili
     lies beyond the largest double.
     """
     cc = _rate(c)
+    if cc >= p._collapse_bound:
+        raise NoEndemicEquilibrium(
+            "no endemic equilibrium in the admissible region: mosquito population "
+            f"collapses (viability margin = {_margin(p, cc):.6g})")
     # the state is unchanged by a common factor on the rates and scales with
     # the counts, so each quotient below is a component times one = 2^s
     one, n_h, cap, bite_mh, bite_hm, mu_h, eta_h, mu_m, mu_b, mu_A, eta_A, eta_m, nu_h, c2 = \
         _integer_form(p, cc)
     m = eta_A * mu_b - c2 * (eta_A + mu_A) - mu_m * (mu_A + eta_A)
-    if m <= 0:
-        try:
-            margin = m / one**4
-        except OverflowError:
-            margin = -math.inf
-        raise NoEndemicEquilibrium("no endemic equilibrium in the admissible region: mosquito "
-                                   f"population collapses (viability margin = {margin:.6g})")
     r, a, b = mu_m + c2, mu_h + nu_h, mu_h + eta_h
     q = r + eta_m
     g = bite_hm * bite_mh * cap * eta_m * m

@@ -24,10 +24,15 @@ and sums that do not depend on the state once and returns the derivative
 as a function of the state, any sequence of 7 floats (a ``State7``
 included); the integrator binds it once per run.  The rule "c finite and
 >= 0" has one home too, ``_rate(c)``, run once per public call; the private
-helpers take its float.  Everything here works on Python floats; the exact
-routes of ``equilibria``, ``stability`` and ``threshold`` read integers over one
-power of two (``_integer_rows``, ``_integer_form``) and ``_sqrt_ratio``.  The
-array forms live in ``equilibria``, so importing this module does not load numpy.
+helpers take its float.  The mosquito-collapse decision has one home as well:
+each ``ModelParams`` holds its collapse bound, the least double c at which the
+exact viability margin is <= 0, and every reader (the margin's sign, R0, the
+disease-free state, the threshold, the endemic root) compares c with it.  The
+formulas here work on Python floats, but the viability margin is exact in
+sign; the exact routes of ``equilibria``, ``stability`` and ``threshold`` read
+integers over one power of two (``_integer_rows``, ``_integer_form``) and
+``_sqrt_ratio``.  The array forms live in ``equilibria``, so importing this
+module does not load numpy.
 """
 
 from __future__ import annotations
@@ -96,6 +101,8 @@ class ModelParams:
         for name in ("beta_mh", "beta_hm"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        # set here, not on first read: an attribute added after __init__ slows every read
+        object.__setattr__(self, "_collapse_bound", _least_collapsed(self))
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,17 @@ def _integer_form(p: ModelParams, c: float) -> tuple[int, ...]:
         p.N_h, p.K, p.B, p.beta_mh, p.beta_hm, 1.0,
         p.mu_h, p.eta_h, p.mu_m, p.mu_b, p.mu_A, p.eta_A, p.eta_m, p.nu_h, c]])[0]
     return (one, n_h, cap, bite * beta_mh, bite * beta_hm, *(v * one for v in rates))
+
+
+def _least_collapsed(p: ModelParams) -> float:
+    """The least double c at which the exact viability margin
+    eta_A*mu_b - (c + mu_m)*(eta_A + mu_A) is <= 0 (negative where the
+    margin is <= 0 uncontrolled); ``ModelParams`` holds it as ``_collapse_bound``."""
+    one, _, _, _, _, _, _, mu_m, mu_b, mu_A, eta_A, *_ = _integer_form(p, 0.0)
+    scale, recruit, alpha = one * one, eta_A * mu_b, eta_A + mu_A
+    c = (recruit - mu_m * alpha) / (alpha * scale)      # the exact root, correctly rounded
+    n, d = c.as_integer_ratio()
+    return c if recruit * d <= (n * scale + mu_m * d) * alpha else math.nextafter(c, math.inf)
 
 
 def _sqrt_ratio(n: int, d: int) -> float:
@@ -244,16 +262,32 @@ def mosquito_viability(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
 
         eta_A*mu_b - c*(eta_A + mu_A) - mu_m*(mu_A + eta_A)
 
-    Positive iff the mosquito population is sustainable under control c;
-    at or below zero the population collapses and only the mosquito-free
-    equilibrium remains.
+    Positive iff the mosquito population is sustainable under control c,
+    that is iff c is below ``threshold.collapse_control_bound(p)``; at or
+    below zero the population collapses and only the mosquito-free
+    equilibrium remains.  The sign is exact (see ``_margin``).
     """
     return _margin(p, _rate(c))
 
 
 def _margin(p: ModelParams, c: float) -> float:
-    """``mosquito_viability`` at a control rate already checked by ``_rate``."""
-    return p.eta_A * p.mu_b - c * (p.eta_A + p.mu_A) - p.mu_m * (p.mu_A + p.eta_A)
+    """``mosquito_viability`` at a control rate already checked by ``_rate``.
+
+    The float formula where its sign agrees with c < the collapse bound;
+    elsewhere (next to the bound, or NaN from inf - inf) the exact margin of
+    ``_integer_form``, rounded once, to +-inf where it lies beyond the
+    largest double, and to the least subnormal where it is positive but
+    rounds to 0."""
+    margin = p.eta_A * p.mu_b - c * (p.eta_A + p.mu_A) - p.mu_m * (p.mu_A + p.eta_A)
+    if (margin > 0.0) if c < p._collapse_bound else (margin <= 0.0):
+        return margin
+    one, _, _, _, _, _, _, mu_m, mu_b, mu_A, eta_A, _, _, c2 = _integer_form(p, c)
+    m = eta_A * mu_b - (c2 + mu_m) * (eta_A + mu_A)     # the margin times one**4
+    try:
+        margin = m / one**4
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
+    return math.ulp(0.0) if m > 0 and margin == 0.0 else margin
 
 
 def _viability(p: ModelParams, c: float, what: str) -> float:
@@ -285,7 +319,10 @@ def _paper_dfe(p: ModelParams, c: float) -> State7:
 def basic_offspring_number(p: ModelParams, c: ControlLevel | float = 0.0) -> float:
     """Threshold ratio (eta_A + mu_A)*(mu_m + c) / (mu_b*eta_A).
 
-    Below one exactly when the viability margin is positive.  Note the
+    Below one when the viability margin is positive, except next to the
+    collapse bound, where the float ratio can round to 1.0 or beyond while
+    the margin is still positive (1.0 on the built-in scenario at c =
+    1.3636363636363635); the margin is the exact test.  Note the
     orientation: this is the ratio whose *smallness* means a sustainable
     population; the conventional "offspring number" is its reciprocal.
     The ratio is returned as written here; the naming mismatch is

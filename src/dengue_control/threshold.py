@@ -50,17 +50,11 @@ class ProfilePoint:
     collapsed: bool
 
 
-def _least_collapsed(scale: int, mu_m: int, recruit: int, alpha: int) -> float:
-    """The least double c with recruit - (c*scale + mu_m)*alpha <= 0."""
-    c = (recruit - mu_m * alpha) / (alpha * scale)      # the exact root, correctly rounded
-    n, d = c.as_integer_ratio()
-    return c if recruit * d <= (n * scale + mu_m * d) * alpha else math.nextafter(c, math.inf)
-
-
 def collapse_control_bound(p: ModelParams) -> float:
-    """Least control level at which the exact mosquito viability margin is <= 0."""
-    one, _, _, _, _, _, _, mu_m, mu_b, mu_A, eta_A, *_ = _integer_form(p, 0.0)
-    return _least_collapsed(one * one, mu_m, eta_A * mu_b, eta_A + mu_A)
+    """Least control level at which the exact mosquito viability margin is <= 0,
+    computed once per parameter set: every collapse decision of the package,
+    the sign of ``mosquito_viability`` included, is c >= this bound."""
+    return p._collapse_bound
 
 
 def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoControlNeeded:
@@ -77,8 +71,7 @@ def min_control(p: ModelParams, tol: float = 1e-6) -> ThresholdResult | NoContro
         raise ScenarioError(f"tolerance must be > 0, got {tol}")
     one, n_h, cap, bite_mh, bite_hm, mu_h, eta_h, mu_m, mu_b, mu_A, eta_A, eta_m, nu_h, _ = \
         _integer_form(p, 0.0)
-    scale, recruit, alpha = one * one, eta_A * mu_b, eta_A + mu_A
-    bound = _least_collapsed(scale, mu_m, recruit, alpha)
+    scale, recruit, alpha, bound = one * one, eta_A * mu_b, eta_A + mu_A, p._collapse_bound
     a = bite_hm * bite_mh * cap * eta_m * nu_h
     dd = n_h * mu_b * (eta_h + mu_h) * mu_m * (mu_h + nu_h)
     tested = []                 # c = 0, then the sign tests that place c*, then c*

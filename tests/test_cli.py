@@ -285,7 +285,10 @@ class TestGoldenOutput:
     # 1.3636363636363638 (the least double with a viability margin <= 0).
     # 0.12 and 0.2 were re-pinned when endemic existence became the exact
     # rho > 1: at 0.12 (rho = 0.586 < 1 < R0) the out-of-region root with
-    # I_h = -39.2 gave way to the endemic: note, and at 0.2 the note names rho
+    # I_h = -39.2 gave way to the endemic: note, and at 0.2 the note names rho.
+    # The two doubles around the collapse bound were pinned when the margin's
+    # sign became exact (see TestCollapseEdge): the one below it no longer
+    # reads [collapsed], the bound itself does, as before
     ANALYZE_DIGESTS = {
         0.0: ("20488a5c8c87ffa8d94a0828e6c9ef7a17778d904c3c300da6335fb0561bed97",
               "4e5159d5ba96c5dc760d494ffc79583f70705346387f5ef4c1e16edf7b742593"),
@@ -295,6 +298,12 @@ class TestGoldenOutput:
                "9044b663f13872c546da11688978b0341c88ae61e644b2a0494d71a68484e31e"),
         0.2: ("a1e66d2bf9f5588e86632d9b8f963359f966d450ff039299ae62d019c27a8b17",
               "4751dc1ad553a1196ebf7bb703112d31c611e6b468cb390001a955dcfc2fa193"),
+        1.3636363636363635: (
+            "9b070fe8bfaf9027cb2bde73d5e1d12efb5662d7c90fcd2360bd7c7da7d71148",
+            "610d87f8fd38abd11e75b2c6b6e299e35165e442eb4b3a5d7de01c4549475f8e"),
+        1.3636363636363638: (
+            "39df0ad148ec5df45036709148dec666351c09865a9bc59c698c3191ca7cd21e",
+            "9a23f79ed1df06b12b3186a759cb387d2d6c40827abda418e8f3dc4d331333e5"),
     }
     SWEEP_DIGEST = "ac7302269f84df3e14e20f52ea52f84aab3e0b539bdc56c395995b249b01c5e0"
 
@@ -313,6 +322,51 @@ class TestGoldenOutput:
                        "--out", str(tmp_path))[0] == 0
         digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
         assert digest == self.SWEEP_DIGEST
+
+
+class TestCollapseEdge:
+    """The built-in scenario's collapse bound is 1.3636363636363638, the least
+    double with an exact viability margin <= 0.  At the double below it the
+    exact margin is +4.0e-17 while the float formula gives -3.1e-17; the
+    report reads the exact sign, at the control and in its threshold section."""
+
+    BELOW, BOUND = "1.3636363636363635", "1.3636363636363638"
+    RHO_NOTE = ("no endemic equilibrium in the admissible region: "
+                "rho = R0^2*mu_m/(mu_m + c) = 2.34783e-19 <= 1")
+
+    def analyze(self, capsys, c, *flags):
+        code, out, err = run_cli(capsys, "analyze", "--builtin", "capeverde2009",
+                                 "--control", c, *flags)
+        assert code == 0 and err == ""
+        return out
+
+    def test_below_the_bound_is_viable(self, capsys):
+        lines = self.analyze(capsys, self.BELOW).splitlines()
+        for line in ("mosquito viability margin = 4.0043725910911894e-17",
+                     "R0 (spectral)    = 1.938178269374042e-09",
+                     "R0 (closed form) = 1.938178269374042e-09",
+                     "    stability: asymptotically stable  (R0 at point = 1.938178269374042e-09)",
+                     "  endemic: " + self.RHO_NOTE,
+                     "  mosquito collapse bound c = 1.3636363636363638"):
+            assert line in lines
+        assert sum(line.startswith("  [brdfe] ") for line in lines) == 1
+        assert not any("[collapsed]" in line for line in lines)
+        doc = json.loads(self.analyze(capsys, self.BELOW, "--json"))
+        assert doc["viability"] == 4.0043725910911894e-17 and doc["collapsed"] is False
+        assert doc["r0_spectral"] == doc["r0_closed_form"] == 1.938178269374042e-09
+        assert [(e["kind"], e["classification"]) for e in doc["equilibria"]] == [
+            ("trivial", "unstable"), ("brdfe", "asymptotically stable")]
+        assert doc["endemic_note"] == self.RHO_NOTE
+        assert doc["threshold"]["collapse_bound"] == float(self.BOUND)
+
+    def test_at_the_bound_collapses(self, capsys):
+        out = self.analyze(capsys, self.BOUND)
+        assert "mosquito viability margin = -8.673617379884035e-17  [collapsed]\n" in out
+        assert "[brdfe]" not in out and "R0 (spectral)    = n/a\n" in out
+        doc = json.loads(self.analyze(capsys, self.BOUND, "--json"))
+        assert doc["viability"] == -8.673617379884035e-17 and doc["collapsed"] is True
+        assert [(e["kind"], e["classification"]) for e in doc["equilibria"]] == [
+            ("trivial", "asymptotically stable")]
 
 
 def per_value_csv(traj):

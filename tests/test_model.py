@@ -1,5 +1,9 @@
+import dataclasses
 import math
+import random
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     CAPE_VERDE,
     CAPE_VERDE_X0,
+    draw_extreme,
     draw_omega_state,
     draw_params,
     draw_params_wide,
@@ -20,11 +25,13 @@ from dengue_control.equilibria import (
     metzler_matrix,
     trivial_equilibrium,
 )
+from dengue_control.errors import MosquitoCollapseError, NoEndemicEquilibrium, NumericalFailure
 from dengue_control.integrator import SolverConfig, integrate, _r_h
 from dengue_control.model import (
     ROW_LABELS,
     STATE_LABELS,
     ControlLevel,
+    ModelParams,
     State7,
     basic_offspring_number,
     component_scales,
@@ -36,8 +43,9 @@ from dengue_control.model import (
     _rate,
     _rhs_of,
 )
+from dengue_control.scenario import KNOWN_KEYS, builtin_capeverde2009, render_scenario
 from dengue_control.stability import classify, r0_spectral
-from dengue_control.threshold import r0_profile
+from dengue_control.threshold import collapse_control_bound, r0_profile
 
 
 def reference_rhs(p, c, x):
@@ -344,6 +352,158 @@ class TestMosquitoViability:
     def test_at_paper_threshold_control(self):
         # 0.45 - 0.33 * 0.156961
         assert mosquito_viability(CAPE_VERDE, 0.156961) == pytest.approx(0.3982029, abs=1e-6)
+
+
+# A Fraction oracle of the viability margin, from the formula and nothing of
+# the package: the population collapses at c iff exact_margin(p, c) <= 0.
+
+def exact_margin(p, c) -> Fraction:
+    """eta_A*mu_b - (c + mu_m)*(eta_A + mu_A) of the doubles, exactly."""
+    f = Fraction
+    return f(p.eta_A) * f(p.mu_b) - (f(c) + f(p.mu_m)) * (f(p.eta_A) + f(p.mu_A))
+
+
+def float_margin(p, c) -> float:
+    """The margin's float formula, term by term as the model once returned it."""
+    return p.eta_A * p.mu_b - c * (p.eta_A + p.mu_A) - p.mu_m * (p.mu_A + p.eta_A)
+
+
+def rounded_margin(q: Fraction) -> float:
+    """q correctly rounded; +-inf beyond the largest double, and the least
+    subnormal where q > 0 rounds to 0, so that the sign holds."""
+    try:
+        x = q.numerator / q.denominator
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+    return 5e-324 if q > 0 and x == 0.0 else x
+
+
+def extreme_draws():
+    rnd = random.Random(7)
+    for _ in range(6000):
+        try:
+            yield draw_extreme(rnd)
+        except ValueError:
+            continue
+
+
+def wide_draws():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        p, ctrl = draw_params_wide(rng)
+        yield p, ctrl.c
+
+
+class TestExactCollapse:
+    """Every collapse decision agrees with the exact margin: the sign of
+    ``mosquito_viability``, ``r0_profile``'s flag, ``brdfe``'s
+    MosquitoCollapseError and ``endemic_closed_form``'s collapse note, at the
+    drawn control, at the collapse bound and at the double below it."""
+
+    def check(self, p, c) -> bool:
+        """Checks (p, c) against the oracle; whether the float formula's sign
+        (a NaN counting as wrong) disagreed with the exact one there."""
+        exact = exact_margin(p, c)
+        collapsed = exact <= 0
+        assert (c >= collapse_control_bound(p)) == collapsed, (p, c)
+        viability = mosquito_viability(p, c)
+        assert viability <= 0.0 if collapsed else viability > 0.0, (p, c)
+        formula = float_margin(p, c)
+        float_wrong = math.isnan(formula) or (formula > 0.0) == collapsed
+        if float_wrong:
+            assert viability == rounded_margin(exact), (p, c)
+        try:
+            assert r0_profile(p, [c])[0].collapsed == collapsed, (p, c)
+        except NumericalFailure:
+            assert not collapsed, (p, c)
+        try:
+            brdfe(p, c)
+            assert not collapsed, (p, c)
+        except MosquitoCollapseError:
+            assert collapsed, (p, c)
+        except NumericalFailure:
+            assert not collapsed, (p, c)
+        try:
+            endemic_closed_form(p, c)
+            assert not collapsed, (p, c)
+        except NoEndemicEquilibrium as exc:
+            assert ("collapses" in str(exc)) == collapsed, (p, c)
+            if collapsed:
+                assert str(exc).endswith(f"(viability margin = {viability:.6g})")
+        except NumericalFailure:
+            assert not collapsed, (p, c)
+        return float_wrong
+
+    def float_disagreements(self, draws) -> Counter:
+        wrong = Counter()
+        for p, c in draws:
+            bound = collapse_control_bound(p)
+            for where, x in (("drawn", c), ("bound", bound),
+                             ("below", math.nextafter(bound, -math.inf))):
+                if 0.0 <= x < math.inf and self.check(p, x):
+                    wrong[where] += 1
+        return wrong
+
+    # the counts show where the float formula alone would decide wrongly:
+    # never at the drawn controls, often next to the bound (the 13 extra at the
+    # bound among the extreme variants are NaN margins, inf - inf)
+    def test_extreme_variants(self):
+        assert self.float_disagreements(extreme_draws()) == Counter(below=3531, bound=162)
+
+    def test_wide_draws(self):
+        assert self.float_disagreements(wide_draws()) == Counter(below=588, bound=238)
+
+    def test_overflowing_margin_takes_the_integer_sign(self):
+        # the float margin is inf - inf; the exact one is about 2.9e616
+        p = params_with(mu_m=1e308, eta_A=1.7e308, mu_b=1.7e308)
+        assert math.isnan(float_margin(p, 0.0))
+        assert mosquito_viability(p, 0.0) == math.inf
+
+    def test_positive_margin_below_the_least_subnormal_keeps_its_sign(self):
+        p = params_with(mu_b=1e-310, mu_m=1e-320)
+        below = math.nextafter(collapse_control_bound(p), 0.0)
+        assert 0 < exact_margin(p, below) < Fraction(5e-324) / 2
+        assert float_margin(p, below) == 0.0
+        assert mosquito_viability(p, below) == 5e-324
+        # not collapsed: the disease-free state fails on its own underflow,
+        # and the endemic root exists
+        with pytest.raises(NumericalFailure, match=r"mu_b\*mu_m underflows"):
+            brdfe(p, below)
+        assert min(endemic_closed_form(p, below).state) > 0.0
+
+
+class TestCollapseBoundIsDerived:
+    """The bound is computed from the fields at construction; it is no field,
+    no scenario key, and never outlives the values it was computed from."""
+
+    def test_replace_gets_a_fresh_bound(self):
+        bound = collapse_control_bound(CAPE_VERDE)
+        assert bound == 1.3636363636363638
+        p = dataclasses.replace(CAPE_VERDE, mu_b=3.0)
+        assert collapse_control_bound(p) == 0.6363636363636365
+        assert exact_margin(p, collapse_control_bound(p)) <= 0 < exact_margin(
+            p, math.nextafter(collapse_control_bound(p), 0.0))
+        assert mosquito_viability(p, 1.0) < 0.0 < mosquito_viability(CAPE_VERDE, 1.0)
+        assert collapse_control_bound(CAPE_VERDE) == bound
+
+    def test_fields_and_scenario_keys_unchanged(self):
+        names = ("N_h", "B", "beta_mh", "beta_hm", "mu_h", "eta_h", "mu_m", "mu_b", "mu_A",
+                 "eta_A", "eta_m", "nu_h", "m", "k", "K")
+        assert tuple(f.name for f in dataclasses.fields(ModelParams)) == names
+        keys = [line.split(" = ")[0]
+                for line in render_scenario(builtin_capeverde2009()).splitlines()[1:]]
+        solver = ("t0", "t_end", "rtol", "atol", "h_init", "h_max", "output_step")
+        assert keys == [*names, "c", *(f"{x}0" for x in STATE_LABELS), *solver]
+        assert KNOWN_KEYS == {*keys, "R_h0"}
+        assert "_collapse_bound" not in repr(CAPE_VERDE)
+        assert CAPE_VERDE == dataclasses.replace(CAPE_VERDE)
+
+    @pytest.mark.parametrize("c", (1.3636363636363638, 2.0))
+    def test_endemic_note_prints_the_viability_margin(self, c):
+        with pytest.raises(NoEndemicEquilibrium) as info:
+            endemic_closed_form(CAPE_VERDE, c)
+        assert str(info.value).endswith(
+            f"collapses (viability margin = {mosquito_viability(CAPE_VERDE, c):.6g})")
 
 
 class TestBasicOffspringNumber:
