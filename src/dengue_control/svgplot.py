@@ -7,20 +7,17 @@ which ``simulate --svg`` writes to its file in turn, so the whole text is
 never held in memory.  A series' points are mapped to pixels a column at a
 time, the column read in place from the row buffer ``Trajectory.rows`` as a
 strided view, never copied: as numpy arrays once numpy is loaded, else
-point by point from a ``memoryview`` slice into an ``array('d')``
-(``integrator._numpy_loaded``), so that ``simulate --svg`` never imports
-numpy; the two give the same doubles.  A panel formats its
-time pixels once, in chunks of ``_DENSE_CHUNK`` rows, each chunk by one
-``"%.2f %.2f ..." % values`` call into one string (``_x_text``), and its
-four polylines share that text: each chunk of a polyline is one
-``"%s,%.2f %s,%.2f ..." % values`` call over the chunk's time text, split
-into its pixels, interleaved with the series' y pixels, and is yielded as
-its own part.  ``'%.2f' % v`` and ``f"{v:.2f}"`` both format through
-``PyOS_double_to_string(v, 'f', 2, 0)``, and ``%s`` of such a string is
-that string, so the text is byte for byte that of per-point f-strings,
-while the per-number work stays in C.  The time text is held as one
-``str`` per chunk, about 7 bytes a row, not as a list of per-point strings
-(about 60 bytes a row); the lists and tuples of one format call are a
+value by value, with the affine map's constants bound once, from a
+``memoryview`` slice into an ``array('d')`` (``integrator._numpy_loaded``),
+so that ``simulate --svg`` never imports numpy; the two give the same
+doubles.  A panel formats its time pixels once, ``_DENSE_CHUNK`` rows at a
+time, into the format of the chunk's points, ``"X,%.2f X,%.2f ..."``
+(``_x_formats``); each chunk of each of its four polylines is then one
+``format % y_pixels`` call, yielded as its own part.  ``'%.2f' % v`` and
+``f"{v:.2f}"`` both format through ``PyOS_double_to_string(v, 'f', 2, 0)``
+and an X holds no ``%``, so the text is byte for byte that of per-point
+f-strings, with each number formatted once, in C.  The formats take about
+12 bytes a row, one ``str`` per chunk; the tuple of one format call is a
 chunk in size."""
 
 from __future__ import annotations
@@ -82,52 +79,42 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def _x_text(xs) -> list[str]:
+def _x_formats(xs) -> list[str]:
     """The pixels xs (a numpy array or ``array('d')``) formatted once, as
-    ``f"{v:.2f} "`` per pixel, in one string per ``_DENSE_CHUNK`` of them."""
-    text = []
+    the format ``" X,%.2f"`` per pixel, X being ``f"{x:.2f}"``, in one string
+    per ``_DENSE_CHUNK`` of them; the first has no leading space."""
+    formats = []
     for lo in range(0, len(xs), _DENSE_CHUNK):
         x = xs[lo:lo + _DENSE_CHUNK].tolist()
-        text.append(("%.2f " * len(x)) % tuple(x))
-    return text
+        fmt = (" %.2f,%%.2f" * len(x)) % tuple(x)
+        formats.append(fmt if lo else fmt[1:])
+    return formats
 
 
-def _points(x_text: list[str], ys) -> Iterator[str]:
-    """Polyline points "X,Y X,Y ..." of the x pixels formatted by
-    ``_x_text`` and the y pixels ys (a numpy array or ``array('d')``), in
-    parts of ``_DENSE_CHUNK`` points, each y formatted as ``f"{v:.2f}"``,
-    one format call per part; the parts joined give the whole text."""
-    lo = 0
-    for text in x_text:
-        x = text.split()
-        xy = [None] * (2 * len(x))
-        xy[0::2] = x
-        xy[1::2] = ys[lo:lo + len(x)].tolist()
-        fmt = " %s,%.2f" * len(x)
-        yield (fmt if lo else fmt[1:]) % tuple(xy)
-        lo += len(x)
+def _points(formats: list[str], ys) -> Iterator[str]:
+    """Polyline points "X,Y X,Y ..." of the formats of ``_x_formats`` and
+    the y pixels ys (a numpy array or ``array('d')``), in parts of
+    ``_DENSE_CHUNK`` points, each y formatted as ``f"{v:.2f}"``, one format
+    call per part; the parts joined give the whole text."""
+    for lo, fmt in zip(range(0, len(ys), _DENSE_CHUNK), formats):
+        yield fmt % tuple(ys[lo:lo + _DENSE_CHUNK].tolist())
 
 
 def _panel(x0: int, title: str, traj: Trajectory, series) -> Iterator[str]:
     """The lines of one panel, each ending in a line break; a polyline's
-    points come in the parts of ``_points``, over the panel's one time
-    text."""
-    if _numpy_loaded():
+    points come in the parts of ``_points``, over the panel's one set of
+    time formats."""
+    vectorized = _numpy_loaded()
+    if vectorized:
         data = traj.as_array()
         times = traj.times
         columns = [data[:, ROW_LABELS.index(label)] for label, _ in series]
         top = float(max(col.max() for col in columns))
-
-        def pixels(f, col):
-            return f(col)
     else:
         rows = memoryview(traj.rows)  # its strided slices are views, not copies
         times = rows[0::_WIDTH]
         columns = [rows[1 + ROW_LABELS.index(label)::_WIDTH] for label, _ in series]
         top = max(map(max, columns))
-
-        def pixels(f, col):
-            return array("d", map(f, col))
     t_lo, t_hi = float(times[0]), float(times[-1])
     if t_hi == t_lo:
         t_hi = t_lo + 1.0
@@ -165,10 +152,20 @@ def _panel(x0: int, title: str, traj: Trajectory, series) -> Iterator[str]:
     yield (f'<text x="{(px0 + px1) / 2:.0f}" y="{_PANEL_H - 10}" text-anchor="middle" '
            'font-size="12">time (days)</text>\n')
 
-    x_text = _x_text(pixels(sx, times))  # shared by the four polylines
+    if vectorized:
+        x_pixels, y_pixels = sx, sy
+    else:  # sx and sy value by value, their constants bound once per column
+        t_span, y_span, width, height = t_hi - t_lo, y_hi - y_lo, px1 - px0, py1 - py0
+
+        def x_pixels(col):
+            return array("d", (px0 + (t - t_lo) / t_span * width for t in col))
+
+        def y_pixels(col):
+            return array("d", (py1 - (v - y_lo) / y_span * height for v in col))
+    formats = _x_formats(x_pixels(times))  # shared by the four polylines
     for (_, color), col in zip(series, columns):
         yield '<polyline points="'
-        yield from _points(x_text, pixels(sy, col))
+        yield from _points(formats, y_pixels(col))
         yield f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n'
 
     lx, ly = px1 - 64, py0 + 8
